@@ -51,6 +51,9 @@ __all__ = [
 
 JACOBIAN_FD_SCALE = 1e-5
 
+# Most (matrix, offset) pairs an affine FlowMap keeps before it starts over.
+FLOW_CACHE_LIMIT = 65536
+
 
 @dataclass(frozen=True)
 class DriftField:
@@ -178,7 +181,8 @@ class FlowMap:
     with Jacobian M(t), so one integration from the origin and one from each
     basis point would suffice; here M and v are recovered from a single
     joint integration at the origin (M is the Jacobian there, v the image of
-    the origin) and cached keyed by t.  Non-affine drifts fall back to a
+    the origin) and cached in a table sorted by t, which a batch of times
+    reads with one ``np.searchsorted``.  Non-affine drifts fall back to a
     fresh integration per call.
     """
 
@@ -187,7 +191,9 @@ class FlowMap:
             raise ValueError("steps_per_unit must be at least 1")
         self.drift = drift
         self.steps_per_unit = steps_per_unit
-        self._cache: dict = {}
+        self._times = np.empty(0)
+        self._mats = None
+        self._offs = None
 
     def _steps(self, t: float) -> int:
         return max(1, int(np.ceil(self.steps_per_unit * abs(t))))
@@ -203,20 +209,15 @@ class FlowMap:
     def transport_batch(self, times, points):
         """Flow points and Jacobians for per-row times; shapes (m,) and (m, n).
 
-        Affine drifts assemble cached (matrix, offset) pairs per distinct
-        time and finish with batched matmuls; other drifts fall back to one
+        Affine drifts gather cached (matrix, offset) pairs for all rows at
+        once and finish with a batched matmul; other drifts fall back to one
         integration per row.
         """
         ts = np.asarray(times, dtype=float)
         pts = np.asarray(points, dtype=float)
         m, n = pts.shape
         if self.drift.affine:
-            mats = np.empty((m, n, n))
-            offs = np.empty((m, n))
-            for i in range(m):
-                M, v = self._affine_pair(float(ts[i]), n)
-                mats[i] = M
-                offs[i] = v
+            mats, offs = self._affine_pairs(ts, n)
             images = np.einsum("mij,mj->mi", mats, pts) + offs
             return images, mats
         images = np.empty_like(pts)
@@ -226,22 +227,54 @@ class FlowMap:
             images[i], jacs[i] = integrate_flow(self.drift, pts[i], t, self._steps(t))
         return images, jacs
 
+    def _affine_pairs(self, ts: np.ndarray, n: int):
+        """Stacks of the flow matrix M(t) and offset v(t) for every time in ts.
+
+        Times missing from the table are integrated once each and merged in.
+        Pinned-time solves reuse a fixed set of times; only a free-time
+        experiment keeps adding new ones, so a full table keeps just the
+        times of the current batch.
+        """
+        if self._mats is None:
+            self._mats = np.empty((0, n, n))
+            self._offs = np.empty((0, n))
+        distinct, rows = np.unique(ts, return_inverse=True)
+        slots = np.searchsorted(self._times, distinct)
+        known = slots < self._times.size
+        known[known] = self._times[slots[known]] == distinct[known]
+        if not np.all(known):
+            fresh = distinct[~known]
+            mats = np.empty((fresh.size, n, n))
+            offs = np.empty((fresh.size, n))
+            for i, t in enumerate(fresh.tolist()):
+                if t == 0.0:
+                    mats[i], offs[i] = np.eye(n), 0.0
+                else:
+                    offs[i], mats[i] = integrate_flow(
+                        self.drift, np.zeros(n), t, self._steps(t)
+                    )
+            if self._times.size + fresh.size > FLOW_CACHE_LIMIT:
+                keep = slots[known]
+                self._times = self._times[keep]
+                self._mats = self._mats[keep]
+                self._offs = self._offs[keep]
+            times = np.concatenate([self._times, fresh])
+            order = np.argsort(times)
+            self._times = times[order]
+            self._mats = np.concatenate([self._mats, mats])[order]
+            self._offs = np.concatenate([self._offs, offs])[order]
+            slots = np.searchsorted(self._times, distinct)
+        picks = slots[rows]
+        return self._mats[picks], self._offs[picks]
+
     def _affine_pair(self, t: float, n: int):
+        """M(t) and v(t) for one time, as views into the table (not to be written)."""
         key = float(t)
-        hit = self._cache.get(key)
-        if hit is None:
-            origin = np.zeros(n)
-            if key == 0.0:
-                hit = (np.eye(n), origin.copy())
-            else:
-                v, M = integrate_flow(self.drift, origin, key, self._steps(key))
-                hit = (M, v)
-            if len(self._cache) >= 65536:
-                # Pinned-time solves reuse a fixed set of times; only a
-                # free-time experiment can churn keys, so dropping is safe.
-                self._cache.clear()
-            self._cache[key] = hit
-        return hit
+        slot = int(np.searchsorted(self._times, key))
+        if slot == self._times.size or self._times[slot] != key:
+            self._affine_pairs(np.array([key]), n)
+            slot = int(np.searchsorted(self._times, key))
+        return self._mats[slot], self._offs[slot]
 
     def map(self, t: float, p) -> np.ndarray:
         """Flow point only."""

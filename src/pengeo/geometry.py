@@ -197,7 +197,11 @@ def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray):
     FtG = np.matmul(F.transpose(0, 2, 1), G)
     M = np.matmul(FtG, F)
     M = 0.5 * (M + M.transpose(0, 2, 1))
-    cond = np.linalg.cond(M)
+    # For a symmetric matrix the 2-norm condition number is the ratio of the
+    # extreme eigenvalue magnitudes; a singular M gives inf (or nan if M = 0).
+    spectrum = np.abs(np.linalg.eigvalsh(M))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = spectrum.max(axis=1) / spectrum.min(axis=1)
     bad = ~np.isfinite(cond) | (cond > FRAME_CONDITION_LIMIT)
     if np.any(bad):
         i = int(np.argmax(bad))

@@ -13,9 +13,10 @@ discrete energy, a block tridiagonal matrix assembled from the penalized
 metric at the segment midpoints.  That term carries both ill-conditioning
 sources (the 1/N^2 grid stiffness and the penalty q), so solving against it
 leaves the curvature pairs only the gentle metric-variation remainder; large
-penalties then cost roughly as many iterations as small ones.  Continuation
-walks a geometric penalty ladder and warm starts each solve from the
-previous minimizer.
+penalties then cost roughly as many iterations as small ones.  It is factored
+by block cyclic reduction, which works on all blocks of a level at once in
+O(log N) batched calls.  Continuation walks a geometric penalty ladder and
+warm starts each solve from the previous minimizer.
 """
 
 from __future__ import annotations
@@ -203,40 +204,72 @@ def energy_gradient(
     return grad[1:-1].ravel()
 
 
-class _BlockTridiagonalFactor:
-    """Forward-eliminated symmetric block tridiagonal system, ready to solve.
+def _pad_block(stack: np.ndarray) -> np.ndarray:
+    """``stack`` with one zero block appended along the first axis."""
+    return np.concatenate([stack, np.zeros((1,) + stack.shape[1:])])
 
-    Stores the Schur-complement diagonal blocks S_j and the elimination
-    multipliers W_j of the classic block Thomas recursion, so repeated
-    right-hand sides cost one forward and one backward sweep each.
+
+class _BlockTridiagonalFactor:
+    """Symmetric block tridiagonal system reduced by block cyclic reduction.
+
+    Row j of the system reads A_j x_{j-1} + B_j x_j + C_j x_{j+1} = b_j with
+    diagonal blocks B_j = ``diag[j]``, super-diagonal blocks C_j = ``off[j]``
+    and sub-diagonal blocks A_{j+1} = C_j^T (A_0 and C_{m-1} are zero).  Each
+    level eliminates the even-numbered rows 0, 2, 4, ... at once: with the
+    multipliers [a_e | c_e] = B_e^{-1} [A_e | C_e] from one batched solve,
+    the odd row i keeps the Schur complement
+
+        B_i - A_i c_{i-1} - C_i a_{i+1},   -A_i a_{i-1},   -C_i c_{i+1}
+
+    as its new diagonal, sub- and super-diagonal blocks, so the odd rows form
+    a block tridiagonal system of half the size.  The levels stop at a single
+    block.  Every reduced system is a Schur complement of the SPD matrix, so
+    it stays SPD and needs no pivoting (Buzbee, Golub & Nielson, SINUM 7(4),
+    1970).  A solve runs the levels forward on the right-hand side and
+    back-substitutes the eliminated rows in reverse, so both factor and solve
+    take O(log m) batched numpy calls.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
         m, n, _ = diag.shape
         self.block_count = m
         self.block_size = n
-        self.off = off
-        schur = np.empty_like(diag)
-        mult = np.empty_like(off)
-        schur[0] = diag[0]
-        for j in range(1, m):
-            mult[j - 1] = np.linalg.solve(schur[j - 1], off[j - 1])
-            schur[j] = diag[j] - off[j - 1].T @ mult[j - 1]
-        self.schur = schur
-        self.mult = mult
+        # coupling[j] = [A_j | C_j], the blocks that tie row j to its neighbours.
+        coupling = np.zeros((m, n, 2 * n))
+        coupling[1:, :, :n] = off.transpose(0, 2, 1)
+        coupling[:-1, :, n:] = off
+        self.levels = []
+        while m > 1:
+            kept = m // 2
+            mult = np.linalg.solve(diag[0::2], coupling[0::2])
+            left = coupling[1::2, :, :n] @ mult[:kept]
+            right = coupling[1::2, :, n:] @ _pad_block(mult)[1 : kept + 1]
+            self.levels.append((diag[0::2], coupling[1::2], mult))
+            diag = diag[1::2] - left[:, :, n:] - right[:, :, :n]
+            coupling = -np.concatenate([left[:, :, :n], right[:, :, n:]], axis=2)
+            m = kept
+        self.last = diag
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        m, n = self.block_count, self.block_size
-        b = rhs.reshape(m, n)
-        y = np.empty_like(b)
-        y[0] = b[0]
-        for j in range(1, m):
-            y[j] = b[j] - self.mult[j - 1].T @ y[j - 1]
-        u = np.empty_like(b)
-        u[m - 1] = np.linalg.solve(self.schur[m - 1], y[m - 1])
-        for j in range(m - 2, -1, -1):
-            u[j] = np.linalg.solve(self.schur[j], y[j] - self.off[j] @ u[j + 1])
-        return u.ravel()
+        n = self.block_size
+        b = rhs.reshape(self.block_count, n, 1)
+        eliminated = []
+        for elim_diag, kept_coupling, _ in self.levels:
+            kept = b.shape[0] // 2
+            y = np.linalg.solve(elim_diag, b[0::2])
+            neighbours = np.concatenate([y[:kept], _pad_block(y)[1 : kept + 1]], axis=1)
+            eliminated.append(y)
+            b = b[1::2] - kept_coupling @ neighbours
+        x = np.linalg.solve(self.last, b)
+        for (_, _, mult), y in zip(reversed(self.levels), reversed(eliminated)):
+            count = y.shape[0]
+            padded = np.concatenate([np.zeros((1, n, 1)), x, np.zeros((1, n, 1))])
+            neighbours = np.concatenate([padded[:count], padded[1 : count + 1]], axis=1)
+            full = np.empty((count + x.shape[0], n, 1))
+            full[0::2] = y - mult @ neighbours
+            full[1::2] = x
+            x = full
+        return x.ravel()
 
 
 def _velocity_hessian_factor(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import pengeo.drift as drift_module
 from pengeo import (
     ContinuationSchedule,
     DriftField,
@@ -142,6 +143,47 @@ def test_flow_map_transport_batch_matches_scalar(rng):
         pt_i, jac_i = flow.transport(float(times[i]), pts[i])
         np.testing.assert_allclose(images[i], pt_i, atol=1e-12)
         np.testing.assert_allclose(jacs[i], jac_i, atol=1e-12)
+
+
+def _per_row_affine_transport(drift, steps_per_unit, times, points):
+    """The affine transport one row at a time: integrate, stack, matmul."""
+    m, n = points.shape
+    mats = np.empty((m, n, n))
+    offs = np.empty((m, n))
+    for i, t in enumerate(times):
+        if t == 0.0:
+            mats[i], offs[i] = np.eye(n), 0.0
+        else:
+            steps = max(1, int(np.ceil(steps_per_unit * t)))
+            offs[i], mats[i] = integrate_flow(drift, np.zeros(n), t, steps)
+    return np.einsum("mij,mj->mi", mats, points) + offs, mats
+
+
+def test_flow_map_transport_batch_matches_per_row_loop_exactly(rng):
+    drift = linear_drift(np.array([[0.1, 0.8, 0.0], [0.0, -0.4, 0.3], [0.2, 0.0, 0.1]]))
+    flow = FlowMap(drift, steps_per_unit=50)
+    flow.transport_batch(np.array([0.25, 0.5]), rng.normal(size=(2, 3)))
+    # Hits (0.25, 0.5), misses (0.75, 0.1), repeats and t = 0 in one batch.
+    times = np.array([0.5, 0.0, 0.75, 0.25, 0.75, 0.1, 0.5, 0.0])
+    pts = rng.normal(size=(times.size, 3))
+    images, jacs = flow.transport_batch(times, pts)
+    ref_images, ref_jacs = _per_row_affine_transport(drift, 50, times, pts)
+    np.testing.assert_array_equal(images, ref_images)
+    np.testing.assert_array_equal(jacs, ref_jacs)
+
+
+def test_flow_map_cache_stays_bounded(rng, monkeypatch):
+    monkeypatch.setattr(drift_module, "FLOW_CACHE_LIMIT", 4)
+    drift = linear_drift(np.array([[0.1, 0.8], [0.0, -0.4]]))
+    flow = FlowMap(drift, steps_per_unit=20)
+    for start in range(5):
+        times = (start + np.array([0.0, 1.0, 2.0])) / 8.0
+        pts = rng.normal(size=(3, 2))
+        images, jacs = flow.transport_batch(times, pts)
+        assert flow._times.size <= 4
+        ref_images, ref_jacs = _per_row_affine_transport(drift, 20, times, pts)
+        np.testing.assert_array_equal(images, ref_images)
+        np.testing.assert_array_equal(jacs, ref_jacs)
 
 
 def test_pullback_control_round_trip(rng):

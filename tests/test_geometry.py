@@ -112,6 +112,7 @@ def test_metric_field_rejects_asymmetric_gram():
         bad(np.zeros(2))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_degenerate_frame_detected():
     frame = FrameField(columns=lambda p: np.array([[1.0, 1.0], [0.0, 0.0]]))
     metric = MetricField(gram=lambda p: np.eye(2))
@@ -120,6 +121,31 @@ def test_degenerate_frame_detected():
     )
     with pytest.raises(DegenerateFrameError):
         project_horizontal(structure, np.zeros(2), np.ones(2))
+
+
+def _graded_frame_structure(gram_condition: float) -> SubRiemannianStructure:
+    """Flat 3-D structure whose frame Gram is diag(1, 1/gram_condition)."""
+    columns = np.array([[1.0, 0.0], [0.0, gram_condition**-0.5], [0.0, 0.0]])
+    return SubRiemannianStructure(
+        dimension=3,
+        rank=2,
+        metric=MetricField(gram=lambda p: np.eye(3)),
+        frame=FrameField(columns=lambda p: columns),
+        name="graded",
+    )
+
+
+def test_ill_conditioned_frame_rejected_with_its_condition_number():
+    structure = _graded_frame_structure(1e9)
+    with pytest.raises(DegenerateFrameError, match=r"condition number 1\.0\d*e\+09"):
+        project_horizontal(structure, np.zeros(3), np.ones(3))
+
+
+def test_frame_below_condition_limit_accepted():
+    structure = _graded_frame_structure(1e7)
+    pv, pperp = project_horizontal(structure, np.zeros(3), np.ones(3))
+    np.testing.assert_allclose(pv, [1.0, 1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(pperp, [0.0, 0.0, 1.0], atol=1e-9)
 
 
 def test_heisenberg_bracket_symbolic_oracle(heisenberg, rng):

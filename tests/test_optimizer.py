@@ -7,13 +7,17 @@ from pengeo import (
     ContinuationSchedule,
     DiscretePath,
     SolverConfig,
+    build_lifted_structure,
     constant_speed_reparametrize,
     continuation_solve,
     energy_gradient,
+    linear_drift,
     minimize_energy,
+    penalized_gram,
     sinusoidal_deflection,
     vertical_heisenberg_problem,
 )
+from pengeo.optimizer import _velocity_hessian_factor
 from conftest import fd_energy_gradient, random_path
 
 
@@ -70,6 +74,72 @@ def test_gradient_frozen_coordinates(heisenberg, rng):
     grid = grad.reshape(path.grid_size - 1, path.dimension)
     np.testing.assert_array_equal(grid[:, 2], 0.0)
     assert np.any(grid[:, :2] != 0.0)
+
+
+def _dense_velocity_hessian(structure, q, path):
+    """H0 assembled entry by entry: blocks N (M_{j-1} + M_j) and -N M_j."""
+    N, n = path.grid_size, path.dimension
+    mids = 0.5 * (path.points[:-1] + path.points[1:])
+    M = penalized_gram(structure, q, mids)
+    H = np.zeros(((N - 1) * n, (N - 1) * n))
+    for j in range(N - 1):
+        H[j * n : (j + 1) * n, j * n : (j + 1) * n] = N * (M[j] + M[j + 1])
+        if j + 1 < N - 1:
+            H[j * n : (j + 1) * n, (j + 1) * n : (j + 2) * n] = -N * M[j + 1]
+            H[(j + 1) * n : (j + 2) * n, j * n : (j + 1) * n] = -N * M[j + 1]
+    return H
+
+
+def _assert_solves(H, x, b):
+    """x solves H x = b as well as a dense LU solve does.
+
+    The backward error must sit at roundoff.  The forward error against
+    ``np.linalg.solve`` must be 1e-10, or eps * cond(H) where that is
+    larger: at q = 1e4 and N = 200, cond(H0) is about 1.6e8, and two
+    backward-stable solves then differ by a few 1e-10 (dense LU and a
+    sequential block elimination do too).
+    """
+    expected = np.linalg.solve(H, b)
+    assert np.linalg.norm(H @ x - b) <= 1e-14 * np.linalg.norm(H, 2) * np.linalg.norm(x)
+    floor = max(1e-10, np.finfo(float).eps * np.linalg.cond(H))
+    assert np.linalg.norm(x - expected) <= floor * np.linalg.norm(expected)
+
+
+# Odd, even and single-block elimination levels all occur among these.
+BLOCK_COUNTS = [1, 2, 3, 4, 5, 8, 199, 200]
+
+
+@pytest.mark.parametrize("blocks", BLOCK_COUNTS)
+@pytest.mark.parametrize("q", [1.0, 1e4])
+def test_velocity_hessian_solve_matches_dense(heisenberg, rng, blocks, q):
+    path = random_path(heisenberg, blocks + 1, rng, scale=0.3)
+    b = rng.normal(size=blocks * 3)
+    x = _velocity_hessian_factor(heisenberg, q, path, None).solve(b)
+    _assert_solves(_dense_velocity_hessian(heisenberg, q, path), x, b)
+
+
+@pytest.mark.parametrize("blocks", BLOCK_COUNTS)
+def test_velocity_hessian_solve_frozen_time_coordinate(heisenberg, rng, blocks):
+    # The lifted drift structure with s frozen, as the drift solver runs it:
+    # the free coordinates solve the free part of H0, the frozen ones
+    # return the right-hand side unchanged.
+    drift = linear_drift(0.3 * np.eye(3))
+    lifted = build_lifted_structure(heisenberg, drift, integrator_steps=10)
+    start = np.concatenate([rng.normal(size=3), [0.0]])
+    end = np.concatenate([rng.normal(size=3), [1.0]])
+    path = random_path(lifted, blocks + 1, rng, scale=0.3, start=start, end=end)
+    s_line = DiscretePath.chord(start, end, blocks + 1).interior()[:, 3]
+    interior = path.interior()
+    interior[:, 3] = s_line
+    path = path.with_interior(interior)
+    frozen = np.array([False, False, False, True])
+    b = rng.normal(size=blocks * 4)
+    x = _velocity_hessian_factor(lifted, 1e3, path, frozen).solve(b)
+
+    free = ~np.tile(frozen, blocks)
+    H = _dense_velocity_hessian(lifted, 1e3, path)
+    _assert_solves(H[np.ix_(free, free)], x[free], b[free])
+    np.testing.assert_array_equal(x[~free], b[~free])
 
 
 def test_minimize_euclidean_zigzag_one_iteration(euclidean3, rng):
