@@ -24,15 +24,15 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import distance_chain_report, minimizer_cauchy_report
+from .diagnostics import ConvergenceReport, distance_chain_report, minimizer_cauchy_report
 from .drift import build_lifted_structure, constant_drift, linear_drift, solve_drift_problem, zero_drift
 from .functionals import DiscretePath, energy, horizontality_defect, length, semimetric_rho
-from .geometry import FrameField, MetricField, SubRiemannianStructure
+from .geometry import DegenerateFrameError, FrameField, MetricField, SubRiemannianStructure
 from .optimizer import (
     ContinuationSchedule,
     SolverConfig,
@@ -69,13 +69,10 @@ _SECTION_KEYS = {
     "solver": {
         "max_iterations",
         "gradient_tolerance",
-        "initial_step",
         "backtracking_ratio",
         "sufficient_decrease",
-        "quasi_newton",
-        "memory",
     },
-    "drift": {"kind", "vector", "matrix", "integrator_steps", "free_time"},
+    "drift": {"kind", "vector", "matrix", "integrator_steps"},
     "structure": {"dimension", "rank", "metric", "frame"},
     "output": {"root"},
 }
@@ -92,9 +89,7 @@ class RunSpec:
     problem: Problem
     schedule: ContinuationSchedule
     solver: SolverConfig
-    free_time: bool
     out_root: Optional[str]
-    reference_tolerance: float = 0.01
 
 
 def _get_float(section, key: str, fallback: float) -> float:
@@ -368,7 +363,6 @@ def parse_config(path) -> RunSpec:
         problem_section, "seed_amplitude", base.seed_amplitude
     )
 
-    free_time = False
     if parser.has_section("drift"):
         drift_section = parser["drift"]
         overrides["drift"] = _parse_drift(drift_section, dim)
@@ -377,7 +371,6 @@ def parse_config(path) -> RunSpec:
         )
         if overrides["integrator_steps"] < 1:
             raise ConfigError("key 'integrator_steps' must be at least 1")
-        free_time = _get_bool(drift_section, "free_time", False)
 
     problem = replace(base, **overrides)
 
@@ -396,12 +389,9 @@ def parse_config(path) -> RunSpec:
         solver = SolverConfig(
             max_iterations=_get_int(solver_section, "max_iterations", 500),
             gradient_tolerance=_get_float(solver_section, "gradient_tolerance", 1e-8),
-            initial_step=_get_float(solver_section, "initial_step", 1.0),
             backtracking_ratio=_get_float(solver_section, "backtracking_ratio", 0.5),
             sufficient_decrease=_get_float(solver_section, "sufficient_decrease", 1e-4),
             grid_size=problem.grid_size,
-            quasi_newton=_get_bool(solver_section, "quasi_newton", True),
-            memory=_get_int(solver_section, "memory", 10),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid [solver]: {exc}") from exc
@@ -410,13 +400,7 @@ def parse_config(path) -> RunSpec:
     if parser.has_section("output"):
         out_root = parser["output"].get("root") or None
 
-    return RunSpec(
-        problem=problem,
-        schedule=schedule,
-        solver=solver,
-        free_time=free_time,
-        out_root=out_root,
-    )
+    return RunSpec(problem=problem, schedule=schedule, solver=solver, out_root=out_root)
 
 
 def _resolve_out_dir(explicit: Optional[str], spec: RunSpec) -> Path:
@@ -448,32 +432,17 @@ def _write_results_csv(
         "q,energy,length,defect,iterations,converged,gradient_norm,rho0,rho1",
     ]
     for rec in records:
-        rho0 = "nan" if rec.rho0 is None else _fmt(float(np.max(rec.rho0)))
-        rho1 = "nan" if rec.rho1 is None else _fmt(float(np.max(rec.rho1)))
-        lines.append(
-            ",".join(
-                [
-                    _fmt(rec.q),
-                    _fmt(rec.energy),
-                    _fmt(rec.length),
-                    _fmt(rec.defect),
-                    str(rec.iterations),
-                    "true" if rec.converged else "false",
-                    _fmt(rec.gradient_norm),
-                    rho0,
-                    rho1,
-                ]
-            )
-        )
+        fields = [_fmt(rec.q), _fmt(rec.energy), _fmt(rec.length), _fmt(rec.defect)]
+        fields += [str(rec.iterations), str(rec.converged).lower(), _fmt(rec.gradient_norm)]
+        fields += ["nan" if r is None else _fmt(np.max(r)) for r in (rec.rho0, rec.rho1)]
+        lines.append(",".join(fields))
     (out_dir / "results.csv").write_text("\n".join(lines) + "\n")
 
 
 def _write_samples_csv(path: Path, times: np.ndarray, values: np.ndarray, prefix: str) -> None:
     header = ",".join(["t"] + [f"{prefix}{i + 1}" for i in range(values.shape[1])])
-    lines = [header]
-    for t, row in zip(times, values):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    path.write_text("\n".join(lines) + "\n")
+    table = np.column_stack([times, values])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def _read_table(path: Path):
@@ -485,23 +454,6 @@ def _read_table(path: Path):
     ]
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
-
-
-def _read_samples(path: Path) -> np.ndarray:
-    rows = [
-        line.split(",")
-        for line in path.read_text().splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
-    return np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
-
-
-def _run_header(problem: Problem, schedule: ContinuationSchedule) -> str:
-    qs = schedule.q_values()
-    return (
-        f"problem {problem.name}: {qs.size} penalty steps,"
-        f" q from {qs[0]:g} to {qs[-1]:g}, grid size {problem.grid_size}"
-    )
 
 
 def _cmd_list_problems() -> int:
@@ -527,46 +479,70 @@ def _cmd_list_problems() -> int:
     return 0
 
 
-def _cmd_solve(config_path: str, out: Optional[str]) -> int:
-    spec = parse_config(config_path)
+@dataclass(frozen=True)
+class _Ladder:
+    """What a command's solve step hands to the shared run pipeline: the ladder,
+    the command's own verdicts on the chain report, the reference distance for
+    its length checks, extra (file name, values, column prefix) tables on the
+    final grid, a block for ``report.txt`` and a summary line."""
+
+    results: list
+    verdict: Callable[[ConvergenceReport], bool]
+    reference_distance: Optional[float] = None
+    tables: tuple = ()
+    report: str = ""
+    summary: Optional[str] = None
+
+
+def _run_ladder(
+    config_path: str, out: Optional[str], spec: RunSpec, solve: Callable[[], _Ladder]
+) -> int:
+    """Run ``solve`` and write, print and judge what it returns.
+
+    A solver failure (line-search underflow, a degenerate frame, a diverging
+    flow) writes ``report.txt`` as ``solver failure: <message>``, prints the
+    same line to stderr and returns 1.  Otherwise the run passes when every
+    rung converged, energies rise, defects fall, the Cauchy check (if any)
+    holds and the command's own verdicts hold.
+    """
     problem = spec.problem
-    if problem.has_drift:
-        raise ConfigError(
-            f"problem '{problem.name}' includes a drift field; use the drift-solve command"
-        )
     out_dir = _resolve_out_dir(out, spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(config_path, out_dir / "config.ini")
 
-    print(_run_header(problem, spec.schedule))
+    qs = spec.schedule.q_values()
+    print(
+        f"problem {problem.name}: {qs.size} penalty steps,"
+        f" q from {qs[0]:g} to {qs[-1]:g}, grid size {problem.grid_size}"
+    )
     started = time.perf_counter()
     try:
-        results = continuation_solve(
-            problem.structure,
-            (problem.start, problem.end),
-            spec.schedule,
-            spec.solver,
-            seed_deflection=problem.seed_deflection(),
-        )
-    except StepUnderflowError as exc:
+        ladder = solve()
+    except (StepUnderflowError, DegenerateFrameError, FloatingPointError) as exc:
         (out_dir / "report.txt").write_text(f"solver failure: {exc}\n")
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - started
 
-    chain = distance_chain_report(results, problem.reference_distance)
+    results = ladder.results
+    chain = distance_chain_report(results, ladder.reference_distance)
     cauchy = None
     if len(results) > 1:
         cauchy = minimizer_cauchy_report(
             results, problem.unique_limit, problem.cauchy_rho1_tol
         )
 
-    _write_results_csv(out_dir, problem, chain.records, problem.structure.dimension, wall)
+    final = results[-1].path
+    _write_results_csv(out_dir, problem, chain.records, final.dimension, wall)
     for res in results:
         _write_samples_csv(
             out_dir / _path_file_name(res.q), res.path.times, res.path.points, "x"
         )
+    for name, values, prefix in ladder.tables:
+        _write_samples_csv(out_dir / name, final.times, values, prefix)
     report_text = chain.format_text()
+    if ladder.report:
+        report_text += "\n" + ladder.report
     if cauchy is not None:
         report_text += "\n" + cauchy.format_text()
     (out_dir / "report.txt").write_text(report_text)
@@ -577,17 +553,44 @@ def _cmd_solve(config_path: str, out: Optional[str]) -> int:
             f" defect={rec.defect:.3e} iterations={rec.iterations}"
             f" converged={str(rec.converged).lower()}"
         )
+    if ladder.summary is not None:
+        print(ladder.summary)
     ok = (
         all(r.converged for r in results)
         and chain.energies_nondecreasing
-        and chain.lengths_nondecreasing
         and chain.defects_nonincreasing
-        and chain.lengths_within_reference is not False
         and (cauchy is None or cauchy.passed is not False)
+        and ladder.verdict(chain)
     )
     print(f"results written to {out_dir}")
     print(f"verdicts: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
+
+
+def _cmd_solve(config_path: str, out: Optional[str]) -> int:
+    spec = parse_config(config_path)
+    problem = spec.problem
+    if problem.has_drift:
+        raise ConfigError(
+            f"problem '{problem.name}' includes a drift field; use the drift-solve command"
+        )
+
+    def solve() -> _Ladder:
+        results = continuation_solve(
+            problem.structure,
+            (problem.start, problem.end),
+            spec.schedule,
+            spec.solver,
+            seed_deflection=problem.seed_deflection(),
+        )
+        return _Ladder(
+            results=results,
+            verdict=lambda chain: chain.lengths_nondecreasing
+            and chain.lengths_within_reference is not False,
+            reference_distance=problem.reference_distance,
+        )
+
+    return _run_ladder(config_path, out, spec, solve)
 
 
 def _cmd_drift_solve(config_path: str, out: Optional[str]) -> int:
@@ -597,13 +600,8 @@ def _cmd_drift_solve(config_path: str, out: Optional[str]) -> int:
         raise ConfigError(
             f"problem '{problem.name}' has no drift field; use the solve command"
         )
-    out_dir = _resolve_out_dir(out, spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(config_path, out_dir / "config.ini")
 
-    print(_run_header(problem, spec.schedule))
-    started = time.perf_counter()
-    try:
+    def solve() -> _Ladder:
         solution = solve_drift_problem(
             problem.structure,
             problem.drift,
@@ -613,78 +611,40 @@ def _cmd_drift_solve(config_path: str, out: Optional[str]) -> int:
             spec.solver,
             integrator_steps=problem.integrator_steps,
             seed_deflection=problem.seed_deflection(),
-            pin_time=not spec.free_time,
         )
-    except StepUnderflowError as exc:
-        (out_dir / "report.txt").write_text(f"solver failure: {exc}\n")
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 1
-    wall = time.perf_counter() - started
-
-    results = solution.results
-    chain = distance_chain_report(results, None)
-    cauchy = None
-    if len(results) > 1:
-        cauchy = minimizer_cauchy_report(
-            results, problem.unique_limit, problem.cauchy_rho1_tol
+        identity_ok = solution.cost_identity_gap <= IDENTITY_TOLERANCE * (
+            1.0 + abs(solution.control_cost)
+        )
+        report = [
+            "drift reduction",
+            "=" * 15,
+            "",
+            f"control cost:                     {solution.control_cost:.17g}",
+            f"lifted energy (q = 1):            {solution.lifted_energy:.17g}",
+            f"cost identity |cost - (2E - 1)|:  {solution.cost_identity_gap:.6e}"
+            f" ({'pass' if identity_ok else 'FAIL'})",
+            f"control defect:                   {solution.control_defect:.6e}",
+            f"endpoint mismatch:                {solution.endpoint_mismatch:.6e}",
+            f"time rate deviation:              {solution.time_rate_deviation:.6e}"
+            " (time coordinate pinned)",
+            "",
+        ]
+        return _Ladder(
+            results=solution.results,
+            verdict=lambda chain: solution.success and identity_ok,
+            tables=(
+                ("controls.csv", solution.control_grid, "Y"),
+                ("trajectory.csv", solution.trajectory, "x"),
+            ),
+            report="\n".join(report),
+            summary=(
+                f"control cost {solution.control_cost:.12g},"
+                f" identity gap {solution.cost_identity_gap:.3e},"
+                f" endpoint mismatch {solution.endpoint_mismatch:.3e}"
+            ),
         )
 
-    lifted_dim = results[-1].path.dimension
-    _write_results_csv(out_dir, problem, chain.records, lifted_dim, wall)
-    for res in results:
-        _write_samples_csv(
-            out_dir / _path_file_name(res.q), res.path.times, res.path.points, "x"
-        )
-    final = results[-1]
-    _write_samples_csv(
-        out_dir / "controls.csv", final.path.times, solution.control_grid, "Y"
-    )
-    _write_samples_csv(
-        out_dir / "trajectory.csv", final.path.times, solution.trajectory, "x"
-    )
-
-    identity_ok = solution.cost_identity_gap <= IDENTITY_TOLERANCE * (
-        1.0 + abs(solution.control_cost)
-    )
-    extras = [
-        "drift reduction",
-        "=" * 15,
-        "",
-        f"control cost:                     {solution.control_cost:.17g}",
-        f"lifted energy (q = 1):            {solution.lifted_energy:.17g}",
-        f"cost identity |cost - (2E - 1)|:  {solution.cost_identity_gap:.6e}"
-        f" ({'pass' if identity_ok else 'FAIL'})",
-        f"control defect:                   {solution.control_defect:.6e}",
-        f"endpoint mismatch:                {solution.endpoint_mismatch:.6e}",
-        f"time rate deviation:              {solution.time_rate_deviation:.6e}"
-        + ("" if spec.free_time else " (time coordinate pinned)"),
-        "",
-    ]
-    report_text = chain.format_text() + "\n" + "\n".join(extras)
-    if cauchy is not None:
-        report_text += "\n" + cauchy.format_text()
-    (out_dir / "report.txt").write_text(report_text)
-
-    for rec in chain.records:
-        print(
-            f"  q={rec.q:g}: energy={rec.energy:.12g} defect={rec.defect:.3e}"
-            f" iterations={rec.iterations} converged={str(rec.converged).lower()}"
-        )
-    print(
-        f"control cost {solution.control_cost:.12g},"
-        f" identity gap {solution.cost_identity_gap:.3e},"
-        f" endpoint mismatch {solution.endpoint_mismatch:.3e}"
-    )
-    ok = (
-        solution.success
-        and identity_ok
-        and chain.energies_nondecreasing
-        and chain.defects_nonincreasing
-        and (cauchy is None or cauchy.passed is not False)
-    )
-    print(f"results written to {out_dir}")
-    print(f"verdicts: {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return _run_ladder(config_path, out, spec, solve)
 
 
 def _cmd_diagnose(results_dir: str) -> int:
@@ -706,10 +666,19 @@ def _cmd_diagnose(results_dir: str) -> int:
 
     rows = _read_table(results_path)
     failures = []
+
+    def check(q: float, field_name: str, stored: float, recomputed: float) -> None:
+        gap = abs(stored - recomputed)
+        bound = REDERIVE_TOLERANCE * (1.0 + abs(recomputed))
+        status = "ok" if gap <= bound else "MISMATCH"
+        print(f"q={q:g} {field_name}: stored={stored:.12g} recomputed={recomputed:.12g} [{status}]")
+        if gap > bound:
+            failures.append((q, field_name, gap))
+
     previous_path = None
     for row in rows:
         q = float(row["q"])
-        samples = _read_samples(root / _path_file_name(q))
+        samples = np.loadtxt(root / _path_file_name(q), delimiter=",", skiprows=1, ndmin=2)
         path = DiscretePath.from_points(samples[:, 1:])
         checks = [
             ("energy", energy(structure, q, path)),
@@ -717,13 +686,7 @@ def _cmd_diagnose(results_dir: str) -> int:
             ("defect", horizontality_defect(structure, path)),
         ]
         for field_name, recomputed in checks:
-            stored = float(row[field_name])
-            gap = abs(stored - recomputed)
-            bound = REDERIVE_TOLERANCE * (1.0 + abs(recomputed))
-            status = "ok" if gap <= bound else "MISMATCH"
-            print(f"q={q:g} {field_name}: stored={stored:.12g} recomputed={recomputed:.12g} [{status}]")
-            if gap > bound:
-                failures.append((q, field_name, gap))
+            check(q, field_name, float(row[field_name]), recomputed)
         for order, field_name in ((0, "rho0"), (1, "rho1")):
             stored_text = row[field_name]
             if previous_path is None:
@@ -731,14 +694,8 @@ def _cmd_diagnose(results_dir: str) -> int:
                     failures.append((q, field_name, float("nan")))
                     print(f"q={q:g} {field_name}: expected nan on the first row [MISMATCH]")
                 continue
-            stored = float(stored_text)
             recomputed = float(np.max(semimetric_rho(previous_path, path, order)))
-            gap = abs(stored - recomputed)
-            bound = REDERIVE_TOLERANCE * (1.0 + abs(recomputed))
-            status = "ok" if gap <= bound else "MISMATCH"
-            print(f"q={q:g} {field_name}: stored={stored:.12g} recomputed={recomputed:.12g} [{status}]")
-            if gap > bound:
-                failures.append((q, field_name, gap))
+            check(q, field_name, float(stored_text), recomputed)
         previous_path = path
 
     if failures:
@@ -758,14 +715,13 @@ def main(argv: Optional[list] = None) -> int:
     )
     commands = parser.add_subparsers(dest="command", required=True)
     commands.add_parser("list-problems", help="print the built-in problem catalogue")
-    solve_cmd = commands.add_parser("solve", help="run penalty continuation on a problem")
-    solve_cmd.add_argument("--config", required=True, help="INI configuration file")
-    solve_cmd.add_argument("--out", help="output directory (default from config or environment)")
-    drift_cmd = commands.add_parser(
-        "drift-solve", help="steer a drift system via the lifted problem"
-    )
-    drift_cmd.add_argument("--config", required=True, help="INI configuration file")
-    drift_cmd.add_argument("--out", help="output directory (default from config or environment)")
+    for name, text in (
+        ("solve", "run penalty continuation on a problem"),
+        ("drift-solve", "steer a drift system via the lifted problem"),
+    ):
+        run_cmd = commands.add_parser(name, help=text)
+        run_cmd.add_argument("--config", required=True, help="INI configuration file")
+        run_cmd.add_argument("--out", help="output directory (default from config or environment)")
     diag_cmd = commands.add_parser(
         "diagnose", help="re-derive every stored number from the stored paths"
     )

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .functionals import DiscretePath, energy, horizontality_defect
+from .functionals import energy
 from .geometry import (
     FrameField,
     MetricField,
@@ -159,14 +159,16 @@ def integrate_flow(drift: DriftField, p, t: float, steps: int):
 
     r = pt.copy()
     J = np.eye(n)
-    for i in range(steps):
-        s = i * h
-        k1 = rhs(s, (r, J))
-        k2 = rhs(s + 0.5 * h, (r + 0.5 * h * k1[0], J + 0.5 * h * k1[1]))
-        k3 = rhs(s + 0.5 * h, (r + 0.5 * h * k2[0], J + 0.5 * h * k2[1]))
-        k4 = rhs(s + h, (r + h * k3[0], J + h * k3[1]))
-        r = r + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        J = J + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    # A diverging flow ends in the FloatingPointError below, not in warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            s = i * h
+            k1 = rhs(s, (r, J))
+            k2 = rhs(s + 0.5 * h, (r + 0.5 * h * k1[0], J + 0.5 * h * k1[1]))
+            k3 = rhs(s + 0.5 * h, (r + 0.5 * h * k2[0], J + 0.5 * h * k2[1]))
+            k4 = rhs(s + h, (r + h * k3[0], J + h * k3[1]))
+            r = r + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            J = J + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
         raise FloatingPointError(
             f"flow of drift field {drift.name} diverged by time {tf}"
@@ -230,10 +232,8 @@ class FlowMap:
     def _affine_pairs(self, ts: np.ndarray, n: int):
         """Stacks of the flow matrix M(t) and offset v(t) for every time in ts.
 
-        Times missing from the table are integrated once each and merged in.
-        Pinned-time solves reuse a fixed set of times; only a free-time
-        experiment keeps adding new ones, so a full table keeps just the
-        times of the current batch.
+        Times missing from the table are integrated once each and merged in;
+        a full table keeps just the times of the current batch.
         """
         if self._mats is None:
             self._mats = np.empty((0, n, n))
@@ -382,10 +382,9 @@ class DriftSolveResult:
     (finite differences of the trajectory minus the drift) while
     ``control_mid`` holds the midpoint samples that define ``control_cost``.
     ``cost_identity_gap`` is |cost - (2 E_1 - 1)| for the final lifted path,
-    which vanishes up to roundoff when the s coordinate is pinned correctly.
-    ``time_rate_deviation`` is the largest gap between the discrete rate of
-    the s coordinate and 1; it is roundoff when s was pinned and is reported
-    without any assertion when s was left free.
+    which vanishes up to roundoff because the s coordinate is pinned to the
+    time.  ``time_rate_deviation`` is the largest gap between the discrete
+    rate of the s coordinate and 1, a roundoff-level check of that pinning.
     """
 
     results: list
@@ -412,21 +411,17 @@ def solve_drift_problem(
     integrator_steps: int = 100,
     endpoint_tolerance: float = 1e-6,
     seed_deflection: Optional[np.ndarray] = None,
-    pin_time: bool = True,
 ) -> DriftSolveResult:
     """Steer the drift system from ``start`` to ``target`` in unit time.
 
     Runs penalty continuation on the lifted structure between (start, 0) and
     (phi_1^{-1}(target), 1) with the s coordinate frozen to its linear
-    interpolant, then maps the lifted minimizer back to the controlled
-    trajectory and reads off the control along it.  The control cost is the
-    time integral of the base metric norm squared of the control, evaluated
-    at segment midpoints so it ties exactly to the lifted energy.
-
-    ``pin_time=False`` is an experiment switch: the interior s values are
-    then optimized like any other coordinate and the result reports how far
-    the minimizer's s rate strays from 1.  Whether that deviation vanishes
-    is an open modelling question, so nothing downstream asserts on it.
+    interpolant, so s is the time.  The final lifted minimizer is mapped back
+    to the controlled trajectory by one batched flow transport on the grid,
+    and the control is read off by a second one at the segment midpoints.
+    The control cost is the time integral of the base metric norm squared of
+    the control, evaluated at those midpoints so it ties exactly to the
+    lifted energy.
     """
     x = as_point(start, structure.dimension)
     y = as_point(target, structure.dimension)
@@ -435,10 +430,8 @@ def solve_drift_problem(
 
     lifted_start = np.concatenate([x, [0.0]])
     lifted_end = np.concatenate([flow.inverse(1.0, y), [1.0]])
-    frozen = None
-    if pin_time:
-        frozen = np.zeros(structure.dimension + 1, dtype=bool)
-        frozen[-1] = True
+    frozen = np.zeros(structure.dimension + 1, dtype=bool)
+    frozen[-1] = True
 
     results = continuation_solve(
         lifted,
@@ -452,22 +445,14 @@ def solve_drift_problem(
     N = final.grid_size
     n = structure.dimension
 
-    zeta = final.points[:, :n]
-    s_grid = final.points[:, n]
-    trajectory = np.empty_like(zeta)
-    for i in range(N + 1):
-        trajectory[i] = flow.map(float(s_grid[i]), zeta[i])
+    trajectory, _ = flow.transport_batch(final.points[:, n], final.points[:, :n])
 
     # Midpoint control samples: transport the lifted p-velocity by the flow
     # Jacobian at the segment midpoint, matching the energy quadrature.
     mids = 0.5 * (final.points[:-1] + final.points[1:])
     vels = N * (final.points[1:] - final.points[:-1])
-    control_mid = np.empty((N, n))
-    base_mid = np.empty((N, n))
-    for i in range(N):
-        image, J = flow.transport(float(mids[i, n]), mids[i, :n])
-        control_mid[i] = J @ vels[i, :n]
-        base_mid[i] = image
+    base_mid, jacs = flow.transport_batch(mids[:, n], mids[:, :n])
+    control_mid = np.einsum("mij,mj->mi", jacs, vels[:, :n])
     G_mid = structure.metric.gram_batch(base_mid)
     control_cost = float(
         np.einsum("mi,mij,mj->", control_mid, G_mid, control_mid) / N

@@ -14,7 +14,6 @@ must never be changed independently of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -6,17 +6,18 @@ gradient of the discrete energy is assembled from the penalized form's flux
 vectors (velocity dependence, exact) plus a central finite difference in the
 segment midpoints (base-point dependence of the metric and frame).
 
-Minimization is a backtracking descent with optional limited-memory
-quasi-Newton acceleration.  The quasi-Newton initial metric is not the usual
-scalar multiple of the identity but the exact velocity-part Hessian of the
-discrete energy, a block tridiagonal matrix assembled from the penalized
-metric at the segment midpoints.  That term carries both ill-conditioning
-sources (the 1/N^2 grid stiffness and the penalty q), so solving against it
-leaves the curvature pairs only the gentle metric-variation remainder; large
-penalties then cost roughly as many iterations as small ones.  It is factored
-by block cyclic reduction, which works on all blocks of a level at once in
-O(log N) batched calls.  Continuation walks a geometric penalty ladder and
-warm starts each solve from the previous minimizer.
+Minimization is limited-memory BFGS with a backtracking Armijo line search
+that starts every search at the unit step.  The initial inverse metric of the
+two-loop recursion is not the usual scalar multiple of the identity but the
+exact velocity-part Hessian of the discrete energy, a block tridiagonal
+matrix assembled from the penalized metric at the segment midpoints.  That
+term carries both ill-conditioning sources (the 1/N^2 grid stiffness and the
+penalty q), so solving against it leaves the curvature pairs only the gentle
+metric-variation remainder; large penalties then cost roughly as many
+iterations as small ones.  It is factored by block cyclic reduction, which
+works on all blocks of a level at once in O(log N) batched calls.
+Continuation walks a geometric penalty ladder and warm starts each solve
+from the previous minimizer.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ STEP_FLOOR = 1e-20
 # Curvature pairs with s.y below this relative threshold are discarded.
 CURVATURE_FLOOR = 1e-12
 
+# Number of curvature pairs the two-loop recursion keeps.
+LBFGS_MEMORY = 10
+
 # Accepted steps whose energy decrease is below this relative size count as
 # stagnant; a long run of them means the iteration has hit the resolution of
 # double precision and further polishing cannot help.
@@ -74,28 +78,21 @@ class SolverConfig:
 
     max_iterations: int = 500
     gradient_tolerance: float = 1e-8
-    initial_step: float = 1.0
     backtracking_ratio: float = 0.5
     sufficient_decrease: float = 1e-4
     grid_size: int = 100
-    quasi_newton: bool = True
-    memory: int = 10
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if not 0.0 < self.gradient_tolerance:
             raise ValueError("gradient_tolerance must be positive")
-        if not 0.0 < self.initial_step:
-            raise ValueError("initial_step must be positive")
         if not 0.0 < self.backtracking_ratio < 1.0:
             raise ValueError("backtracking_ratio must lie in (0, 1)")
         if not 0.0 < self.sufficient_decrease <= 0.5:
             raise ValueError("sufficient_decrease must lie in (0, 0.5]")
         if self.grid_size < 2:
             raise ValueError("grid_size must be at least 2")
-        if self.memory < 1:
-            raise ValueError("memory must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -329,10 +326,12 @@ def minimize_energy(
 ) -> SolveResult:
     """Minimize the penalized energy at fixed q from the given initial path.
 
-    Convergence is declared when the sup norm of the gradient drops below
-    ``gradient_tolerance * (1 + |E|)``.  Hitting the iteration cap, or
-    stalling for ``STAGNATION_LIMIT`` consecutive accepted steps whose
-    decrease is below double-precision resolution, returns
+    Each iteration takes the L-BFGS direction around the velocity Hessian at
+    the current path and backtracks from the unit step to the Armijo
+    condition.  Convergence is declared when the sup norm of the gradient
+    drops below ``gradient_tolerance * (1 + |E|)``.  Hitting the iteration
+    cap, or stalling for ``STAGNATION_LIMIT`` consecutive accepted steps
+    whose decrease is below double-precision resolution, returns
     ``converged=False`` rather than raising; only a line-search step
     underflow (a genuinely stuck search direction) raises
     :class:`StepUnderflowError`.
@@ -358,7 +357,6 @@ def minimize_energy(
     converged = False
     stagnant = 0
     anchor_gnorm = float(np.max(np.abs(g), initial=0.0))
-    steepest_step = config.initial_step
 
     while True:
         gnorm = float(np.max(np.abs(g), initial=0.0))
@@ -368,20 +366,14 @@ def minimize_energy(
         if iterations >= config.max_iterations:
             break
 
-        if config.quasi_newton:
-            factor = _velocity_hessian_factor(structure, qf, current, frozen_mask)
-            direction = _two_loop_direction(g, s_list, y_list, factor.solve)
+        factor = _velocity_hessian_factor(structure, qf, current, frozen_mask)
+        direction = _two_loop_direction(g, s_list, y_list, factor.solve)
+        slope = float(g @ direction)
+        if slope >= 0.0:
+            s_list.clear()
+            y_list.clear()
+            direction = -factor.solve(g)
             slope = float(g @ direction)
-            if slope >= 0.0:
-                s_list.clear()
-                y_list.clear()
-                direction = -factor.solve(g)
-                slope = float(g @ direction)
-            step = 1.0
-        else:
-            direction = -g
-            slope = float(g @ direction)
-            step = steepest_step
         if slope == 0.0:
             converged = True
             break
@@ -389,6 +381,7 @@ def minimize_energy(
         # Trial points only need the energy; the gradient is computed once,
         # at the accepted point, since it costs several times as much.
         accepted = False
+        step = 1.0
         while step >= STEP_FLOOR:
             x_new = x + step * direction
             cand = rebuild(x_new)
@@ -402,10 +395,6 @@ def minimize_energy(
                 f"line search stalled at q={qf:g} after {iterations} iterations"
                 f" (|grad|_inf = {gnorm:.3e})"
             )
-        if not config.quasi_newton:
-            # Let the trial step grow back after successes so a single steep
-            # stretch does not pin the whole run to a tiny step.
-            steepest_step = min(config.initial_step, 2.0 * step)
         g_new = energy_gradient(structure, qf, cand, frozen_coords)
 
         s_vec = x_new - x
@@ -414,7 +403,7 @@ def minimize_energy(
         if sy > CURVATURE_FLOOR * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
             s_list.append(s_vec)
             y_list.append(y_vec)
-            if len(s_list) > config.memory:
+            if len(s_list) > LBFGS_MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
 

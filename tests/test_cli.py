@@ -236,6 +236,48 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             """,
             "grid_size",
         ),
+        # Removed keys fail like any other unknown key.
+        "removed_quasi_newton.ini": (
+            """
+            [problem]
+            name = heisenberg
+
+            [solver]
+            quasi_newton = false
+            """,
+            "quasi_newton",
+        ),
+        "removed_memory.ini": (
+            """
+            [problem]
+            name = heisenberg
+
+            [solver]
+            memory = 10
+            """,
+            "memory",
+        ),
+        "removed_initial_step.ini": (
+            """
+            [problem]
+            name = heisenberg
+
+            [solver]
+            initial_step = 1
+            """,
+            "initial_step",
+        ),
+        "removed_free_time.ini": (
+            """
+            [problem]
+            name = heisenberg
+
+            [drift]
+            kind = zero
+            free_time = yes
+            """,
+            "free_time",
+        ),
     }
     for filename, (body, needle) in cases.items():
         config = _write_config(tmp_path, body, name=filename)
@@ -316,6 +358,47 @@ def test_drift_solve_inline_drift_override(tmp_path):
     assert main(["drift-solve", "--config", str(config), "--out", str(out_dir)]) == 0
     rows = _data_rows(out_dir / "results.csv")
     assert float(rows[-1]["energy"]) == pytest.approx(1.0 + 0.5, rel=1e-8)
+
+
+def test_solve_degenerate_frame_is_a_solver_failure(tmp_path, capsys):
+    config = _write_config(
+        tmp_path,
+        """
+        [structure]
+        dimension = 2
+        frame = (1, 0); (0, x1)
+
+        [problem]
+        start = 0, 0
+        end = 0, 1
+        """,
+    )
+    out_dir = tmp_path / "run"
+    assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 1
+    report = (out_dir / "report.txt").read_text()
+    assert report.startswith("solver failure:")
+    assert "degenerate" in report
+    assert capsys.readouterr().err.startswith("solver failure:")
+
+
+def test_drift_solve_diverging_flow_is_a_solver_failure(tmp_path, capsys):
+    config = _write_config(
+        tmp_path,
+        """
+        [problem]
+        name = drift-linear-2d
+
+        [drift]
+        kind = linear
+        matrix = 1e6, 0; 0, 1e6
+        """,
+    )
+    out_dir = tmp_path / "run"
+    assert main(["drift-solve", "--config", str(config), "--out", str(out_dir)]) == 1
+    report = (out_dir / "report.txt").read_text()
+    assert report.startswith("solver failure:")
+    assert "diverged" in report
+    assert capsys.readouterr().err.startswith("solver failure:")
 
 
 def test_diagnose_round_trip_solve(tmp_path, capsys):
@@ -399,13 +482,11 @@ def test_parse_config_roundtrip_values(tmp_path):
 
         [solver]
         max_iterations = 123
-        quasi_newton = false
 
         [drift]
         kind = constant
         vector = 0.1, 0, 0
         integrator_steps = 7
-        free_time = yes
         """,
     )
     spec = parse_config(config)
@@ -415,11 +496,9 @@ def test_parse_config_roundtrip_values(tmp_path):
     assert spec.problem.seed_amplitude == 0.07
     np.testing.assert_allclose(spec.schedule.q_values(), [2.0, 10.0, 50.0])
     assert spec.solver.max_iterations == 123
-    assert not spec.solver.quasi_newton
     assert spec.solver.grid_size == 24
     assert spec.problem.has_drift
     assert spec.problem.integrator_steps == 7
-    assert spec.free_time
     with pytest.raises(ConfigError):
         parse_config(tmp_path / "missing.ini")
 

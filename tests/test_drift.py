@@ -264,23 +264,6 @@ def test_constant_drift_shapes(constant_1d_solution):
     assert len(sol.results) == 5
 
 
-def test_free_time_variant_agrees_on_decoupled_problem():
-    prob = get_problem("drift-constant-1d")
-    config = SolverConfig(grid_size=prob.grid_size)
-    sol = solve_drift_problem(
-        prob.structure,
-        prob.drift,
-        prob.start,
-        prob.end,
-        prob.schedule,
-        config,
-        integrator_steps=prob.integrator_steps,
-        pin_time=False,
-    )
-    assert sol.control_cost == pytest.approx(1.0, abs=1e-6)
-    assert sol.time_rate_deviation <= 1e-5
-
-
 def test_linear_drift_cost_matches_gramian_oracle():
     prob = get_problem("drift-linear-2d")
     config = SolverConfig(grid_size=prob.grid_size)

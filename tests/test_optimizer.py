@@ -32,8 +32,6 @@ def test_solver_config_validation():
         SolverConfig(sufficient_decrease=0.6)
     with pytest.raises(ValueError):
         SolverConfig(grid_size=1)
-    with pytest.raises(ValueError):
-        SolverConfig(memory=0)
 
 
 def test_schedule_values():
@@ -185,15 +183,6 @@ def test_minimize_energy_history_decreases(heisenberg, rng):
     result = minimize_energy(heisenberg, 100.0, path, config)
     hist = np.array(result.energy_history)
     assert np.all(np.diff(hist) <= 1e-12 * (1.0 + np.abs(hist[:-1])))
-
-
-def test_steepest_descent_mode_still_converges(euclidean3):
-    path = DiscretePath.chord(np.zeros(3), np.ones(3), 8)
-    bent = path.with_interior(path.interior() + 0.3)
-    config = SolverConfig(grid_size=8, quasi_newton=False, max_iterations=2000)
-    result = minimize_energy(euclidean3, 1.0, bent, config)
-    assert result.converged
-    assert result.energy == pytest.approx(1.5, rel=1e-6)
 
 
 def test_continuation_threads_warm_starts(heisenberg):
