@@ -72,7 +72,7 @@ _SECTION_KEYS = {
         "backtracking_ratio",
         "sufficient_decrease",
     },
-    "drift": {"kind", "vector", "matrix", "integrator_steps"},
+    "drift": {"kind", "vector", "matrix"},
     "structure": {"dimension", "rank", "metric", "frame"},
     "output": {"root"},
 }
@@ -230,7 +230,7 @@ def _parse_structure(section) -> SubRiemannianStructure:
             f"key 'metric': unknown preset {metric_name!r} (only 'euclidean' is built in)"
         )
     eye = np.eye(dimension)
-    metric = MetricField(gram=lambda pts: eye, vectorized=True)
+    metric = MetricField(gram=lambda pts: eye)
 
     frame_text = section.get("frame")
     if not frame_text:
@@ -263,7 +263,7 @@ def _parse_structure(section) -> SubRiemannianStructure:
         dimension=dimension,
         rank=rank,
         metric=metric,
-        frame=FrameField(columns=frame_columns, vectorized=True),
+        frame=FrameField(columns=frame_columns),
         name="custom",
     )
 
@@ -364,13 +364,7 @@ def parse_config(path) -> RunSpec:
     )
 
     if parser.has_section("drift"):
-        drift_section = parser["drift"]
-        overrides["drift"] = _parse_drift(drift_section, dim)
-        overrides["integrator_steps"] = _get_int(
-            drift_section, "integrator_steps", base.integrator_steps
-        )
-        if overrides["integrator_steps"] < 1:
-            raise ConfigError("key 'integrator_steps' must be at least 1")
+        overrides["drift"] = _parse_drift(parser["drift"], dim)
 
     problem = replace(base, **overrides)
 
@@ -651,10 +645,15 @@ def _cmd_diagnose(results_dir: str) -> int:
     root = Path(results_dir)
     config_path = root / "config.ini"
     results_path = root / "results.csv"
-    if not config_path.is_file() or not results_path.is_file():
-        raise ConfigError(
-            f"{root} is not a results directory (missing config.ini or results.csv)"
-        )
+    report_path = root / "report.txt"
+    if report_path.is_file():
+        first_line = report_path.read_text().partition("\n")[0]
+        if first_line.startswith("solver failure:"):
+            print(first_line, file=sys.stderr)
+            return 1
+    for required in (config_path, results_path):
+        if not required.is_file():
+            raise ConfigError(f"{root} is not a results directory (missing {required.name})")
     spec = parse_config(config_path)
     problem = spec.problem
     if problem.has_drift:

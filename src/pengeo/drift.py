@@ -9,15 +9,16 @@ unit weight on s.  Pinning s to advance linearly from 0 to 1 makes the q = 1
 lifted energy equal to half the control cost plus one half, an identity the
 result object reports as a cross-check.
 
-Flows are integrated with classical fourth-order Runge-Kutta, jointly with
-their Jacobians (variational equation).  Affine drifts X(t, p) = A p + b get
-their transported (matrix, offset) pairs cached per time, which turns the
-per-quadrature-point flow work into a single matmul.
+Affine drifts X(t, p) = A p + b, which all the built-in kinds are, have the
+exact flow exp(t [[A, b], [0, 0]]) (Van Loan, IEEE TAC 23(3), 1978).  Other
+fields are integrated with classical fourth-order Runge-Kutta, jointly with
+their Jacobians (variational equation).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -51,8 +52,8 @@ __all__ = [
 
 JACOBIAN_FD_SCALE = 1e-5
 
-# Most (matrix, offset) pairs an affine FlowMap keeps before it starts over.
-FLOW_CACHE_LIMIT = 65536
+# Taylor degree of the affine flow exponential (truncation error < 1/19!).
+FLOW_TAYLOR_DEGREE = 18
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,15 @@ class DriftField:
 
     ``eval`` maps (t, p) to the drift vector; ``jacobian``, if given, maps
     (t, p) to the matrix of partial derivatives in p, otherwise central
-    differences are used.  ``affine`` marks fields of the form A(t) p + b(t),
-    which unlocks exact flow caching in :class:`FlowMap`.
+    differences are used.  ``affine`` holds (A, b) for fields X = A p + b,
+    whose flows :class:`FlowMap` evaluates exactly, and is None otherwise.
+    Only non-affine fields are integrated, so only they read a step count.
     """
 
     name: str
     eval: Callable[[float, np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    affine: bool = False
+    affine: Optional[tuple] = None
 
     def __call__(self, t: float, p) -> np.ndarray:
         pt = as_point(p)
@@ -92,28 +94,21 @@ class DriftField:
         return np.column_stack(cols)
 
 
+def _affine_drift(name: str, A: np.ndarray, b: np.ndarray) -> DriftField:
+    return DriftField(
+        name=name, eval=lambda t, p: A @ p + b, jacobian=lambda t, p: A, affine=(A, b)
+    )
+
+
 def zero_drift(dimension: int) -> DriftField:
     """The zero field; its flow is the identity for all times."""
-    z = np.zeros(dimension)
-    j = np.zeros((dimension, dimension))
-    return DriftField(
-        name="zero",
-        eval=lambda t, p: z,
-        jacobian=lambda t, p: j,
-        affine=True,
-    )
+    return _affine_drift("zero", np.zeros((dimension, dimension)), np.zeros(dimension))
 
 
 def constant_drift(vector) -> DriftField:
     """Constant field X = c; the flow translates by t c."""
     c = as_point(vector)
-    j = np.zeros((c.size, c.size))
-    return DriftField(
-        name="constant",
-        eval=lambda t, p: c,
-        jacobian=lambda t, p: j,
-        affine=True,
-    )
+    return _affine_drift("constant", np.zeros((c.size, c.size)), c)
 
 
 def linear_drift(matrix) -> DriftField:
@@ -121,12 +116,7 @@ def linear_drift(matrix) -> DriftField:
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return DriftField(
-        name="linear",
-        eval=lambda t, p: A @ p,
-        jacobian=lambda t, p: A,
-        affine=True,
-    )
+    return _affine_drift("linear", A, np.zeros(A.shape[0]))
 
 
 def integrate_flow(drift: DriftField, p, t: float, steps: int):
@@ -177,15 +167,17 @@ def integrate_flow(drift: DriftField, p, t: float, steps: int):
 
 
 class FlowMap:
-    """Flow of a drift field with per-time caching for affine fields.
+    """Flow of a drift field: points and Jacobians at given times.
 
-    For affine drifts the flow is itself affine, phi_t(p) = M(t) p + v(t)
-    with Jacobian M(t), so one integration from the origin and one from each
-    basis point would suffice; here M and v are recovered from a single
-    joint integration at the origin (M is the Jacobian there, v the image of
-    the origin) and cached in a table sorted by t, which a batch of times
-    reads with one ``np.searchsorted``.  Non-affine drifts fall back to a
-    fresh integration per call.
+    For an affine drift X = A p + b the flow is phi_t(p) = M(t) p + v(t),
+    where [[M, v], [0, 1]] = exp(t Ahat) with Ahat = [[A, b], [0, 0]].  The
+    constructor picks the fewest squarings s with ||2^-s Ahat||_1 <= 1 and
+    keeps the Taylor terms (2^-s Ahat)^k / k! for k <= 18, so a batch of
+    times in [0, 1] costs one matmul of its time powers against those terms
+    and s batched squarings (Moler & Van Loan, SIAM Rev. 45(1), 2003).  On
+    every preset ||Ahat||_1 <= 1 and Ahat^2 = 0, so s = 0, the series stops
+    after its linear term, and the result is exact.  Other drifts are
+    integrated by RK4 per row at ``steps_per_unit`` steps per unit time.
     """
 
     def __init__(self, drift: DriftField, steps_per_unit: int = 100):
@@ -193,88 +185,63 @@ class FlowMap:
             raise ValueError("steps_per_unit must be at least 1")
         self.drift = drift
         self.steps_per_unit = steps_per_unit
-        self._times = np.empty(0)
-        self._mats = None
-        self._offs = None
+        if drift.affine is None:
+            return
+        A, b = drift.affine
+        aug = np.block([[A, b[:, None]], [np.zeros((1, b.size + 1))]])
+        # The fewest s with norm <= 2**s, read off norm = mantissa * 2**exponent
+        # (mantissa in [0.5, 1)); a non-finite norm fails in _affine_pairs.
+        mantissa, exponent = math.frexp(float(np.max(np.sum(np.abs(aug), axis=0))))
+        self._squarings = max(0, exponent - 1 if mantissa == 0.5 else exponent)
+        scaled = np.ldexp(aug, -self._squarings)
+        self._size = aug.shape[0]
+        terms = [np.eye(self._size)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, FLOW_TAYLOR_DEGREE + 1):
+                term = terms[-1] @ scaled / k
+                if not term.any():  # Ahat is nilpotent: the series ends here
+                    break
+                terms.append(term)
+        self._terms = np.reshape(terms, (len(terms), -1))
 
     def _steps(self, t: float) -> int:
         return max(1, int(np.ceil(self.steps_per_unit * abs(t))))
 
+    def _affine_pairs(self, ts: np.ndarray):
+        """Stacks of the flow matrix M(t) and offset v(t) for every time in ts."""
+        if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
+            raise ValueError(f"flow times must lie in [0, 1], got {ts.min()} to {ts.max()}")
+        powers = ts[:, None] ** np.arange(self._terms.shape[0])
+        # A diverging flow ends in the FloatingPointError below, not in warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            flows = np.reshape(powers @ self._terms, (ts.size, self._size, self._size))
+            for _ in range(self._squarings):
+                flows = flows @ flows
+        if not np.isfinite(flows).all():
+            raise FloatingPointError(
+                f"flow of drift field {self.drift.name} diverged by time {ts.max():g}"
+            )
+        return flows[:, :-1, :-1], flows[:, :-1, -1]
+
     def transport(self, t: float, p):
         """Flow point and Jacobian at time t from p."""
-        pt = as_point(p)
-        if self.drift.affine:
-            M, v = self._affine_pair(t, pt.size)
-            return M @ pt + v, M.copy()
-        return integrate_flow(self.drift, pt, t, self._steps(t))
+        images, jacs = self.transport_batch(np.array([float(t)]), as_point(p)[None, :])
+        return images[0], jacs[0]
 
     def transport_batch(self, times, points):
-        """Flow points and Jacobians for per-row times; shapes (m,) and (m, n).
-
-        Affine drifts gather cached (matrix, offset) pairs for all rows at
-        once and finish with a batched matmul; other drifts fall back to one
-        integration per row.
-        """
+        """Flow points and Jacobians for per-row times; shapes (m,) and (m, n)."""
         ts = np.asarray(times, dtype=float)
         pts = np.asarray(points, dtype=float)
         m, n = pts.shape
-        if self.drift.affine:
-            mats, offs = self._affine_pairs(ts, n)
-            images = np.einsum("mij,mj->mi", mats, pts) + offs
-            return images, mats
+        if self.drift.affine is not None:
+            mats, offs = self._affine_pairs(ts)
+            return np.einsum("mij,mj->mi", mats, pts) + offs, mats
         images = np.empty_like(pts)
         jacs = np.empty((m, n, n))
         for i in range(m):
             t = float(ts[i])
             images[i], jacs[i] = integrate_flow(self.drift, pts[i], t, self._steps(t))
         return images, jacs
-
-    def _affine_pairs(self, ts: np.ndarray, n: int):
-        """Stacks of the flow matrix M(t) and offset v(t) for every time in ts.
-
-        Times missing from the table are integrated once each and merged in;
-        a full table keeps just the times of the current batch.
-        """
-        if self._mats is None:
-            self._mats = np.empty((0, n, n))
-            self._offs = np.empty((0, n))
-        distinct, rows = np.unique(ts, return_inverse=True)
-        slots = np.searchsorted(self._times, distinct)
-        known = slots < self._times.size
-        known[known] = self._times[slots[known]] == distinct[known]
-        if not np.all(known):
-            fresh = distinct[~known]
-            mats = np.empty((fresh.size, n, n))
-            offs = np.empty((fresh.size, n))
-            for i, t in enumerate(fresh.tolist()):
-                if t == 0.0:
-                    mats[i], offs[i] = np.eye(n), 0.0
-                else:
-                    offs[i], mats[i] = integrate_flow(
-                        self.drift, np.zeros(n), t, self._steps(t)
-                    )
-            if self._times.size + fresh.size > FLOW_CACHE_LIMIT:
-                keep = slots[known]
-                self._times = self._times[keep]
-                self._mats = self._mats[keep]
-                self._offs = self._offs[keep]
-            times = np.concatenate([self._times, fresh])
-            order = np.argsort(times)
-            self._times = times[order]
-            self._mats = np.concatenate([self._mats, mats])[order]
-            self._offs = np.concatenate([self._offs, offs])[order]
-            slots = np.searchsorted(self._times, distinct)
-        picks = slots[rows]
-        return self._mats[picks], self._offs[picks]
-
-    def _affine_pair(self, t: float, n: int):
-        """M(t) and v(t) for one time, as views into the table (not to be written)."""
-        key = float(t)
-        slot = int(np.searchsorted(self._times, key))
-        if slot == self._times.size or self._times[slot] != key:
-            self._affine_pairs(np.array([key]), n)
-            slot = int(np.searchsorted(self._times, key))
-        return self._mats[slot], self._offs[slot]
 
     def map(self, t: float, p) -> np.ndarray:
         """Flow point only."""
@@ -291,9 +258,9 @@ class FlowMap:
         tf = float(t)
         if tf == 0.0:
             return yt.copy()
-        if self.drift.affine:
-            M, v = self._affine_pair(tf, yt.size)
-            return np.linalg.solve(M, yt - v)
+        if self.drift.affine is not None:
+            mats, offs = self._affine_pairs(np.array([tf]))
+            return np.linalg.solve(mats[0], yt - offs[0])
         reversed_field = DriftField(
             name=f"{self.drift.name}-reversed",
             eval=lambda s, r: -self.drift(tf - s, r),
@@ -337,8 +304,11 @@ def build_lifted_structure(
     J^{-1} F(image) extended by zero in s, plus the unit s direction.  The
     s direction is therefore always horizontal, and the p block measures a
     lifted velocity exactly as the base metric measures its flow transport.
+    ``integrator_steps`` is the RK4 resolution for a non-affine drift.
     """
     n = structure.dimension
+    if drift.affine is not None and drift.affine[1].size != n:
+        raise ValueError(f"drift field {drift.name} does not act on dimension {n}")
     flow = FlowMap(drift, steps_per_unit=integrator_steps)
 
     def lifted_gram(points: np.ndarray) -> np.ndarray:
@@ -363,8 +333,8 @@ def build_lifted_structure(
     return LiftedStructure(
         dimension=n + 1,
         rank=structure.rank + 1,
-        metric=MetricField(gram=lifted_gram, vectorized=True),
-        frame=FrameField(columns=lifted_columns, vectorized=True),
+        metric=MetricField(gram=lifted_gram),
+        frame=FrameField(columns=lifted_columns),
         name=f"{structure.name}+drift:{drift.name}",
         base=structure,
         drift=drift,

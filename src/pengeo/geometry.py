@@ -85,21 +85,12 @@ def check_penalty(q) -> float:
 class MetricField:
     """Riemannian metric given by its Gram-matrix field in chart coordinates.
 
-    Parameters
-    ----------
-    gram : callable
-        Maps a point of shape (n,) to the symmetric positive definite Gram
-        matrix of shape (n, n) at that point.  If ``vectorized`` is true the
-        callable instead receives a stack of points of shape (m, n) and must
-        return either an (m, n, n) stack or a single (n, n) matrix valid for
-        all of them (constant metrics).
-    vectorized : bool
-        Whether ``gram`` accepts stacked points.  This only speeds up the
-        quadrature loops; semantics are unchanged.
+    ``gram`` maps a stack of points of shape (m, n) to an (m, n, n) stack of
+    symmetric positive definite Gram matrices, or to a single (n, n) matrix
+    valid for all of them (constant metrics).
     """
 
     gram: Callable[[np.ndarray], np.ndarray]
-    vectorized: bool = False
 
     def __call__(self, p) -> np.ndarray:
         pt = as_point(p)
@@ -108,10 +99,7 @@ class MetricField:
     def gram_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the Gram matrix at every row of ``points`` (shape (m, n))."""
         m, n = points.shape
-        if self.vectorized:
-            raw = np.asarray(self.gram(points), dtype=float)
-        else:
-            raw = np.asarray([self.gram(pt) for pt in points], dtype=float)
+        raw = np.asarray(self.gram(points), dtype=float)
         if raw.ndim == 2:
             raw = np.broadcast_to(raw, (m, n, n))
         if raw.shape != (m, n, n):
@@ -128,13 +116,12 @@ class MetricField:
 class FrameField:
     """Frame of vector fields spanning the constraint distribution.
 
-    ``columns`` maps a point (n,) to an (n, k) matrix whose columns are the
-    frame vectors at that point; with ``vectorized`` set it receives (m, n)
-    stacks and returns (m, n, k) (or a constant (n, k) matrix).
+    ``columns`` maps a stack of points (m, n) to an (m, n, k) stack whose
+    columns are the frame vectors at each point, or to a constant (n, k)
+    matrix.
     """
 
     columns: Callable[[np.ndarray], np.ndarray]
-    vectorized: bool = False
 
     def __call__(self, p) -> np.ndarray:
         pt = as_point(p)
@@ -143,10 +130,7 @@ class FrameField:
     def frame_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the frame matrix at every row of ``points`` (shape (m, n))."""
         m, n = points.shape
-        if self.vectorized:
-            raw = np.asarray(self.columns(points), dtype=float)
-        else:
-            raw = np.asarray([self.columns(pt) for pt in points], dtype=float)
+        raw = np.asarray(self.columns(points), dtype=float)
         if raw.ndim == 2:
             raw = np.broadcast_to(raw, (m,) + raw.shape)
         if raw.ndim != 3 or raw.shape[0] != m or raw.shape[1] != n:

@@ -40,8 +40,8 @@ def euclidean_structure(dimension: int) -> SubRiemannianStructure:
     return SubRiemannianStructure(
         dimension=dimension,
         rank=dimension,
-        metric=MetricField(gram=lambda pts: eye, vectorized=True),
-        frame=FrameField(columns=lambda pts: eye, vectorized=True),
+        metric=MetricField(gram=lambda pts: eye),
+        frame=FrameField(columns=lambda pts: eye),
         name=f"euclidean-{dimension}",
     )
 
@@ -66,8 +66,8 @@ def heisenberg_structure() -> SubRiemannianStructure:
     return SubRiemannianStructure(
         dimension=3,
         rank=2,
-        metric=MetricField(gram=lambda pts: eye, vectorized=True),
-        frame=FrameField(columns=columns, vectorized=True),
+        metric=MetricField(gram=lambda pts: eye),
+        frame=FrameField(columns=columns),
         name="heisenberg",
     )
 
@@ -93,8 +93,8 @@ def martinet_structure() -> SubRiemannianStructure:
     return SubRiemannianStructure(
         dimension=3,
         rank=2,
-        metric=MetricField(gram=lambda pts: eye, vectorized=True),
-        frame=FrameField(columns=columns, vectorized=True),
+        metric=MetricField(gram=lambda pts: eye),
+        frame=FrameField(columns=columns),
         name="martinet",
     )
 
@@ -143,7 +143,12 @@ def sinusoidal_deflection(grid_size: int, dimension: int, amplitude: float) -> n
 
 @dataclass(frozen=True)
 class Problem:
-    """A named benchmark: structure, endpoints, ladder, and ground truth."""
+    """A named benchmark: structure, endpoints, ladder, and ground truth.
+
+    ``integrator_steps`` is the RK4 resolution of a lift of a non-affine
+    drift; affine drifts, every kind the catalogue and configs build, have
+    exact flows and never read it.
+    """
 
     name: str
     description: str

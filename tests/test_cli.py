@@ -278,6 +278,18 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             """,
             "free_time",
         ),
+        "removed_integrator_steps.ini": (
+            """
+            [problem]
+            name = drift-constant-1d
+
+            [drift]
+            kind = constant
+            vector = 1
+            integrator_steps = 7
+            """,
+            "integrator_steps",
+        ),
     }
     for filename, (body, needle) in cases.items():
         config = _write_config(tmp_path, body, name=filename)
@@ -401,6 +413,29 @@ def test_drift_solve_diverging_flow_is_a_solver_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("solver failure:")
 
 
+def test_diagnose_reports_a_solver_failure_directory(tmp_path, capsys):
+    config = _write_config(
+        tmp_path,
+        """
+        [problem]
+        name = drift-linear-2d
+
+        [drift]
+        kind = linear
+        matrix = 1e6, 0; 0, 1e6
+        """,
+    )
+    out_dir = tmp_path / "run"
+    assert main(["drift-solve", "--config", str(config), "--out", str(out_dir)]) == 1
+    assert not (out_dir / "results.csv").exists()
+    capsys.readouterr()
+    assert main(["diagnose", "--results", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:")
+    assert "diverged" in err
+    assert "config error" not in err
+
+
 def test_diagnose_round_trip_solve(tmp_path, capsys):
     config = _write_config(
         tmp_path,
@@ -460,8 +495,12 @@ def test_diagnose_detects_tampering(tmp_path, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
-def test_diagnose_requires_results_directory(tmp_path):
+def test_diagnose_requires_results_directory(tmp_path, capsys):
     assert main(["diagnose", "--results", str(tmp_path)]) == 2
+    assert "missing config.ini" in capsys.readouterr().err
+    (tmp_path / "config.ini").write_text("[problem]\nname = heisenberg\n")
+    assert main(["diagnose", "--results", str(tmp_path)]) == 2
+    assert "missing results.csv" in capsys.readouterr().err
 
 
 def test_parse_config_roundtrip_values(tmp_path):
@@ -486,7 +525,6 @@ def test_parse_config_roundtrip_values(tmp_path):
         [drift]
         kind = constant
         vector = 0.1, 0, 0
-        integrator_steps = 7
         """,
     )
     spec = parse_config(config)
@@ -498,7 +536,6 @@ def test_parse_config_roundtrip_values(tmp_path):
     assert spec.solver.max_iterations == 123
     assert spec.solver.grid_size == 24
     assert spec.problem.has_drift
-    assert spec.problem.integrator_steps == 7
     with pytest.raises(ConfigError):
         parse_config(tmp_path / "missing.ini")
 

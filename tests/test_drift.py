@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-import pengeo.drift as drift_module
 from pengeo import (
     ContinuationSchedule,
     DriftField,
@@ -145,45 +144,63 @@ def test_flow_map_transport_batch_matches_scalar(rng):
         np.testing.assert_allclose(jacs[i], jac_i, atol=1e-12)
 
 
-def _per_row_affine_transport(drift, steps_per_unit, times, points):
-    """The affine transport one row at a time: integrate, stack, matmul."""
-    m, n = points.shape
-    mats = np.empty((m, n, n))
-    offs = np.empty((m, n))
-    for i, t in enumerate(times):
-        if t == 0.0:
-            mats[i], offs[i] = np.eye(n), 0.0
-        else:
-            steps = max(1, int(np.ceil(steps_per_unit * t)))
-            offs[i], mats[i] = integrate_flow(drift, np.zeros(n), t, steps)
+def _per_row_exact_transport(drift, times, points):
+    """The affine transport one row at a time from scipy's exp(t Ahat)."""
+    A, b = drift.affine
+    n = b.size
+    aug = np.block([[A, b[:, None]], [np.zeros((1, n + 1))]])
+    flows = np.array([expm(t * aug) for t in times])
+    mats, offs = flows[:, :n, :n], flows[:, :n, n]
     return np.einsum("mij,mj->mi", mats, points) + offs, mats
 
 
-def test_flow_map_transport_batch_matches_per_row_loop_exactly(rng):
-    drift = linear_drift(np.array([[0.1, 0.8, 0.0], [0.0, -0.4, 0.3], [0.2, 0.0, 0.1]]))
-    flow = FlowMap(drift, steps_per_unit=50)
-    flow.transport_batch(np.array([0.25, 0.5]), rng.normal(size=(2, 3)))
-    # Hits (0.25, 0.5), misses (0.75, 0.1), repeats and t = 0 in one batch.
-    times = np.array([0.5, 0.0, 0.75, 0.25, 0.75, 0.1, 0.5, 0.0])
+_SKEWED = np.array([[0.1, 0.8, 0.0], [0.0, -0.4, 0.3], [0.2, 0.0, 0.1]])
+
+
+def _assert_matches_exact_transport(flow, rng):
+    # Repeats and t = 0 in one batch.
+    times = np.array([0.5, 0.0, 0.75, 0.25, 0.75, 0.1, 0.5, 0.0, 1.0])
     pts = rng.normal(size=(times.size, 3))
     images, jacs = flow.transport_batch(times, pts)
-    ref_images, ref_jacs = _per_row_affine_transport(drift, 50, times, pts)
-    np.testing.assert_array_equal(images, ref_images)
-    np.testing.assert_array_equal(jacs, ref_jacs)
+    ref_images, ref_jacs = _per_row_exact_transport(flow.drift, times, pts)
+    # Exact up to roundoff, relative to the largest entry of the reference.
+    assert np.max(np.abs(images - ref_images)) <= 1e-13 * np.max(np.abs(ref_images))
+    assert np.max(np.abs(jacs - ref_jacs)) <= 1e-13 * np.max(np.abs(ref_jacs))
+    np.testing.assert_array_equal(jacs[1], np.eye(3))
+    np.testing.assert_array_equal(images[1], pts[1])
 
 
-def test_flow_map_cache_stays_bounded(rng, monkeypatch):
-    monkeypatch.setattr(drift_module, "FLOW_CACHE_LIMIT", 4)
-    drift = linear_drift(np.array([[0.1, 0.8], [0.0, -0.4]]))
-    flow = FlowMap(drift, steps_per_unit=20)
-    for start in range(5):
-        times = (start + np.array([0.0, 1.0, 2.0])) / 8.0
-        pts = rng.normal(size=(3, 2))
-        images, jacs = flow.transport_batch(times, pts)
-        assert flow._times.size <= 4
-        ref_images, ref_jacs = _per_row_affine_transport(drift, 20, times, pts)
-        np.testing.assert_array_equal(images, ref_images)
-        np.testing.assert_array_equal(jacs, ref_jacs)
+def test_flow_map_transport_batch_matches_per_row_loop_exactly(rng):
+    _assert_matches_exact_transport(FlowMap(linear_drift(_SKEWED)), rng)
+
+
+@pytest.mark.parametrize(
+    "scale, b, squarings",
+    # ||Ahat||_1 = 6 and 40: the scaled series is squared 3 and 6 times.
+    [(5.0, [0.5, -1.0, 0.0], 3), (20.0, [2.0, 8.0, -30.0], 6)],
+)
+def test_flow_map_squarings_match_exact_transport(rng, scale, b, squarings):
+    A, b = scale * _SKEWED, np.array(b)
+    drift = DriftField(name="affine", eval=lambda t, p: A @ p + b, affine=(A, b))
+    flow = FlowMap(drift)
+    assert flow._squarings == squarings
+    _assert_matches_exact_transport(flow, rng)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_flow_map_diverging_affine_flow_raises():
+    flow = FlowMap(linear_drift(1e6 * np.eye(2)))
+    with pytest.raises(FloatingPointError, match="drift field linear diverged"):
+        flow.transport_batch(np.array([0.0, 1.0]), np.ones((2, 2)))
+    with pytest.raises(FloatingPointError, match="drift field linear diverged"):
+        flow.inverse(1.0, np.ones(2))
+
+
+def test_flow_map_rejects_times_outside_unit_interval():
+    flow = FlowMap(constant_drift([1.0]))
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            flow.transport(bad, [0.0])
 
 
 def test_pullback_control_round_trip(rng):
@@ -302,7 +319,7 @@ def test_zero_drift_solve_reduces_to_base(euclidean3):
 def test_drift_solver_rejects_wrong_dimensions(euclidean3):
     config = SolverConfig(grid_size=10)
     sched = ContinuationSchedule(q_start=1.0, ratio=10.0, step_count=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="drift field zero does not act on dimension 3"):
         solve_drift_problem(
             euclidean3, zero_drift(2), np.zeros(3), np.ones(3), sched, config
         )
