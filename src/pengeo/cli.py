@@ -66,12 +66,7 @@ _SECTION_KEYS = {
         "seed_amplitude",
     },
     "schedule": {"q_start", "ratio", "step_count"},
-    "solver": {
-        "max_iterations",
-        "gradient_tolerance",
-        "backtracking_ratio",
-        "sufficient_decrease",
-    },
+    "solver": {"max_iterations"},
     "drift": {"kind", "vector", "matrix"},
     "structure": {"dimension", "rank", "metric", "frame"},
     "output": {"root"},
@@ -382,9 +377,6 @@ def parse_config(path) -> RunSpec:
     try:
         solver = SolverConfig(
             max_iterations=_get_int(solver_section, "max_iterations", 500),
-            gradient_tolerance=_get_float(solver_section, "gradient_tolerance", 1e-8),
-            backtracking_ratio=_get_float(solver_section, "backtracking_ratio", 0.5),
-            sufficient_decrease=_get_float(solver_section, "sufficient_decrease", 1e-4),
             grid_size=problem.grid_size,
         )
     except ValueError as exc:
@@ -446,6 +438,8 @@ def _read_table(path: Path):
         for line in path.read_text().splitlines()
         if line.strip() and not line.startswith("#")
     ]
+    if len(lines) < 2:
+        raise ConfigError(f"{path.parent}: {path.name} has no header and data rows")
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
@@ -666,6 +660,14 @@ def _cmd_diagnose(results_dir: str) -> int:
     rows = _read_table(results_path)
     failures = []
 
+    def number(index: int, column: str) -> float:
+        text = rows[index].get(column)
+        try:
+            return float(text)
+        except (TypeError, ValueError):
+            where = f"{root}: results.csv row {index + 1} column '{column}'"
+            raise ConfigError(f"{where} is not a number: {text!r}") from None
+
     def check(q: float, field_name: str, stored: float, recomputed: float) -> None:
         gap = abs(stored - recomputed)
         bound = REDERIVE_TOLERANCE * (1.0 + abs(recomputed))
@@ -675,26 +677,28 @@ def _cmd_diagnose(results_dir: str) -> int:
             failures.append((q, field_name, gap))
 
     previous_path = None
-    for row in rows:
-        q = float(row["q"])
-        samples = np.loadtxt(root / _path_file_name(q), delimiter=",", skiprows=1, ndmin=2)
-        path = DiscretePath.from_points(samples[:, 1:])
+    for index, row in enumerate(rows):
+        q = number(index, "q")
+        try:
+            samples = np.loadtxt(root / _path_file_name(q), delimiter=",", skiprows=1, ndmin=2)
+            path = DiscretePath.from_points(samples[:, 1:])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{root}: cannot read {_path_file_name(q)}: {exc}") from exc
         checks = [
             ("energy", energy(structure, q, path)),
             ("length", length(structure, q, path)),
             ("defect", horizontality_defect(structure, path)),
         ]
         for field_name, recomputed in checks:
-            check(q, field_name, float(row[field_name]), recomputed)
+            check(q, field_name, number(index, field_name), recomputed)
         for order, field_name in ((0, "rho0"), (1, "rho1")):
-            stored_text = row[field_name]
             if previous_path is None:
-                if stored_text != "nan":
+                if row.get(field_name) != "nan":
                     failures.append((q, field_name, float("nan")))
                     print(f"q={q:g} {field_name}: expected nan on the first row [MISMATCH]")
                 continue
             recomputed = float(np.max(semimetric_rho(previous_path, path, order)))
-            check(q, field_name, float(stored_text), recomputed)
+            check(q, field_name, number(index, field_name), recomputed)
         previous_path = path
 
     if failures:

@@ -15,7 +15,9 @@ term carries both ill-conditioning sources (the 1/N^2 grid stiffness and the
 penalty q), so solving against it leaves the curvature pairs only the gentle
 metric-variation remainder; large penalties then cost roughly as many
 iterations as small ones.  It is factored by block cyclic reduction, which
-works on all blocks of a level at once in O(log N) batched calls.
+works on all blocks of a level at once in O(log N) batched calls.  The same
+factor gives the one stop rule, the Newton decrement g^T H0^{-1} g, which
+reads alike at every penalty and grid size.
 Continuation walks a geometric penalty ladder and warm starts each solve
 from the previous minimizer.
 """
@@ -28,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .functionals import DiscretePath, energy, horizontality_defect, length
+from .functionals import DiscretePath, energy
 from .geometry import (
     SubRiemannianStructure,
     check_penalty,
@@ -61,11 +63,14 @@ CURVATURE_FLOOR = 1e-12
 # Number of curvature pairs the two-loop recursion keeps.
 LBFGS_MEMORY = 10
 
-# Accepted steps whose energy decrease is below this relative size count as
-# stagnant; a long run of them means the iteration has hit the resolution of
-# double precision and further polishing cannot help.
-STAGNATION_EPS = 1e-14
-STAGNATION_LIMIT = 30
+# Backtracking shrink factor and Armijo sufficient-decrease constant.
+BACKTRACKING_RATIO = 0.5
+SUFFICIENT_DECREASE = 1e-4
+
+# Stop once the Newton decrement g^T H0^{-1} g is at most this times (1 + |E|):
+# its half, the decrease the quadratic model predicts, is then within 8 ulps of
+# (1 + |E|), where the Armijo test compares energies differing by rounding noise.
+DECREMENT_TOLERANCE = 16.0 * np.finfo(float).eps
 
 
 class StepUnderflowError(RuntimeError):
@@ -77,20 +82,11 @@ class SolverConfig:
     """Inner-solver settings shared across all continuation steps."""
 
     max_iterations: int = 500
-    gradient_tolerance: float = 1e-8
-    backtracking_ratio: float = 0.5
-    sufficient_decrease: float = 1e-4
     grid_size: int = 100
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if not 0.0 < self.gradient_tolerance:
-            raise ValueError("gradient_tolerance must be positive")
-        if not 0.0 < self.backtracking_ratio < 1.0:
-            raise ValueError("backtracking_ratio must lie in (0, 1)")
-        if not 0.0 < self.sufficient_decrease <= 0.5:
-            raise ValueError("sufficient_decrease must lie in (0, 0.5]")
         if self.grid_size < 2:
             raise ValueError("grid_size must be at least 2")
 
@@ -118,9 +114,8 @@ class ContinuationSchedule:
 class SolveResult:
     """Minimizer and certificates for one penalty value.
 
-    ``energy``, ``length`` and ``defect`` are re-evaluations of the stored
-    path through the public functionals, so they can be reproduced from the
-    path alone.
+    ``energy``, ``length`` and ``defect`` equal the public functionals on the
+    stored path bitwise; ``converged`` is False only at the iteration cap.
     """
 
     q: float
@@ -135,17 +130,17 @@ class SolveResult:
     energy_history: tuple
 
 
-def _speed_variation(structure: SubRiemannianStructure, q: float, path: DiscretePath) -> float:
-    """Coefficient of variation of the per-segment penalized speeds."""
+def _certificates(structure: SubRiemannianStructure, q: float, path: DiscretePath):
+    """Length and defect, bitwise as :func:`length` and :func:`horizontality_defect` (the
+    vertical form does not depend on q), and the speeds' coefficient of variation."""
     pts = path.points
+    N = path.grid_size
     mids = 0.5 * (pts[:-1] + pts[1:])
-    vels = path.grid_size * (pts[1:] - pts[:-1])
-    horizontal, vertical, _ = penalized_forms(structure, q, mids, vels)
-    speeds = np.sqrt(np.clip(horizontal + q * vertical, 0.0, None))
+    horizontal, vertical, _ = penalized_forms(structure, q, mids, N * (pts[1:] - pts[:-1]))
+    speeds = np.sqrt(np.clip(horizontal + float(q) * vertical, 0.0, None))
     mean = float(np.mean(speeds))
-    if mean <= 0.0:
-        return 0.0
-    return float(np.std(speeds) / mean)
+    variation = 0.0 if mean <= 0.0 else float(np.std(speeds) / mean)
+    return float(np.sum(speeds) / N), float(np.sum(vertical) / N), variation
 
 
 def energy_gradient(
@@ -326,15 +321,15 @@ def minimize_energy(
 ) -> SolveResult:
     """Minimize the penalized energy at fixed q from the given initial path.
 
-    Each iteration takes the L-BFGS direction around the velocity Hessian at
-    the current path and backtracks from the unit step to the Armijo
-    condition.  Convergence is declared when the sup norm of the gradient
-    drops below ``gradient_tolerance * (1 + |E|)``.  Hitting the iteration
-    cap, or stalling for ``STAGNATION_LIMIT`` consecutive accepted steps
-    whose decrease is below double-precision resolution, returns
-    ``converged=False`` rather than raising; only a line-search step
-    underflow (a genuinely stuck search direction) raises
-    :class:`StepUnderflowError`.
+    Each iteration factors the velocity Hessian H0 at the current path and
+    stops, converged, once the Newton decrement g^T H0^{-1} g is at most
+    ``DECREMENT_TOLERANCE * (1 + |E|)`` (Boyd & Vandenberghe, *Convex
+    Optimization*, 9.5.4).  Otherwise it takes the L-BFGS direction around
+    H0, or the Newton direction -H0^{-1} g when that is not a descent
+    direction, and backtracks from the unit step to the Armijo condition.
+    Hitting the iteration cap returns ``converged=False`` rather than
+    raising; only a line-search step underflow (a genuinely stuck search
+    direction) raises :class:`StepUnderflowError`.
     """
     qf = check_penalty(q)
     path = initial
@@ -354,46 +349,37 @@ def minimize_energy(
     s_list: list = []
     y_list: list = []
     iterations = 0
-    converged = False
-    stagnant = 0
-    anchor_gnorm = float(np.max(np.abs(g), initial=0.0))
 
     while True:
-        gnorm = float(np.max(np.abs(g), initial=0.0))
-        if gnorm <= config.gradient_tolerance * (1.0 + abs(f)):
-            converged = True
-            break
-        if iterations >= config.max_iterations:
+        factor = _velocity_hessian_factor(structure, qf, current, frozen_mask)
+        newton = factor.solve(g)
+        decrement = float(g @ newton)
+        converged = decrement <= DECREMENT_TOLERANCE * (1.0 + abs(f))
+        if converged or iterations >= config.max_iterations:
             break
 
-        factor = _velocity_hessian_factor(structure, qf, current, frozen_mask)
         direction = _two_loop_direction(g, s_list, y_list, factor.solve)
         slope = float(g @ direction)
         if slope >= 0.0:
             s_list.clear()
             y_list.clear()
-            direction = -factor.solve(g)
-            slope = float(g @ direction)
-        if slope == 0.0:
-            converged = True
-            break
+            direction = -newton
+            slope = -decrement
 
         # Trial points only need the energy; the gradient is computed once,
         # at the accepted point, since it costs several times as much.
-        accepted = False
         step = 1.0
         while step >= STEP_FLOOR:
             x_new = x + step * direction
             cand = rebuild(x_new)
             f_new = energy(structure, qf, cand)
-            if f_new <= f + config.sufficient_decrease * step * slope:
-                accepted = True
+            if f_new <= f + SUFFICIENT_DECREASE * step * slope:
                 break
-            step *= config.backtracking_ratio
-        if not accepted:
+            step *= BACKTRACKING_RATIO
+        else:
             raise StepUnderflowError(
                 f"line search stalled at q={qf:g} after {iterations} iterations"
-                f" (|grad|_inf = {gnorm:.3e})"
+                f" (|grad|_inf = {float(np.max(np.abs(g), initial=0.0)):.3e})"
             )
         g_new = energy_gradient(structure, qf, cand, frozen_coords)
 
@@ -407,41 +393,21 @@ def minimize_energy(
                 s_list.pop(0)
                 y_list.pop(0)
 
-        # Near the optimum the energy pins to machine resolution while the
-        # gradient can still shrink steadily (steps with unmeasurable
-        # decrease are accepted and keep polishing).  Count an iteration as
-        # stagnant only when neither the energy nor the gradient anchor
-        # moves; a halved gradient norm is real progress and resets both.
-        gnew_norm = float(np.max(np.abs(g_new), initial=0.0))
-        if gnew_norm < 0.5 * anchor_gnorm:
-            anchor_gnorm = gnew_norm
-            stagnant = 0
-        elif f - f_new <= STAGNATION_EPS * (1.0 + abs(f_new)):
-            stagnant += 1
-        else:
-            stagnant = 0
-
         x, f, g, current = x_new, f_new, g_new, cand
         history.append(f)
         iterations += 1
 
-        if stagnant >= STAGNATION_LIMIT:
-            # Every recent step was accepted but moved the energy by less
-            # than double precision can resolve; more iterations cannot make
-            # progress, so stop and report the point unconverged.
-            break
-
-    final_gnorm = float(np.max(np.abs(g), initial=0.0))
+    path_length, defect, speed_cv = _certificates(structure, qf, current)
     return SolveResult(
         q=qf,
         path=current,
-        energy=energy(structure, qf, current),
-        length=length(structure, qf, current),
-        defect=horizontality_defect(structure, current),
+        energy=f,
+        length=path_length,
+        defect=defect,
         iterations=iterations,
         converged=converged,
-        gradient_norm=final_gnorm,
-        speed_cv=_speed_variation(structure, qf, current),
+        gradient_norm=float(np.max(np.abs(g), initial=0.0)),
+        speed_cv=speed_cv,
         energy_history=tuple(history),
     )
 
@@ -458,13 +424,14 @@ def continuation_solve(
     """Solve the penalty ladder with warm starts; one SolveResult per q.
 
     ``seed_deflection`` (shape (N+1, n), zero rows at both ends) is added to
-    a warm start whenever that warm start is already a critical point of the
-    incoming step's objective.  A path that is critical for every penalty at
-    once (the straight chord between vertically separated points is the
-    canonical case) turns from minimizer into saddle as q grows, and a
-    descent method started exactly on it would never leave; the nudge breaks
-    that symmetry.  Warm starts with a live gradient are left alone, since
-    kicking them would only throw away progress.
+    a warm start that :func:`minimize_energy` accepts at iteration 0, i.e. a
+    critical point of the incoming step's objective, and the step is solved
+    again from there.  A path that is critical for every penalty at once
+    (the straight chord between vertically separated points is the canonical
+    case) turns from minimizer into saddle as q grows, and a descent method
+    started exactly on it would never leave; the nudge breaks that symmetry.
+    Warm starts with a live gradient are left alone, since kicking them
+    would only throw away progress.
     """
     start, end = endpoints
     if initial is None:
@@ -482,26 +449,15 @@ def continuation_solve(
     results = []
     guess = initial
     for qv in schedule.q_values():
-        if deflect is not None:
-            f0 = energy(structure, qv, guess)
-            g0 = energy_gradient(structure, qv, guess, frozen_coords)
-            stationary = float(np.max(np.abs(g0), initial=0.0)) <= (
-                config.gradient_tolerance * (1.0 + abs(f0))
-            )
-            if stationary:
-                guess = guess.with_interior(guess.interior() + deflect[1:-1])
         result = minimize_energy(structure, qv, guess, config, frozen_coords)
+        if result.iterations == 0 and deflect is not None:
+            kicked = guess.with_interior(guess.interior() + deflect[1:-1])
+            result = minimize_energy(structure, qv, kicked, config, frozen_coords)
         if not result.converged:
-            cause = (
-                "hit the iteration cap"
-                if result.iterations >= config.max_iterations
-                else "stalled at double-precision resolution"
-            )
             logger.warning(
-                "penalty step q=%g on %s %s (|grad|_inf = %.3e)",
+                "penalty step q=%g on %s hit the iteration cap (|grad|_inf = %.3e)",
                 qv,
                 structure.name,
-                cause,
                 result.gradient_norm,
             )
         results.append(result)

@@ -300,3 +300,24 @@ def test_criterion_10_bracket_generation_certificates(heisenberg, martinet, rng)
     )
     assert heis_ok, "contact structure certificate failed"
     assert mart_ok, "flat-plane certificate failed"
+
+
+def test_every_ladder_converges_at_default_settings(catalogue_runs, vertical_run):
+    ladders = {name: results for name, (results, _) in catalogue_runs.items()}
+    ladders["vertical"] = vertical_run[0]
+    unconverged = [
+        f"{name} q={r.q:g}"
+        for name, results in ladders.items()
+        for r in results
+        if not r.converged
+    ]
+    assert not unconverged, f"rungs hit the iteration cap: {unconverged}"
+
+
+def test_vertical_run_leaves_the_chord_saddle_at_q100(vertical_run):
+    # The chord is critical for every penalty; by q = 100 it is a saddle, so
+    # a rung that stopped at a minimizer sits strictly below it.
+    problem = vertical_heisenberg_problem(200)
+    chord = DiscretePath.chord(problem.start, problem.end, problem.grid_size)
+    rung = next(r for r in vertical_run[0] if r.q == 100.0)
+    assert rung.energy < energy(problem.structure, 100.0, chord)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.metadata
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -290,6 +291,36 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             """,
             "integrator_steps",
         ),
+        "removed_gradient_tolerance.ini": (
+            """
+            [problem]
+            name = heisenberg
+
+            [solver]
+            gradient_tolerance = 1e-6
+            """,
+            "gradient_tolerance",
+        ),
+        "removed_backtracking_ratio.ini": (
+            """
+            [problem]
+            name = heisenberg
+
+            [solver]
+            backtracking_ratio = 0.5
+            """,
+            "backtracking_ratio",
+        ),
+        "removed_sufficient_decrease.ini": (
+            """
+            [problem]
+            name = heisenberg
+
+            [solver]
+            sufficient_decrease = 1e-4
+            """,
+            "sufficient_decrease",
+        ),
     }
     for filename, (body, needle) in cases.items():
         config = _write_config(tmp_path, body, name=filename)
@@ -501,6 +532,75 @@ def test_diagnose_requires_results_directory(tmp_path, capsys):
     (tmp_path / "config.ini").write_text("[problem]\nname = heisenberg\n")
     assert main(["diagnose", "--results", str(tmp_path)]) == 2
     assert "missing results.csv" in capsys.readouterr().err
+
+
+def _solved_euclidean_run(tmp_path: Path) -> Path:
+    config = _write_config(
+        tmp_path,
+        """
+        [problem]
+        name = euclidean-2
+        grid_size = 10
+
+        [schedule]
+        step_count = 3
+        """,
+    )
+    out_dir = tmp_path / "run"
+    assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 0
+    return out_dir
+
+
+def test_diagnose_missing_path_file_is_a_config_error(tmp_path, capsys):
+    out_dir = _solved_euclidean_run(tmp_path)
+    (out_dir / "path_q100.csv").unlink()
+    capsys.readouterr()
+    assert main(["diagnose", "--results", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert str(out_dir) in err
+    assert "path_q100.csv" in err
+
+
+def test_diagnose_comment_only_results_is_a_config_error(tmp_path, capsys):
+    out_dir = _solved_euclidean_run(tmp_path)
+    results = out_dir / "results.csv"
+    comments = [line for line in results.read_text().splitlines() if line.startswith("#")]
+    results.write_text("\n".join(comments) + "\n")
+    capsys.readouterr()
+    assert main(["diagnose", "--results", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert str(out_dir) in err
+    assert "results.csv" in err
+
+
+def test_diagnose_non_numeric_field_is_a_config_error(tmp_path, capsys):
+    out_dir = _solved_euclidean_run(tmp_path)
+    results = out_dir / "results.csv"
+    lines = results.read_text().splitlines()
+    header_idx = next(i for i, l in enumerate(lines) if l.startswith("q,"))
+    row = lines[header_idx + 2].split(",")
+    row[2] = "banana"
+    lines[header_idx + 2] = ",".join(row)
+    results.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["diagnose", "--results", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert str(out_dir) in err
+    assert "results.csv row 2 column 'length'" in err
+    assert "banana" in err
+
+
+def test_readme_ini_examples_parse(tmp_path):
+    readme = (REPO_ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    assert blocks, "README.md has no ini examples"
+    for index, block in enumerate(blocks):
+        config = tmp_path / f"readme_{index}.ini"
+        config.write_text(block)
+        parse_config(config)
 
 
 def test_parse_config_roundtrip_values(tmp_path):

@@ -10,26 +10,23 @@ from pengeo import (
     build_lifted_structure,
     constant_speed_reparametrize,
     continuation_solve,
+    energy,
     energy_gradient,
+    horizontality_defect,
+    length,
     linear_drift,
     minimize_energy,
     penalized_gram,
     sinusoidal_deflection,
     vertical_heisenberg_problem,
 )
-from pengeo.optimizer import _velocity_hessian_factor
+from pengeo.optimizer import DECREMENT_TOLERANCE, _velocity_hessian_factor
 from conftest import fd_energy_gradient, random_path
 
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(gradient_tolerance=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(backtracking_ratio=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(sufficient_decrease=0.6)
     with pytest.raises(ValueError):
         SolverConfig(grid_size=1)
 
@@ -160,7 +157,20 @@ def test_minimize_heisenberg_perturbed_chord(heisenberg, rng):
     result = minimize_energy(heisenberg, 1.0, path, config)
     assert result.converged
     assert result.energy == pytest.approx(0.5, abs=1e-8)
-    assert result.gradient_norm <= config.gradient_tolerance * (1.0 + result.energy)
+    # The stop rule: the Newton decrement g^T H0^{-1} g at the returned path.
+    g = energy_gradient(heisenberg, 1.0, result.path)
+    factor = _velocity_hessian_factor(heisenberg, 1.0, result.path, None)
+    assert float(g @ factor.solve(g)) <= DECREMENT_TOLERANCE * (1.0 + result.energy)
+
+
+def test_solve_result_certificates_equal_the_functionals_bitwise(heisenberg, rng):
+    path = random_path(
+        heisenberg, 25, rng, scale=0.2, start=np.zeros(3), end=np.array([1.0, 0.0, 0.0])
+    )
+    result = minimize_energy(heisenberg, 100.0, path, SolverConfig(grid_size=25))
+    assert result.energy == energy(heisenberg, 100.0, result.path)
+    assert result.length == length(heisenberg, 100.0, result.path)
+    assert result.defect == horizontality_defect(heisenberg, result.path)
 
 
 def test_minimize_respects_iteration_cap(heisenberg):
