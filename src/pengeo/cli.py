@@ -150,8 +150,10 @@ def _compile_polynomial(text: str, dimension: int, key: str):
     """Compile one polynomial entry in variables x1..xn to a batch evaluator.
 
     Supports +, -, *, / by a constant, integer powers (either ** or ^), and
-    numeric literals.  Anything else is rejected with the config key named,
-    so frame tables cannot smuggle in arbitrary code.
+    numeric literals.  Anything else, and a constant part that is not finite
+    (``1e400``, ``9^9^9``), is rejected with the config key named, so frame
+    tables cannot smuggle in arbitrary code.  A probe at the origin raises
+    these errors while the config is parsed.
     """
     source = text.strip().replace("^", "**")
     if not source:
@@ -163,6 +165,15 @@ def _compile_polynomial(text: str, dimension: int, key: str):
     index = {f"x{i + 1}": i for i in range(dimension)}
 
     def evaluate(node, pts):
+        try:
+            value = compute(node, pts)
+        except OverflowError:  # float powers overflow by raising
+            value = float("inf")
+        if np.isscalar(value) and not np.isfinite(value):
+            raise ConfigError(f"key '{key}': constant part of entry {text!r} is not finite")
+        return value
+
+    def compute(node, pts):
         if isinstance(node, ast.Expression):
             return evaluate(node.body, pts)
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
@@ -206,6 +217,7 @@ def _compile_polynomial(text: str, dimension: int, key: str):
             return np.full(pts.shape[0], float(value))
         return np.asarray(value, dtype=float)
 
+    entry(np.zeros((1, dimension)))
     return entry
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .functionals import energy
+from .functionals import _segments, energy
 from .geometry import (
     FrameField,
     MetricField,
@@ -290,6 +290,22 @@ class LiftedStructure(SubRiemannianStructure):
     drift: DriftField = field(repr=False, default=None)  # type: ignore[assignment]
     flow: FlowMap = field(repr=False, default=None, compare=False)  # type: ignore[assignment]
 
+    def _fields(self, points: np.ndarray):
+        """Lifted metric and frame stacks at points (p, s), from one flow transport."""
+        n = self.base.dimension
+        k = self.base.rank
+        m = points.shape[0]
+        images, jacs = self.flow.transport_batch(points[:, n], points[:, :n])
+        G = np.zeros((m, n + 1, n + 1))
+        G[:, :n, :n] = np.matmul(
+            jacs.transpose(0, 2, 1), np.matmul(self.base.metric.gram_batch(images), jacs)
+        )
+        G[:, n, n] = 1.0
+        F = np.zeros((m, n + 1, k + 1))
+        F[:, :n, :k] = np.linalg.solve(jacs, self.base.frame.frame_batch(images))
+        F[:, n, k] = 1.0
+        return G, F
+
 
 def build_lifted_structure(
     structure: SubRiemannianStructure,
@@ -304,42 +320,25 @@ def build_lifted_structure(
     J^{-1} F(image) extended by zero in s, plus the unit s direction.  The
     s direction is therefore always horizontal, and the p block measures a
     lifted velocity exactly as the base metric measures its flow transport.
+    The solver reads metric and frame together, one flow transport per point
+    set; the ``metric`` and ``frame`` fields each transport for themselves.
     ``integrator_steps`` is the RK4 resolution for a non-affine drift.
     """
     n = structure.dimension
     if drift.affine is not None and drift.affine[1].size != n:
         raise ValueError(f"drift field {drift.name} does not act on dimension {n}")
-    flow = FlowMap(drift, steps_per_unit=integrator_steps)
-
-    def lifted_gram(points: np.ndarray) -> np.ndarray:
-        m = points.shape[0]
-        images, jacs = flow.transport_batch(points[:, n], points[:, :n])
-        Gb = structure.metric.gram_batch(images)
-        out = np.zeros((m, n + 1, n + 1))
-        out[:, :n, :n] = np.matmul(jacs.transpose(0, 2, 1), np.matmul(Gb, jacs))
-        out[:, n, n] = 1.0
-        return out
-
-    def lifted_columns(points: np.ndarray) -> np.ndarray:
-        m = points.shape[0]
-        k = structure.rank
-        images, jacs = flow.transport_batch(points[:, n], points[:, :n])
-        Fb = structure.frame.frame_batch(images)
-        out = np.zeros((m, n + 1, k + 1))
-        out[:, :n, :k] = np.linalg.solve(jacs, Fb)
-        out[:, n, k] = 1.0
-        return out
-
-    return LiftedStructure(
+    # The field closures read ``lifted`` when called, after it is bound.
+    lifted = LiftedStructure(
         dimension=n + 1,
         rank=structure.rank + 1,
-        metric=MetricField(gram=lifted_gram),
-        frame=FrameField(columns=lifted_columns),
+        metric=MetricField(gram=lambda pts: lifted._fields(pts)[0]),
+        frame=FrameField(columns=lambda pts: lifted._fields(pts)[1]),
         name=f"{structure.name}+drift:{drift.name}",
         base=structure,
         drift=drift,
-        flow=flow,
+        flow=FlowMap(drift, steps_per_unit=integrator_steps),
     )
+    return lifted
 
 
 @dataclass(frozen=True)
@@ -419,8 +418,7 @@ def solve_drift_problem(
 
     # Midpoint control samples: transport the lifted p-velocity by the flow
     # Jacobian at the segment midpoint, matching the energy quadrature.
-    mids = 0.5 * (final.points[:-1] + final.points[1:])
-    vels = N * (final.points[1:] - final.points[:-1])
+    mids, vels = _segments(final)
     base_mid, jacs = flow.transport_batch(mids[:, n], mids[:, :n])
     control_mid = np.einsum("mij,mj->mi", jacs, vels[:, :n])
     G_mid = structure.metric.gram_batch(base_mid)

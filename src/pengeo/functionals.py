@@ -9,6 +9,10 @@ scaled difference N (p_{i+1} - p_i) as the velocity, so the discrete energy
 is exactly affine in q with slope half the horizontality defect.  That
 identity is what the continuation diagnostics rely on, so the quadrature
 must never be changed independently of them.
+
+``_evaluate`` is that quadrature: it factors the frame at the midpoints once
+and keeps the factor and the per-segment forms, which the functionals here
+and the optimizer's gradient, H0 and certificates all read.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SubRiemannianStructure, as_point, check_penalty, penalized_forms
+from .geometry import SubRiemannianStructure, _factor_frame, _FrameFactor, as_point, check_penalty
 
 __all__ = [
     "DiscretePath",
@@ -26,9 +30,7 @@ __all__ = [
     "length",
     "horizontality_defect",
     "limit_energy",
-    "limit_length",
     "semimetric_rho",
-    "discrete_velocity",
 ]
 
 
@@ -111,13 +113,6 @@ class DiscretePath:
         return DiscretePath(start=self.start, end=self.end, points=pts)
 
 
-def discrete_velocity(path: DiscretePath, i: int) -> np.ndarray:
-    """Velocity N (p_{i+1} - p_i) of segment i, for i in 0..N-1."""
-    if not 0 <= i < path.grid_size:
-        raise IndexError(f"segment index {i} out of range 0..{path.grid_size - 1}")
-    return path.grid_size * (path.points[i + 1] - path.points[i])
-
-
 def _segments(path: DiscretePath):
     pts = path.points
     mids = 0.5 * (pts[:-1] + pts[1:])
@@ -156,21 +151,51 @@ class FunctionalValue:
         return float("inf") if self.is_infinite else self.value
 
 
+@dataclass(frozen=True)
+class _Evaluation:
+    """One path at one penalty: its segment midpoints and velocities, the
+    frame factor at the midpoints, and the per-segment forms at q."""
+
+    q: float
+    energy: float
+    mids: np.ndarray
+    vels: np.ndarray
+    factor: _FrameFactor
+    horizontal: np.ndarray
+    vertical: np.ndarray
+    flux: np.ndarray
+
+    def speeds(self) -> np.ndarray:
+        """Per-segment penalized speeds sqrt(g_q(mid; vel, vel))."""
+        return np.sqrt(np.clip(self.horizontal + self.q * self.vertical, 0.0, None))
+
+    @property
+    def length(self) -> float:
+        return float(np.sum(self.speeds()) / self.vertical.size)
+
+    @property
+    def defect(self) -> float:
+        return float(np.sum(self.vertical) / self.vertical.size)
+
+
+def _evaluate(structure: SubRiemannianStructure, q, path: DiscretePath) -> _Evaluation:
+    """Factor the frame at the path's midpoints once and evaluate its forms at q."""
+    qf = check_penalty(q)
+    mids, vels = _segments(path)
+    factor = _factor_frame(structure, mids)
+    horizontal, vertical, flux = factor.forms(qf, vels)
+    value = float(np.sum(horizontal + qf * vertical) / (2.0 * path.grid_size))
+    return _Evaluation(qf, value, mids, vels, factor, horizontal, vertical, flux)
+
+
 def energy(structure: SubRiemannianStructure, q, path: DiscretePath) -> float:
     """Penalized discrete energy E_q = (1 / 2N) sum g_q(mid; vel, vel)."""
-    check_penalty(q)
-    mids, vels = _segments(path)
-    horizontal, vertical, _ = penalized_forms(structure, q, mids, vels)
-    return float(np.sum(horizontal + float(q) * vertical) / (2.0 * path.grid_size))
+    return _evaluate(structure, q, path).energy
 
 
 def length(structure: SubRiemannianStructure, q, path: DiscretePath) -> float:
     """Penalized discrete length l_q = (1 / N) sum sqrt(g_q(mid; vel, vel))."""
-    check_penalty(q)
-    mids, vels = _segments(path)
-    horizontal, vertical, _ = penalized_forms(structure, q, mids, vels)
-    values = np.clip(horizontal + float(q) * vertical, 0.0, None)
-    return float(np.sum(np.sqrt(values)) / path.grid_size)
+    return _evaluate(structure, q, path).length
 
 
 def horizontality_defect(structure: SubRiemannianStructure, path: DiscretePath) -> float:
@@ -179,9 +204,7 @@ def horizontality_defect(structure: SubRiemannianStructure, path: DiscretePath) 
     Zero exactly on horizontal paths; the penalized energy is
     E_1 + (q - 1)/2 times this value for every q.
     """
-    mids, vels = _segments(path)
-    _, vertical, _ = penalized_forms(structure, 1.0, mids, vels)
-    return float(np.sum(vertical) / path.grid_size)
+    return _evaluate(structure, 1.0, path).defect
 
 
 def limit_energy(
@@ -198,17 +221,6 @@ def limit_energy(
     if horizontality_defect(structure, path) > horizontal_tol:
         return FunctionalValue.infinite()
     return FunctionalValue.finite(energy(structure, 1.0, path))
-
-
-def limit_length(
-    structure: SubRiemannianStructure,
-    path: DiscretePath,
-    horizontal_tol: float = 1e-6,
-) -> FunctionalValue:
-    """The q -> infinity length: l_1 on horizontal paths, infinite otherwise."""
-    if horizontality_defect(structure, path) > horizontal_tol:
-        return FunctionalValue.infinite()
-    return FunctionalValue.finite(length(structure, 1.0, path))
 
 
 def semimetric_rho(path_a: DiscretePath, path_b: DiscretePath, order: int) -> np.ndarray:

@@ -29,10 +29,8 @@ __all__ = [
     "MetricField",
     "FrameField",
     "SubRiemannianStructure",
-    "as_point",
     "check_penalty",
     "project_horizontal",
-    "penalized_metric_eval",
     "penalized_forms",
     "penalized_gram",
     "field_jacobian",
@@ -130,7 +128,9 @@ class FrameField:
     def frame_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the frame matrix at every row of ``points`` (shape (m, n))."""
         m, n = points.shape
-        raw = np.asarray(self.columns(points), dtype=float)
+        # A frame that overflows along the path fails below, not in warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = np.asarray(self.columns(points), dtype=float)
         if raw.ndim == 2:
             raw = np.broadcast_to(raw, (m,) + raw.shape)
         if raw.ndim != 3 or raw.shape[0] != m or raw.shape[1] != n:
@@ -138,7 +138,7 @@ class FrameField:
                 f"frame field returned shape {raw.shape}, expected (m, {n}, k)"
             )
         if not np.all(np.isfinite(raw)):
-            raise ValueError("frame field returned non-finite entries")
+            raise DegenerateFrameError("frame is degenerate: its field returned non-finite entries")
         return raw
 
 
@@ -163,24 +163,68 @@ class SubRiemannianStructure:
                 f"need 1 <= rank <= dimension, got rank {self.rank} in dimension {self.dimension}"
             )
 
+    def _fields(self, points: np.ndarray):
+        """Metric and frame stacks (G, F) at a batch of points, in one evaluation."""
+        return self.metric.gram_batch(points), self.frame.frame_batch(points)
 
-def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray):
-    """Metric, frame, and the factored frame Gram matrix at a batch of points.
 
-    Returns (G, F, FtG, L) with G the metric Gram stack, F the frame stack,
-    FtG = F^T G, and L the Cholesky factor of F^T G F.  Raises
-    :class:`DegenerateFrameError` when F^T G F is ill conditioned or not
-    positive definite at any of the points.
+@dataclass(frozen=True)
+class _FrameFactor:
+    """The q-free factored frame at a batch of points: the metric stack G,
+    the frame stack F, F^T G, and the Cholesky factor L of F^T G F.  The
+    projection, the penalized forms and the penalized Gram matrices at these
+    points follow from it for every q and every batch of vectors."""
+
+    G: np.ndarray
+    F: np.ndarray
+    FtG: np.ndarray
+    L: np.ndarray
+
+    def project(self, vectors):
+        """Horizontal and complement parts (P v, v - P v) of one vector per point."""
+        rhs = np.matmul(self.FtG, vectors[:, :, None])
+        z = np.linalg.solve(self.L, rhs)
+        c = np.linalg.solve(self.L.transpose(0, 2, 1), z)
+        pv = np.matmul(self.F, c)[:, :, 0]
+        return pv, vectors - pv
+
+    def forms(self, q: float, vectors):
+        """(horizontal, vertical, flux) of :func:`penalized_forms` at penalty q."""
+        pv, pperp = self.project(vectors)
+        Gpv = np.matmul(self.G, pv[:, :, None])[:, :, 0]
+        Gpp = np.matmul(self.G, pperp[:, :, None])[:, :, 0]
+        horizontal = np.einsum("mi,mi->m", pv, Gpv)
+        vertical = np.einsum("mi,mi->m", pperp, Gpp)
+        return horizontal, vertical, Gpv + q * Gpp
+
+    def gram(self, q: float) -> np.ndarray:
+        """The penalized metric matrices q G + (1 - q) G P, symmetrized."""
+        z = np.linalg.solve(self.L, self.FtG)
+        P = np.matmul(self.F, np.linalg.solve(self.L.transpose(0, 2, 1), z))
+        Gq = q * self.G + (1.0 - q) * np.matmul(self.G, P)
+        return 0.5 * (Gq + Gq.transpose(0, 2, 1))
+
+
+def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray) -> _FrameFactor:
+    """Factor the frame Gram matrix F^T G F at a batch of points.
+
+    G and F come from one joint field evaluation, ``structure._fields``; the
+    drift lift uses it to transport each point set once.  Raises
+    :class:`DegenerateFrameError` when F^T G F is not finite, ill
+    conditioned or not positive definite at any of the points.
     """
-    G = structure.metric.gram_batch(points)
-    F = structure.frame.frame_batch(points)
+    G, F = structure._fields(points)
     m = points.shape[0]
     expected = (m, structure.dimension, structure.rank)
     if F.shape != expected:
         raise ValueError(f"frame stack has shape {F.shape}, expected {expected}")
-    FtG = np.matmul(F.transpose(0, 2, 1), G)
-    M = np.matmul(FtG, F)
-    M = 0.5 * (M + M.transpose(0, 2, 1))
+    # A frame that overflows along the path fails below, not in warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        FtG = np.matmul(F.transpose(0, 2, 1), G)
+        M = np.matmul(FtG, F)
+        M = 0.5 * (M + M.transpose(0, 2, 1))
+    if not np.all(np.isfinite(M)):
+        raise DegenerateFrameError("frame is degenerate: its Gram matrix F^T G F is not finite")
     # For a symmetric matrix the 2-norm condition number is the ratio of the
     # extreme eigenvalue magnitudes; a singular M gives inf (or nan if M = 0).
     spectrum = np.abs(np.linalg.eigvalsh(M))
@@ -199,16 +243,7 @@ def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray):
         raise DegenerateFrameError(
             f"frame Gram matrix is not positive definite: {exc}"
         ) from exc
-    return G, F, FtG, L
-
-
-def _project_batch(F, FtG, L, vectors):
-    """Horizontal/complement split of a batch of vectors given frame factors."""
-    rhs = np.matmul(FtG, vectors[:, :, None])
-    z = np.linalg.solve(L, rhs)
-    c = np.linalg.solve(L.transpose(0, 2, 1), z)
-    pv = np.matmul(F, c)[:, :, 0]
-    return pv, vectors - pv
+    return _FrameFactor(G, F, FtG, L)
 
 
 def penalized_forms(structure: SubRiemannianStructure, q, points, vectors):
@@ -221,38 +256,27 @@ def penalized_forms(structure: SubRiemannianStructure, q, points, vectors):
     - ``vertical[i]   = g(Pc v_i, Pc v_i)``
     - ``flux[i]       = G (P v_i + q Pc v_i)``
 
-    so that the penalized form value is ``horizontal + q * vertical`` and
+    so that the penalized form g_q(v, v) is ``horizontal + q * vertical`` and
     ``flux`` is the penalized form's matrix applied to v_i (the derivative of
-    the form in its vector argument is ``2 flux``).
+    the form in its vector argument is ``2 flux``).  Each call factors the
+    frame at ``points``; the solver factors once and reads all it needs.
     """
     qf = check_penalty(q)
-    points = np.asarray(points, dtype=float)
-    vectors = np.asarray(vectors, dtype=float)
-    G, F, FtG, L = _factor_frame(structure, points)
-    pv, pperp = _project_batch(F, FtG, L, vectors)
-    Gpv = np.matmul(G, pv[:, :, None])[:, :, 0]
-    Gpp = np.matmul(G, pperp[:, :, None])[:, :, 0]
-    horizontal = np.einsum("mi,mi->m", pv, Gpv)
-    vertical = np.einsum("mi,mi->m", pperp, Gpp)
-    flux = Gpv + qf * Gpp
-    return horizontal, vertical, flux
+    factor = _factor_frame(structure, np.asarray(points, dtype=float))
+    return factor.forms(qf, np.asarray(vectors, dtype=float))
 
 
 def penalized_gram(structure: SubRiemannianStructure, q, points) -> np.ndarray:
     """Matrix stack of the penalized metric at a batch of points.
 
     With P the g-orthogonal projection onto the distribution, the penalized
-    form's matrix is  q G + (1 - q) G P, which is symmetric because G P is
-    (P is g-self-adjoint).  The result is symmetrized to scrub roundoff and
-    is positive definite for every valid q.
+    form's matrix is  M_q = q G + (1 - q) G P, which is symmetric because G P
+    is (P is g-self-adjoint).  The result is symmetrized to scrub roundoff
+    and is positive definite for every valid q.  Each call factors the frame
+    at ``points``, as :func:`penalized_forms` does.
     """
     qf = check_penalty(q)
-    pts = np.asarray(points, dtype=float)
-    G, F, FtG, L = _factor_frame(structure, pts)
-    z = np.linalg.solve(L, FtG)
-    P = np.matmul(F, np.linalg.solve(L.transpose(0, 2, 1), z))
-    Gq = qf * G + (1.0 - qf) * np.matmul(G, P)
-    return 0.5 * (Gq + Gq.transpose(0, 2, 1))
+    return _factor_frame(structure, np.asarray(points, dtype=float)).gram(qf)
 
 
 def project_horizontal(structure: SubRiemannianStructure, p, v):
@@ -282,31 +306,8 @@ def project_horizontal(structure: SubRiemannianStructure, p, v):
     """
     pt = as_point(p, structure.dimension)
     vec = as_point(v, structure.dimension)
-    G, F, FtG, L = _factor_frame(structure, pt[None, :])
-    pv, pperp = _project_batch(F, FtG, L, vec[None, :])
+    pv, pperp = _factor_frame(structure, pt[None, :]).project(vec[None, :])
     return pv[0], pperp[0]
-
-
-def penalized_metric_eval(structure: SubRiemannianStructure, q, p, v, w) -> float:
-    """Evaluate the penalized metric g_q(v, w) = g(Pv, Pw) + q g(Pc v, Pc w).
-
-    Symmetric in (v, w); equals g(v, w) at q = 1; affine and nondecreasing
-    in q when v = w.
-    """
-    qf = check_penalty(q)
-    pt = as_point(p, structure.dimension)
-    vv = as_point(v, structure.dimension)
-    ww = as_point(w, structure.dimension)
-    G, F, FtG, L = _factor_frame(structure, pt[None, :])
-    pv, pp = _project_batch(
-        np.repeat(F, 2, axis=0),
-        np.repeat(FtG, 2, axis=0),
-        np.repeat(L, 2, axis=0),
-        np.stack([vv, ww]),
-    )
-    g0 = G[0]
-    value = pv[0] @ g0 @ pv[1] + qf * (pp[0] @ g0 @ pp[1])
-    return float(value)
 
 
 def field_jacobian(field: Callable[[np.ndarray], np.ndarray], p, step: Optional[float] = None) -> np.ndarray:
@@ -416,8 +417,7 @@ def validate_structure(structure: SubRiemannianStructure, points) -> None:
         raise ValueError(
             f"sample points have dimension {pts.shape[1]}, structure has {structure.dimension}"
         )
-    G, _, _, _ = _factor_frame(structure, pts)
-    smallest = np.linalg.eigvalsh(G)[:, 0]
+    smallest = np.linalg.eigvalsh(_factor_frame(structure, pts).G)[:, 0]
     if np.any(smallest <= 0.0):
         i = int(np.argmin(smallest))
         raise ValueError(

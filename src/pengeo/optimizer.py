@@ -18,6 +18,9 @@ iterations as small ones.  It is factored by block cyclic reduction, which
 works on all blocks of a level at once in O(log N) batched calls.  The same
 factor gives the one stop rule, the Newton decrement g^T H0^{-1} g, which
 reads alike at every penalty and grid size.
+The frame at each accepted iterate is factored once, by the line-search
+trial that found it; that evaluation gives the gradient's flux, H0 and, at
+exit, the certificates.
 Continuation walks a geometric penalty ladder and warm starts each solve
 from the previous minimizer.
 """
@@ -30,13 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .functionals import DiscretePath, energy
-from .geometry import (
-    SubRiemannianStructure,
-    check_penalty,
-    penalized_forms,
-    penalized_gram,
-)
+from .functionals import DiscretePath, _evaluate
+from .geometry import SubRiemannianStructure, _factor_frame, check_penalty
 
 logger = logging.getLogger("pengeo")
 
@@ -100,11 +98,14 @@ class ContinuationSchedule:
     step_count: int = 5
 
     def __post_init__(self):
-        check_penalty(self.q_start)
-        if self.ratio <= 1.0:
+        if not self.ratio > 1.0:
             raise ValueError("ratio must exceed 1 so the ladder ascends")
         if self.step_count < 1:
             raise ValueError("step_count must be positive")
+        with np.errstate(over="ignore"):  # an overflowing rung fails as inf below
+            rungs = self.q_values()
+        for q in rungs.tolist():
+            check_penalty(q)
 
     def q_values(self) -> np.ndarray:
         return self.q_start * self.ratio ** np.arange(self.step_count, dtype=float)
@@ -130,19 +131,6 @@ class SolveResult:
     energy_history: tuple
 
 
-def _certificates(structure: SubRiemannianStructure, q: float, path: DiscretePath):
-    """Length and defect, bitwise as :func:`length` and :func:`horizontality_defect` (the
-    vertical form does not depend on q), and the speeds' coefficient of variation."""
-    pts = path.points
-    N = path.grid_size
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    horizontal, vertical, _ = penalized_forms(structure, q, mids, N * (pts[1:] - pts[:-1]))
-    speeds = np.sqrt(np.clip(horizontal + float(q) * vertical, 0.0, None))
-    mean = float(np.mean(speeds))
-    variation = 0.0 if mean <= 0.0 else float(np.std(speeds) / mean)
-    return float(np.sum(speeds) / N), float(np.sum(vertical) / N), variation
-
-
 def energy_gradient(
     structure: SubRiemannianStructure,
     q,
@@ -158,41 +146,40 @@ def energy_gradient(
     are excluded from both parts and their gradient entries are zero, which
     pins those coordinates to whatever the path already does linearly.
     """
-    qf = check_penalty(q)
-    pts = path.points
-    N = path.grid_size
-    n = path.dimension
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    vels = N * (pts[1:] - pts[:-1])
+    mask = _frozen_mask(frozen_coords, path.dimension)
+    return _gradient(structure, _evaluate(structure, q, path), mask)
+
+
+def _frozen_mask(frozen_coords, n: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool) if frozen_coords is None else np.asarray(frozen_coords, dtype=bool)
+    if mask.shape != (n,):
+        raise ValueError(f"frozen_coords must be a boolean mask of length {n}")
+    return mask
+
+
+def _gradient(structure, evaluation, frozen_mask: np.ndarray) -> np.ndarray:
+    """:func:`energy_gradient` from the path's evaluation, whose flux it reuses."""
+    q, mids, vels = evaluation.q, evaluation.mids, evaluation.vels
+    N, n = vels.shape
 
     # Velocity dependence: d/dv of the quadratic form is 2 flux, the segment
     # velocity scales differences by N, and the quadrature carries 1/(2N),
     # so the factors cancel and each segment contributes +-flux to its ends.
-    _, _, flux = penalized_forms(structure, qf, mids, vels)
-    grad = np.zeros_like(pts)
-    grad[1:] += flux
-    grad[:-1] -= flux
-
-    if frozen_coords is None:
-        active = range(n)
-    else:
-        mask = np.asarray(frozen_coords, dtype=bool)
-        if mask.shape != (n,):
-            raise ValueError(f"frozen_coords must be a boolean mask of length {n}")
-        active = [a for a in range(n) if not mask[a]]
+    grad = np.zeros((N + 1, n))
+    grad[1:] += evaluation.flux
+    grad[:-1] -= evaluation.flux
 
     scale = MIDPOINT_FD_SCALE * (1.0 + float(np.max(np.abs(mids), initial=0.0)))
-    for a in active:
+    for a in np.flatnonzero(~frozen_mask):
         shift = np.zeros(n)
         shift[a] = scale
-        hp, vp, _ = penalized_forms(structure, qf, mids + shift, vels)
-        hm, vm, _ = penalized_forms(structure, qf, mids - shift, vels)
-        dQ = ((hp + qf * vp) - (hm + qf * vm)) / (2.0 * scale)
+        hp, vp, _ = _factor_frame(structure, mids + shift).forms(q, vels)
+        hm, vm, _ = _factor_frame(structure, mids - shift).forms(q, vels)
+        dQ = ((hp + q * vp) - (hm + q * vm)) / (2.0 * scale)
         grad[:-1, a] += dQ / (4.0 * N)
         grad[1:, a] += dQ / (4.0 * N)
 
-    if frozen_coords is not None:
-        grad[:, np.asarray(frozen_coords, dtype=bool)] = 0.0
+    grad[:, frozen_mask] = 0.0
     return grad[1:-1].ravel()
 
 
@@ -264,33 +251,23 @@ class _BlockTridiagonalFactor:
         return x.ravel()
 
 
-def _velocity_hessian_factor(
-    structure: SubRiemannianStructure,
-    q: float,
-    path: DiscretePath,
-    frozen_mask: Optional[np.ndarray],
-) -> _BlockTridiagonalFactor:
-    """Factor the velocity-part Hessian of the energy at the current path.
+def _velocity_hessian_factor(M: np.ndarray, frozen_mask: np.ndarray) -> _BlockTridiagonalFactor:
+    """Factor the velocity-part Hessian of the energy from the penalized Gram stack.
 
-    With M_i the penalized metric matrix at midpoint i, the Hessian of
-    (1/2N) sum vel^T M vel in the interior points has diagonal blocks
-    N (M_{j-1} + M_j) and off-diagonal blocks -N M_j.  Frozen coordinates
-    get their rows and columns zeroed and a unit diagonal, so the solve
-    leaves them untouched.
+    With M_i the penalized metric matrix at midpoint i of a path of
+    N = ``len(M)`` segments, the Hessian of (1/2N) sum vel^T M vel in the
+    interior points has diagonal blocks N (M_{j-1} + M_j) and off-diagonal
+    blocks -N M_j.  Frozen coordinates get their rows and columns zeroed (in
+    ``M``, which is overwritten) and a unit diagonal, so the solve leaves
+    them untouched.
     """
-    pts = path.points
-    N = path.grid_size
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    M = penalized_gram(structure, q, mids)
-    if frozen_mask is not None:
-        M = M.copy()
-        M[:, frozen_mask, :] = 0.0
-        M[:, :, frozen_mask] = 0.0
+    N = M.shape[0]
+    M[:, frozen_mask, :] = 0.0
+    M[:, :, frozen_mask] = 0.0
     diag = float(N) * (M[:-1] + M[1:])
     off = -float(N) * M[1:-1]
-    if frozen_mask is not None:
-        idx = np.where(frozen_mask)[0]
-        diag[:, idx, idx] = 1.0
+    idx = np.flatnonzero(frozen_mask)
+    diag[:, idx, idx] = 1.0
     return _BlockTridiagonalFactor(diag, off)
 
 
@@ -327,32 +304,39 @@ def minimize_energy(
     Optimization*, 9.5.4).  Otherwise it takes the L-BFGS direction around
     H0, or the Newton direction -H0^{-1} g when that is not a descent
     direction, and backtracks from the unit step to the Armijo condition.
+    The accepted trial's evaluation is kept: its frame factor gives H0, the
+    gradient's flux and, at exit, the certificates.
+
     Hitting the iteration cap returns ``converged=False`` rather than
-    raising; only a line-search step underflow (a genuinely stuck search
-    direction) raises :class:`StepUnderflowError`.
+    raising.  A line-search step underflow (a genuinely stuck search
+    direction) raises :class:`StepUnderflowError`; an H0 that is singular
+    in floating point (a penalty so large that q G + (1 - q) G P loses its
+    horizontal block to rounding) raises ``FloatingPointError``.
     """
     qf = check_penalty(q)
-    path = initial
-    frozen_mask = None
-    if frozen_coords is not None:
-        frozen_mask = np.asarray(frozen_coords, dtype=bool)
-
-    x = path.interior().ravel()
+    frozen_mask = _frozen_mask(frozen_coords, initial.dimension)
+    x = initial.interior().ravel()
 
     def rebuild(vec: np.ndarray) -> DiscretePath:
-        return path.with_interior(vec.reshape(path.grid_size - 1, path.dimension))
+        return initial.with_interior(vec.reshape(initial.grid_size - 1, initial.dimension))
 
-    current = path
-    f = energy(structure, qf, current)
-    g = energy_gradient(structure, qf, current, frozen_coords)
+    current = initial
+    evaluation = _evaluate(structure, qf, current)
+    f = evaluation.energy
+    g = _gradient(structure, evaluation, frozen_mask)
     history = [f]
     s_list: list = []
     y_list: list = []
     iterations = 0
 
     while True:
-        factor = _velocity_hessian_factor(structure, qf, current, frozen_mask)
-        newton = factor.solve(g)
+        try:
+            factor = _velocity_hessian_factor(evaluation.factor.gram(qf), frozen_mask)
+            newton = factor.solve(g)
+        except np.linalg.LinAlgError as exc:
+            raise FloatingPointError(
+                f"velocity Hessian is singular at q={qf:g} after {iterations} iterations: {exc}"
+            ) from exc
         decrement = float(g @ newton)
         converged = decrement <= DECREMENT_TOLERANCE * (1.0 + abs(f))
         if converged or iterations >= config.max_iterations:
@@ -372,8 +356,8 @@ def minimize_energy(
         while step >= STEP_FLOOR:
             x_new = x + step * direction
             cand = rebuild(x_new)
-            f_new = energy(structure, qf, cand)
-            if f_new <= f + SUFFICIENT_DECREASE * step * slope:
+            trial = _evaluate(structure, qf, cand)
+            if trial.energy <= f + SUFFICIENT_DECREASE * step * slope:
                 break
             step *= BACKTRACKING_RATIO
         else:
@@ -381,7 +365,7 @@ def minimize_energy(
                 f"line search stalled at q={qf:g} after {iterations} iterations"
                 f" (|grad|_inf = {float(np.max(np.abs(g), initial=0.0)):.3e})"
             )
-        g_new = energy_gradient(structure, qf, cand, frozen_coords)
+        g_new = _gradient(structure, trial, frozen_mask)
 
         s_vec = x_new - x
         y_vec = g_new - g
@@ -393,21 +377,22 @@ def minimize_energy(
                 s_list.pop(0)
                 y_list.pop(0)
 
-        x, f, g, current = x_new, f_new, g_new, cand
+        x, f, g, current, evaluation = x_new, trial.energy, g_new, cand, trial
         history.append(f)
         iterations += 1
 
-    path_length, defect, speed_cv = _certificates(structure, qf, current)
+    speeds = evaluation.speeds()
+    mean = float(np.mean(speeds))
     return SolveResult(
         q=qf,
         path=current,
         energy=f,
-        length=path_length,
-        defect=defect,
+        length=evaluation.length,
+        defect=evaluation.defect,
         iterations=iterations,
         converged=converged,
         gradient_norm=float(np.max(np.abs(g), initial=0.0)),
-        speed_cv=speed_cv,
+        speed_cv=0.0 if mean <= 0.0 else float(np.std(speeds) / mean),
         energy_history=tuple(history),
     )
 
@@ -477,13 +462,9 @@ def constant_speed_reparametrize(
     parametrization is evened out.  Endpoints are kept bitwise.  A path of
     zero length cannot be reparametrized and raises ValueError.
     """
-    qf = check_penalty(q)
     pts = path.points
     N = path.grid_size
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    vels = N * (pts[1:] - pts[:-1])
-    horizontal, vertical, _ = penalized_forms(structure, qf, mids, vels)
-    seg = np.sqrt(np.clip(horizontal + qf * vertical, 0.0, None)) / N
+    seg = _evaluate(structure, q, path).speeds() / N
     total = float(np.sum(seg))
     if total <= 0.0:
         raise ValueError("cannot reparametrize a path of zero length")

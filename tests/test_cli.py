@@ -321,6 +321,62 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             """,
             "sufficient_decrease",
         ),
+        # Constant frame entries that are not finite are malformed input.
+        "infinite_frame_constant.ini": (
+            """
+            [structure]
+            dimension = 2
+            frame = (1, 0); (1, 1e400)
+
+            [problem]
+            start = 0, 0
+            end = 3, 0
+            """,
+            "frame",
+        ),
+        "overflowing_frame_constant.ini": (
+            """
+            [structure]
+            dimension = 2
+            frame = (1, 0); (1, 9^9^9)
+
+            [problem]
+            start = 0, 0
+            end = 3, 0
+            """,
+            "frame",
+        ),
+        # Every rung of the ladder must be a finite penalty.
+        "nan_ratio.ini": (
+            """
+            [problem]
+            name = heisenberg
+
+            [schedule]
+            ratio = nan
+            """,
+            "[schedule]",
+        ),
+        "infinite_ratio.ini": (
+            """
+            [problem]
+            name = heisenberg
+
+            [schedule]
+            ratio = inf
+            """,
+            "[schedule]",
+        ),
+        "overflowing_ladder.ini": (
+            """
+            [problem]
+            name = heisenberg
+
+            [schedule]
+            ratio = 1e200
+            """,
+            "[schedule]",
+        ),
     }
     for filename, (body, needle) in cases.items():
         config = _write_config(tmp_path, body, name=filename)
@@ -404,23 +460,56 @@ def test_drift_solve_inline_drift_override(tmp_path):
 
 
 def test_solve_degenerate_frame_is_a_solver_failure(tmp_path, capsys):
+    # A frame that collapses, or whose entries or Gram matrix overflow, along
+    # the path; a numpy warning on the way fails the test (pyproject filter).
+    cases = [
+        ("(1, 0); (0, x1)", "0, 1"),
+        ("(1, 0); (1, x1^400)", "3, 0"),
+        ("(1, 0); (1, x1^1000)", "3, 0"),
+    ]
+    for index, (frame, end) in enumerate(cases):
+        config = _write_config(
+            tmp_path,
+            f"""
+            [structure]
+            dimension = 2
+            frame = {frame}
+
+            [problem]
+            start = 0, 0
+            end = {end}
+            """,
+            name=f"run{index}.ini",
+        )
+        out_dir = tmp_path / f"run{index}"
+        assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 1, frame
+        report = (out_dir / "report.txt").read_text()
+        assert report.startswith("solver failure:"), frame
+        assert "degenerate" in report, frame
+        assert capsys.readouterr().err.startswith("solver failure:"), frame
+
+
+@pytest.mark.parametrize("schedule", ["ratio = 1e200", "q_start = 1e300"])
+def test_solve_singular_velocity_hessian_is_a_solver_failure(tmp_path, capsys, schedule):
+    # Representable penalties so large that q G + (1 - q) G P loses its
+    # horizontal block to rounding leave H0 singular in floating point.
     config = _write_config(
         tmp_path,
-        """
-        [structure]
-        dimension = 2
-        frame = (1, 0); (0, x1)
-
+        f"""
         [problem]
-        start = 0, 0
-        end = 0, 1
+        name = heisenberg
+        grid_size = 20
+
+        [schedule]
+        {schedule}
+        step_count = 2
         """,
     )
     out_dir = tmp_path / "run"
     assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 1
     report = (out_dir / "report.txt").read_text()
     assert report.startswith("solver failure:")
-    assert "degenerate" in report
+    assert "singular" in report
     assert capsys.readouterr().err.startswith("solver failure:")
 
 

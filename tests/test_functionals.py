@@ -8,12 +8,10 @@ import pytest
 from pengeo import (
     DiscretePath,
     FunctionalValue,
-    discrete_velocity,
     energy,
     horizontality_defect,
     length,
     limit_energy,
-    limit_length,
     semimetric_rho,
 )
 from conftest import random_path
@@ -53,16 +51,6 @@ def test_with_interior_keeps_endpoints_bitwise():
     assert moved.points[0].tobytes() == start.tobytes()
     assert moved.points[-1].tobytes() == end.tobytes()
     np.testing.assert_allclose(moved.interior(), path.interior() + 0.25)
-
-
-def test_discrete_velocity_indexing():
-    path = DiscretePath.chord(np.zeros(1), np.ones(1), 4)
-    np.testing.assert_allclose(discrete_velocity(path, 0), [1.0])
-    np.testing.assert_allclose(discrete_velocity(path, 3), [1.0])
-    with pytest.raises(IndexError):
-        discrete_velocity(path, 4)
-    with pytest.raises(IndexError):
-        discrete_velocity(path, -1)
 
 
 def test_euclidean_chord_energy_and_length(euclidean3):
@@ -120,13 +108,11 @@ def test_limit_energy_finite_iff_horizontal(heisenberg, euclidean3):
     fin = limit_energy(heisenberg, chord)
     assert not fin.is_infinite
     assert float(fin) == pytest.approx(0.5, rel=1e-12)
-    assert limit_length(heisenberg, chord).value == pytest.approx(1.0, rel=1e-12)
 
     vertical = DiscretePath.chord(np.zeros(3), np.array([0.0, 0.0, 1.0]), 20)
     inf = limit_energy(heisenberg, vertical)
     assert inf.is_infinite
     assert math.isinf(float(inf))
-    assert limit_length(heisenberg, vertical).is_infinite
 
 
 def test_functional_value_requires_exactly_one_state():

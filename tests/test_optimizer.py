@@ -20,6 +20,7 @@ from pengeo import (
     sinusoidal_deflection,
     vertical_heisenberg_problem,
 )
+from pengeo.functionals import _evaluate
 from pengeo.optimizer import DECREMENT_TOLERANCE, _velocity_hessian_factor
 from conftest import fd_energy_gradient, random_path
 
@@ -40,6 +41,13 @@ def test_schedule_values():
         ContinuationSchedule(q_start=1.0, ratio=0.9, step_count=3)
     with pytest.raises(ValueError):
         ContinuationSchedule(q_start=1.0, ratio=10.0, step_count=0)
+    # Every rung must be a finite penalty, checked when the ladder is built.
+    for ratio in (float("nan"), float("inf"), 1e200):
+        with pytest.raises(ValueError):
+            ContinuationSchedule(q_start=1.0, ratio=ratio, step_count=3)
+    with pytest.raises(ValueError):
+        ContinuationSchedule(q_start=1e300, ratio=1e10, step_count=2)
+    assert ContinuationSchedule(q_start=1e300, ratio=10.0, step_count=2).q_values()[-1] == 1e301
 
 
 def test_gradient_matches_finite_differences(heisenberg, martinet, euclidean3, rng):
@@ -69,6 +77,13 @@ def test_gradient_frozen_coordinates(heisenberg, rng):
     grid = grad.reshape(path.grid_size - 1, path.dimension)
     np.testing.assert_array_equal(grid[:, 2], 0.0)
     assert np.any(grid[:, :2] != 0.0)
+
+
+def _h0_factor(structure, q, path, frozen=None):
+    """H0 factored from the path's evaluation at q, as minimize_energy does."""
+    if frozen is None:
+        frozen = np.zeros(path.dimension, dtype=bool)
+    return _velocity_hessian_factor(_evaluate(structure, q, path).factor.gram(q), frozen)
 
 
 def _dense_velocity_hessian(structure, q, path):
@@ -109,7 +124,7 @@ BLOCK_COUNTS = [1, 2, 3, 4, 5, 8, 199, 200]
 def test_velocity_hessian_solve_matches_dense(heisenberg, rng, blocks, q):
     path = random_path(heisenberg, blocks + 1, rng, scale=0.3)
     b = rng.normal(size=blocks * 3)
-    x = _velocity_hessian_factor(heisenberg, q, path, None).solve(b)
+    x = _h0_factor(heisenberg, q, path).solve(b)
     _assert_solves(_dense_velocity_hessian(heisenberg, q, path), x, b)
 
 
@@ -129,7 +144,7 @@ def test_velocity_hessian_solve_frozen_time_coordinate(heisenberg, rng, blocks):
     path = path.with_interior(interior)
     frozen = np.array([False, False, False, True])
     b = rng.normal(size=blocks * 4)
-    x = _velocity_hessian_factor(lifted, 1e3, path, frozen).solve(b)
+    x = _h0_factor(lifted, 1e3, path, frozen).solve(b)
 
     free = ~np.tile(frozen, blocks)
     H = _dense_velocity_hessian(lifted, 1e3, path)
@@ -159,7 +174,7 @@ def test_minimize_heisenberg_perturbed_chord(heisenberg, rng):
     assert result.energy == pytest.approx(0.5, abs=1e-8)
     # The stop rule: the Newton decrement g^T H0^{-1} g at the returned path.
     g = energy_gradient(heisenberg, 1.0, result.path)
-    factor = _velocity_hessian_factor(heisenberg, 1.0, result.path, None)
+    factor = _h0_factor(heisenberg, 1.0, result.path)
     assert float(g @ factor.solve(g)) <= DECREMENT_TOLERANCE * (1.0 + result.energy)
 
 
@@ -171,6 +186,50 @@ def test_solve_result_certificates_equal_the_functionals_bitwise(heisenberg, rng
     assert result.energy == energy(heisenberg, 100.0, result.path)
     assert result.length == length(heisenberg, 100.0, result.path)
     assert result.defect == horizontality_defect(heisenberg, result.path)
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, lifted):
+    # Factorizations are the evaluations (the start and every line-search
+    # trial) plus the gradient's two shifted midpoint sets per active
+    # coordinate; the flux, H0 and the certificates reuse the accepted
+    # trial's factor.  The lift transports each factored point set once.
+    from pengeo import drift, functionals, geometry, optimizer
+
+    counts = {"factor": 0, "evaluate": 0, "transport": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (geometry, functionals, optimizer):
+        monkeypatch.setattr(module, "_factor_frame", counting("factor", module._factor_frame))
+    monkeypatch.setattr(optimizer, "_evaluate", counting("evaluate", optimizer._evaluate))
+    monkeypatch.setattr(
+        drift.FlowMap, "transport_batch", counting("transport", drift.FlowMap.transport_batch)
+    )
+
+    structure, frozen = heisenberg, None
+    start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
+    if lifted:
+        structure = build_lifted_structure(heisenberg, linear_drift(0.3 * np.eye(3)))
+        start, end = np.append(start, 0.0), np.append(end, 1.0)
+        frozen = np.array([False, False, False, True])
+    path = random_path(structure, 12, rng, scale=0.1, start=start, end=end)
+    if lifted:
+        interior = path.interior()
+        interior[:, 3] = DiscretePath.chord(start, end, 12).interior()[:, 3]
+        path = path.with_interior(interior)
+
+    result = minimize_energy(structure, 100.0, path, SolverConfig(grid_size=12), frozen)
+    assert result.converged and result.iterations >= 1
+    assert counts["evaluate"] >= result.iterations + 1
+    gradients = result.iterations + 1
+    assert counts["factor"] == counts["evaluate"] + 2 * 3 * gradients
+    assert counts["transport"] == (counts["factor"] if lifted else 0)
 
 
 def test_minimize_respects_iteration_cap(heisenberg):

@@ -9,7 +9,7 @@ from pengeo import (
     get_problem,
     heisenberg_vertical_distance,
     horizontality_defect,
-    limit_length,
+    length,
     problem_names,
     validate_bracket_generating,
     validate_structure,
@@ -119,7 +119,7 @@ def test_vertical_distance_reference_against_lifted_circles(heisenberg):
         assert horizontality_defect(heisenberg, path) < 1e-25
         reached = float(path.end[2])
         assert reached == pytest.approx(math.pi * radius**2, rel=1e-4)
-        measured = float(limit_length(heisenberg, path))
+        measured = length(heisenberg, 1.0, path)
         reference = heisenberg_vertical_distance(reached)
         assert measured >= reference * (1.0 - 1e-4)
         assert measured <= reference * (1.0 + slack)
