@@ -47,7 +47,7 @@ FRAME_CONDITION_LIMIT = 1e8
 # numerical rank in the bracket-generation certificate.
 RANK_TOLERANCE = 1e-6
 
-# Relative step scale for the central differences used on frame fields.
+# Relative step scale for the central differences used on metric and frame fields.
 BRACKET_FD_SCALE = 1e-5
 
 
@@ -171,21 +171,19 @@ class SubRiemannianStructure:
 @dataclass(frozen=True)
 class _FrameFactor:
     """The q-free factored frame at a batch of points: the metric stack G,
-    the frame stack F, F^T G, and the Cholesky factor L of F^T G F.  The
-    projection, the penalized forms and the penalized Gram matrices at these
-    points follow from it for every q and every batch of vectors."""
+    the frame stack F and the g-weighted pseudo-inverse F+ = (F^T G F)^{-1}
+    F^T G of F, so that c = F+ v are the frame coefficients of P v and
+    P = F F+.  The projection, the penalized forms, their base-point
+    derivatives and the penalized Gram matrices at these points follow from
+    it for every q and every batch of vectors."""
 
     G: np.ndarray
     F: np.ndarray
-    FtG: np.ndarray
-    L: np.ndarray
+    Fplus: np.ndarray
 
     def project(self, vectors):
         """Horizontal and complement parts (P v, v - P v) of one vector per point."""
-        rhs = np.matmul(self.FtG, vectors[:, :, None])
-        z = np.linalg.solve(self.L, rhs)
-        c = np.linalg.solve(self.L.transpose(0, 2, 1), z)
-        pv = np.matmul(self.F, c)[:, :, 0]
+        pv = np.matmul(self.F, np.matmul(self.Fplus, vectors[:, :, None]))[:, :, 0]
         return pv, vectors - pv
 
     def forms(self, q: float, vectors):
@@ -197,16 +195,34 @@ class _FrameFactor:
         vertical = np.einsum("mi,mi->m", pperp, Gpp)
         return horizontal, vertical, Gpv + q * Gpp
 
+    def form_derivatives(self, q: float, vectors, dG, dF):
+        """Base-point derivatives of the penalized forms v^T M_q v at fixed v.
+
+        ``dG`` (a, m, n, n) and ``dF`` (a, m, n, k) are the derivatives of
+        the metric and frame stacks along a coordinates.  With c = F+ v,
+        P v = F c and Pc v = v - F c, differentiating
+        M_q = q G + (1 - q) G P  through P = F (F^T G F)^{-1} F^T G gives
+
+            v^T dG v + (q - 1) (Pc v^T dG Pc v - 2 (dF c)^T G Pc v),
+
+        returned as an (a, m) array.
+        """
+        c = np.matmul(self.Fplus, vectors[:, :, None])
+        pperp = vectors - np.matmul(self.F, c)[:, :, 0]
+        Gpp = np.matmul(self.G, pperp[:, :, None])[:, :, 0]
+        full = np.einsum("mi,amij,mj->am", vectors, dG, vectors)
+        complement = np.einsum("mi,amij,mj->am", pperp, dG, pperp)
+        twist = np.einsum("amij,mj,mi->am", dF, c[:, :, 0], Gpp)
+        return full + (q - 1.0) * (complement - 2.0 * twist)
+
     def gram(self, q: float) -> np.ndarray:
         """The penalized metric matrices q G + (1 - q) G P, symmetrized."""
-        z = np.linalg.solve(self.L, self.FtG)
-        P = np.matmul(self.F, np.linalg.solve(self.L.transpose(0, 2, 1), z))
-        Gq = q * self.G + (1.0 - q) * np.matmul(self.G, P)
+        Gq = q * self.G + (1.0 - q) * np.matmul(self.G, np.matmul(self.F, self.Fplus))
         return 0.5 * (Gq + Gq.transpose(0, 2, 1))
 
 
 def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray) -> _FrameFactor:
-    """Factor the frame Gram matrix F^T G F at a batch of points.
+    """Factor the frame Gram matrix F^T G F at a batch of points into F+.
 
     G and F come from one joint field evaluation, ``structure._fields``; the
     drift lift uses it to transport each point set once.  Raises
@@ -243,7 +259,26 @@ def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray) -> _Fra
         raise DegenerateFrameError(
             f"frame Gram matrix is not positive definite: {exc}"
         ) from exc
-    return _FrameFactor(G, F, FtG, L)
+    # (F^T G F)^{-1} = L^{-T} L^{-1}, from one batched k x k inverse.
+    Linv = np.linalg.inv(L)
+    return _FrameFactor(G, F, np.matmul(Linv.transpose(0, 2, 1), np.matmul(Linv, FtG)))
+
+
+def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, coords):
+    """Derivatives (dG, dF) of the metric and frame stacks along ``coords``.
+
+    Central differences with step ``BRACKET_FD_SCALE * (1 + |points|_inf)``
+    from one ``structure._fields`` evaluation at the 2a shifted copies of
+    the points, stacked into one batch; shapes (a, m, n, n) and (a, m, n, k).
+    No frame is factored.
+    """
+    m, n = points.shape
+    h = BRACKET_FD_SCALE * (1.0 + float(np.max(np.abs(points), initial=0.0)))
+    shift = h * np.eye(n)[coords][:, None, :]
+    G, F = structure._fields(np.concatenate([points + shift, points - shift]).reshape(-1, n))
+    G = G.reshape(2, len(coords), m, n, n)
+    F = F.reshape(2, len(coords), m, n, -1)
+    return (G[0] - G[1]) / (2.0 * h), (F[0] - F[1]) / (2.0 * h)
 
 
 def penalized_forms(structure: SubRiemannianStructure, q, points, vectors):

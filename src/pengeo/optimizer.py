@@ -3,8 +3,9 @@
 The decision variable is the flattened stack of interior points of a
 :class:`~pengeo.functionals.DiscretePath`; endpoints stay pinned.  The
 gradient of the discrete energy is assembled from the penalized form's flux
-vectors (velocity dependence, exact) plus a central finite difference in the
-segment midpoints (base-point dependence of the metric and frame).
+vectors (velocity dependence) and its base-point derivative, which the frame
+factor gives from central differences of the metric and frame fields at
+shifted midpoints: one batched field evaluation, no factorization.
 
 Minimization is limited-memory BFGS with a backtracking Armijo line search
 that starts every search at the unit step.  The initial inverse metric of the
@@ -19,8 +20,8 @@ works on all blocks of a level at once in O(log N) batched calls.  The same
 factor gives the one stop rule, the Newton decrement g^T H0^{-1} g, which
 reads alike at every penalty and grid size.
 The frame at each accepted iterate is factored once, by the line-search
-trial that found it; that evaluation gives the gradient's flux, H0 and, at
-exit, the certificates.
+trial that found it; that evaluation gives the gradient, H0 and, at exit,
+the certificates.
 Continuation walks a geometric penalty ladder and warm starts each solve
 from the previous minimizer.
 """
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .functionals import DiscretePath, _evaluate
-from .geometry import SubRiemannianStructure, _factor_frame, check_penalty
+from .geometry import DegenerateFrameError, SubRiemannianStructure, _field_differences, check_penalty
 
 logger = logging.getLogger("pengeo")
 
@@ -48,9 +49,6 @@ __all__ = [
     "continuation_solve",
     "constant_speed_reparametrize",
 ]
-
-# Relative step scale for differencing the quadratic form in its base point.
-MIDPOINT_FD_SCALE = 1e-6
 
 # Line search steps below this are treated as a hard failure.
 STEP_FLOOR = 1e-20
@@ -140,8 +138,9 @@ def energy_gradient(
     """Gradient of the discrete energy in the flattened interior points.
 
     The velocity dependence is differentiated exactly through the penalized
-    form's flux; the base-point dependence (metric and frame varying along
-    the path) is differenced centrally in the midpoint coordinates.
+    form's flux; the base-point dependence differentiates the form through
+    the projection, from central differences of the O(1) metric and frame
+    fields (not of the O(q) form) in the midpoint coordinates.
     Coordinates flagged in ``frozen_coords`` (a boolean mask of length n)
     are excluded from both parts and their gradient entries are zero, which
     pins those coordinates to whatever the path already does linearly.
@@ -158,7 +157,7 @@ def _frozen_mask(frozen_coords, n: int) -> np.ndarray:
 
 
 def _gradient(structure, evaluation, frozen_mask: np.ndarray) -> np.ndarray:
-    """:func:`energy_gradient` from the path's evaluation, whose flux it reuses."""
+    """:func:`energy_gradient` from the path's evaluation, whose flux and factor it reuses."""
     q, mids, vels = evaluation.q, evaluation.mids, evaluation.vels
     N, n = vels.shape
 
@@ -169,15 +168,14 @@ def _gradient(structure, evaluation, frozen_mask: np.ndarray) -> np.ndarray:
     grad[1:] += evaluation.flux
     grad[:-1] -= evaluation.flux
 
-    scale = MIDPOINT_FD_SCALE * (1.0 + float(np.max(np.abs(mids), initial=0.0)))
-    for a in np.flatnonzero(~frozen_mask):
-        shift = np.zeros(n)
-        shift[a] = scale
-        hp, vp, _ = _factor_frame(structure, mids + shift).forms(q, vels)
-        hm, vm, _ = _factor_frame(structure, mids - shift).forms(q, vels)
-        dQ = ((hp + q * vp) - (hm + q * vm)) / (2.0 * scale)
-        grad[:-1, a] += dQ / (4.0 * N)
-        grad[1:, a] += dQ / (4.0 * N)
+    # Base-point dependence: each midpoint is the mean of its segment's ends
+    # and the quadrature carries 1/(2N), so each end gets dQ/(4N).
+    active = np.flatnonzero(~frozen_mask)
+    if active.size:
+        dG, dF = _field_differences(structure, mids, active)
+        dQ = evaluation.factor.form_derivatives(q, vels, dG, dF).T / (4.0 * N)
+        grad[:-1, active] += dQ
+        grad[1:, active] += dQ
 
     grad[:, frozen_mask] = 0.0
     return grad[1:-1].ravel()
@@ -303,9 +301,10 @@ def minimize_energy(
     ``DECREMENT_TOLERANCE * (1 + |E|)`` (Boyd & Vandenberghe, *Convex
     Optimization*, 9.5.4).  Otherwise it takes the L-BFGS direction around
     H0, or the Newton direction -H0^{-1} g when that is not a descent
-    direction, and backtracks from the unit step to the Armijo condition.
+    direction, and backtracks from the unit step to the Armijo condition; a
+    trial whose frame is degenerate fails that test and backtracks too.
     The accepted trial's evaluation is kept: its frame factor gives H0, the
-    gradient's flux and, at exit, the certificates.
+    gradient and, at exit, the certificates.
 
     Hitting the iteration cap returns ``converged=False`` rather than
     raising.  A line-search step underflow (a genuinely stuck search
@@ -356,9 +355,13 @@ def minimize_energy(
         while step >= STEP_FLOOR:
             x_new = x + step * direction
             cand = rebuild(x_new)
-            trial = _evaluate(structure, qf, cand)
-            if trial.energy <= f + SUFFICIENT_DECREASE * step * slope:
-                break
+            try:
+                trial = _evaluate(structure, qf, cand)
+            except DegenerateFrameError:
+                pass  # a step too long to factor the frame: take a shorter one
+            else:
+                if trial.energy <= f + SUFFICIENT_DECREASE * step * slope:
+                    break
             step *= BACKTRACKING_RATIO
         else:
             raise StepUnderflowError(
