@@ -28,9 +28,7 @@ from .drift import (
     LiftedStructure,
     build_lifted_structure,
     constant_drift,
-    integrate_flow,
     linear_drift,
-    pullback_control,
     solve_drift_problem,
     zero_drift,
 )
@@ -62,7 +60,6 @@ from .optimizer import (
     SolveResult,
     SolverConfig,
     StepUnderflowError,
-    constant_speed_reparametrize,
     continuation_solve,
     energy_gradient,
     minimize_energy,
@@ -96,9 +93,7 @@ __all__ = [
     "LiftedStructure",
     "build_lifted_structure",
     "constant_drift",
-    "integrate_flow",
     "linear_drift",
-    "pullback_control",
     "solve_drift_problem",
     "zero_drift",
     "DiscretePath",
@@ -124,7 +119,6 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "StepUnderflowError",
-    "constant_speed_reparametrize",
     "continuation_solve",
     "energy_gradient",
     "minimize_energy",

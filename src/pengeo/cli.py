@@ -92,9 +92,12 @@ def _get_float(section, key: str, fallback: float) -> float:
     if raw is None:
         return fallback
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
-        raise ConfigError(f"key '{key}' is not a number: {raw!r}") from exc
+        raise ConfigError(f"key '{key}' in [{section.name}] is not a number: {raw!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"key '{key}' in [{section.name}] is not finite: {raw!r}")
+    return value
 
 
 def _get_int(section, key: str, fallback: int) -> int:
@@ -124,6 +127,8 @@ def _parse_vector(text: str, key: str, dimension: Optional[int] = None) -> np.nd
         values = np.array([float(tok) for tok in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ConfigError(f"key '{key}' is not a comma-separated vector: {text!r}") from exc
+    if not np.isfinite(values).all():
+        raise ConfigError(f"key '{key}' has an entry that is not finite: {text!r}")
     if dimension is not None and values.size != dimension:
         raise ConfigError(
             f"key '{key}' has {values.size} entries, expected {dimension}"
@@ -141,6 +146,8 @@ def _parse_matrix(text: str, key: str) -> np.ndarray:
         raise ConfigError(
             f"key '{key}' is not a semicolon-separated matrix: {text!r}"
         ) from exc
+    if not np.isfinite(matrix).all():
+        raise ConfigError(f"key '{key}' has an entry that is not finite: {text!r}")
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ConfigError(f"key '{key}' must be a square matrix, got shape {matrix.shape}")
     return matrix
@@ -609,7 +616,6 @@ def _cmd_drift_solve(config_path: str, out: Optional[str]) -> int:
             problem.end,
             spec.schedule,
             spec.solver,
-            integrator_steps=problem.integrator_steps,
             seed_deflection=problem.seed_deflection(),
         )
         identity_ok = solution.cost_identity_gap <= IDENTITY_TOLERANCE * (
@@ -663,9 +669,7 @@ def _cmd_diagnose(results_dir: str) -> int:
     spec = parse_config(config_path)
     problem = spec.problem
     if problem.has_drift:
-        structure = build_lifted_structure(
-            problem.structure, problem.drift, problem.integrator_steps
-        )
+        structure = build_lifted_structure(problem.structure, problem.drift)
     else:
         structure = problem.structure
 

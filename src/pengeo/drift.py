@@ -1,18 +1,16 @@
-"""Drift flows, control pullback, and the time-lifted constrained problem.
+"""Affine drift flows and the time-lifted constrained problem.
 
-A control system  p' = X(t, p) + u  with u constrained to the distribution
-of a base structure is reduced to a drift-free problem one dimension up:
-the extra coordinate is the time parameter s of the drift flow, the frame is
-the flow-pulled-back base frame together with the unit vector along s, and
-the metric is the flow pullback of the base metric on the first block with a
+A control system  p' = X(p) + u  with u constrained to the distribution of
+a base structure is reduced to a drift-free problem one dimension up: the
+extra coordinate is the time parameter s of the drift flow, the frame is the
+flow-pulled-back base frame together with the unit vector along s, and the
+metric is the flow pullback of the base metric on the first block with a
 unit weight on s.  Pinning s to advance linearly from 0 to 1 makes the q = 1
 lifted energy equal to half the control cost plus one half, an identity the
 result object reports as a cross-check.
 
-Affine drifts X(t, p) = A p + b, which all the built-in kinds are, have the
-exact flow exp(t [[A, b], [0, 0]]) (Van Loan, IEEE TAC 23(3), 1978).  Other
-fields are integrated with classical fourth-order Runge-Kutta, jointly with
-their Jacobians (variational equation).
+Drifts are affine, X(p) = A p + b, and their flows are evaluated exactly as
+exp(t [[A, b], [0, 0]]) (Van Loan, IEEE TAC 23(3), 1978).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,156 +39,81 @@ __all__ = [
     "zero_drift",
     "constant_drift",
     "linear_drift",
-    "integrate_flow",
     "FlowMap",
-    "pullback_control",
     "LiftedStructure",
     "build_lifted_structure",
     "DriftSolveResult",
     "solve_drift_problem",
 ]
 
-JACOBIAN_FD_SCALE = 1e-5
-
 # Taylor degree of the affine flow exponential (truncation error < 1/19!).
 FLOW_TAYLOR_DEGREE = 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftField:
-    """Time-dependent vector field X(t, p) with an optional analytic Jacobian.
+    """Affine drift field X(p) = A p + b, the same at every time.
 
-    ``eval`` maps (t, p) to the drift vector; ``jacobian``, if given, maps
-    (t, p) to the matrix of partial derivatives in p, otherwise central
-    differences are used.  ``affine`` holds (A, b) for fields X = A p + b,
-    whose flows :class:`FlowMap` evaluates exactly, and is None otherwise.
-    Only non-affine fields are integrated, so only they read a step count.
+    The constructor stores A and b as float arrays and raises ValueError
+    unless A is square, b has A's size and both are finite.
     """
 
     name: str
-    eval: Callable[[float, np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    affine: Optional[tuple] = None
+    A: np.ndarray
+    b: np.ndarray
 
-    def __call__(self, t: float, p) -> np.ndarray:
-        pt = as_point(p)
-        out = np.asarray(self.eval(float(t), pt), dtype=float)
-        if out.shape != pt.shape:
+    def __post_init__(self):
+        A = np.asarray(self.A, dtype=float)
+        b = np.asarray(self.b, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(
-                f"drift field {self.name} returned shape {out.shape} at a point of shape {pt.shape}"
+                f"drift field {self.name}: expected a square matrix, got shape {A.shape}"
             )
-        return out
-
-    def jac(self, t: float, p) -> np.ndarray:
-        pt = as_point(p)
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(float(t), pt), dtype=float)
-        h = JACOBIAN_FD_SCALE * (1.0 + float(np.max(np.abs(pt))))
-        cols = []
-        for a in range(pt.size):
-            e = np.zeros(pt.size)
-            e[a] = h
-            cols.append((self(t, pt + e) - self(t, pt - e)) / (2.0 * h))
-        return np.column_stack(cols)
-
-
-def _affine_drift(name: str, A: np.ndarray, b: np.ndarray) -> DriftField:
-    return DriftField(
-        name=name, eval=lambda t, p: A @ p + b, jacobian=lambda t, p: A, affine=(A, b)
-    )
+        if b.shape != A.shape[:1]:
+            raise ValueError(
+                f"drift field {self.name}: offset has shape {b.shape}, expected {A.shape[:1]}"
+            )
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValueError(f"drift field {self.name}: entries must be finite")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
 
 
 def zero_drift(dimension: int) -> DriftField:
     """The zero field; its flow is the identity for all times."""
-    return _affine_drift("zero", np.zeros((dimension, dimension)), np.zeros(dimension))
+    return DriftField("zero", np.zeros((dimension, dimension)), np.zeros(dimension))
 
 
 def constant_drift(vector) -> DriftField:
     """Constant field X = c; the flow translates by t c."""
     c = as_point(vector)
-    return _affine_drift("constant", np.zeros((c.size, c.size)), c)
+    return DriftField("constant", np.zeros((c.size, c.size)), c)
 
 
 def linear_drift(matrix) -> DriftField:
     """Linear field X = A p; the flow is the matrix exponential of t A."""
     A = np.asarray(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return _affine_drift("linear", A, np.zeros(A.shape[0]))
-
-
-def integrate_flow(drift: DriftField, p, t: float, steps: int):
-    """Flow point and Jacobian at time t by joint RK4 integration.
-
-    Integrates  r' = X(s, r)  and the variational equation
-    J' = (dX/dp)(s, r) J  from (p, I) over ``steps`` uniform substeps.
-    Negative t is not supported here; use :meth:`FlowMap.inverse` to go
-    backward.  Returns the pair (flow point, Jacobian matrix).
-    """
-    pt = as_point(p)
-    tf = float(t)
-    if not 0.0 <= tf <= 1.0:
-        raise ValueError(f"flow time must lie in [0, 1], got {tf}")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    n = pt.size
-    if tf == 0.0:
-        return pt.copy(), np.eye(n)
-
-    h = tf / steps
-
-    def rhs(s, state):
-        r, J = state
-        if not np.all(np.isfinite(r)):
-            raise FloatingPointError(
-                f"flow of drift field {drift.name} diverged near time {s:g}"
-            )
-        return drift(s, r), drift.jac(s, r) @ J
-
-    r = pt.copy()
-    J = np.eye(n)
-    # A diverging flow ends in the FloatingPointError below, not in warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            s = i * h
-            k1 = rhs(s, (r, J))
-            k2 = rhs(s + 0.5 * h, (r + 0.5 * h * k1[0], J + 0.5 * h * k1[1]))
-            k3 = rhs(s + 0.5 * h, (r + 0.5 * h * k2[0], J + 0.5 * h * k2[1]))
-            k4 = rhs(s + h, (r + h * k3[0], J + h * k3[1]))
-            r = r + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            J = J + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
-        raise FloatingPointError(
-            f"flow of drift field {drift.name} diverged by time {tf}"
-        )
-    return r, J
+    return DriftField("linear", A, np.zeros(A.shape[:1]))
 
 
 class FlowMap:
-    """Flow of a drift field: points and Jacobians at given times.
+    """Flow of an affine drift field: points and Jacobians at given times.
 
-    For an affine drift X = A p + b the flow is phi_t(p) = M(t) p + v(t),
-    where [[M, v], [0, 1]] = exp(t Ahat) with Ahat = [[A, b], [0, 0]].  The
+    For X = A p + b the flow is phi_t(p) = M(t) p + v(t), where
+    [[M, v], [0, 1]] = exp(t Ahat) with Ahat = [[A, b], [0, 0]].  The
     constructor picks the fewest squarings s with ||2^-s Ahat||_1 <= 1 and
     keeps the Taylor terms (2^-s Ahat)^k / k! for k <= 18, so a batch of
     times in [0, 1] costs one matmul of its time powers against those terms
     and s batched squarings (Moler & Van Loan, SIAM Rev. 45(1), 2003).  On
     every preset ||Ahat||_1 <= 1 and Ahat^2 = 0, so s = 0, the series stops
-    after its linear term, and the result is exact.  Other drifts are
-    integrated by RK4 per row at ``steps_per_unit`` steps per unit time.
+    after its linear term, and the result is exact.
     """
 
-    def __init__(self, drift: DriftField, steps_per_unit: int = 100):
-        if steps_per_unit < 1:
-            raise ValueError("steps_per_unit must be at least 1")
+    def __init__(self, drift: DriftField):
         self.drift = drift
-        self.steps_per_unit = steps_per_unit
-        if drift.affine is None:
-            return
-        A, b = drift.affine
-        aug = np.block([[A, b[:, None]], [np.zeros((1, b.size + 1))]])
+        aug = np.block([[drift.A, drift.b[:, None]], [np.zeros((1, drift.b.size + 1))]])
         # The fewest s with norm <= 2**s, read off norm = mantissa * 2**exponent
-        # (mantissa in [0.5, 1)); a non-finite norm fails in _affine_pairs.
+        # (mantissa in [0.5, 1)); an overflowing norm fails in _pairs.
         mantissa, exponent = math.frexp(float(np.max(np.sum(np.abs(aug), axis=0))))
         self._squarings = max(0, exponent - 1 if mantissa == 0.5 else exponent)
         scaled = np.ldexp(aug, -self._squarings)
@@ -204,10 +127,7 @@ class FlowMap:
                 terms.append(term)
         self._terms = np.reshape(terms, (len(terms), -1))
 
-    def _steps(self, t: float) -> int:
-        return max(1, int(np.ceil(self.steps_per_unit * abs(t))))
-
-    def _affine_pairs(self, ts: np.ndarray):
+    def _pairs(self, ts: np.ndarray):
         """Stacks of the flow matrix M(t) and offset v(t) for every time in ts."""
         if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
             raise ValueError(f"flow times must lie in [0, 1], got {ts.min()} to {ts.max()}")
@@ -223,63 +143,15 @@ class FlowMap:
             )
         return flows[:, :-1, :-1], flows[:, :-1, -1]
 
-    def transport(self, t: float, p):
-        """Flow point and Jacobian at time t from p."""
-        images, jacs = self.transport_batch(np.array([float(t)]), as_point(p)[None, :])
-        return images[0], jacs[0]
-
     def transport_batch(self, times, points):
         """Flow points and Jacobians for per-row times; shapes (m,) and (m, n)."""
-        ts = np.asarray(times, dtype=float)
-        pts = np.asarray(points, dtype=float)
-        m, n = pts.shape
-        if self.drift.affine is not None:
-            mats, offs = self._affine_pairs(ts)
-            return np.einsum("mij,mj->mi", mats, pts) + offs, mats
-        images = np.empty_like(pts)
-        jacs = np.empty((m, n, n))
-        for i in range(m):
-            t = float(ts[i])
-            images[i], jacs[i] = integrate_flow(self.drift, pts[i], t, self._steps(t))
-        return images, jacs
-
-    def map(self, t: float, p) -> np.ndarray:
-        """Flow point only."""
-        return self.transport(t, p)[0]
+        mats, offs = self._pairs(np.asarray(times, dtype=float))
+        return np.einsum("mij,mj->mi", mats, np.asarray(points, dtype=float)) + offs, mats
 
     def inverse(self, t: float, y) -> np.ndarray:
-        """Point p with phi_t(p) = y.
-
-        Affine flows invert by a linear solve.  General flows integrate the
-        reversed field  r'(s) = -X(t - s, r)  from y over time t, which
-        traces the trajectory backward.
-        """
-        yt = as_point(y)
-        tf = float(t)
-        if tf == 0.0:
-            return yt.copy()
-        if self.drift.affine is not None:
-            mats, offs = self._affine_pairs(np.array([tf]))
-            return np.linalg.solve(mats[0], yt - offs[0])
-        reversed_field = DriftField(
-            name=f"{self.drift.name}-reversed",
-            eval=lambda s, r: -self.drift(tf - s, r),
-            jacobian=lambda s, r: -self.drift.jac(tf - s, r),
-        )
-        r, _ = integrate_flow(reversed_field, yt, tf, self._steps(tf))
-        return r
-
-
-def pullback_control(flow: FlowMap, control: Callable[[float, np.ndarray], np.ndarray], t: float, p) -> np.ndarray:
-    """Pull a control vector at the flow image back through the flow Jacobian.
-
-    Returns the solution u of  J_phi(t, p) u = control(t, phi_t(p)), i.e.
-    the vector at p that the flow transports onto the given control vector.
-    """
-    pt = as_point(p)
-    image, J = flow.transport(t, pt)
-    target = np.asarray(control(float(t), image), dtype=float)
-    return np.linalg.solve(J, target)
+        """Point p with phi_t(p) = y, by one linear solve."""
+        mats, offs = self._pairs(np.array([float(t)]))
+        return np.linalg.solve(mats[0], as_point(y) - offs[0])
 
 
 @dataclass(frozen=True)
@@ -310,7 +182,6 @@ class LiftedStructure(SubRiemannianStructure):
 def build_lifted_structure(
     structure: SubRiemannianStructure,
     drift: DriftField,
-    integrator_steps: int = 100,
 ) -> LiftedStructure:
     """Lift a base structure and drift to a drift-free structure on (p, s).
 
@@ -322,10 +193,9 @@ def build_lifted_structure(
     lifted velocity exactly as the base metric measures its flow transport.
     The solver reads metric and frame together, one flow transport per point
     set; the ``metric`` and ``frame`` fields each transport for themselves.
-    ``integrator_steps`` is the RK4 resolution for a non-affine drift.
     """
     n = structure.dimension
-    if drift.affine is not None and drift.affine[1].size != n:
+    if drift.b.size != n:
         raise ValueError(f"drift field {drift.name} does not act on dimension {n}")
     # The field closures read ``lifted`` when called, after it is bound.
     lifted = LiftedStructure(
@@ -336,7 +206,7 @@ def build_lifted_structure(
         name=f"{structure.name}+drift:{drift.name}",
         base=structure,
         drift=drift,
-        flow=FlowMap(drift, steps_per_unit=integrator_steps),
+        flow=FlowMap(drift),
     )
     return lifted
 
@@ -377,7 +247,7 @@ def solve_drift_problem(
     target,
     schedule: ContinuationSchedule,
     config: SolverConfig,
-    integrator_steps: int = 100,
+    integrator_steps: int = 100,  # unused; bench/workloads.py still passes it
     endpoint_tolerance: float = 1e-6,
     seed_deflection: Optional[np.ndarray] = None,
 ) -> DriftSolveResult:
@@ -394,7 +264,7 @@ def solve_drift_problem(
     """
     x = as_point(start, structure.dimension)
     y = as_point(target, structure.dimension)
-    lifted = build_lifted_structure(structure, drift, integrator_steps)
+    lifted = build_lifted_structure(structure, drift)
     flow = lifted.flow
 
     lifted_start = np.concatenate([x, [0.0]])
@@ -432,10 +302,7 @@ def solve_drift_problem(
     dgamma[1:-1] = 0.5 * N * (trajectory[2:] - trajectory[:-2])
     dgamma[0] = N * (trajectory[1] - trajectory[0])
     dgamma[-1] = N * (trajectory[-1] - trajectory[-2])
-    times = final.times
-    control_grid = np.empty_like(trajectory)
-    for i in range(N + 1):
-        control_grid[i] = dgamma[i] - drift(float(times[i]), trajectory[i])
+    control_grid = dgamma - (trajectory @ drift.A.T + drift.b)
 
     lifted_energy = energy(lifted, 1.0, final)
     cost_identity_gap = abs(control_cost - (2.0 * lifted_energy - 1.0))

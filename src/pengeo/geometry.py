@@ -104,8 +104,8 @@ class MetricField:
             raise ValueError(
                 f"metric field returned shape {raw.shape}, expected {(m, n, n)}"
             )
-        gap = float(np.max(np.abs(raw - raw.transpose(0, 2, 1)))) if m else 0.0
-        if gap > 1e-10 * (1.0 + float(np.max(np.abs(raw)))):
+        gap = float(np.max(np.abs(raw - raw.transpose(0, 2, 1)), initial=0.0))
+        if gap > 1e-10 * (1.0 + float(np.max(np.abs(raw), initial=0.0))):
             raise ValueError(f"metric Gram matrix is not symmetric (gap {gap:.3e})")
         return raw
 

@@ -47,7 +47,6 @@ __all__ = [
     "energy_gradient",
     "minimize_energy",
     "continuation_solve",
-    "constant_speed_reparametrize",
 ]
 
 # Line search steps below this are treated as a hard failure.
@@ -452,36 +451,3 @@ def continuation_solve(
         guess = result.path
     return results
 
-
-def constant_speed_reparametrize(
-    structure: SubRiemannianStructure, q, path: DiscretePath
-) -> DiscretePath:
-    """Resample a path so its segments advance equal penalized arclength.
-
-    Segment speeds are measured in the penalized metric at the segment
-    midpoints; the new grid points sit on the old polyline at equal
-    arclength fractions, so the polyline's geometry (and hence its length,
-    up to the midpoint quadrature's sensitivity) is preserved while the
-    parametrization is evened out.  Endpoints are kept bitwise.  A path of
-    zero length cannot be reparametrized and raises ValueError.
-    """
-    pts = path.points
-    N = path.grid_size
-    seg = _evaluate(structure, q, path).speeds() / N
-    total = float(np.sum(seg))
-    if total <= 0.0:
-        raise ValueError("cannot reparametrize a path of zero length")
-
-    knots = np.concatenate([[0.0], np.cumsum(seg)]) / total
-    targets = np.linspace(0.0, 1.0, N + 1)
-    new_pts = np.empty_like(pts)
-    new_pts[0] = pts[0]
-    new_pts[-1] = pts[-1]
-    for i in range(1, N):
-        t = targets[i]
-        j = int(np.searchsorted(knots, t, side="right") - 1)
-        j = min(max(j, 0), N - 1)
-        width = knots[j + 1] - knots[j]
-        lam = 0.0 if width <= 0.0 else (t - knots[j]) / width
-        new_pts[i] = (1.0 - lam) * pts[j] + lam * pts[j + 1]
-    return DiscretePath(start=path.start, end=path.end, points=new_pts)

@@ -143,12 +143,7 @@ def sinusoidal_deflection(grid_size: int, dimension: int, amplitude: float) -> n
 
 @dataclass(frozen=True)
 class Problem:
-    """A named benchmark: structure, endpoints, ladder, and ground truth.
-
-    ``integrator_steps`` is the RK4 resolution of a lift of a non-affine
-    drift; affine drifts, every kind the catalogue and configs build, have
-    exact flows and never read it.
-    """
+    """A named benchmark: structure, endpoints, ladder, and ground truth."""
 
     name: str
     description: str
@@ -162,7 +157,7 @@ class Problem:
     reference_distance: Optional[float]
     reference_note: str
     drift: Optional[DriftField] = None
-    integrator_steps: int = 100
+    integrator_steps: int = 100  # unused; bench/workloads.py still reads it
     seed_amplitude: float = 0.0
 
     @property

@@ -50,7 +50,6 @@ def _solve_preset(name: str):
             problem.end,
             problem.schedule,
             config,
-            integrator_steps=problem.integrator_steps,
             seed_deflection=problem.seed_deflection(),
         )
         return solution.results, solution

@@ -377,6 +377,53 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             """,
             "[schedule]",
         ),
+        # Every number a config gives must be finite.
+        "infinite_drift_vector.ini": (
+            """
+            [problem]
+            name = drift-constant-1d
+
+            [drift]
+            kind = constant
+            vector = inf
+            """,
+            "vector",
+        ),
+        "nan_start.ini": (
+            """
+            [problem]
+            name = heisenberg
+            start = 0, 0, nan
+            """,
+            "start",
+        ),
+        "nan_seed_amplitude.ini": (
+            """
+            [problem]
+            name = heisenberg
+            seed_amplitude = nan
+            """,
+            "seed_amplitude",
+        ),
+        "nan_drift_matrix.ini": (
+            """
+            [problem]
+            name = drift-linear-2d
+
+            [drift]
+            kind = linear
+            matrix = nan, 1; 0, 0
+            """,
+            "matrix",
+        ),
+        "nan_cauchy_tolerance.ini": (
+            """
+            [problem]
+            name = heisenberg
+            cauchy_rho1_tol = nan
+            """,
+            "cauchy_rho1_tol",
+        ),
     }
     for filename, (body, needle) in cases.items():
         config = _write_config(tmp_path, body, name=filename)

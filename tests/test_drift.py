@@ -14,9 +14,7 @@ from pengeo import (
     continuation_solve,
     euclidean_structure,
     get_problem,
-    integrate_flow,
     linear_drift,
-    pullback_control,
     solve_drift_problem,
     zero_drift,
 )
@@ -41,112 +39,65 @@ def _gramian_min_cost(A: np.ndarray, x0: np.ndarray, y: np.ndarray, nodes: int =
 
 
 def test_drift_factories_and_jacobians(rng):
-    p = rng.normal(size=3)
     z = zero_drift(3)
-    np.testing.assert_array_equal(z(0.3, p), np.zeros(3))
-    np.testing.assert_array_equal(z.jac(0.3, p), np.zeros((3, 3)))
+    np.testing.assert_array_equal(z.A, np.zeros((3, 3)))
+    np.testing.assert_array_equal(z.b, np.zeros(3))
 
     c = constant_drift([1.0, -2.0, 0.5])
-    np.testing.assert_array_equal(c(0.9, p), [1.0, -2.0, 0.5])
-    np.testing.assert_array_equal(c.jac(0.9, p), np.zeros((3, 3)))
+    np.testing.assert_array_equal(c.A, np.zeros((3, 3)))
+    np.testing.assert_array_equal(c.b, [1.0, -2.0, 0.5])
 
     A = rng.normal(size=(3, 3))
     lin = linear_drift(A)
-    np.testing.assert_allclose(lin(0.0, p), A @ p)
-    np.testing.assert_allclose(lin.jac(0.0, p), A)
+    np.testing.assert_array_equal(lin.A, A)
+    np.testing.assert_array_equal(lin.b, np.zeros(3))
     with pytest.raises(ValueError):
         linear_drift(np.zeros((2, 3)))
 
 
-def test_drift_field_shape_check_and_fd_jacobian(rng):
-    bad = DriftField(name="bad", eval=lambda t, p: np.zeros(2))
-    with pytest.raises(ValueError):
-        bad(0.0, np.zeros(3))
-
-    swirl = DriftField(
-        name="swirl",
-        eval=lambda t, p: np.array([np.sin(p[1]), np.cos(p[0])]),
-    )
-    p = rng.normal(size=2)
-    expected = np.array([[0.0, np.cos(p[1])], [-np.sin(p[0]), 0.0]])
-    np.testing.assert_allclose(swirl.jac(0.0, p), expected, atol=1e-8)
-
-
-def test_integrate_flow_constant_is_exact(rng):
-    c = np.array([0.4, -1.1])
-    p = rng.normal(size=2)
-    point, jac = integrate_flow(constant_drift(c), p, 0.7, 10)
-    np.testing.assert_allclose(point, p + 0.7 * c, atol=1e-14)
-    np.testing.assert_allclose(jac, np.eye(2), atol=1e-14)
-
-
-def test_integrate_flow_linear_matches_matrix_exponential(rng):
-    A = np.array([[0.0, 1.0], [-2.0, -0.3]])
-    p = rng.normal(size=2)
-    point, jac = integrate_flow(linear_drift(A), p, 1.0, 100)
-    exact = expm(A)
-    np.testing.assert_allclose(point, exact @ p, atol=1e-8)
-    np.testing.assert_allclose(jac, exact, atol=1e-8)
-
-
-def test_integrate_flow_validation():
-    c = constant_drift([1.0])
-    with pytest.raises(ValueError):
-        integrate_flow(c, [0.0], -0.1, 10)
-    with pytest.raises(ValueError):
-        integrate_flow(c, [0.0], 1.5, 10)
-    with pytest.raises(ValueError):
-        integrate_flow(c, [0.0], 0.5, 0)
-    point, jac = integrate_flow(c, [3.0], 0.0, 10)
-    np.testing.assert_array_equal(point, [3.0])
-    np.testing.assert_array_equal(jac, [[1.0]])
-
-
-def test_integrate_flow_detects_divergence():
-    nan_field = DriftField(name="nan", eval=lambda t, p: np.array([float("nan")]))
-    with pytest.raises(FloatingPointError):
-        integrate_flow(nan_field, [0.0], 1.0, 4)
+def test_drift_field_validation():
+    DriftField(name="ok", A=[[0.0, 1.0], [0.0, 0.0]], b=[0.0, 1.0])
+    for A, b in (
+        (np.zeros((2, 3)), np.zeros(2)),  # non-square A
+        (np.zeros((2, 2)), np.zeros(3)),  # b of the wrong length
+        (np.zeros(2), np.zeros(2)),  # A not a matrix
+        ([[0.0, float("nan")], [0.0, 0.0]], np.zeros(2)),
+        (np.zeros((2, 2)), [float("inf"), 0.0]),
+    ):
+        with pytest.raises(ValueError, match="drift field bad"):
+            DriftField(name="bad", A=A, b=b)
 
 
 def test_flow_map_group_property_and_inverse(rng):
     A = np.array([[0.0, 1.0], [-1.0, -0.2]])
-    flow = FlowMap(linear_drift(A), steps_per_unit=200)
+    flow = FlowMap(linear_drift(A))
+
+    def flow_map(t, p):
+        return flow.transport_batch(np.array([t]), p[None, :])[0][0]
+
     p = rng.normal(size=2)
-    composed = flow.map(0.3, flow.map(0.4, p))
-    np.testing.assert_allclose(composed, flow.map(0.7, p), atol=1e-9)
-    y = flow.map(0.6, p)
+    composed = flow_map(0.3, flow_map(0.4, p))
+    np.testing.assert_allclose(composed, flow_map(0.7, p), atol=1e-9)
+    y = flow_map(0.6, p)
     np.testing.assert_allclose(flow.inverse(0.6, y), p, atol=1e-10)
     np.testing.assert_array_equal(flow.inverse(0.0, y), y)
-    with pytest.raises(ValueError):
-        FlowMap(linear_drift(A), steps_per_unit=0)
-
-
-def test_flow_map_inverse_for_nonaffine_field(rng):
-    swirl = DriftField(
-        name="swirl",
-        eval=lambda t, p: 0.5 * np.array([np.sin(p[1]), np.cos(p[0])]),
-    )
-    flow = FlowMap(swirl, steps_per_unit=400)
-    p = rng.normal(size=2)
-    y = flow.map(1.0, p)
-    np.testing.assert_allclose(flow.inverse(1.0, y), p, atol=1e-6)
 
 
 def test_flow_map_transport_batch_matches_scalar(rng):
     A = np.array([[0.1, 0.8], [0.0, -0.4]])
-    flow = FlowMap(linear_drift(A), steps_per_unit=100)
+    flow = FlowMap(linear_drift(A))
     times = np.array([0.0, 0.25, 0.5, 0.25])
     pts = rng.normal(size=(4, 2))
     images, jacs = flow.transport_batch(times, pts)
     for i in range(4):
-        pt_i, jac_i = flow.transport(float(times[i]), pts[i])
+        (pt_i,), (jac_i,) = flow.transport_batch(times[i : i + 1], pts[i : i + 1])
         np.testing.assert_allclose(images[i], pt_i, atol=1e-12)
         np.testing.assert_allclose(jacs[i], jac_i, atol=1e-12)
 
 
 def _per_row_exact_transport(drift, times, points):
     """The affine transport one row at a time from scipy's exp(t Ahat)."""
-    A, b = drift.affine
+    A, b = drift.A, drift.b
     n = b.size
     aug = np.block([[A, b[:, None]], [np.zeros((1, n + 1))]])
     flows = np.array([expm(t * aug) for t in times])
@@ -181,8 +132,7 @@ def test_flow_map_transport_batch_matches_per_row_loop_exactly(rng):
 )
 def test_flow_map_squarings_match_exact_transport(rng, scale, b, squarings):
     A, b = scale * _SKEWED, np.array(b)
-    drift = DriftField(name="affine", eval=lambda t, p: A @ p + b, affine=(A, b))
-    flow = FlowMap(drift)
+    flow = FlowMap(DriftField(name="affine", A=A, b=b))
     assert flow._squarings == squarings
     _assert_matches_exact_transport(flow, rng)
 
@@ -200,20 +150,9 @@ def test_flow_map_rejects_times_outside_unit_interval():
     flow = FlowMap(constant_drift([1.0]))
     for bad in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError):
-            flow.transport(bad, [0.0])
-
-
-def test_pullback_control_round_trip(rng):
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    flow = FlowMap(linear_drift(A), steps_per_unit=100)
-    p = rng.normal(size=2)
-
-    def control(t, x):
-        return np.array([x[0], 1.0 - t])
-
-    u = pullback_control(flow, control, 0.5, p)
-    image, jac = flow.transport(0.5, p)
-    np.testing.assert_allclose(jac @ u, control(0.5, image), atol=1e-12)
+            flow.transport_batch(np.array([bad]), np.zeros((1, 1)))
+        with pytest.raises(ValueError):
+            flow.inverse(bad, [0.0])
 
 
 def test_lifted_structure_blocks_for_zero_drift(heisenberg, rng):
@@ -254,7 +193,6 @@ def constant_1d_solution():
         prob.end,
         prob.schedule,
         config,
-        integrator_steps=prob.integrator_steps,
     )
 
 
@@ -291,7 +229,6 @@ def test_linear_drift_cost_matches_gramian_oracle():
         prob.end,
         prob.schedule,
         config,
-        integrator_steps=prob.integrator_steps,
     )
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     oracle = _gramian_min_cost(A, prob.start, prob.end)

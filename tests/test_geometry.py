@@ -115,6 +115,10 @@ def test_metric_field_rejects_asymmetric_gram():
         bad(np.zeros(2))
 
 
+def test_gram_batch_of_zero_points(heisenberg):
+    assert heisenberg.metric.gram_batch(np.zeros((0, 3))).shape == (0, 3, 3)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_degenerate_frame_detected():
     frame = FrameField(columns=lambda p: np.array([[1.0, 1.0], [0.0, 0.0]]))

@@ -10,7 +10,6 @@ from pengeo import (
     SolverConfig,
     SubRiemannianStructure,
     build_lifted_structure,
-    constant_speed_reparametrize,
     continuation_solve,
     energy,
     energy_gradient,
@@ -173,7 +172,7 @@ def test_velocity_hessian_solve_frozen_time_coordinate(heisenberg, rng, blocks):
     # the free coordinates solve the free part of H0, the frozen ones
     # return the right-hand side unchanged.
     drift = linear_drift(0.3 * np.eye(3))
-    lifted = build_lifted_structure(heisenberg, drift, integrator_steps=10)
+    lifted = build_lifted_structure(heisenberg, drift)
     start = np.concatenate([rng.normal(size=3), [0.0]])
     end = np.concatenate([rng.normal(size=3), [1.0]])
     path = random_path(lifted, blocks + 1, rng, scale=0.3, start=start, end=end)
@@ -367,33 +366,6 @@ def test_seed_deflection_shape_and_ends():
     np.testing.assert_array_equal(seed[-1], 0.0)
     assert np.max(np.abs(seed)) <= 2 * 0.05 + 1e-15
     assert np.max(np.abs(seed)) > 0.0
-
-
-def test_reparametrize_two_segment_example(euclidean3):
-    pts = np.array([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    path = DiscretePath.from_points(pts)
-    even = constant_speed_reparametrize(euclidean3, 1.0, path)
-    np.testing.assert_allclose(even.points[1], [0.5, 0.0, 0.0], atol=1e-12)
-    assert even.points[0].tobytes() == path.points[0].tobytes()
-    assert even.points[-1].tobytes() == path.points[-1].tobytes()
-
-
-def test_reparametrize_evens_speeds_on_a_line(euclidean3, rng):
-    # On a collinear path the polyline is the segment itself, so equal
-    # arclength spacing means exactly equal segment speeds.
-    fractions = np.sort(rng.uniform(0.01, 0.99, size=29))
-    pts = np.concatenate([[0.0], fractions, [1.0]])[:, None] * np.ones(3)
-    path = DiscretePath.from_points(pts)
-    even = constant_speed_reparametrize(euclidean3, 1.0, path)
-    vels = 30 * np.diff(even.points, axis=0)
-    speeds = np.linalg.norm(vels, axis=1)
-    assert np.std(speeds) / np.mean(speeds) < 1e-12
-
-
-def test_reparametrize_zero_length_rejected(euclidean3):
-    path = DiscretePath.chord(np.zeros(3), np.zeros(3), 5)
-    with pytest.raises(ValueError):
-        constant_speed_reparametrize(euclidean3, 1.0, path)
 
 
 def test_solver_minimizers_have_even_speed(heisenberg):
