@@ -2,7 +2,7 @@
 
 The package splits along the pipeline: ``geometry`` defines metric fields,
 frames, and projections; ``functionals`` the discrete paths and energies;
-``optimizer`` the quasi-Newton solver and continuation loop; ``drift`` the
+``optimizer`` the Newton solver and continuation loop; ``drift`` the
 flow lift that turns steering problems into geodesic ones; ``diagnostics``
 the convergence witnesses; ``problems`` the built-in benchmarks; ``cli`` the
 batch front end.

@@ -264,18 +264,27 @@ def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray) -> _Fra
     return _FrameFactor(G, F, np.matmul(Linv.transpose(0, 2, 1), np.matmul(Linv, FtG)))
 
 
+def _central_shifts(points: np.ndarray, coords):
+    """The 2a shifted copies points +- h e_c, c in ``coords``, and the step h.
+
+    The copies come as one (2, a, m, n) array, the + copies first, with
+    h = ``BRACKET_FD_SCALE * (1 + |points|_inf)``.
+    """
+    h = BRACKET_FD_SCALE * (1.0 + float(np.max(np.abs(points), initial=0.0)))
+    shift = h * np.eye(points.shape[1])[coords][:, None, :]
+    return np.stack([points + shift, points - shift]), h
+
+
 def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, coords):
     """Derivatives (dG, dF) of the metric and frame stacks along ``coords``.
 
-    Central differences with step ``BRACKET_FD_SCALE * (1 + |points|_inf)``
-    from one ``structure._fields`` evaluation at the 2a shifted copies of
-    the points, stacked into one batch; shapes (a, m, n, n) and (a, m, n, k).
-    No frame is factored.
+    Central differences from one ``structure._fields`` evaluation at the
+    :func:`_central_shifts` copies of the points, stacked into one batch;
+    shapes (a, m, n, n) and (a, m, n, k).  No frame is factored.
     """
     m, n = points.shape
-    h = BRACKET_FD_SCALE * (1.0 + float(np.max(np.abs(points), initial=0.0)))
-    shift = h * np.eye(n)[coords][:, None, :]
-    G, F = structure._fields(np.concatenate([points + shift, points - shift]).reshape(-1, n))
+    shifted, h = _central_shifts(points, coords)
+    G, F = structure._fields(shifted.reshape(-1, n))
     G = G.reshape(2, len(coords), m, n, n)
     F = F.reshape(2, len(coords), m, n, -1)
     return (G[0] - G[1]) / (2.0 * h), (F[0] - F[1]) / (2.0 * h)

@@ -7,21 +7,25 @@ vectors (velocity dependence) and its base-point derivative, which the frame
 factor gives from central differences of the metric and frame fields at
 shifted midpoints: one batched field evaluation, no factorization.
 
-Minimization is limited-memory BFGS with a backtracking Armijo line search
-that starts every search at the unit step.  The initial inverse metric of the
-two-loop recursion is not the usual scalar multiple of the identity but the
-exact velocity-part Hessian of the discrete energy, a block tridiagonal
-matrix assembled from the penalized metric at the segment midpoints.  That
-term carries both ill-conditioning sources (the 1/N^2 grid stiffness and the
-penalty q), so solving against it leaves the curvature pairs only the gentle
-metric-variation remainder; large penalties then cost roughly as many
-iterations as small ones.  It is factored by block cyclic reduction, which
-works on all blocks of a level at once in O(log N) batched calls.  The same
-factor gives the one stop rule, the Newton decrement g^T H0^{-1} g, which
-reads alike at every penalty and grid size.
+Minimization is Newton's method on the exact Hessian of the discrete energy,
+with a backtracking Armijo line search that starts every search at the unit
+step.  Each energy term couples only the two ends of its segment, so the
+Hessian is block tridiagonal, and block cyclic reduction factors it in
+O(log N) batched calls.  Its velocity part H0, assembled from the penalized
+metric at the segment midpoints, carries both ill-conditioning sources (the
+1/N^2 grid stiffness and the penalty q); the base-point and mixed parts,
+also O(q), come from central differences of the flux and of the form's
+base-point derivative at shifted midpoints.  Where the Hessian H is not
+positive definite the direction solves against (H + mu H0) / (1 + mu)
+instead, with the shift mu raised geometrically until the factorization
+succeeds (Nocedal & Wright, *Numerical Optimization*, 2nd ed., 3.4); the
+scaling keeps the unit step of a large shift near H0's Newton step, not
+1 / (1 + mu) of it.  The stop rule is the
+Newton decrement g^T H0^{-1} g, which reads alike at every penalty and grid
+size and needs no H, so an already converged start builds none.
 The frame at each accepted iterate is factored once, by the line-search
-trial that found it; that evaluation gives the gradient, H0 and, at exit,
-the certificates.
+trial that found it; that evaluation gives the gradient, H0, H and, at
+exit, the certificates.
 Continuation walks a geometric penalty ladder and warm starts each solve
 from the previous minimizer.
 """
@@ -35,7 +39,14 @@ from typing import Optional
 import numpy as np
 
 from .functionals import DiscretePath, _evaluate
-from .geometry import DegenerateFrameError, SubRiemannianStructure, _field_differences, check_penalty
+from .geometry import (
+    DegenerateFrameError,
+    SubRiemannianStructure,
+    _central_shifts,
+    _factor_frame,
+    _field_differences,
+    check_penalty,
+)
 
 logger = logging.getLogger("pengeo")
 
@@ -52,11 +63,12 @@ __all__ = [
 # Line search steps below this are treated as a hard failure.
 STEP_FLOOR = 1e-20
 
-# Curvature pairs with s.y below this relative threshold are discarded.
-CURVATURE_FLOOR = 1e-12
-
-# Number of curvature pairs the two-loop recursion keeps.
-LBFGS_MEMORY = 10
+# The first nonzero shift mu of (H + mu H0) / (1 + mu), and the factor by
+# which it grows after each failed factorization.  Each iteration starts from
+# the previous accepted shift divided by the same factor (zero once that falls
+# below the first shift), since successive Hessians of one solve are close.
+SHIFT_START = 1e-4
+SHIFT_GROWTH = 10.0
 
 # Backtracking shrink factor and Armijo sufficient-decrease constant.
 BACKTRACKING_RATIO = 0.5
@@ -186,7 +198,8 @@ def _pad_block(stack: np.ndarray) -> np.ndarray:
 
 
 class _BlockTridiagonalFactor:
-    """Symmetric block tridiagonal system reduced by block cyclic reduction.
+    """Symmetric positive definite block tridiagonal system, reduced by block
+    cyclic reduction.
 
     Row j of the system reads A_j x_{j-1} + B_j x_j + C_j x_{j+1} = b_j with
     diagonal blocks B_j = ``diag[j]``, super-diagonal blocks C_j = ``off[j]``
@@ -199,11 +212,14 @@ class _BlockTridiagonalFactor:
 
     as its new diagonal, sub- and super-diagonal blocks, so the odd rows form
     a block tridiagonal system of half the size.  The levels stop at a single
-    block.  Every reduced system is a Schur complement of the SPD matrix, so
-    it stays SPD and needs no pivoting (Buzbee, Golub & Nielson, SINUM 7(4),
-    1970).  A solve runs the levels forward on the right-hand side and
-    back-substitutes the eliminated rows in reverse, so both factor and solve
-    take O(log m) batched numpy calls.
+    block.  The even rows of a level do not couple to each other, so this is
+    block elimination on a symmetric permutation of the matrix (Buzbee, Golub
+    & Nielson, SINUM 7(4), 1970): the pivots, every eliminated block and the
+    last one, are all positive definite exactly when the matrix is.  One
+    batched Cholesky factorization of the pivots checks that and raises
+    ``np.linalg.LinAlgError`` when it fails.  A solve runs the levels forward
+    on the right-hand side and back-substitutes the eliminated rows in
+    reverse, so both factor and solve take O(log m) batched numpy calls.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
@@ -225,6 +241,7 @@ class _BlockTridiagonalFactor:
             coupling = -np.concatenate([left[:, :, :n], right[:, :, n:]], axis=2)
             m = kept
         self.last = diag
+        np.linalg.cholesky(np.concatenate([level[0] for level in self.levels] + [diag]))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         n = self.block_size
@@ -248,14 +265,14 @@ class _BlockTridiagonalFactor:
         return x.ravel()
 
 
-def _velocity_hessian_factor(M: np.ndarray, frozen_mask: np.ndarray) -> _BlockTridiagonalFactor:
-    """Factor the velocity-part Hessian of the energy from the penalized Gram stack.
+def _velocity_hessian(M: np.ndarray, frozen_mask: np.ndarray):
+    """Blocks (diag, off) of the velocity-part Hessian H0 of the energy.
 
     With M_i the penalized metric matrix at midpoint i of a path of
     N = ``len(M)`` segments, the Hessian of (1/2N) sum vel^T M vel in the
     interior points has diagonal blocks N (M_{j-1} + M_j) and off-diagonal
     blocks -N M_j.  Frozen coordinates get their rows and columns zeroed (in
-    ``M``, which is overwritten) and a unit diagonal, so the solve leaves
+    ``M``, which is overwritten) and a unit diagonal, so a solve leaves
     them untouched.
     """
     N = M.shape[0]
@@ -265,25 +282,48 @@ def _velocity_hessian_factor(M: np.ndarray, frozen_mask: np.ndarray) -> _BlockTr
     off = -float(N) * M[1:-1]
     idx = np.flatnonzero(frozen_mask)
     diag[:, idx, idx] = 1.0
-    return _BlockTridiagonalFactor(diag, off)
+    return diag, off
 
 
-def _two_loop_direction(gradient, s_list, y_list, apply_h0):
-    """L-BFGS two-loop recursion around a caller-supplied initial metric."""
-    direction = -gradient
-    if not s_list:
-        return apply_h0(direction)
-    alphas = []
-    rhos = [1.0 / float(y @ s) for s, y in zip(s_list, y_list)]
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rhos)):
-        alpha = rho * float(s @ direction)
-        direction -= alpha * y
-        alphas.append(alpha)
-    direction = apply_h0(direction)
-    for (s, y, rho), alpha in zip(zip(s_list, y_list, rhos), reversed(alphas)):
-        beta = rho * float(y @ direction)
-        direction += (alpha - beta) * s
-    return direction
+def _base_point_hessian(structure, evaluation, frozen_mask: np.ndarray):
+    """Blocks (diag, off) of the exact Hessian's remainder H - H0.
+
+    Segment i contributes (1/2N) vel^T M_q(mid) vel, with mid = (p_i +
+    p_{i+1})/2 and vel = N (p_{i+1} - p_i).  Its second derivatives are
+    M_q / N in vel (which H0 holds), J^T / N across mid and vel, with
+    J = d flux / d mid, and Q / 2N in mid, with Q the mid-derivative of the
+    form's base-point derivative; the map to (p_i, p_{i+1}) is the constant
+    [[I/2, I/2], [-N I, N I]].  J and Q are central differences of the flux
+    and of ``form_derivatives`` at the 2a shifted midpoint copies: one
+    frame factorization on 2aN rows and one field evaluation on 4a^2 N rows.
+    Frozen coordinates get zero rows and columns.
+    """
+    q, mids, vels = evaluation.q, evaluation.mids, evaluation.vels
+    N, n = vels.shape
+    active = np.flatnonzero(~frozen_mask)
+    a = active.size
+    shifted, h = _central_shifts(mids, active)
+    points = shifted.reshape(-1, n)
+    factor = _factor_frame(structure, points)
+    tiled = np.tile(vels, (2 * a, 1))
+    flux = factor.forms(q, tiled)[2].reshape(2, a, N, n)
+    dG, dF = _field_differences(structure, points, active)
+    dform = factor.form_derivatives(q, tiled, dG, dF).reshape(a, 2, a, N)
+
+    J = np.zeros((N, n, n))
+    J[:, :, active] = np.moveaxis(flux[0] - flux[1], 0, -1) / (2.0 * h)
+    J[:, frozen_mask, :] = 0.0
+    Q = np.zeros((N, n, n))
+    Q[:, active[:, None], active] = (dform[:, 0] - dform[:, 1]).transpose(2, 1, 0) / (2.0 * h)
+
+    # Per segment: the mid-mid part Q / 8N enters all four end blocks, the
+    # mixed part enters the diagonal blocks as -+(J + J^T)/2 and the block
+    # (p_i, p_{i+1}) as (J^T - J)/2.
+    quarter = (Q + Q.transpose(0, 2, 1)) / (16.0 * N)
+    sym = 0.5 * (J + J.transpose(0, 2, 1))
+    diag = quarter[:-1] + quarter[1:] + sym[:-1] - sym[1:]
+    off = quarter[1:-1] + 0.5 * (J.transpose(0, 2, 1) - J)[1:-1]
+    return diag, off
 
 
 def minimize_energy(
@@ -298,18 +338,22 @@ def minimize_energy(
     Each iteration factors the velocity Hessian H0 at the current path and
     stops, converged, once the Newton decrement g^T H0^{-1} g is at most
     ``DECREMENT_TOLERANCE * (1 + |E|)`` (Boyd & Vandenberghe, *Convex
-    Optimization*, 9.5.4).  Otherwise it takes the L-BFGS direction around
-    H0, or the Newton direction -H0^{-1} g when that is not a descent
-    direction, and backtracks from the unit step to the Armijo condition; a
-    trial whose frame is degenerate fails that test and backtracks too.
-    The accepted trial's evaluation is kept: its frame factor gives H0, the
-    gradient and, at exit, the certificates.
+    Optimization*, 9.5.4).  Otherwise it builds the exact Hessian H and takes
+    the direction -(1 + mu) (H + mu H0)^{-1} g, with the smallest shift mu of
+    the geometric sequence that lets the factorization succeed; the matrix
+    is then positive definite, so the direction descends.  It backtracks from
+    the unit step to the Armijo condition; a trial whose frame is
+    degenerate fails that test and backtracks too.  The accepted trial's
+    evaluation is kept: its frame factor gives H0, H, the gradient and, at
+    exit, the certificates.  Each iteration is logged at DEBUG on the
+    ``pengeo`` logger.
 
     Hitting the iteration cap returns ``converged=False`` rather than
     raising.  A line-search step underflow (a genuinely stuck search
     direction) raises :class:`StepUnderflowError`; an H0 that is singular
-    in floating point (a penalty so large that q G + (1 - q) G P loses its
-    horizontal block to rounding) raises ``FloatingPointError``.
+    in floating point, so that its Cholesky factorization fails (a penalty
+    so large that q G + (1 - q) G P loses its horizontal block to
+    rounding), raises ``FloatingPointError``.
     """
     qf = check_penalty(q)
     frozen_mask = _frozen_mask(frozen_coords, initial.dimension)
@@ -323,30 +367,33 @@ def minimize_energy(
     f = evaluation.energy
     g = _gradient(structure, evaluation, frozen_mask)
     history = [f]
-    s_list: list = []
-    y_list: list = []
+    shift = 0.0
     iterations = 0
 
     while True:
+        h0_diag, h0_off = _velocity_hessian(evaluation.factor.gram(qf), frozen_mask)
         try:
-            factor = _velocity_hessian_factor(evaluation.factor.gram(qf), frozen_mask)
-            newton = factor.solve(g)
+            decrement = float(g @ _BlockTridiagonalFactor(h0_diag, h0_off).solve(g))
         except np.linalg.LinAlgError as exc:
             raise FloatingPointError(
                 f"velocity Hessian is singular at q={qf:g} after {iterations} iterations: {exc}"
             ) from exc
-        decrement = float(g @ newton)
         converged = decrement <= DECREMENT_TOLERANCE * (1.0 + abs(f))
         if converged or iterations >= config.max_iterations:
             break
 
-        direction = _two_loop_direction(g, s_list, y_list, factor.solve)
+        rest_diag, rest_off = _base_point_hessian(structure, evaluation, frozen_mask)
+        shift = shift / SHIFT_GROWTH if shift >= SHIFT_START * SHIFT_GROWTH else 0.0
+        while True:
+            try:
+                factor = _BlockTridiagonalFactor(
+                    h0_diag + rest_diag / (1.0 + shift), h0_off + rest_off / (1.0 + shift)
+                )
+                break
+            except np.linalg.LinAlgError:
+                shift = max(SHIFT_START, SHIFT_GROWTH * shift)
+        direction = -factor.solve(g)
         slope = float(g @ direction)
-        if slope >= 0.0:
-            s_list.clear()
-            y_list.clear()
-            direction = -newton
-            slope = -decrement
 
         # Trial points only need the energy; the gradient is computed once,
         # at the accepted point, since it costs several times as much.
@@ -367,21 +414,20 @@ def minimize_energy(
                 f"line search stalled at q={qf:g} after {iterations} iterations"
                 f" (|grad|_inf = {float(np.max(np.abs(g), initial=0.0)):.3e})"
             )
-        g_new = _gradient(structure, trial, frozen_mask)
 
-        s_vec = x_new - x
-        y_vec = g_new - g
-        sy = float(s_vec @ y_vec)
-        if sy > CURVATURE_FLOOR * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            s_list.append(s_vec)
-            y_list.append(y_vec)
-            if len(s_list) > LBFGS_MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
-
-        x, f, g, current, evaluation = x_new, trial.energy, g_new, cand, trial
+        x, f, current, evaluation = x_new, trial.energy, cand, trial
+        g = _gradient(structure, evaluation, frozen_mask)
         history.append(f)
         iterations += 1
+        logger.debug(
+            "q=%g iteration %d: energy %.17g, H0 decrement %.3e, shift %.3g, step %.3g",
+            qf,
+            iterations,
+            f,
+            decrement,
+            shift,
+            step,
+        )
 
     speeds = evaluation.speeds()
     mean = float(np.mean(speeds))

@@ -6,6 +6,7 @@ import pytest
 from pengeo import (
     DiscretePath,
     energy,
+    energy_gradient,
     euclidean_structure,
     heisenberg_structure,
     martinet_structure,
@@ -83,6 +84,30 @@ def fd_energy_gradient(structure, q, path, step: float = 1e-6) -> np.ndarray:
             e_minus = energy(structure, q, path.with_interior(minus))
             grad[i, j] = (e_plus - e_minus) / (2.0 * h)
     return grad.ravel()
+
+
+def fd_energy_hessian(structure, q, path, frozen_coords=None, step: float = 1e-4) -> np.ndarray:
+    """Central finite differences of ``energy_gradient`` over interior coordinates.
+
+    Column k of the result differences the gradient along interior
+    coordinate k.  The step is larger than :func:`fd_energy_gradient`'s
+    because the gradient carries its own central-difference roundoff.
+    """
+    interior = path.interior()
+    flat = interior.ravel()
+    h = step * (1.0 + float(np.max(np.abs(interior), initial=0.0)))
+    columns = []
+    for k in range(flat.size):
+        plus = flat.copy()
+        plus[k] += h
+        minus = flat.copy()
+        minus[k] -= h
+        plus_path = path.with_interior(plus.reshape(interior.shape))
+        minus_path = path.with_interior(minus.reshape(interior.shape))
+        g_plus = energy_gradient(structure, q, plus_path, frozen_coords)
+        g_minus = energy_gradient(structure, q, minus_path, frozen_coords)
+        columns.append((g_plus - g_minus) / (2.0 * h))
+    return np.column_stack(columns)
 
 
 def heisenberg_lifted_circle(radius: float, grid_size: int) -> DiscretePath:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,14 @@ from pengeo import (
     vertical_heisenberg_problem,
 )
 from pengeo.functionals import _evaluate
-from pengeo.optimizer import DECREMENT_TOLERANCE, _velocity_hessian_factor
-from conftest import fd_energy_gradient, random_path
+from pengeo.optimizer import (
+    DECREMENT_TOLERANCE,
+    _base_point_hessian,
+    _BlockTridiagonalFactor,
+    _frozen_mask,
+    _velocity_hessian,
+)
+from conftest import fd_energy_gradient, fd_energy_hessian, random_path
 
 
 def test_solver_config_validation():
@@ -96,6 +104,45 @@ def test_gradient_matches_finite_differences(heisenberg, martinet, euclidean3, r
         _assert_gradient_matches(lifted, q, path, frozen=np.array([False, False, False, True]))
 
 
+def _dense_block_tridiagonal(diag, off):
+    """The symmetric matrix with diagonal blocks ``diag`` and super-diagonal blocks ``off``."""
+    m, n, _ = diag.shape
+    H = np.zeros((m * n, m * n))
+    for j in range(m):
+        H[j * n : (j + 1) * n, j * n : (j + 1) * n] = diag[j]
+        if j + 1 < m:
+            H[j * n : (j + 1) * n, (j + 1) * n : (j + 2) * n] = off[j]
+            H[(j + 1) * n : (j + 2) * n, j * n : (j + 1) * n] = off[j].T
+    return H
+
+
+def _assert_hessian_matches(structure, q, path, frozen=None):
+    mask = _frozen_mask(frozen, path.dimension)
+    evaluation = _evaluate(structure, q, path)
+    h0_diag, h0_off = _velocity_hessian(evaluation.factor.gram(q), mask)
+    rest_diag, rest_off = _base_point_hessian(structure, evaluation, mask)
+    H = _dense_block_tridiagonal(h0_diag + rest_diag, h0_off + rest_off)
+    fd = fd_energy_hessian(structure, q, path, frozen)
+    free = ~np.tile(mask, path.grid_size - 1)
+    H, fd = H[np.ix_(free, free)], fd[np.ix_(free, free)]
+    assert np.max(np.abs(H - fd)) / (np.max(np.abs(fd)) + 1e-12) < 1e-5
+
+
+def test_hessian_matches_finite_differences_of_the_gradient(heisenberg, martinet, rng):
+    # The exact Hessian, H0 plus the base-point and mixed blocks, against
+    # central differences of the gradient, on the same structures as the
+    # gradient test: the warped metric exercises the metric terms and the
+    # lift, with s frozen on its chord, the transported fields.
+    warped = _warped_heisenberg(heisenberg)
+    lifted = build_lifted_structure(heisenberg, linear_drift(0.3 * np.eye(3)))
+    start, end = np.zeros(4), np.array([1.0, 0.0, 0.0, 1.0])
+    for q in (1.0, 10.0, 100.0):
+        for structure in (heisenberg, martinet, warped):
+            _assert_hessian_matches(structure, q, random_path(structure, 12, rng, scale=0.3))
+        path = _time_on_chord(random_path(lifted, 12, rng, scale=0.3, start=start, end=end))
+        _assert_hessian_matches(lifted, q, path, frozen=np.array([False, False, False, True]))
+
+
 def test_gradient_affine_in_q(heisenberg, rng):
     path = random_path(heisenberg, 15, rng)
     g1 = energy_gradient(heisenberg, 1.0, path)
@@ -121,7 +168,7 @@ def _h0_factor(structure, q, path, frozen=None):
     """H0 factored from the path's evaluation at q, as minimize_energy does."""
     if frozen is None:
         frozen = np.zeros(path.dimension, dtype=bool)
-    return _velocity_hessian_factor(_evaluate(structure, q, path).factor.gram(q), frozen)
+    return _BlockTridiagonalFactor(*_velocity_hessian(_evaluate(structure, q, path).factor.gram(q), frozen))
 
 
 def _dense_velocity_hessian(structure, q, path):
@@ -190,9 +237,51 @@ def test_velocity_hessian_solve_frozen_time_coordinate(heisenberg, rng, blocks):
     np.testing.assert_array_equal(x[~free], b[~free])
 
 
+def _random_spd_block_tridiagonal(rng, blocks, n=3):
+    """Random diagonal and (unsymmetric) off-diagonal blocks of an SPD matrix.
+
+    The exact Hessian's off-diagonal blocks are not symmetric, unlike H0's,
+    so these are not either; the diagonal is shifted to a smallest
+    eigenvalue of 1.
+    """
+    diag = rng.normal(size=(blocks, n, n))
+    diag = diag + diag.transpose(0, 2, 1)
+    off = rng.normal(size=(blocks - 1, n, n))
+    diag += (1.0 - np.linalg.eigvalsh(_dense_block_tridiagonal(diag, off))[0]) * np.eye(n)
+    return diag, off
+
+
+@pytest.mark.parametrize("blocks", BLOCK_COUNTS)
+def test_block_tridiagonal_solve_matches_dense(rng, blocks):
+    diag, off = _random_spd_block_tridiagonal(rng, blocks)
+    b = rng.normal(size=blocks * 3)
+    x = _BlockTridiagonalFactor(diag, off).solve(b)
+    _assert_solves(_dense_block_tridiagonal(diag, off), x, b)
+
+
+@pytest.mark.parametrize("blocks", [2, 5, 8, 200])
+def test_block_tridiagonal_factor_rejects_indefinite(rng, blocks):
+    # Cyclic reduction is block elimination on a symmetric permutation, so
+    # a matrix that is not positive definite fails a Cholesky pivot: here
+    # block 0, eliminated at the first level, or the one block left at the
+    # last level.
+    diag, off = _random_spd_block_tridiagonal(rng, blocks)
+    rows = list(range(blocks))
+    while len(rows) > 1:
+        rows = rows[1::2]
+    first = diag.copy()
+    first[0] = -first[0]
+    last = diag.copy()
+    last[rows[0]] -= 1e3 * np.max(np.abs(diag)) * np.eye(3)
+    for bad in (first, last):
+        assert np.linalg.eigvalsh(_dense_block_tridiagonal(bad, off))[0] < 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _BlockTridiagonalFactor(bad, off)
+
+
 def test_minimize_euclidean_zigzag_one_iteration(euclidean3, rng):
-    # With the exact velocity-term model, a flat problem is solved by a
-    # single full quasi-Newton step from any start.
+    # On a flat problem the exact Hessian is H0, so a single full Newton
+    # step solves it from any start.
     path = random_path(euclidean3, 20, rng, start=np.zeros(3), end=np.ones(3))
     config = SolverConfig(grid_size=20)
     result = minimize_energy(euclidean3, 1.0, path, config)
@@ -229,12 +318,16 @@ def test_solve_result_certificates_equal_the_functionals_bitwise(heisenberg, rng
 @pytest.mark.parametrize("lifted", [False, True])
 def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, lifted):
     # Factorizations are the evaluations (the start and every line-search
-    # trial) alone; the gradient, H0 and the certificates reuse the accepted
-    # trial's factor.  The lift transports each factored point set once and
-    # each gradient's shifted midpoints once more, in one batch.
+    # trial) and one per Hessian build, at the shifted midpoints; the
+    # gradient, H0, the Hessian and the certificates reuse the accepted
+    # trial's factor.  Each iteration builds one Hessian, and the exit test
+    # (on H0) none.  The lift transports each factored point set once, each
+    # gradient's shifted midpoints once more, and each Hessian's shifted
+    # midpoints twice: once to factor them and once, in one batch, for the
+    # field differences at those points.
     from pengeo import drift, functionals, geometry, optimizer
 
-    counts = {"factor": 0, "evaluate": 0, "transport": 0}
+    counts = {"factor": 0, "evaluate": 0, "hessian": 0, "transport": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -243,9 +336,12 @@ def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, 
 
         return wrapper
 
-    for module in (geometry, functionals):
+    for module in (geometry, functionals, optimizer):
         monkeypatch.setattr(module, "_factor_frame", counting("factor", module._factor_frame))
     monkeypatch.setattr(optimizer, "_evaluate", counting("evaluate", optimizer._evaluate))
+    monkeypatch.setattr(
+        optimizer, "_base_point_hessian", counting("hessian", optimizer._base_point_hessian)
+    )
     monkeypatch.setattr(
         drift.FlowMap, "transport_batch", counting("transport", drift.FlowMap.transport_batch)
     )
@@ -264,8 +360,10 @@ def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, 
     assert result.converged and result.iterations >= 1
     assert counts["evaluate"] >= result.iterations + 1
     gradients = result.iterations + 1
-    assert counts["factor"] == counts["evaluate"]
-    assert counts["transport"] == (counts["evaluate"] + gradients if lifted else 0)
+    assert counts["hessian"] == result.iterations
+    assert counts["factor"] == counts["evaluate"] + counts["hessian"]
+    expected = counts["evaluate"] + gradients + 2 * counts["hessian"]
+    assert counts["transport"] == (expected if lifted else 0)
 
 
 def test_degenerate_trial_frame_backtracks(heisenberg):
@@ -334,6 +432,38 @@ def test_continuation_seed_kick_escapes_stationary_chord(heisenberg):
     )
     assert kicked[-1].energy < 0.6
     assert kicked[-1].length < 1.05
+
+
+def test_continuation_reaches_q_1e5_in_few_iterations():
+    # Newton on the exact Hessian pays for N, not for q: the q = 1e5 rung
+    # takes about ten iterations where the velocity-Hessian-preconditioned
+    # quasi-Newton method took about two thousand.  The bound of 50 guards
+    # against that regression; it is not a tuned value.
+    prob = vertical_heisenberg_problem(50)
+    results = continuation_solve(
+        prob.structure,
+        (prob.start, prob.end),
+        ContinuationSchedule(q_start=1.0, ratio=10.0, step_count=6),
+        SolverConfig(grid_size=50),
+        seed_deflection=prob.seed_deflection(),
+    )
+    assert results[-1].q == 1e5
+    assert all(r.converged for r in results)
+    assert results[-1].iterations < 50
+
+
+def test_minimize_logs_one_debug_line_per_iteration(heisenberg, rng, caplog):
+    path = random_path(
+        heisenberg, 25, rng, scale=0.2, start=np.zeros(3), end=np.array([1.0, 0.0, 0.0])
+    )
+    with caplog.at_level(logging.DEBUG, logger="pengeo"):
+        result = minimize_energy(heisenberg, 100.0, path, SolverConfig(grid_size=25))
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert result.iterations >= 1
+    assert len(lines) == result.iterations
+    for k, (line, f) in enumerate(zip(lines, result.energy_history[1:]), start=1):
+        assert line.startswith(f"q=100 iteration {k}: energy {f:.17g}, H0 decrement ")
+        assert ", shift " in line and ", step " in line
 
 
 def test_continuation_rejects_bad_deflection(heisenberg):
