@@ -154,7 +154,8 @@ class FunctionalValue:
 @dataclass(frozen=True)
 class _Evaluation:
     """One path at one penalty: its segment midpoints and velocities, the
-    frame factor at the midpoints, and the per-segment forms at q."""
+    frame factor at the midpoints, and the per-segment forms at q.  The flux
+    G (P v + q Pc v) is affine in q; ``vertical_flux`` = G Pc v is its slope."""
 
     q: float
     energy: float
@@ -164,6 +165,7 @@ class _Evaluation:
     horizontal: np.ndarray
     vertical: np.ndarray
     flux: np.ndarray
+    vertical_flux: np.ndarray
 
     def speeds(self) -> np.ndarray:
         """Per-segment penalized speeds sqrt(g_q(mid; vel, vel))."""
@@ -183,9 +185,9 @@ def _evaluate(structure: SubRiemannianStructure, q, path: DiscretePath) -> _Eval
     qf = check_penalty(q)
     mids, vels = _segments(path)
     factor = _factor_frame(structure, mids)
-    horizontal, vertical, flux = factor.forms(qf, vels)
+    horizontal, vertical, Gpv, Gpp = factor.split_forms(vels)
     value = float(np.sum(horizontal + qf * vertical) / (2.0 * path.grid_size))
-    return _Evaluation(qf, value, mids, vels, factor, horizontal, vertical, flux)
+    return _Evaluation(qf, value, mids, vels, factor, horizontal, vertical, Gpv + qf * Gpp, Gpp)
 
 
 def energy(structure: SubRiemannianStructure, q, path: DiscretePath) -> float:

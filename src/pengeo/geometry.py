@@ -98,15 +98,16 @@ class MetricField:
         """Evaluate the Gram matrix at every row of ``points`` (shape (m, n))."""
         m, n = points.shape
         raw = np.asarray(self.gram(points), dtype=float)
-        if raw.ndim == 2:
-            raw = np.broadcast_to(raw, (m, n, n))
-        if raw.shape != (m, n, n):
+        if raw.shape not in ((n, n), (m, n, n)):
             raise ValueError(
                 f"metric field returned shape {raw.shape}, expected {(m, n, n)}"
             )
-        gap = float(np.max(np.abs(raw - raw.transpose(0, 2, 1)), initial=0.0))
+        # A constant metric is checked once, before it is broadcast.
+        gap = float(np.max(np.abs(raw - np.swapaxes(raw, -1, -2)), initial=0.0))
         if gap > 1e-10 * (1.0 + float(np.max(np.abs(raw), initial=0.0))):
             raise ValueError(f"metric Gram matrix is not symmetric (gap {gap:.3e})")
+        if raw.ndim == 2:
+            raw = np.broadcast_to(raw, (m, n, n))
         return raw
 
 
@@ -186,13 +187,19 @@ class _FrameFactor:
         pv = np.matmul(self.F, np.matmul(self.Fplus, vectors[:, :, None]))[:, :, 0]
         return pv, vectors - pv
 
-    def forms(self, q: float, vectors):
-        """(horizontal, vertical, flux) of :func:`penalized_forms` at penalty q."""
+    def split_forms(self, vectors):
+        """(horizontal, vertical, G P v, G Pc v): the forms and the two parts
+        of the flux G (P v + q Pc v), which is affine in q."""
         pv, pperp = self.project(vectors)
         Gpv = np.matmul(self.G, pv[:, :, None])[:, :, 0]
         Gpp = np.matmul(self.G, pperp[:, :, None])[:, :, 0]
         horizontal = np.einsum("mi,mi->m", pv, Gpv)
         vertical = np.einsum("mi,mi->m", pperp, Gpp)
+        return horizontal, vertical, Gpv, Gpp
+
+    def forms(self, q: float, vectors):
+        """(horizontal, vertical, flux) of :func:`penalized_forms` at penalty q."""
+        horizontal, vertical, Gpv, Gpp = self.split_forms(vectors)
         return horizontal, vertical, Gpv + q * Gpp
 
     def form_derivatives(self, q: float, vectors, dG, dF):
@@ -205,7 +212,8 @@ class _FrameFactor:
 
             v^T dG v + (q - 1) (Pc v^T dG Pc v - 2 (dF c)^T G Pc v),
 
-        returned as an (a, m) array.
+        returned as an (a, m) array, together with its slope in q (the
+        bracketed term), an array of the same shape.
         """
         c = np.matmul(self.Fplus, vectors[:, :, None])
         pperp = vectors - np.matmul(self.F, c)[:, :, 0]
@@ -213,7 +221,8 @@ class _FrameFactor:
         full = np.einsum("mi,amij,mj->am", vectors, dG, vectors)
         complement = np.einsum("mi,amij,mj->am", pperp, dG, pperp)
         twist = np.einsum("amij,mj,mi->am", dF, c[:, :, 0], Gpp)
-        return full + (q - 1.0) * (complement - 2.0 * twist)
+        slope = complement - 2.0 * twist
+        return full + (q - 1.0) * slope, slope
 
     def gram(self, q: float) -> np.ndarray:
         """The penalized metric matrices q G + (1 - q) G P, symmetrized."""

@@ -26,8 +26,15 @@ size and needs no H, so an already converged start builds none.
 The frame at each accepted iterate is factored once, by the line-search
 trial that found it; that evaluation gives the gradient, H0, H and, at
 exit, the certificates.
-Continuation walks a geometric penalty ladder and warm starts each solve
-from the previous minimizer.
+Continuation walks a geometric penalty ladder and starts each rung on the
+minimizer curve x(s), s = 1/q.  The energy is affine in q,
+E_q = E_1 + (q - 1) D/2, so the curve's tangent is dx/dq = -H^{-1} grad(D/2):
+the previous rung's last Newton factor stands in for H, and grad(D/2) is the
+q-slope of its final gradient, from the same field differences.  The
+predictor therefore costs one block solve per rung and no factorization
+(Allgower & Georg, *Introduction to Numerical Continuation Methods*, 1990,
+ch. 2).  A rung that stopped at iteration 0 built no Newton factor, and the
+next one warm starts from its minimizer.
 """
 
 from __future__ import annotations
@@ -157,7 +164,7 @@ def energy_gradient(
     pins those coordinates to whatever the path already does linearly.
     """
     mask = _frozen_mask(frozen_coords, path.dimension)
-    return _gradient(structure, _evaluate(structure, q, path), mask)
+    return _gradient(structure, _evaluate(structure, q, path), mask)[0]
 
 
 def _frozen_mask(frozen_coords, n: int) -> np.ndarray:
@@ -167,29 +174,38 @@ def _frozen_mask(frozen_coords, n: int) -> np.ndarray:
     return mask
 
 
-def _gradient(structure, evaluation, frozen_mask: np.ndarray) -> np.ndarray:
-    """:func:`energy_gradient` from the path's evaluation, whose flux and factor it reuses."""
+def _gradient(structure, evaluation, frozen_mask: np.ndarray):
+    """:func:`energy_gradient` from the path's evaluation, whose flux and factor
+    it reuses, and the gradient's slope in q.
+
+    The energy is affine in q with slope half the defect, so the slope is the
+    gradient of D/2; it is assembled from the slopes of the flux and of the
+    base-point derivative, from the same field differences.
+    """
     q, mids, vels = evaluation.q, evaluation.mids, evaluation.vels
     N, n = vels.shape
 
     # Velocity dependence: d/dv of the quadratic form is 2 flux, the segment
     # velocity scales differences by N, and the quadrature carries 1/(2N),
     # so the factors cancel and each segment contributes +-flux to its ends.
-    grad = np.zeros((N + 1, n))
-    grad[1:] += evaluation.flux
-    grad[:-1] -= evaluation.flux
+    # Row 0 is the gradient, row 1 its slope.
+    grads = np.zeros((2, N + 1, n))
+    flux = np.stack([evaluation.flux, evaluation.vertical_flux])
+    grads[:, 1:] += flux
+    grads[:, :-1] -= flux
 
     # Base-point dependence: each midpoint is the mean of its segment's ends
     # and the quadrature carries 1/(2N), so each end gets dQ/(4N).
     active = np.flatnonzero(~frozen_mask)
     if active.size:
         dG, dF = _field_differences(structure, mids, active)
-        dQ = evaluation.factor.form_derivatives(q, vels, dG, dF).T / (4.0 * N)
-        grad[:-1, active] += dQ
-        grad[1:, active] += dQ
+        dQ = np.stack(evaluation.factor.form_derivatives(q, vels, dG, dF)) / (4.0 * N)
+        dQ = dQ.transpose(0, 2, 1)
+        grads[:, :-1, active] += dQ
+        grads[:, 1:, active] += dQ
 
-    grad[:, frozen_mask] = 0.0
-    return grad[1:-1].ravel()
+    grads[:, :, frozen_mask] = 0.0
+    return grads[0, 1:-1].ravel(), grads[1, 1:-1].ravel()
 
 
 def _pad_block(stack: np.ndarray) -> np.ndarray:
@@ -308,7 +324,7 @@ def _base_point_hessian(structure, evaluation, frozen_mask: np.ndarray):
     tiled = np.tile(vels, (2 * a, 1))
     flux = factor.forms(q, tiled)[2].reshape(2, a, N, n)
     dG, dF = _field_differences(structure, points, active)
-    dform = factor.form_derivatives(q, tiled, dG, dF).reshape(a, 2, a, N)
+    dform = factor.form_derivatives(q, tiled, dG, dF)[0].reshape(a, 2, a, N)
 
     J = np.zeros((N, n, n))
     J[:, :, active] = np.moveaxis(flux[0] - flux[1], 0, -1) / (2.0 * h)
@@ -355,6 +371,16 @@ def minimize_energy(
     so large that q G + (1 - q) G P loses its horizontal block to
     rounding), raises ``FloatingPointError``.
     """
+    return _minimize(structure, q, initial, config, frozen_coords)[0]
+
+
+def _minimize(structure, q, initial: DiscretePath, config, frozen_coords=None, evaluation=None):
+    """:func:`minimize_energy`, which also returns what the next rung's predictor needs.
+
+    Returns the ``SolveResult``, the last shifted Newton factor (None when
+    the solve stopped at iteration 0) and the q-slope of the final gradient.
+    ``evaluation``, when given, is the evaluation of ``initial`` at q.
+    """
     qf = check_penalty(q)
     frozen_mask = _frozen_mask(frozen_coords, initial.dimension)
     x = initial.interior().ravel()
@@ -363,12 +389,14 @@ def minimize_energy(
         return initial.with_interior(vec.reshape(initial.grid_size - 1, initial.dimension))
 
     current = initial
-    evaluation = _evaluate(structure, qf, current)
+    if evaluation is None:
+        evaluation = _evaluate(structure, qf, current)
     f = evaluation.energy
-    g = _gradient(structure, evaluation, frozen_mask)
+    g, slope = _gradient(structure, evaluation, frozen_mask)
     history = [f]
     shift = 0.0
     iterations = 0
+    factor = None
 
     while True:
         h0_diag, h0_off = _velocity_hessian(evaluation.factor.gram(qf), frozen_mask)
@@ -416,7 +444,7 @@ def minimize_energy(
             )
 
         x, f, current, evaluation = x_new, trial.energy, cand, trial
-        g = _gradient(structure, evaluation, frozen_mask)
+        g, slope = _gradient(structure, evaluation, frozen_mask)
         history.append(f)
         iterations += 1
         logger.debug(
@@ -431,7 +459,7 @@ def minimize_energy(
 
     speeds = evaluation.speeds()
     mean = float(np.mean(speeds))
-    return SolveResult(
+    result = SolveResult(
         q=qf,
         path=current,
         energy=f,
@@ -443,6 +471,34 @@ def minimize_energy(
         speed_cv=0.0 if mean <= 0.0 else float(np.std(speeds) / mean),
         energy_history=tuple(history),
     )
+    return result, factor, slope
+
+
+def _predict(structure, q, previous: SolveResult, factor, slope):
+    """The start of rung q predicted along the minimizer curve in s = 1/q.
+
+    E_q = E_1 + (q - 1) D/2, so the minimizers move at dx/dq = -H^{-1}
+    grad(D/2) and, along s, at dx/ds = -q^2 dx/dq.  ``factor`` is the
+    previous rung's last Newton factor, standing in for H, and ``slope`` the
+    q-slope grad(D/2) of its final gradient, so the step costs one block
+    solve.  Returns (path, evaluation at q or None, step inf-norm).  The
+    previous minimizer comes back with no evaluation when the predicted
+    frame does not factor, or when the step's squared norm in the factor is
+    within the stop rule's tolerance: the rung could not resolve such a
+    step, and on a chord that is critical for every q it is rounding.
+    """
+    scale = (1.0 / q - 1.0 / previous.q) * previous.q**2
+    step = scale * factor.solve(slope)
+    step_norm = float(np.max(np.abs(step), initial=0.0))
+    path = previous.path
+    size = scale * float(slope @ step)  # the step's squared norm in the factor
+    if not DECREMENT_TOLERANCE * (1.0 + abs(previous.energy)) < size < np.inf:
+        return path, None, step_norm
+    predicted = path.with_interior(path.interior() + step.reshape(path.grid_size - 1, -1))
+    try:
+        return predicted, _evaluate(structure, q, predicted), step_norm
+    except DegenerateFrameError:
+        return path, None, step_norm
 
 
 def continuation_solve(
@@ -454,17 +510,25 @@ def continuation_solve(
     frozen_coords: Optional[np.ndarray] = None,
     seed_deflection: Optional[np.ndarray] = None,
 ) -> list:
-    """Solve the penalty ladder with warm starts; one SolveResult per q.
+    """Solve the penalty ladder; one SolveResult per q.
+
+    Each rung after the first starts at the tangent prediction of
+    :func:`_predict` from the previous minimizer, and falls back to the
+    previous minimizer itself (a warm start) when the previous rung stopped
+    at iteration 0 and so built no Newton factor, when the predicted frame
+    does not factor, or when the step is below the stop rule's resolution.
+    Each rung logs its q, the predictor step's inf-norm and whether the
+    predicted start was used at DEBUG on the ``pengeo`` logger.
 
     ``seed_deflection`` (shape (N+1, n), zero rows at both ends) is added to
     a warm start that :func:`minimize_energy` accepts at iteration 0, i.e. a
     critical point of the incoming step's objective, and the step is solved
-    again from there.  A path that is critical for every penalty at once
-    (the straight chord between vertically separated points is the canonical
-    case) turns from minimizer into saddle as q grows, and a descent method
-    started exactly on it would never leave; the nudge breaks that symmetry.
-    Warm starts with a live gradient are left alone, since kicking them
-    would only throw away progress.
+    again from there; a predicted start is never kicked.  A path that is
+    critical for every penalty at once (the straight chord between vertically
+    separated points is the canonical case) turns from minimizer into saddle
+    as q grows, and a descent method started exactly on it would never leave;
+    the nudge breaks that symmetry.  Warm starts with a live gradient are left
+    alone, since kicking them would only throw away progress.
     """
     start, end = endpoints
     if initial is None:
@@ -480,12 +544,26 @@ def continuation_solve(
             raise ValueError("seed_deflection must vanish at both endpoint rows")
 
     results = []
-    guess = initial
+    factor = slope = None
     for qv in schedule.q_values():
-        result = minimize_energy(structure, qv, guess, config, frozen_coords)
-        if result.iterations == 0 and deflect is not None:
+        guess = results[-1].path if results else initial
+        rung_start, evaluation, step_norm = guess, None, 0.0
+        if factor is not None:
+            rung_start, evaluation, step_norm = _predict(
+                structure, qv, results[-1], factor, slope
+            )
+        logger.debug(
+            "q=%g rung start: predictor step %.3e, predicted start %s",
+            qv,
+            step_norm,
+            "used" if evaluation is not None else "not used",
+        )
+        result, factor, slope = _minimize(
+            structure, qv, rung_start, config, frozen_coords, evaluation
+        )
+        if result.iterations == 0 and deflect is not None and evaluation is None:
             kicked = guess.with_interior(guess.interior() + deflect[1:-1])
-            result = minimize_energy(structure, qv, kicked, config, frozen_coords)
+            result, factor, slope = _minimize(structure, qv, kicked, config, frozen_coords)
         if not result.converged:
             logger.warning(
                 "penalty step q=%g on %s hit the iteration cap (|grad|_inf = %.3e)",
@@ -494,6 +572,5 @@ def continuation_solve(
                 result.gradient_norm,
             )
         results.append(result)
-        guess = result.path
     return results
 

@@ -119,6 +119,22 @@ def test_gram_batch_of_zero_points(heisenberg):
     assert heisenberg.metric.gram_batch(np.zeros((0, 3))).shape == (0, 3, 3)
 
 
+def test_gram_batch_rejects_non_symmetric_metrics(rng):
+    # A constant metric is checked once, before it is broadcast over the
+    # points, and a point-dependent one at every point.
+    skew = np.array([[1.0, 0.5], [0.0, 1.0]])
+
+    def warped(pts):
+        G = np.tile(np.eye(2), (pts.shape[0], 1, 1))
+        G[:, 0, 1] += pts[:, 0] ** 2
+        return G
+
+    points = rng.normal(size=(7, 2))
+    for gram in (lambda pts: skew, warped):
+        with pytest.raises(ValueError, match="not symmetric"):
+            MetricField(gram=gram).gram_batch(points)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_degenerate_frame_detected():
     frame = FrameField(columns=lambda p: np.array([[1.0, 1.0], [0.0, 0.0]]))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from pengeo import (
     horizontality_defect,
     length,
     linear_drift,
+    get_problem,
     minimize_energy,
     penalized_gram,
     sinusoidal_deflection,
     vertical_heisenberg_problem,
 )
 from pengeo.functionals import _evaluate
+from pengeo.geometry import DegenerateFrameError
 from pengeo.optimizer import (
     DECREMENT_TOLERANCE,
     _base_point_hessian,
@@ -315,23 +318,18 @@ def test_solve_result_certificates_equal_the_functionals_bitwise(heisenberg, rng
     assert result.defect == horizontality_defect(heisenberg, result.path)
 
 
-@pytest.mark.parametrize("lifted", [False, True])
-def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, lifted):
-    # Factorizations are the evaluations (the start and every line-search
-    # trial) and one per Hessian build, at the shifted midpoints; the
-    # gradient, H0, the Hessian and the certificates reuse the accepted
-    # trial's factor.  Each iteration builds one Hessian, and the exit test
-    # (on H0) none.  The lift transports each factored point set once, each
-    # gradient's shifted midpoints once more, and each Hessian's shifted
-    # midpoints twice: once to factor them and once, in one batch, for the
-    # field differences at those points.
+def _count_solver_calls(monkeypatch):
+    """Count frame factorizations, evaluations (and those of predicted
+    starts), Hessian builds, solves and lift transports."""
     from pengeo import drift, functionals, geometry, optimizer
 
-    counts = {"factor": 0, "evaluate": 0, "hessian": 0, "transport": 0}
+    counts = dict.fromkeys(["factor", "evaluate", "predicted", "hessian", "minimize", "transport"], 0)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
             counts[key] += 1
+            if key == "evaluate" and _called_from("_predict"):
+                counts["predicted"] += 1
             return fn(*args, **kwargs)
 
         return wrapper
@@ -342,10 +340,24 @@ def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, 
     monkeypatch.setattr(
         optimizer, "_base_point_hessian", counting("hessian", optimizer._base_point_hessian)
     )
+    monkeypatch.setattr(optimizer, "_minimize", counting("minimize", optimizer._minimize))
     monkeypatch.setattr(
         drift.FlowMap, "transport_batch", counting("transport", drift.FlowMap.transport_batch)
     )
+    return counts
 
+
+@pytest.mark.parametrize("lifted", [False, True])
+def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, lifted):
+    # Factorizations are the evaluations (the start and every line-search
+    # trial) and one per Hessian build, at the shifted midpoints; the
+    # gradient, H0, the Hessian and the certificates reuse the accepted
+    # trial's factor.  Each iteration builds one Hessian, and the exit test
+    # (on H0) none.  The lift transports each factored point set once, each
+    # gradient's shifted midpoints once more, and each Hessian's shifted
+    # midpoints twice: once to factor them and once, in one batch, for the
+    # field differences at those points.
+    counts = _count_solver_calls(monkeypatch)
     structure, frozen = heisenberg, None
     start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
     if lifted:
@@ -364,6 +376,33 @@ def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, 
     assert counts["factor"] == counts["evaluate"] + counts["hessian"]
     expected = counts["evaluate"] + gradients + 2 * counts["hessian"]
     assert counts["transport"] == (expected if lifted else 0)
+
+
+@pytest.mark.parametrize("name", ["vertical-50", "heisenberg-drift"])
+def test_predictor_adds_one_evaluation_per_predicted_start(monkeypatch, caplog, name):
+    # Over a whole ladder the counts of a single solve still hold, summed
+    # over every solve (kicked rungs solve twice): the predictor builds no
+    # Hessian and factors and transports nothing but the evaluation of each
+    # predicted start, which the rung's solve then takes as its own: every
+    # solve's start is evaluated once, and each iteration's line search once
+    # per halving of its logged step, plus one.
+    structure, endpoints, schedule, config, frozen, seed = _ladder_inputs(name)
+    counts = _count_solver_calls(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="pengeo"):
+        results = continuation_solve(structure, endpoints, schedule, config, None, frozen, seed)
+    lines = [r.getMessage() for r in caplog.records]
+    used = [line for line in lines if line.endswith("predicted start used")]
+    steps = [float(line.rsplit(", step ", 1)[1]) for line in lines if " iteration " in line]
+    trials = sum(1 + round(-np.log2(step)) for step in steps)
+    iterations = sum(r.iterations for r in results)
+    gradients = counts["minimize"] + iterations
+    assert used and counts["predicted"] == len(used)
+    assert len(steps) == iterations
+    assert counts["evaluate"] == counts["minimize"] + trials
+    assert counts["hessian"] == iterations
+    assert counts["factor"] == counts["evaluate"] + counts["hessian"]
+    expected = counts["evaluate"] + gradients + 2 * counts["hessian"]
+    assert counts["transport"] == (expected if frozen is not None else 0)
 
 
 def test_degenerate_trial_frame_backtracks(heisenberg):
@@ -464,6 +503,120 @@ def test_minimize_logs_one_debug_line_per_iteration(heisenberg, rng, caplog):
     for k, (line, f) in enumerate(zip(lines, result.energy_history[1:]), start=1):
         assert line.startswith(f"q=100 iteration {k}: energy {f:.17g}, H0 decrement ")
         assert ", shift " in line and ", step " in line
+
+
+def _ladder_inputs(name):
+    """(structure, endpoints, schedule, config, frozen, seed) of a ladder as
+    the CLI runs it; a drift preset runs on its lift with s frozen, as in
+    ``solve_drift_problem``."""
+    prob = vertical_heisenberg_problem(50) if name == "vertical-50" else get_problem(name)
+    structure, endpoints, frozen = prob.structure, (prob.start, prob.end), None
+    if prob.has_drift:
+        structure = build_lifted_structure(prob.structure, prob.drift)
+        end = np.append(structure.flow.inverse(1.0, prob.end), 1.0)
+        endpoints = (np.append(prob.start, 0.0), end)
+        frozen = np.array([False] * prob.structure.dimension + [True])
+    config = SolverConfig(grid_size=prob.grid_size)
+    return structure, endpoints, prob.schedule, config, frozen, prob.seed_deflection()
+
+
+def _plain_ladder(structure, endpoints, schedule, config, frozen=None, seed=None):
+    """The ladder warm started rung by rung from the previous minimizer, with
+    the seed kick on every start that is accepted at iteration 0."""
+    guess = DiscretePath.chord(*endpoints, config.grid_size)
+    results = []
+    for q in schedule.q_values():
+        result = minimize_energy(structure, q, guess, config, frozen)
+        if result.iterations == 0 and seed is not None:
+            kicked = guess.with_interior(guess.interior() + seed[1:-1])
+            result = minimize_energy(structure, q, kicked, config, frozen)
+        results.append(result)
+        guess = result.path
+    return results
+
+
+@pytest.mark.parametrize("name", ["vertical-50", "heisenberg-drift"])
+def test_predicted_ladder_matches_plain_warm_starts(name):
+    # Both ladders stop every rung on the same decrement tolerance, so they
+    # find the same minimizers.  Energies agree to 1e-12.  The length is not
+    # stationary at an energy minimizer, so the stop rule leaves it less
+    # settled: one more Newton step moves the plain ladder's last
+    # heisenberg-drift length by 1.07e-12 relative and the predicted one's by
+    # 3e-16, hence 2e-12 for lengths.  The iteration count guards the
+    # predictor against regression; it is not a tuned value.
+    structure, endpoints, schedule, config, frozen, seed = _ladder_inputs(name)
+    predicted = continuation_solve(structure, endpoints, schedule, config, None, frozen, seed)
+    plain = _plain_ladder(structure, endpoints, schedule, config, frozen, seed)
+    assert [r.q for r in predicted] == [r.q for r in plain]
+    for a, b in zip(predicted, plain):
+        assert a.converged and b.converged
+        assert a.energy == pytest.approx(b.energy, rel=1e-12, abs=0.0)
+        assert a.length == pytest.approx(b.length, rel=2e-12, abs=0.0)
+    assert predicted[-1].q == 1e4
+    assert predicted[-1].iterations < plain[-1].iterations
+
+
+def _assert_same_results(results, reference):
+    assert len(results) == len(reference)
+    for a, b in zip(results, reference):
+        fields = ("q", "energy", "length", "defect", "iterations")
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+        np.testing.assert_array_equal(a.path.points, b.path.points)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "martinet", "euclidean-n"])
+@pytest.mark.parametrize("kick", [False, True])
+def test_chord_presets_match_plain_warm_starts_bitwise(name, kick):
+    # The chord is the minimizer of every rung, so no predictor step is
+    # taken, and with a seed kick every rung is kicked off the chord and
+    # solved back to it, exactly as by plain warm starts.
+    structure, endpoints, schedule, config, frozen, seed = _ladder_inputs(name)
+    if kick:
+        seed = sinusoidal_deflection(config.grid_size, structure.dimension, 0.05)
+    results = continuation_solve(structure, endpoints, schedule, config, None, frozen, seed)
+    _assert_same_results(results, _plain_ladder(structure, endpoints, schedule, config, frozen, seed))
+
+
+def _called_from(name):
+    """Whether the caller of the function that calls this one is ``name``."""
+    return sys._getframe(2).f_code.co_name == name
+
+
+def test_predicted_start_with_degenerate_frame_falls_back(monkeypatch, caplog):
+    # Every predicted start fails to factor, so each rung warm starts from
+    # the previous minimizer and the ladder is the plain one, kicks included.
+    from pengeo import optimizer
+
+    refused = []
+
+    def degenerate_when_predicted(structure, q, path):
+        if _called_from("_predict"):
+            refused.append(q)
+            raise DegenerateFrameError("frame is degenerate at the predicted start")
+        return _evaluate(structure, q, path)
+
+    monkeypatch.setattr(optimizer, "_evaluate", degenerate_when_predicted)
+    structure, endpoints, schedule, config, frozen, seed = _ladder_inputs("vertical-50")
+    with caplog.at_level(logging.DEBUG, logger="pengeo"):
+        results = continuation_solve(structure, endpoints, schedule, config, None, frozen, seed)
+    starts = [r.getMessage() for r in caplog.records if "rung start" in r.getMessage()]
+    assert refused and len(starts) == len(results)
+    assert all(line.endswith("predicted start not used") for line in starts)
+    assert all(r.converged for r in results)
+    _assert_same_results(results, _plain_ladder(structure, endpoints, schedule, config, frozen, seed))
+
+
+def test_continuation_logs_one_debug_line_per_rung(caplog):
+    structure, endpoints, schedule, config, frozen, seed = _ladder_inputs("vertical-50")
+    with caplog.at_level(logging.DEBUG, logger="pengeo"):
+        results = continuation_solve(structure, endpoints, schedule, config, None, frozen, seed)
+    lines = [r.getMessage() for r in caplog.records if "rung start" in r.getMessage()]
+    assert len(lines) == len(results)
+    for line, result in zip(lines, results):
+        assert line.startswith(f"q={result.q:g} rung start: predictor step ")
+        assert line.endswith(", predicted start used") or line.endswith(", predicted start not used")
+    assert lines[0] == "q=1 rung start: predictor step 0.000e+00, predicted start not used"
+    assert lines[-1].endswith(", predicted start used")
 
 
 def test_continuation_rejects_bad_deflection(heisenberg):
