@@ -47,6 +47,10 @@ FRAME_CONDITION_LIMIT = 1e8
 # numerical rank in the bracket-generation certificate.
 RANK_TOLERANCE = 1e-6
 
+# The message of a frame whose Gram matrix F^T G F, or the metric under it,
+# is not finite.
+_NOT_FINITE_MESSAGE = "frame is degenerate: its Gram matrix F^T G F is not finite"
+
 # Relative step scale for the central differences used on metric and frame fields.
 BRACKET_FD_SCALE = 1e-5
 
@@ -172,15 +176,18 @@ class SubRiemannianStructure:
 @dataclass(frozen=True)
 class _FrameFactor:
     """The q-free factored frame at a batch of points: the metric stack G,
-    the frame stack F and the g-weighted pseudo-inverse F+ = (F^T G F)^{-1}
+    the frame stack F, the g-weighted pseudo-inverse F+ = (F^T G F)^{-1}
     F^T G of F, so that c = F+ v are the frame coefficients of P v and
-    P = F F+.  The projection, the penalized forms, their base-point
-    derivatives and the penalized Gram matrices at these points follow from
-    it for every q and every batch of vectors."""
+    P = F F+, and the inverse frame Gram matrices S^{-1} = (F^T G F)^{-1}.
+    The projection, the penalized forms, their base-point derivatives and
+    the penalized Gram matrices at these points follow from it for every q
+    and every batch of vectors; S^{-1} carries the derivative of c through
+    the exact Hessian's base-point blocks."""
 
     G: np.ndarray
     F: np.ndarray
     Fplus: np.ndarray
+    Sinv: np.ndarray
 
     def project(self, vectors):
         """Horizontal and complement parts (P v, v - P v) of one vector per point."""
@@ -230,6 +237,34 @@ class _FrameFactor:
         return 0.5 * (Gq + Gq.transpose(0, 2, 1))
 
 
+def _frame_gram(points: np.ndarray, G: np.ndarray, F: np.ndarray):
+    """F^T G and the symmetrized frame Gram matrices F^T G F at a batch of points.
+
+    Raises :class:`DegenerateFrameError` when F^T G F is not finite, or its
+    condition number exceeds ``FRAME_CONDITION_LIMIT``, at any of the points.
+    """
+    # A frame that overflows along the path fails below, not in warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        FtG = np.matmul(F.transpose(0, 2, 1), G)
+        M = np.matmul(FtG, F)
+        M = 0.5 * (M + M.transpose(0, 2, 1))
+    if not np.all(np.isfinite(M)):
+        raise DegenerateFrameError(_NOT_FINITE_MESSAGE)
+    # For a symmetric matrix the 2-norm condition number is the ratio of the
+    # extreme eigenvalue magnitudes; a singular M gives inf (or nan if M = 0).
+    spectrum = np.abs(np.linalg.eigvalsh(M))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = spectrum.max(axis=1) / spectrum.min(axis=1)
+    bad = ~np.isfinite(cond) | (cond > FRAME_CONDITION_LIMIT)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise DegenerateFrameError(
+            f"frame is numerically degenerate at point {points[i].tolist()}"
+            f" (frame Gram condition number {cond[i]:.3e} exceeds {FRAME_CONDITION_LIMIT:.1e})"
+        )
+    return FtG, M
+
+
 def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray) -> _FrameFactor:
     """Factor the frame Gram matrix F^T G F at a batch of points into F+.
 
@@ -243,25 +278,7 @@ def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray) -> _Fra
     expected = (m, structure.dimension, structure.rank)
     if F.shape != expected:
         raise ValueError(f"frame stack has shape {F.shape}, expected {expected}")
-    # A frame that overflows along the path fails below, not in warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        FtG = np.matmul(F.transpose(0, 2, 1), G)
-        M = np.matmul(FtG, F)
-        M = 0.5 * (M + M.transpose(0, 2, 1))
-    if not np.all(np.isfinite(M)):
-        raise DegenerateFrameError("frame is degenerate: its Gram matrix F^T G F is not finite")
-    # For a symmetric matrix the 2-norm condition number is the ratio of the
-    # extreme eigenvalue magnitudes; a singular M gives inf (or nan if M = 0).
-    spectrum = np.abs(np.linalg.eigvalsh(M))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = spectrum.max(axis=1) / spectrum.min(axis=1)
-    bad = ~np.isfinite(cond) | (cond > FRAME_CONDITION_LIMIT)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise DegenerateFrameError(
-            f"frame is numerically degenerate at point {points[i].tolist()}"
-            f" (frame Gram condition number {cond[i]:.3e} exceeds {FRAME_CONDITION_LIMIT:.1e})"
-        )
+    FtG, M = _frame_gram(points, G, F)
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
@@ -270,33 +287,75 @@ def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray) -> _Fra
         ) from exc
     # (F^T G F)^{-1} = L^{-T} L^{-1}, from one batched k x k inverse.
     Linv = np.linalg.inv(L)
-    return _FrameFactor(G, F, np.matmul(Linv.transpose(0, 2, 1), np.matmul(Linv, FtG)))
+    Sinv = np.matmul(Linv.transpose(0, 2, 1), Linv)
+    return _FrameFactor(G, F, np.matmul(Sinv, FtG), Sinv)
 
 
-def _central_shifts(points: np.ndarray, coords):
-    """The 2a shifted copies points +- h e_c, c in ``coords``, and the step h.
-
-    The copies come as one (2, a, m, n) array, the + copies first, with
-    h = ``BRACKET_FD_SCALE * (1 + |points|_inf)``.
-    """
-    h = BRACKET_FD_SCALE * (1.0 + float(np.max(np.abs(points), initial=0.0)))
-    shift = h * np.eye(points.shape[1])[coords][:, None, :]
-    return np.stack([points + shift, points - shift]), h
+def _fd_step(points: np.ndarray) -> float:
+    """The difference step h = ``BRACKET_FD_SCALE * (1 + |points|_inf)``."""
+    return BRACKET_FD_SCALE * (1.0 + float(np.max(np.abs(points), initial=0.0)))
 
 
 def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, coords):
     """Derivatives (dG, dF) of the metric and frame stacks along ``coords``.
 
-    Central differences from one ``structure._fields`` evaluation at the
-    :func:`_central_shifts` copies of the points, stacked into one batch;
-    shapes (a, m, n, n) and (a, m, n, k).  No frame is factored.
+    Central differences from one ``structure._fields`` evaluation at the 2a
+    copies points +- h e_c, c in ``coords``, stacked into one batch, with
+    h from :func:`_fd_step`; shapes (a, m, n, n) and (a, m, n, k).  No frame
+    is factored.
     """
     m, n = points.shape
-    shifted, h = _central_shifts(points, coords)
-    G, F = structure._fields(shifted.reshape(-1, n))
+    h = _fd_step(points)
+    shift = h * np.eye(n)[coords][:, None, :]
+    G, F = structure._fields(np.concatenate([points + shift, points - shift]).reshape(-1, n))
     G = G.reshape(2, len(coords), m, n, n)
     F = F.reshape(2, len(coords), m, n, -1)
     return (G[0] - G[1]) / (2.0 * h), (F[0] - F[1]) / (2.0 * h)
+
+
+def _field_stencil(structure: SubRiemannianStructure, factor: _FrameFactor, points, coords):
+    """First and second derivatives of the metric and frame stacks along ``coords``.
+
+    One ``structure._fields`` evaluation on 2a^2 m rows, with h from
+    :func:`_fd_step`: the 2a copies points +- h e_c give the central first
+    differences and, with the factor's own G and F at ``points``, the
+    diagonal second differences; the 2a(a - 1) copies points +- h e_c +- h
+    e_d, c < d, give the mixed ones (Nocedal & Wright, *Numerical
+    Optimization*, 2nd ed., 8.1).  Returns (dG, dF, d2G, d2F) with shapes
+    (a, m, n, n), (a, m, n, k), (a, a, m, n, n) and (a, a, m, n, k).  No
+    frame is factored, but the checks of :func:`_factor_frame` still hold:
+    G must be finite on every stencil row, and F^T G F finite and well
+    conditioned on the first-order ones, or :class:`DegenerateFrameError`
+    is raised.
+    """
+    m, n = points.shape
+    a = len(coords)
+    h = _fd_step(points)
+    axes = h * np.eye(n)[coords]
+    c, d = np.triu_indices(a, 1)
+    offsets = np.concatenate(
+        [axes, -axes]
+        + [sc * axes[c] + sd * axes[d] for sc, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    )
+    rows = (points[None, :, :] + offsets[:, None, :]).reshape(-1, n)
+    G, F = structure._fields(rows)
+    first = 2 * a * m
+    _frame_gram(rows[:first], G[:first], F[:first])
+    if not np.all(np.isfinite(G[first:])):
+        raise DegenerateFrameError(_NOT_FINITE_MESSAGE)
+
+    def differences(X, X0):
+        X = X.reshape((-1, m) + X.shape[1:])
+        plus, minus, mixed = X[:a], X[a : 2 * a], X[2 * a :].reshape((4, -1) + X.shape[1:])
+        second = np.empty((a, a) + X.shape[1:])
+        second[np.arange(a), np.arange(a)] = (plus - 2.0 * X0 + minus) / h**2
+        second[c, d] = (mixed[0] - mixed[1] - mixed[2] + mixed[3]) / (4.0 * h**2)
+        second[d, c] = second[c, d]
+        return (plus - minus) / (2.0 * h), second
+
+    dG, d2G = differences(G, factor.G)
+    dF, d2F = differences(F, factor.F)
+    return dG, dF, d2G, d2F
 
 
 def penalized_forms(structure: SubRiemannianStructure, q, points, vectors):

@@ -14,13 +14,14 @@ Hessian is block tridiagonal, and block cyclic reduction factors it in
 O(log N) batched calls.  Its velocity part H0, assembled from the penalized
 metric at the segment midpoints, carries both ill-conditioning sources (the
 1/N^2 grid stiffness and the penalty q); the base-point and mixed parts,
-also O(q), come from central differences of the flux and of the form's
-base-point derivative at shifted midpoints.  Where the Hessian H is not
-positive definite the direction solves against (H + mu H0) / (1 + mu)
-instead, with the shift mu raised geometrically until the factorization
-succeeds (Nocedal & Wright, *Numerical Optimization*, 2nd ed., 3.4); the
-scaling keeps the unit step of a large shift near H0's Newton step, not
-1 / (1 + mu) of it.  The stop rule is the
+also O(q), follow by the chain rule through the accepted evaluation's frame
+factor, from first and second differences of the metric and frame fields
+at one stencil of shifted midpoints, and factor no frame.  Where the
+Hessian H is not positive definite the direction solves against
+(H + mu H0) / (1 + mu) instead, with the shift mu raised geometrically
+until the factorization succeeds (Nocedal & Wright, *Numerical
+Optimization*, 2nd ed., 3.4); the scaling keeps the unit step of a large
+shift near H0's Newton step, not 1 / (1 + mu) of it.  The stop rule is the
 Newton decrement g^T H0^{-1} g, which reads alike at every penalty and grid
 size and needs no H, so an already converged start builds none.
 The frame at each accepted iterate is factored once, by the line-search
@@ -49,9 +50,8 @@ from .functionals import DiscretePath, _evaluate
 from .geometry import (
     DegenerateFrameError,
     SubRiemannianStructure,
-    _central_shifts,
-    _factor_frame,
     _field_differences,
+    _field_stencil,
     check_penalty,
 )
 
@@ -309,28 +309,54 @@ def _base_point_hessian(structure, evaluation, frozen_mask: np.ndarray):
     M_q / N in vel (which H0 holds), J^T / N across mid and vel, with
     J = d flux / d mid, and Q / 2N in mid, with Q the mid-derivative of the
     form's base-point derivative; the map to (p_i, p_{i+1}) is the constant
-    [[I/2, I/2], [-N I, N I]].  J and Q are central differences of the flux
-    and of ``form_derivatives`` at the 2a shifted midpoint copies: one
-    frame factorization on 2aN rows and one field evaluation on 4a^2 N rows.
-    Frozen coordinates get zero rows and columns.
+    [[I/2, I/2], [-N I, N I]].  J and Q follow by the chain rule through the
+    frame coefficients c = F+ v and the complement r = v - F c, from the
+    accepted evaluation's factor (Golub & Pereyra, SINUM 10(2), 1973):
+
+        dc = S^{-1} (dF^T G r + F^T dG r) - F+ dF c,   dr = -(dF c + F dc),
+        J_c = dG_c v + (q - 1) (dG_c r + G d_c r),
+        Q_cd = v^T d2G v + (q - 1) (r^T d2G r + 2 d_d r^T dG_c r
+               - 2 (d2F c + dF_c d_d c)^T G r - 2 (dF_c c)^T (dG_d r + G d_d r)),
+
+    with d2G, d2F the second derivatives along c and d.  The field
+    derivatives come from :func:`_field_stencil`: one field evaluation on
+    2a^2 N rows and no frame factorization.  Frozen coordinates get zero
+    rows and columns.
     """
-    q, mids, vels = evaluation.q, evaluation.mids, evaluation.vels
+    q, mids, vels, factor = evaluation.q, evaluation.mids, evaluation.vels, evaluation.factor
     N, n = vels.shape
     active = np.flatnonzero(~frozen_mask)
-    a = active.size
-    shifted, h = _central_shifts(mids, active)
-    points = shifted.reshape(-1, n)
-    factor = _factor_frame(structure, points)
-    tiled = np.tile(vels, (2 * a, 1))
-    flux = factor.forms(q, tiled)[2].reshape(2, a, N, n)
-    dG, dF = _field_differences(structure, points, active)
-    dform = factor.form_derivatives(q, tiled, dG, dF)[0].reshape(a, 2, a, N)
+    dG, dF, d2G, d2F = _field_stencil(structure, factor, mids, active)
+    G, F, Fplus = factor.G, factor.F, factor.Fplus
+    # Einsum indices a and b run over the active coordinates (c and d above).
+    c = np.matmul(Fplus, vels[:, :, None])[:, :, 0]
+    r = vels - np.matmul(F, c[:, :, None])[:, :, 0]
+    Gr = np.matmul(G, r[:, :, None])[:, :, 0]
+    dFc = np.einsum("amik,mk->ami", dF, c)
+    dGr = np.einsum("amij,mj->ami", dG, r)
+    dc = np.einsum(
+        "mkl,aml->amk",
+        factor.Sinv,
+        np.einsum("amik,mi->amk", dF, Gr) + np.einsum("mik,ami->amk", F, dGr),
+    ) - np.einsum("mki,ami->amk", Fplus, dFc)
+    dr = -(dFc + np.einsum("mik,amk->ami", F, dc))
+    # dflux_c = dG_c r + G d_c r, the complement's part of the flux derivative.
+    dflux = dGr + np.einsum("mij,amj->ami", G, dr)
 
     J = np.zeros((N, n, n))
-    J[:, :, active] = np.moveaxis(flux[0] - flux[1], 0, -1) / (2.0 * h)
+    J[:, :, active] = (np.einsum("amij,mj->ami", dG, vels) + (q - 1.0) * dflux).transpose(1, 2, 0)
     J[:, frozen_mask, :] = 0.0
+    twist = np.einsum("abmik,mk,mi->abm", d2F, c, Gr) + np.einsum("amik,bmk,mi->abm", dF, dc, Gr)
+    slope = (
+        np.einsum("mi,abmij,mj->abm", r, d2G, r)
+        + 2.0 * np.einsum("bmi,ami->abm", dr, dGr)
+        - 2.0 * twist
+        - 2.0 * np.einsum("ami,bmi->abm", dFc, dflux)
+    )
     Q = np.zeros((N, n, n))
-    Q[:, active[:, None], active] = (dform[:, 0] - dform[:, 1]).transpose(2, 1, 0) / (2.0 * h)
+    Q[:, active[:, None], active] = (
+        np.einsum("mi,abmij,mj->abm", vels, d2G, vels) + (q - 1.0) * slope
+    ).transpose(2, 0, 1)
 
     # Per segment: the mid-mid part Q / 8N enters all four end blocks, the
     # mixed part enters the diagonal blocks as -+(J + J^T)/2 and the block
@@ -369,7 +395,9 @@ def minimize_energy(
     direction) raises :class:`StepUnderflowError`; an H0 that is singular
     in floating point, so that its Cholesky factorization fails (a penalty
     so large that q G + (1 - q) G P loses its horizontal block to
-    rounding), raises ``FloatingPointError``.
+    rounding), or a Newton direction that is not finite (a Hessian with
+    non-finite entries, which the factorization does not reject) raises
+    ``FloatingPointError``.
     """
     return _minimize(structure, q, initial, config, frozen_coords)[0]
 
@@ -421,6 +449,10 @@ def _minimize(structure, q, initial: DiscretePath, config, frozen_coords=None, e
             except np.linalg.LinAlgError:
                 shift = max(SHIFT_START, SHIFT_GROWTH * shift)
         direction = -factor.solve(g)
+        if not np.all(np.isfinite(direction)):
+            raise FloatingPointError(
+                f"Newton direction is not finite at q={qf:g} in iteration {iterations + 1}"
+            )
         slope = float(g @ direction)
 
         # Trial points only need the energy; the gradient is computed once,

@@ -142,3 +142,16 @@ def martinet_lifted_wave(amplitude: float, grid_size: int) -> DiscretePath:
         ym = 0.5 * (y[i] + y[i + 1])
         z[i + 1] = z[i] + ym * ym * (x[i + 1] - x[i])
     return DiscretePath.from_points(np.column_stack([x, y, z]))
+
+
+def nan_hessian(monkeypatch) -> None:
+    """Make every exact-Hessian build return non-finite diagonal blocks."""
+    from pengeo import optimizer
+
+    build = optimizer._base_point_hessian
+
+    def nan_blocks(structure, evaluation, frozen_mask):
+        diag, off = build(structure, evaluation, frozen_mask)
+        return np.full_like(diag, np.nan), off
+
+    monkeypatch.setattr(optimizer, "_base_point_hessian", nan_blocks)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from pengeo.cli import OUTPUT_ROOT_ENV, ConfigError, main, parse_config
+from conftest import nan_hessian
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -557,6 +558,27 @@ def test_solve_singular_velocity_hessian_is_a_solver_failure(tmp_path, capsys, s
     report = (out_dir / "report.txt").read_text()
     assert report.startswith("solver failure:")
     assert "singular" in report
+    assert capsys.readouterr().err.startswith("solver failure:")
+
+
+def test_solve_non_finite_newton_direction_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    # A Hessian with NaN blocks factors without raising; the non-finite
+    # direction it gives ends the run as a solver failure, not a traceback.
+    nan_hessian(monkeypatch)
+    config = _write_config(
+        tmp_path,
+        """
+        [problem]
+        name = heisenberg
+        grid_size = 20
+        end = 1, 0.5, 0.3
+        """,
+    )
+    out_dir = tmp_path / "run"
+    assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 1
+    report = (out_dir / "report.txt").read_text()
+    assert report.startswith("solver failure:")
+    assert "Newton direction is not finite" in report
     assert capsys.readouterr().err.startswith("solver failure:")
 
 

@@ -17,6 +17,7 @@ from pengeo import (
     validate_bracket_generating,
     validate_structure,
 )
+from pengeo.geometry import _factor_frame, _field_stencil
 from conftest import random_path
 
 
@@ -169,6 +170,48 @@ def test_frame_below_condition_limit_accepted():
     pv, pperp = project_horizontal(structure, np.zeros(3), np.ones(3))
     np.testing.assert_allclose(pv, [1.0, 1.0, 0.0], atol=1e-9)
     np.testing.assert_allclose(pperp, [0.0, 0.0, 1.0], atol=1e-9)
+
+
+def _plane_structure(gram, scale):
+    """Flat-plane frame diag(1, scale(x)) under the metric field ``gram``."""
+
+    def columns(pts):
+        F = np.zeros((pts.shape[0], 2, 2))
+        F[:, 0, 0] = 1.0
+        F[:, 1, 1] = scale(pts[:, 0])
+        return F
+
+    return SubRiemannianStructure(
+        dimension=2, rank=2, metric=MetricField(gram=gram), frame=FrameField(columns=columns), name="plane"
+    )
+
+
+def test_field_stencil_keeps_the_frame_checks():
+    # The Hessian's stencil factors no frame, but rejects what factoring its
+    # first-order rows would have rejected, and a metric that is not finite
+    # on any row, with the messages of _factor_frame.
+    origin = np.zeros((1, 2))
+    coords = np.arange(2)
+
+    def gram_nan_on_diagonals(pts):
+        both = (pts[:, 0] > 0.0) & (pts[:, 1] > 0.0)
+        return np.where(both[:, None, None], np.nan, np.eye(2))
+
+    def unit(x):
+        return np.ones_like(x)
+
+    # Only the mixed row (h, h) of the stencil sees the non-finite metric.
+    structure = _plane_structure(gram_nan_on_diagonals, unit)
+    with pytest.raises(DegenerateFrameError, match="F\\^T G F is not finite"):
+        _field_stencil(structure, _factor_frame(structure, origin), origin, coords)
+    # The first-order row (h, 0) has a frame Gram condition number of 1e10.
+    structure = _plane_structure(lambda pts: np.eye(2), lambda x: np.where(x > 0.0, 1e-5, 1.0))
+    with pytest.raises(DegenerateFrameError, match=r"condition number 1\.0\d*e\+10"):
+        _field_stencil(structure, _factor_frame(structure, origin), origin, coords)
+    # Neither field varies on a plain plane: every difference is zero.
+    structure = _plane_structure(lambda pts: np.eye(2), unit)
+    for difference in _field_stencil(structure, _factor_frame(structure, origin), origin, coords):
+        np.testing.assert_array_equal(difference, 0.0)
 
 
 def test_heisenberg_bracket_symbolic_oracle(heisenberg, rng):

@@ -9,6 +9,7 @@ import pytest
 from pengeo import (
     ContinuationSchedule,
     DiscretePath,
+    FrameField,
     MetricField,
     SolverConfig,
     SubRiemannianStructure,
@@ -34,7 +35,7 @@ from pengeo.optimizer import (
     _frozen_mask,
     _velocity_hessian,
 )
-from conftest import fd_energy_gradient, fd_energy_hessian, random_path
+from conftest import fd_energy_gradient, fd_energy_hessian, nan_hessian, random_path
 
 
 def test_solver_config_validation():
@@ -71,6 +72,27 @@ def _warped_heisenberg(heisenberg):
 
     return SubRiemannianStructure(
         dimension=3, rank=2, metric=MetricField(gram=gram), frame=heisenberg.frame, name="warped"
+    )
+
+
+def _mixed_frame_heisenberg():
+    """A Heisenberg-like frame (1, 0, x y - y/2), (0, 1, x/2 + y z) under the
+    flat metric: its second derivatives along (x, y) and (y, z) are nonzero."""
+
+    def columns(pts):
+        x, y, z = pts.T
+        F = np.zeros((pts.shape[0], 3, 2))
+        F[:, 0, 0] = F[:, 1, 1] = 1.0
+        F[:, 2, 0] = x * y - 0.5 * y
+        F[:, 2, 1] = 0.5 * x + y * z
+        return F
+
+    return SubRiemannianStructure(
+        dimension=3,
+        rank=2,
+        metric=MetricField(gram=lambda pts: np.eye(3)),
+        frame=FrameField(columns=columns),
+        name="mixed-frame",
     )
 
 
@@ -135,12 +157,14 @@ def test_hessian_matches_finite_differences_of_the_gradient(heisenberg, martinet
     # The exact Hessian, H0 plus the base-point and mixed blocks, against
     # central differences of the gradient, on the same structures as the
     # gradient test: the warped metric exercises the metric terms and the
-    # lift, with s frozen on its chord, the transported fields.
+    # lift, with s frozen on its chord, the transported fields.  The mixed
+    # frame is the one whose frame has nonzero mixed second derivatives.
     warped = _warped_heisenberg(heisenberg)
+    mixed = _mixed_frame_heisenberg()
     lifted = build_lifted_structure(heisenberg, linear_drift(0.3 * np.eye(3)))
     start, end = np.zeros(4), np.array([1.0, 0.0, 0.0, 1.0])
     for q in (1.0, 10.0, 100.0):
-        for structure in (heisenberg, martinet, warped):
+        for structure in (heisenberg, martinet, warped, mixed):
             _assert_hessian_matches(structure, q, random_path(structure, 12, rng, scale=0.3))
         path = _time_on_chord(random_path(lifted, 12, rng, scale=0.3, start=start, end=end))
         _assert_hessian_matches(lifted, q, path, frozen=np.array([False, False, False, True]))
@@ -320,43 +344,59 @@ def test_solve_result_certificates_equal_the_functionals_bitwise(heisenberg, rng
 
 def _count_solver_calls(monkeypatch):
     """Count frame factorizations, evaluations (and those of predicted
-    starts), Hessian builds, solves and lift transports."""
+    starts), Hessian builds, solves, field evaluations, lift transports and
+    the rows of each Hessian's field stencil."""
     from pengeo import drift, functionals, geometry, optimizer
 
-    counts = dict.fromkeys(["factor", "evaluate", "predicted", "hessian", "minimize", "transport"], 0)
+    counts = dict.fromkeys(
+        ["factor", "evaluate", "predicted", "hessian", "minimize", "fields", "transport"], 0
+    )
+    counts["stencil_rows"] = []
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
             counts[key] += 1
             if key == "evaluate" and _called_from("_predict"):
                 counts["predicted"] += 1
+            if key == "fields" and _called_from("_field_stencil"):
+                counts["stencil_rows"].append(args[1].shape[0])
             return fn(*args, **kwargs)
 
         return wrapper
 
-    for module in (geometry, functionals, optimizer):
+    for module in (geometry, functionals):
         monkeypatch.setattr(module, "_factor_frame", counting("factor", module._factor_frame))
     monkeypatch.setattr(optimizer, "_evaluate", counting("evaluate", optimizer._evaluate))
     monkeypatch.setattr(
         optimizer, "_base_point_hessian", counting("hessian", optimizer._base_point_hessian)
     )
     monkeypatch.setattr(optimizer, "_minimize", counting("minimize", optimizer._minimize))
+    for cls in (SubRiemannianStructure, drift.LiftedStructure):
+        monkeypatch.setattr(cls, "_fields", counting("fields", cls._fields))
     monkeypatch.setattr(
         drift.FlowMap, "transport_batch", counting("transport", drift.FlowMap.transport_batch)
     )
     return counts
 
 
+def _assert_hessian_counts(counts, gradients, lifted, active, grid_size):
+    """Each evaluation factors its point set once and nothing else factors;
+    each evaluation, gradient and Hessian build reads the fields once (the
+    lift transports each such read once), a Hessian's read on the 2a^2 N
+    rows of its stencil."""
+    assert counts["factor"] == counts["evaluate"]
+    assert counts["fields"] == counts["evaluate"] + gradients + counts["hessian"]
+    assert counts["transport"] == (counts["fields"] if lifted else 0)
+    assert counts["stencil_rows"] == [2 * active**2 * grid_size] * counts["hessian"]
+
+
 @pytest.mark.parametrize("lifted", [False, True])
 def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, lifted):
     # Factorizations are the evaluations (the start and every line-search
-    # trial) and one per Hessian build, at the shifted midpoints; the
-    # gradient, H0, the Hessian and the certificates reuse the accepted
-    # trial's factor.  Each iteration builds one Hessian, and the exit test
-    # (on H0) none.  The lift transports each factored point set once, each
-    # gradient's shifted midpoints once more, and each Hessian's shifted
-    # midpoints twice: once to factor them and once, in one batch, for the
-    # field differences at those points.
+    # trial); the gradient, H0, the Hessian and the certificates reuse the
+    # accepted trial's factor.  Each iteration builds one Hessian, and the
+    # exit test (on H0) none.  The gradient and the Hessian each read the
+    # fields once more, at the shifted midpoints of their difference stencils.
     counts = _count_solver_calls(monkeypatch)
     structure, frozen = heisenberg, None
     start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
@@ -371,11 +411,8 @@ def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, 
     result = minimize_energy(structure, 100.0, path, SolverConfig(grid_size=12), frozen)
     assert result.converged and result.iterations >= 1
     assert counts["evaluate"] >= result.iterations + 1
-    gradients = result.iterations + 1
     assert counts["hessian"] == result.iterations
-    assert counts["factor"] == counts["evaluate"] + counts["hessian"]
-    expected = counts["evaluate"] + gradients + 2 * counts["hessian"]
-    assert counts["transport"] == (expected if lifted else 0)
+    _assert_hessian_counts(counts, result.iterations + 1, lifted, 3, 12)
 
 
 @pytest.mark.parametrize("name", ["vertical-50", "heisenberg-drift"])
@@ -400,9 +437,19 @@ def test_predictor_adds_one_evaluation_per_predicted_start(monkeypatch, caplog, 
     assert len(steps) == iterations
     assert counts["evaluate"] == counts["minimize"] + trials
     assert counts["hessian"] == iterations
-    assert counts["factor"] == counts["evaluate"] + counts["hessian"]
-    expected = counts["evaluate"] + gradients + 2 * counts["hessian"]
-    assert counts["transport"] == (expected if frozen is not None else 0)
+    active = structure.dimension - (0 if frozen is None else int(np.sum(frozen)))
+    _assert_hessian_counts(counts, gradients, frozen is not None, active, config.grid_size)
+
+
+def test_non_finite_newton_direction_is_a_floating_point_error(heisenberg, monkeypatch):
+    # The Cholesky factorization of a NaN block returns NaN without raising,
+    # so the direction is checked before the line search uses it.
+    nan_hessian(monkeypatch)
+    path = random_path(
+        heisenberg, 20, np.random.default_rng(0), scale=0.1, start=np.zeros(3), end=np.array([1.0, 0.0, 0.0])
+    )
+    with pytest.raises(FloatingPointError, match=r"not finite at q=10 in iteration 1"):
+        minimize_energy(heisenberg, 10.0, path, SolverConfig(grid_size=20))
 
 
 def test_degenerate_trial_frame_backtracks(heisenberg):
