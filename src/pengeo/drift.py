@@ -97,16 +97,20 @@ def linear_drift(matrix) -> DriftField:
 
 
 class FlowMap:
-    """Flow of an affine drift field: points and Jacobians at given times.
+    """Flow of an affine drift field: points, Jacobians and inverse flows at given times.
 
     For X = A p + b the flow is phi_t(p) = M(t) p + v(t), where
-    [[M, v], [0, 1]] = exp(t Ahat) with Ahat = [[A, b], [0, 0]].  The
+    [[M, v], [0, 1]] = exp(t Ahat) with Ahat = [[A, b], [0, 0]], and the
+    inverse flow is exp(-t Ahat) = [[M^{-1}, -M^{-1} v], [0, 1]].  The
     constructor picks the fewest squarings s with ||2^-s Ahat||_1 <= 1 and
-    keeps the Taylor terms (2^-s Ahat)^k / k! for k <= 18, so a batch of
-    times in [0, 1] costs one matmul of its time powers against those terms
-    and s batched squarings (Moler & Van Loan, SIAM Rev. 45(1), 2003).  On
-    every preset ||Ahat||_1 <= 1 and Ahat^2 = 0, so s = 0, the series stops
-    after its linear term, and the result is exact.
+    keeps the Taylor terms (2^-s Ahat)^k / k! for k <= 18 beside their
+    signed copies (-1)^k (2^-s Ahat)^k / k!, so a batch of times in [0, 1]
+    costs one matmul of its time powers against both and s batched
+    squarings of both exponentials together (Moler & Van Loan, SIAM Rev.
+    45(1), 2003).  Forward transport, pull-back and :meth:`inverse` all
+    read that one product, and nothing solves against M(t).  On every
+    preset ||Ahat||_1 <= 1 and Ahat^2 = 0, so s = 0, the series stops after
+    its linear term, and the result is exact.
     """
 
     def __init__(self, drift: DriftField):
@@ -125,33 +129,38 @@ class FlowMap:
                 if not term.any():  # Ahat is nilpotent: the series ends here
                     break
                 terms.append(term)
-        self._terms = np.reshape(terms, (len(terms), -1))
+        terms = np.reshape(terms, (len(terms), -1))
+        signs = (-1.0) ** np.arange(len(terms))
+        self._terms = np.concatenate([terms, signs[:, None] * terms], axis=1)
 
     def _pairs(self, ts: np.ndarray):
-        """Stacks of the flow matrix M(t) and offset v(t) for every time in ts."""
+        """Stacks of exp(t Ahat) and exp(-t Ahat) for every time in ts."""
         if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
             raise ValueError(f"flow times must lie in [0, 1], got {ts.min()} to {ts.max()}")
         powers = ts[:, None] ** np.arange(self._terms.shape[0])
         # A diverging flow ends in the FloatingPointError below, not in warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            flows = np.reshape(powers @ self._terms, (ts.size, self._size, self._size))
+            flows = np.reshape(powers @ self._terms, (ts.size, 2, self._size, self._size))
             for _ in range(self._squarings):
                 flows = flows @ flows
         if not np.isfinite(flows).all():
             raise FloatingPointError(
                 f"flow of drift field {self.drift.name} diverged by time {ts.max():g}"
             )
-        return flows[:, :-1, :-1], flows[:, :-1, -1]
+        return flows[:, 0], flows[:, 1]
 
     def transport_batch(self, times, points):
-        """Flow points and Jacobians for per-row times; shapes (m,) and (m, n)."""
-        mats, offs = self._pairs(np.asarray(times, dtype=float))
-        return np.einsum("mij,mj->mi", mats, np.asarray(points, dtype=float)) + offs, mats
+        """Flow points, Jacobians M(t) and their inverses M(t)^{-1} = exp(-t A)
+        for per-row times; shapes (m,) and (m, n)."""
+        flows, inverses = self._pairs(np.asarray(times, dtype=float))
+        mats = flows[:, :-1, :-1]
+        images = np.einsum("mij,mj->mi", mats, np.asarray(points, dtype=float)) + flows[:, :-1, -1]
+        return images, mats, inverses[:, :-1, :-1]
 
     def inverse(self, t: float, y) -> np.ndarray:
-        """Point p with phi_t(p) = y, by one linear solve."""
-        mats, offs = self._pairs(np.array([float(t)]))
-        return np.linalg.solve(mats[0], as_point(y) - offs[0])
+        """Point p with phi_t(p) = y: the inverse flow exp(-t Ahat) applied to (y, 1)."""
+        _, inverses = self._pairs(np.array([float(t)]))
+        return (inverses[0] @ np.append(as_point(y), 1.0))[:-1]
 
 
 @dataclass(frozen=True)
@@ -163,18 +172,22 @@ class LiftedStructure(SubRiemannianStructure):
     flow: FlowMap = field(repr=False, default=None, compare=False)  # type: ignore[assignment]
 
     def _fields(self, points: np.ndarray):
-        """Lifted metric and frame stacks at points (p, s), from one flow transport."""
+        """Lifted metric and frame stacks at points (p, s), from one flow transport.
+
+        The base frame is pulled back by J^{-1} = exp(-s A), which the
+        transport returns from the same series as J, so no row is solved.
+        """
         n = self.base.dimension
         k = self.base.rank
         m = points.shape[0]
-        images, jacs = self.flow.transport_batch(points[:, n], points[:, :n])
+        images, jacs, inverses = self.flow.transport_batch(points[:, n], points[:, :n])
         G = np.zeros((m, n + 1, n + 1))
         G[:, :n, :n] = np.matmul(
             jacs.transpose(0, 2, 1), np.matmul(self.base.metric.gram_batch(images), jacs)
         )
         G[:, n, n] = 1.0
         F = np.zeros((m, n + 1, k + 1))
-        F[:, :n, :k] = np.linalg.solve(jacs, self.base.frame.frame_batch(images))
+        F[:, :n, :k] = np.matmul(inverses, self.base.frame.frame_batch(images))
         F[:, n, k] = 1.0
         return G, F
 
@@ -284,12 +297,12 @@ def solve_drift_problem(
     N = final.grid_size
     n = structure.dimension
 
-    trajectory, _ = flow.transport_batch(final.points[:, n], final.points[:, :n])
+    trajectory, _, _ = flow.transport_batch(final.points[:, n], final.points[:, :n])
 
     # Midpoint control samples: transport the lifted p-velocity by the flow
     # Jacobian at the segment midpoint, matching the energy quadrature.
     mids, vels = _segments(final)
-    base_mid, jacs = flow.transport_batch(mids[:, n], mids[:, :n])
+    base_mid, jacs, _ = flow.transport_batch(mids[:, n], mids[:, :n])
     control_mid = np.einsum("mij,mj->mi", jacs, vels[:, :n])
     G_mid = structure.metric.gram_batch(base_mid)
     control_cost = float(

@@ -297,12 +297,15 @@ def _fd_step(points: np.ndarray) -> float:
 
 
 def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, coords):
-    """Derivatives (dG, dF) of the metric and frame stacks along ``coords``.
+    """Derivatives (dG, dF) of the metric and frame stacks along ``coords``,
+    with the stacks they come from.
 
     Central differences from one ``structure._fields`` evaluation at the 2a
     copies points +- h e_c, c in ``coords``, stacked into one batch, with
-    h from :func:`_fd_step`; shapes (a, m, n, n) and (a, m, n, k).  No frame
-    is factored.
+    h from :func:`_fd_step`.  Returns (dG, dF, G, F): the derivatives, of
+    shapes (a, m, n, n) and (a, m, n, k), and the stacks at the copies, of
+    shapes (2, a, m, n, n) and (2, a, m, n, k) with the plus copies first,
+    which :func:`_field_stencil` reuses.  No frame is factored.
     """
     m, n = points.shape
     h = _fd_step(points)
@@ -310,52 +313,47 @@ def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, co
     G, F = structure._fields(np.concatenate([points + shift, points - shift]).reshape(-1, n))
     G = G.reshape(2, len(coords), m, n, n)
     F = F.reshape(2, len(coords), m, n, -1)
-    return (G[0] - G[1]) / (2.0 * h), (F[0] - F[1]) / (2.0 * h)
+    return (G[0] - G[1]) / (2.0 * h), (F[0] - F[1]) / (2.0 * h), G, F
 
 
-def _field_stencil(structure: SubRiemannianStructure, factor: _FrameFactor, points, coords):
-    """First and second derivatives of the metric and frame stacks along ``coords``.
+def _field_stencil(structure: SubRiemannianStructure, factor: _FrameFactor, points, coords, first):
+    """Second derivatives (d2G, d2F) of the metric and frame stacks along ``coords``.
 
-    One ``structure._fields`` evaluation on 2a^2 m rows, with h from
-    :func:`_fd_step`: the 2a copies points +- h e_c give the central first
-    differences and, with the factor's own G and F at ``points``, the
-    diagonal second differences; the 2a(a - 1) copies points +- h e_c +- h
-    e_d, c < d, give the mixed ones (Nocedal & Wright, *Numerical
-    Optimization*, 2nd ed., 8.1).  Returns (dG, dF, d2G, d2F) with shapes
-    (a, m, n, n), (a, m, n, k), (a, a, m, n, n) and (a, a, m, n, k).  No
-    frame is factored, but the checks of :func:`_factor_frame` still hold:
-    G must be finite on every stencil row, and F^T G F finite and well
-    conditioned on the first-order ones, or :class:`DegenerateFrameError`
-    is raised.
+    ``first`` is :func:`_field_differences` at the same points and coords.
+    Its stacks at points +- h e_c, with the factor's own G and F at
+    ``points``, give the diagonal second differences, so one
+    ``structure._fields`` evaluation reads only the 2a(a - 1) m copies
+    points +- h e_c +- h e_d, c < d, for the mixed ones (Nocedal & Wright,
+    *Numerical Optimization*, 2nd ed., 8.1).  Shapes (a, a, m, n, n) and
+    (a, a, m, n, k).  No frame is factored, but the checks of
+    :func:`_factor_frame` still hold: F^T G F must be finite and well
+    conditioned on the first-order rows, and G finite on the mixed ones, or
+    :class:`DegenerateFrameError` is raised.
     """
     m, n = points.shape
     a = len(coords)
     h = _fd_step(points)
     axes = h * np.eye(n)[coords]
+    _, _, Gs, Fs = first
+    rows = (points[None, :, :] + np.concatenate([axes, -axes])[:, None, :]).reshape(-1, n)
+    _frame_gram(rows, Gs.reshape((-1,) + Gs.shape[3:]), Fs.reshape((-1,) + Fs.shape[3:]))
     c, d = np.triu_indices(a, 1)
     offsets = np.concatenate(
-        [axes, -axes]
-        + [sc * axes[c] + sd * axes[d] for sc, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+        [sc * axes[c] + sd * axes[d] for sc, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     )
-    rows = (points[None, :, :] + offsets[:, None, :]).reshape(-1, n)
-    G, F = structure._fields(rows)
-    first = 2 * a * m
-    _frame_gram(rows[:first], G[:first], F[:first])
-    if not np.all(np.isfinite(G[first:])):
+    G, F = structure._fields((points[None, :, :] + offsets[:, None, :]).reshape(-1, n))
+    if not np.all(np.isfinite(G)):
         raise DegenerateFrameError(_NOT_FINITE_MESSAGE)
 
-    def differences(X, X0):
-        X = X.reshape((-1, m) + X.shape[1:])
-        plus, minus, mixed = X[:a], X[a : 2 * a], X[2 * a :].reshape((4, -1) + X.shape[1:])
-        second = np.empty((a, a) + X.shape[1:])
-        second[np.arange(a), np.arange(a)] = (plus - 2.0 * X0 + minus) / h**2
-        second[c, d] = (mixed[0] - mixed[1] - mixed[2] + mixed[3]) / (4.0 * h**2)
-        second[d, c] = second[c, d]
-        return (plus - minus) / (2.0 * h), second
+    def second(mixed, shifted, X0):
+        mixed = mixed.reshape((4, -1, m) + mixed.shape[1:])
+        out = np.empty((a, a, m) + X0.shape[1:])
+        out[np.arange(a), np.arange(a)] = (shifted[0] - 2.0 * X0 + shifted[1]) / h**2
+        out[c, d] = (mixed[0] - mixed[1] - mixed[2] + mixed[3]) / (4.0 * h**2)
+        out[d, c] = out[c, d]
+        return out
 
-    dG, d2G = differences(G, factor.G)
-    dF, d2F = differences(F, factor.F)
-    return dG, dF, d2G, d2F
+    return second(G, Gs, factor.G), second(F, Fs, factor.F)
 
 
 def penalized_forms(structure: SubRiemannianStructure, q, points, vectors):

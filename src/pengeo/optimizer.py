@@ -16,17 +16,20 @@ metric at the segment midpoints, carries both ill-conditioning sources (the
 1/N^2 grid stiffness and the penalty q); the base-point and mixed parts,
 also O(q), follow by the chain rule through the accepted evaluation's frame
 factor, from first and second differences of the metric and frame fields
-at one stencil of shifted midpoints, and factor no frame.  Where the
+at shifted midpoints, and factor no frame.  Where the
 Hessian H is not positive definite the direction solves against
 (H + mu H0) / (1 + mu) instead, with the shift mu raised geometrically
 until the factorization succeeds (Nocedal & Wright, *Numerical
 Optimization*, 2nd ed., 3.4); the scaling keeps the unit step of a large
 shift near H0's Newton step, not 1 / (1 + mu) of it.  The stop rule is the
 Newton decrement g^T H0^{-1} g, which reads alike at every penalty and grid
-size and needs no H, so an already converged start builds none.
+size.  H0 is a path-graph Laplacian in the midpoint metrics, so the
+decrement has a closed form in them that needs no block factorization and
+no H, and an already converged start factors nothing.
 The frame at each accepted iterate is factored once, by the line-search
 trial that found it; that evaluation gives the gradient, H0, H and, at
-exit, the certificates.
+exit, the certificates.  H reuses the gradient's first-order field
+differences and reads the fields only at the mixed second-order shifts.
 Continuation walks a geometric penalty ladder and starts each rung on the
 minimizer curve x(s), s = 1/q.  The energy is affine in q,
 E_q = E_1 + (q - 1) D/2, so the curve's tangent is dx/dq = -H^{-1} grad(D/2):
@@ -176,11 +179,13 @@ def _frozen_mask(frozen_coords, n: int) -> np.ndarray:
 
 def _gradient(structure, evaluation, frozen_mask: np.ndarray):
     """:func:`energy_gradient` from the path's evaluation, whose flux and factor
-    it reuses, and the gradient's slope in q.
+    it reuses, the gradient's slope in q, and the field differences.
 
     The energy is affine in q with slope half the defect, so the slope is the
     gradient of D/2; it is assembled from the slopes of the flux and of the
-    base-point derivative, from the same field differences.
+    base-point derivative, from the same field differences.  Those come from
+    :func:`_field_differences` on the active coordinates (None when every
+    coordinate is frozen), and the Hessian at the same evaluation reuses them.
     """
     q, mids, vels = evaluation.q, evaluation.mids, evaluation.vels
     N, n = vels.shape
@@ -197,15 +202,16 @@ def _gradient(structure, evaluation, frozen_mask: np.ndarray):
     # Base-point dependence: each midpoint is the mean of its segment's ends
     # and the quadrature carries 1/(2N), so each end gets dQ/(4N).
     active = np.flatnonzero(~frozen_mask)
+    first = None
     if active.size:
-        dG, dF = _field_differences(structure, mids, active)
-        dQ = np.stack(evaluation.factor.form_derivatives(q, vels, dG, dF)) / (4.0 * N)
+        first = _field_differences(structure, mids, active)
+        dQ = np.stack(evaluation.factor.form_derivatives(q, vels, *first[:2])) / (4.0 * N)
         dQ = dQ.transpose(0, 2, 1)
         grads[:, :-1, active] += dQ
         grads[:, 1:, active] += dQ
 
     grads[:, :, frozen_mask] = 0.0
-    return grads[0, 1:-1].ravel(), grads[1, 1:-1].ravel()
+    return grads[0, 1:-1].ravel(), grads[1, 1:-1].ravel(), first
 
 
 def _pad_block(stack: np.ndarray) -> np.ndarray:
@@ -281,6 +287,35 @@ class _BlockTridiagonalFactor:
         return x.ravel()
 
 
+def _velocity_decrement(M: np.ndarray, g: np.ndarray, frozen_mask: np.ndarray) -> float:
+    """The Newton decrement g^T H0^{-1} g in closed form, with no block factorization.
+
+    H0 = N D^T M D is a path-graph Laplacian: D takes the interior points to
+    the N segment differences (the ends are pinned) and M = blockdiag(M_i)
+    holds the penalized metric matrices at the midpoints.  The differences
+    of interior points are exactly the u with sum_i u_i = 0, so minimizing
+    the quadratic model over them with a multiplier gives, with
+    S_i = g_1 + ... + g_i (S_0 = 0),
+
+        y_0 = (sum_i M_i^{-1})^{-1} sum_i M_i^{-1} S_i,   y_i = y_0 - S_i,
+        g^T H0^{-1} g = (1/N) sum_i y_i^T M_i^{-1} y_i,
+
+    on the active coordinates; frozen ones have g = 0 and a unit block in
+    H0.  One batched Cholesky factorization of the M_i raises
+    ``np.linalg.LinAlgError`` when one is not positive definite, so that H0
+    is singular in floating point.
+    """
+    N = M.shape[0]
+    active = np.flatnonzero(~frozen_mask)
+    S = np.zeros((N, active.size))
+    np.cumsum(g.reshape(N - 1, -1)[:, active], axis=0, out=S[1:])
+    M = M[:, active[:, None], active]
+    np.linalg.cholesky(M)
+    Minv = np.linalg.inv(M)
+    y = np.linalg.solve(Minv.sum(axis=0), np.einsum("mij,mj->i", Minv, S)) - S
+    return float(np.einsum("mi,mij,mj->", y, Minv, y)) / N
+
+
 def _velocity_hessian(M: np.ndarray, frozen_mask: np.ndarray):
     """Blocks (diag, off) of the velocity-part Hessian H0 of the energy.
 
@@ -301,7 +336,7 @@ def _velocity_hessian(M: np.ndarray, frozen_mask: np.ndarray):
     return diag, off
 
 
-def _base_point_hessian(structure, evaluation, frozen_mask: np.ndarray):
+def _base_point_hessian(structure, evaluation, first, frozen_mask: np.ndarray):
     """Blocks (diag, off) of the exact Hessian's remainder H - H0.
 
     Segment i contributes (1/2N) vel^T M_q(mid) vel, with mid = (p_i +
@@ -318,15 +353,18 @@ def _base_point_hessian(structure, evaluation, frozen_mask: np.ndarray):
         Q_cd = v^T d2G v + (q - 1) (r^T d2G r + 2 d_d r^T dG_c r
                - 2 (d2F c + dF_c d_d c)^T G r - 2 (dF_c c)^T (dG_d r + G d_d r)),
 
-    with d2G, d2F the second derivatives along c and d.  The field
-    derivatives come from :func:`_field_stencil`: one field evaluation on
-    2a^2 N rows and no frame factorization.  Frozen coordinates get zero
-    rows and columns.
+    with d2G, d2F the second derivatives along c and d.  The first
+    derivatives are ``first``, the gradient's :func:`_field_differences` at
+    this evaluation, and the second ones come from :func:`_field_stencil`,
+    which reuses them: one field evaluation on the 2a(a - 1) N mixed rows
+    and no frame factorization.  Frozen coordinates get zero rows and
+    columns.
     """
     q, mids, vels, factor = evaluation.q, evaluation.mids, evaluation.vels, evaluation.factor
     N, n = vels.shape
     active = np.flatnonzero(~frozen_mask)
-    dG, dF, d2G, d2F = _field_stencil(structure, factor, mids, active)
+    dG, dF = first[:2]
+    d2G, d2F = _field_stencil(structure, factor, mids, active, first)
     G, F, Fplus = factor.G, factor.F, factor.Fplus
     # Einsum indices a and b run over the active coordinates (c and d above).
     c = np.matmul(Fplus, vels[:, :, None])[:, :, 0]
@@ -377,10 +415,11 @@ def minimize_energy(
 ) -> SolveResult:
     """Minimize the penalized energy at fixed q from the given initial path.
 
-    Each iteration factors the velocity Hessian H0 at the current path and
-    stops, converged, once the Newton decrement g^T H0^{-1} g is at most
-    ``DECREMENT_TOLERANCE * (1 + |E|)`` (Boyd & Vandenberghe, *Convex
-    Optimization*, 9.5.4).  Otherwise it builds the exact Hessian H and takes
+    Each iteration reads the Newton decrement g^T H0^{-1} g of the velocity
+    Hessian H0 at the current path in closed form (:func:`_velocity_decrement`)
+    and stops, converged, once it is at most ``DECREMENT_TOLERANCE * (1 +
+    |E|)`` (Boyd & Vandenberghe, *Convex Optimization*, 9.5.4).  Otherwise
+    it builds H0 and the exact Hessian H and takes
     the direction -(1 + mu) (H + mu H0)^{-1} g, with the smallest shift mu of
     the geometric sequence that lets the factorization succeed; the matrix
     is then positive definite, so the direction descends.  It backtracks from
@@ -393,11 +432,11 @@ def minimize_energy(
     Hitting the iteration cap returns ``converged=False`` rather than
     raising.  A line-search step underflow (a genuinely stuck search
     direction) raises :class:`StepUnderflowError`; an H0 that is singular
-    in floating point, so that its Cholesky factorization fails (a penalty
-    so large that q G + (1 - q) G P loses its horizontal block to
-    rounding), or a Newton direction that is not finite (a Hessian with
-    non-finite entries, which the factorization does not reject) raises
-    ``FloatingPointError``.
+    in floating point, so that the Cholesky factorization of a midpoint
+    metric or of H0's block pivots fails (a penalty so large that
+    q G + (1 - q) G P loses its horizontal block to rounding), or a Newton
+    direction that is not finite (a Hessian with non-finite entries, which
+    the factorization does not reject) raises ``FloatingPointError``.
     """
     return _minimize(structure, q, initial, config, frozen_coords)[0]
 
@@ -420,25 +459,29 @@ def _minimize(structure, q, initial: DiscretePath, config, frozen_coords=None, e
     if evaluation is None:
         evaluation = _evaluate(structure, qf, current)
     f = evaluation.energy
-    g, slope = _gradient(structure, evaluation, frozen_mask)
+    g, slope, first = _gradient(structure, evaluation, frozen_mask)
     history = [f]
     shift = 0.0
     iterations = 0
     factor = None
 
+    def singular(exc):
+        return FloatingPointError(
+            f"velocity Hessian is singular at q={qf:g} after {iterations} iterations: {exc}"
+        )
+
     while True:
-        h0_diag, h0_off = _velocity_hessian(evaluation.factor.gram(qf), frozen_mask)
+        gram = evaluation.factor.gram(qf)
         try:
-            decrement = float(g @ _BlockTridiagonalFactor(h0_diag, h0_off).solve(g))
+            decrement = _velocity_decrement(gram, g, frozen_mask)
         except np.linalg.LinAlgError as exc:
-            raise FloatingPointError(
-                f"velocity Hessian is singular at q={qf:g} after {iterations} iterations: {exc}"
-            ) from exc
+            raise singular(exc) from exc
         converged = decrement <= DECREMENT_TOLERANCE * (1.0 + abs(f))
         if converged or iterations >= config.max_iterations:
             break
 
-        rest_diag, rest_off = _base_point_hessian(structure, evaluation, frozen_mask)
+        h0_diag, h0_off = _velocity_hessian(gram, frozen_mask)
+        rest_diag, rest_off = _base_point_hessian(structure, evaluation, first, frozen_mask)
         shift = shift / SHIFT_GROWTH if shift >= SHIFT_START * SHIFT_GROWTH else 0.0
         while True:
             try:
@@ -446,7 +489,11 @@ def _minimize(structure, q, initial: DiscretePath, config, frozen_coords=None, e
                     h0_diag + rest_diag / (1.0 + shift), h0_off + rest_off / (1.0 + shift)
                 )
                 break
-            except np.linalg.LinAlgError:
+            except np.linalg.LinAlgError as exc:
+                # An infinite shift factors H0 itself: its M_i passed their
+                # Cholesky test, but its block pivots did not.
+                if shift == np.inf:
+                    raise singular(exc) from exc
                 shift = max(SHIFT_START, SHIFT_GROWTH * shift)
         direction = -factor.solve(g)
         if not np.all(np.isfinite(direction)):
@@ -476,7 +523,7 @@ def _minimize(structure, q, initial: DiscretePath, config, frozen_coords=None, e
             )
 
         x, f, current, evaluation = x_new, trial.energy, cand, trial
-        g, slope = _gradient(structure, evaluation, frozen_mask)
+        g, slope, first = _gradient(structure, evaluation, frozen_mask)
         history.append(f)
         iterations += 1
         logger.debug(

@@ -150,8 +150,8 @@ def nan_hessian(monkeypatch) -> None:
 
     build = optimizer._base_point_hessian
 
-    def nan_blocks(structure, evaluation, frozen_mask):
-        diag, off = build(structure, evaluation, frozen_mask)
+    def nan_blocks(structure, evaluation, first, frozen_mask):
+        diag, off = build(structure, evaluation, first, frozen_mask)
         return np.full_like(diag, np.nan), off
 
     monkeypatch.setattr(optimizer, "_base_point_hessian", nan_blocks)

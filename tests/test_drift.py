@@ -88,9 +88,9 @@ def test_flow_map_transport_batch_matches_scalar(rng):
     flow = FlowMap(linear_drift(A))
     times = np.array([0.0, 0.25, 0.5, 0.25])
     pts = rng.normal(size=(4, 2))
-    images, jacs = flow.transport_batch(times, pts)
+    images, jacs, _ = flow.transport_batch(times, pts)
     for i in range(4):
-        (pt_i,), (jac_i,) = flow.transport_batch(times[i : i + 1], pts[i : i + 1])
+        (pt_i,), (jac_i,), _ = flow.transport_batch(times[i : i + 1], pts[i : i + 1])
         np.testing.assert_allclose(images[i], pt_i, atol=1e-12)
         np.testing.assert_allclose(jacs[i], jac_i, atol=1e-12)
 
@@ -112,7 +112,7 @@ def _assert_matches_exact_transport(flow, rng):
     # Repeats and t = 0 in one batch.
     times = np.array([0.5, 0.0, 0.75, 0.25, 0.75, 0.1, 0.5, 0.0, 1.0])
     pts = rng.normal(size=(times.size, 3))
-    images, jacs = flow.transport_batch(times, pts)
+    images, jacs, _ = flow.transport_batch(times, pts)
     ref_images, ref_jacs = _per_row_exact_transport(flow.drift, times, pts)
     # Exact up to roundoff, relative to the largest entry of the reference.
     assert np.max(np.abs(images - ref_images)) <= 1e-13 * np.max(np.abs(ref_images))
@@ -135,6 +135,24 @@ def test_flow_map_squarings_match_exact_transport(rng, scale, b, squarings):
     flow = FlowMap(DriftField(name="affine", A=A, b=b))
     assert flow._squarings == squarings
     _assert_matches_exact_transport(flow, rng)
+
+
+def test_flow_map_inverse_flow_matches_the_inverse_matrix(rng):
+    # exp(-t Ahat) comes from the same series and squarings as exp(t Ahat),
+    # with no solve.  A rotation at rate 3 is not nilpotent and has
+    # ||Ahat||_1 = 3, so its series is squared twice.  The measured
+    # gap to np.linalg.inv is 8.9e-16 relative (1.9e-15 on other hosts); the
+    # bound of 1e-13 is the one the transport tests use, fifty times that.
+    A, b = 3.0 * np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, -0.5])
+    flow = FlowMap(DriftField(name="rotation", A=A, b=b))
+    assert flow._squarings == 2
+    times = np.linspace(0.0, 1.0, 11)
+    pts = rng.normal(size=(times.size, 2))
+    images, jacs, inverses = flow.transport_batch(times, pts)
+    reference = np.linalg.inv(jacs)
+    assert np.max(np.abs(inverses - reference)) <= 1e-13 * np.max(np.abs(reference))
+    back = np.array([flow.inverse(t, y) for t, y in zip(times, images)])
+    assert np.max(np.abs(back - pts)) <= 1e-13 * np.max(np.abs(pts))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -17,7 +17,7 @@ from pengeo import (
     validate_bracket_generating,
     validate_structure,
 )
-from pengeo.geometry import _factor_frame, _field_stencil
+from pengeo.geometry import _factor_frame, _field_differences, _field_stencil
 from conftest import random_path
 
 
@@ -187,11 +187,16 @@ def _plane_structure(gram, scale):
 
 
 def test_field_stencil_keeps_the_frame_checks():
-    # The Hessian's stencil factors no frame, but rejects what factoring its
-    # first-order rows would have rejected, and a metric that is not finite
-    # on any row, with the messages of _factor_frame.
+    # The Hessian's stencil factors no frame, but rejects what factoring the
+    # gradient's first-order rows would have rejected, and a metric that is
+    # not finite on any mixed row, with the messages of _factor_frame.
     origin = np.zeros((1, 2))
     coords = np.arange(2)
+
+    def derivatives(structure):
+        first = _field_differences(structure, origin, coords)
+        factor = _factor_frame(structure, origin)
+        return first[:2] + _field_stencil(structure, factor, origin, coords, first)
 
     def gram_nan_on_diagonals(pts):
         both = (pts[:, 0] > 0.0) & (pts[:, 1] > 0.0)
@@ -203,14 +208,14 @@ def test_field_stencil_keeps_the_frame_checks():
     # Only the mixed row (h, h) of the stencil sees the non-finite metric.
     structure = _plane_structure(gram_nan_on_diagonals, unit)
     with pytest.raises(DegenerateFrameError, match="F\\^T G F is not finite"):
-        _field_stencil(structure, _factor_frame(structure, origin), origin, coords)
+        derivatives(structure)
     # The first-order row (h, 0) has a frame Gram condition number of 1e10.
     structure = _plane_structure(lambda pts: np.eye(2), lambda x: np.where(x > 0.0, 1e-5, 1.0))
     with pytest.raises(DegenerateFrameError, match=r"condition number 1\.0\d*e\+10"):
-        _field_stencil(structure, _factor_frame(structure, origin), origin, coords)
+        derivatives(structure)
     # Neither field varies on a plain plane: every difference is zero.
     structure = _plane_structure(lambda pts: np.eye(2), unit)
-    for difference in _field_stencil(structure, _factor_frame(structure, origin), origin, coords):
+    for difference in derivatives(structure):
         np.testing.assert_array_equal(difference, 0.0)
 
 

@@ -33,6 +33,8 @@ from pengeo.optimizer import (
     _base_point_hessian,
     _BlockTridiagonalFactor,
     _frozen_mask,
+    _gradient,
+    _velocity_decrement,
     _velocity_hessian,
 )
 from conftest import fd_energy_gradient, fd_energy_hessian, nan_hessian, random_path
@@ -144,8 +146,9 @@ def _dense_block_tridiagonal(diag, off):
 def _assert_hessian_matches(structure, q, path, frozen=None):
     mask = _frozen_mask(frozen, path.dimension)
     evaluation = _evaluate(structure, q, path)
+    first = _gradient(structure, evaluation, mask)[2]
     h0_diag, h0_off = _velocity_hessian(evaluation.factor.gram(q), mask)
-    rest_diag, rest_off = _base_point_hessian(structure, evaluation, mask)
+    rest_diag, rest_off = _base_point_hessian(structure, evaluation, first, mask)
     H = _dense_block_tridiagonal(h0_diag + rest_diag, h0_off + rest_off)
     fd = fd_energy_hessian(structure, q, path, frozen)
     free = ~np.tile(mask, path.grid_size - 1)
@@ -332,6 +335,77 @@ def test_minimize_heisenberg_perturbed_chord(heisenberg, rng):
     assert float(g @ factor.solve(g)) <= DECREMENT_TOLERANCE * (1.0 + result.energy)
 
 
+@pytest.mark.parametrize("name", ["vertical-50", "heisenberg-drift"])
+def test_closed_form_decrement_matches_the_dense_velocity_hessian(name):
+    # The stop test's g^T H0^{-1} g comes from the midpoint metrics alone,
+    # with no block factorization, at the kicked chord of each ladder (on
+    # the lift with s frozen).  Two backward-stable evaluations of it may
+    # differ by about eps cond(H0), which is the bound.  Measured relative
+    # gaps to the dense solve at q = 1, 1e2, 1e4: 2.0e-15, 2.1e-15, 1.7e-15
+    # on the vertical run and 1.3e-15, 3.1e-14, 1.5e-11 on the lift, against
+    # bounds of 2.2e-13 ... 9.0e-9; block cyclic reduction's own gaps there
+    # are 1.8e-15, 1.0e-15, 3.4e-16 and 1.4e-16, 6.4e-14, 1.1e-11.
+    structure, endpoints, _, config, frozen, seed = _ladder_inputs(name)
+    chord = DiscretePath.chord(*endpoints, config.grid_size)
+    path = chord.with_interior(chord.interior() + seed[1:-1])
+    mask = _frozen_mask(frozen, structure.dimension)
+    free = ~np.tile(mask, config.grid_size - 1)
+    for q in (1.0, 1e2, 1e4):
+        g = energy_gradient(structure, q, path, frozen)
+        decrement = _velocity_decrement(_evaluate(structure, q, path).factor.gram(q), g, mask)
+        H = _dense_velocity_hessian(structure, q, path)[np.ix_(free, free)]
+        dense = float(g[free] @ np.linalg.solve(H, g[free]))
+        assert abs(decrement - dense) <= np.finfo(float).eps * np.linalg.cond(H) * dense
+
+
+def test_non_positive_definite_metric_block_is_a_singular_velocity_hessian(heisenberg, monkeypatch):
+    # The batched Cholesky factorization of the midpoint metrics is the stop
+    # test's check that H0 is positive definite.
+    from pengeo.geometry import _FrameFactor
+
+    gram = _FrameFactor.gram
+
+    def one_block_flipped(self, q):
+        M = gram(self, q)
+        M[3] = -M[3]
+        return M
+
+    monkeypatch.setattr(_FrameFactor, "gram", one_block_flipped)
+    path = random_path(
+        heisenberg, 10, np.random.default_rng(0), scale=0.1, start=np.zeros(3), end=np.array([1.0, 0.0, 0.0])
+    )
+    with pytest.raises(FloatingPointError, match="velocity Hessian is singular at q=10 after 0 iterations"):
+        minimize_energy(heisenberg, 10.0, path, SolverConfig(grid_size=10))
+
+
+def test_velocity_hessian_without_block_pivots_is_a_floating_point_error(heisenberg, monkeypatch):
+    # Midpoint metrics that pass their Cholesky test leave H0 positive
+    # definite in exact arithmetic.  Should its block pivots fail anyway, the
+    # shift grows until it is infinite and factors H0 itself, which raises
+    # instead of looping: 315 tries, at mu = 0, 1e-4, 1e-3, ..., 1e308, inf.
+    from pengeo import optimizer
+
+    build = optimizer._velocity_hessian
+    factored = []
+
+    def negated(M, frozen_mask):
+        diag, off = build(M, frozen_mask)
+        return -diag, -off
+
+    def counting(diag, off):
+        factored.append(off)
+        return _BlockTridiagonalFactor(diag, off)
+
+    monkeypatch.setattr(optimizer, "_velocity_hessian", negated)
+    monkeypatch.setattr(optimizer, "_BlockTridiagonalFactor", counting)
+    path = random_path(
+        heisenberg, 10, np.random.default_rng(0), scale=0.1, start=np.zeros(3), end=np.array([1.0, 0.0, 0.0])
+    )
+    with pytest.raises(FloatingPointError, match="velocity Hessian is singular at q=10 after 0 iterations"):
+        minimize_energy(heisenberg, 10.0, path, SolverConfig(grid_size=10))
+    assert len(factored) == 315
+
+
 def test_solve_result_certificates_equal_the_functionals_bitwise(heisenberg, rng):
     path = random_path(
         heisenberg, 25, rng, scale=0.2, start=np.zeros(3), end=np.array([1.0, 0.0, 0.0])
@@ -344,12 +418,13 @@ def test_solve_result_certificates_equal_the_functionals_bitwise(heisenberg, rng
 
 def _count_solver_calls(monkeypatch):
     """Count frame factorizations, evaluations (and those of predicted
-    starts), Hessian builds, solves, field evaluations, lift transports and
-    the rows of each Hessian's field stencil."""
+    starts), Hessian builds, block factorizations that succeed, solves,
+    field evaluations, lift transports and the rows of each Hessian's field
+    stencil."""
     from pengeo import drift, functionals, geometry, optimizer
 
     counts = dict.fromkeys(
-        ["factor", "evaluate", "predicted", "hessian", "minimize", "fields", "transport"], 0
+        ["factor", "evaluate", "predicted", "hessian", "block", "minimize", "fields", "transport"], 0
     )
     counts["stencil_rows"] = []
 
@@ -371,6 +446,14 @@ def _count_solver_calls(monkeypatch):
         optimizer, "_base_point_hessian", counting("hessian", optimizer._base_point_hessian)
     )
     monkeypatch.setattr(optimizer, "_minimize", counting("minimize", optimizer._minimize))
+    block_factor = optimizer._BlockTridiagonalFactor
+
+    def factored(diag, off):
+        factor = block_factor(diag, off)  # a failed pivot raises before the count
+        counts["block"] += 1
+        return factor
+
+    monkeypatch.setattr(optimizer, "_BlockTridiagonalFactor", factored)
     for cls in (SubRiemannianStructure, drift.LiftedStructure):
         monkeypatch.setattr(cls, "_fields", counting("fields", cls._fields))
     monkeypatch.setattr(
@@ -382,12 +465,15 @@ def _count_solver_calls(monkeypatch):
 def _assert_hessian_counts(counts, gradients, lifted, active, grid_size):
     """Each evaluation factors its point set once and nothing else factors;
     each evaluation, gradient and Hessian build reads the fields once (the
-    lift transports each such read once), a Hessian's read on the 2a^2 N
-    rows of its stencil."""
+    lift transports each such read once), a Hessian's read on the
+    2a(a - 1) N mixed rows of its stencil, since it reuses the gradient's
+    first-order rows.  Only the Newton step factors a block matrix, and it
+    succeeds once per Hessian: the stop test factors none."""
     assert counts["factor"] == counts["evaluate"]
     assert counts["fields"] == counts["evaluate"] + gradients + counts["hessian"]
     assert counts["transport"] == (counts["fields"] if lifted else 0)
-    assert counts["stencil_rows"] == [2 * active**2 * grid_size] * counts["hessian"]
+    assert counts["stencil_rows"] == [2 * active * (active - 1) * grid_size] * counts["hessian"]
+    assert counts["block"] == counts["hessian"]
 
 
 @pytest.mark.parametrize("lifted", [False, True])
@@ -396,7 +482,8 @@ def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, 
     # trial); the gradient, H0, the Hessian and the certificates reuse the
     # accepted trial's factor.  Each iteration builds one Hessian, and the
     # exit test (on H0) none.  The gradient and the Hessian each read the
-    # fields once more, at the shifted midpoints of their difference stencils.
+    # fields once more, at the shifted midpoints of their difference
+    # stencils; the Hessian only at the rows the gradient did not read.
     counts = _count_solver_calls(monkeypatch)
     structure, frozen = heisenberg, None
     start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
@@ -413,6 +500,30 @@ def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, 
     assert counts["evaluate"] >= result.iterations + 1
     assert counts["hessian"] == result.iterations
     _assert_hessian_counts(counts, result.iterations + 1, lifted, 3, 12)
+
+
+def test_converged_start_factors_nothing(heisenberg, monkeypatch):
+    # The chord is the minimizer on the Heisenberg preset, so the stop test
+    # accepts it at iteration 0; the closed-form decrement builds no block
+    # factorization and no Hessian.
+    counts = _count_solver_calls(monkeypatch)
+    path = DiscretePath.chord(np.zeros(3), np.array([1.0, 0.0, 0.0]), 20)
+    result = minimize_energy(heisenberg, 100.0, path, SolverConfig(grid_size=20))
+    assert result.converged and result.iterations == 0
+    assert counts["block"] == counts["hessian"] == 0
+
+
+@pytest.mark.parametrize(
+    "name, iterations",
+    [("vertical-200", [1, 3, 4, 8, 2]), ("heisenberg-drift", [1, 3, 3, 2, 2])],
+)
+def test_default_ladders_take_their_recorded_iterations(name, iterations):
+    # The per-rung Newton iterations of the two benchmark ladders at their
+    # preset kicks: a solver change that keeps the numbers keeps these.
+    structure, endpoints, schedule, config, frozen, seed = _ladder_inputs(name)
+    results = continuation_solve(structure, endpoints, schedule, config, None, frozen, seed)
+    assert [r.iterations for r in results] == iterations
+    assert all(r.converged for r in results)
 
 
 @pytest.mark.parametrize("name", ["vertical-50", "heisenberg-drift"])
@@ -556,7 +667,10 @@ def _ladder_inputs(name):
     """(structure, endpoints, schedule, config, frozen, seed) of a ladder as
     the CLI runs it; a drift preset runs on its lift with s frozen, as in
     ``solve_drift_problem``."""
-    prob = vertical_heisenberg_problem(50) if name == "vertical-50" else get_problem(name)
+    if name.startswith("vertical-"):
+        prob = vertical_heisenberg_problem(int(name.split("-")[1]))
+    else:
+        prob = get_problem(name)
     structure, endpoints, frozen = prob.structure, (prob.start, prob.end), None
     if prob.has_drift:
         structure = build_lifted_structure(prob.structure, prob.drift)
