@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pengeo.cli import OUTPUT_ROOT_ENV, ConfigError, main, parse_config
+from pengeo import functionals, geometry
+from pengeo.cli import OUTPUT_ROOT_ENV, ConfigError, _write_samples_csv, main, parse_config
+from pengeo.problems import get_problem, problem_names
 from conftest import nan_hessian
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -625,37 +627,112 @@ def test_diagnose_reports_a_solver_failure_directory(tmp_path, capsys):
     assert "config error" not in err
 
 
-def test_diagnose_round_trip_solve(tmp_path, capsys):
-    config = _write_config(
-        tmp_path,
-        """
-        [problem]
-        name = heisenberg
-        grid_size = 40
-        """,
-    )
+def _round_trip(tmp_path, capsys, monkeypatch, name: str, command: str) -> None:
+    config = _write_config(tmp_path, f"[problem]\nname = {name}\n")
     out_dir = tmp_path / "run"
-    assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 0
+    assert main([command, "--config", str(config), "--out", str(out_dir)]) == 0
     capsys.readouterr()
+    factored = []
+    original = geometry._factor_frame
+
+    def counted(structure, points):
+        factored.append(points.shape[0])
+        return original(structure, points)
+
+    monkeypatch.setattr(geometry, "_factor_frame", counted)
+    monkeypatch.setattr(functionals, "_factor_frame", counted)
     assert main(["diagnose", "--results", str(out_dir)]) == 0
     printed = capsys.readouterr().out
+    rows = len(_data_rows(out_dir / "results.csv"))
+    # One evaluation per stored path gives its energy, length and defect.
+    assert len(factored) == rows
     assert "MISMATCH" not in printed
-    assert "all 5 rows re-derived" in printed
+    assert f"all {rows} rows re-derived" in printed
 
 
-def test_diagnose_round_trip_drift(tmp_path, capsys):
-    config = _write_config(
-        tmp_path,
-        """
-        [problem]
-        name = drift-constant-1d
-        """,
-    )
+@pytest.mark.parametrize("name", [n for n in problem_names() if not get_problem(n).has_drift])
+def test_diagnose_round_trip_solve(tmp_path, capsys, monkeypatch, name):
+    _round_trip(tmp_path, capsys, monkeypatch, name, "solve")
+
+
+@pytest.mark.parametrize("name", [n for n in problem_names() if get_problem(n).has_drift])
+def test_diagnose_round_trip_drift(tmp_path, capsys, monkeypatch, name):
+    _round_trip(tmp_path, capsys, monkeypatch, name, "drift-solve")
+
+
+def _set_field(row: int, column: int, text: str):
+    def tamper(lines: list) -> None:
+        fields = lines[row].split(",")
+        fields[column] = text
+        lines[row] = ",".join(fields)
+
+    return tamper
+
+
+_HEISENBERG_TWO_RUNGS = "[problem]\nname = heisenberg\ngrid_size = 10\n[schedule]\nstep_count = 2\n"
+
+
+@pytest.mark.parametrize(
+    "command, body, file_name, tamper, failed_line",
+    [
+        # An overflowing coordinate leaves F^T G F non-finite at a midpoint.
+        (
+            "solve",
+            _HEISENBERG_TWO_RUNGS,
+            "path_q1.csv",
+            _set_field(3, 1, "1e200"),
+            "q=1 re-derivation failed: frame is degenerate: its Gram matrix F^T G F is not finite",
+        ),
+        # A lifted path whose s coordinate leaves [0, 1] has no flow to read.
+        (
+            "drift-solve",
+            "[problem]\nname = drift-constant-1d\n",
+            "path_q10.csv",
+            _set_field(3, -1, "3.0"),
+            "q=10 re-derivation failed: flow times must lie in [0, 1]",
+        ),
+        # A path with a grid point removed cannot be compared with its neighbour.
+        (
+            "solve",
+            _HEISENBERG_TWO_RUNGS,
+            "path_q10.csv",
+            lambda lines: lines.pop(4),
+            "q=10 rho0: re-derivation failed: paths must share grid size",
+        ),
+    ],
+    ids=["degenerate-frame", "flow-time", "grid-size"],
+)
+def test_diagnose_rederivation_failure_is_a_mismatch(
+    tmp_path, capsys, command, body, file_name, tamper, failed_line
+):
+    config = _write_config(tmp_path, body)
     out_dir = tmp_path / "run"
-    assert main(["drift-solve", "--config", str(config), "--out", str(out_dir)]) == 0
+    assert main([command, "--config", str(config), "--out", str(out_dir)]) == 0
+    path_file = out_dir / file_name
+    lines = path_file.read_text().splitlines()
+    tamper(lines)
+    path_file.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main(["diagnose", "--results", str(out_dir)]) == 0
-    assert "MISMATCH" not in capsys.readouterr().out
+    assert main(["diagnose", "--results", str(out_dir)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert any(line.startswith(failed_line) and line.endswith(" [MISMATCH]") for line in printed)
+    # Every MISMATCH line is counted, and an infinite rho never passes.
+    mismatches = sum(line.endswith("[MISMATCH]") for line in printed)
+    assert printed[-1] == f"diagnose: {mismatches} mismatches found"
+    assert not any("recomputed=inf [ok]" in line for line in printed)
+
+
+def test_samples_csv_matches_savetxt_and_reads_back_bitwise(tmp_path):
+    edges = np.array([-0.0, 2.0**-1074, 1e-310, 1e300, 1e16, 1.0 / 3.0, np.pi])
+    values = np.column_stack([edges[::-1], -edges])
+    written = tmp_path / "written.csv"
+    _write_samples_csv(written, edges, values, "x")
+    reference = tmp_path / "reference.csv"
+    table = np.column_stack([edges, values])
+    np.savetxt(reference, table, fmt="%.17g", delimiter=",", header="t,x1,x2", comments="")
+    assert written.read_bytes() == reference.read_bytes()
+    read = np.loadtxt(written, delimiter=",", skiprows=1, ndmin=2)
+    assert read.tobytes() == table.tobytes()
 
 
 def test_diagnose_detects_tampering(tmp_path, capsys):
