@@ -18,10 +18,11 @@ import numpy as np
 
 from .functionals import (
     DiscretePath,
+    _rms_gap,
+    _segments,
     energy,
     horizontality_defect,
     limit_energy,
-    semimetric_rho,
 )
 from .geometry import SubRiemannianStructure
 
@@ -162,12 +163,19 @@ def recovery_sequence_check(
 
 
 def _rho_pairs(results) -> list:
-    """(rho0, rho1) per step against the previous minimizer, None for the first."""
+    """(rho0, rho1) per step against the previous minimizer, None for the first.
+
+    The values of :func:`semimetric_rho`, from one pass over each path's
+    segments.  Raises ValueError unless all paths share grid size and
+    dimension.
+    """
+    shapes = sorted({r.path.points.shape for r in results})
+    if len(shapes) > 1:
+        raise ValueError(f"paths must share grid size and dimension: point shapes {shapes}")
+    segments = [_segments(r.path) for r in results]
     pairs = [(None, None)]
-    for prev, curr in zip(results, results[1:]):
-        rho0 = semimetric_rho(prev.path, curr.path, order=0)
-        rho1 = semimetric_rho(prev.path, curr.path, order=1)
-        pairs.append((rho0, rho1))
+    for prev, curr in zip(segments, segments[1:]):
+        pairs.append((_rms_gap(prev[0], curr[0]), _rms_gap(prev[1], curr[1])))
     return pairs
 
 
@@ -185,7 +193,7 @@ def distance_chain_report(
     """
     if not results:
         raise ValueError("need at least one continuation result")
-    rhos = _rho_pairs(results) if len(results) > 1 else [(None, None)]
+    rhos = _rho_pairs(results)
     records = tuple(
         QRecord(
             q=res.q,
@@ -293,20 +301,10 @@ def minimizer_cauchy_report(
     """
     if len(results) < 2:
         raise ValueError("need at least two continuation results")
-    grids = {r.path.grid_size for r in results}
-    dims = {r.path.dimension for r in results}
-    if len(grids) != 1 or len(dims) != 1:
-        raise ValueError("all continuation results must share one grid")
-    steps = []
-    for prev, curr in zip(results, results[1:]):
-        steps.append(
-            CauchyStep(
-                q_from=prev.q,
-                q_to=curr.q,
-                rho0=semimetric_rho(prev.path, curr.path, order=0),
-                rho1=semimetric_rho(prev.path, curr.path, order=1),
-            )
-        )
+    steps = [
+        CauchyStep(q_from=prev.q, q_to=curr.q, rho0=rho0, rho1=rho1)
+        for prev, curr, (rho0, rho1) in zip(results, results[1:], _rho_pairs(results)[1:])
+    ]
     final_rho1_max = float(np.max(steps[-1].rho1))
     passed = (final_rho1_max <= rho1_threshold) if unique_limit else None
     return CauchyReport(

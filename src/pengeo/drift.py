@@ -7,7 +7,10 @@ flow-pulled-back base frame together with the unit vector along s, and the
 metric is the flow pullback of the base metric on the first block with a
 unit weight on s.  Pinning s to advance linearly from 0 to 1 makes the q = 1
 lifted energy equal to half the control cost plus one half, an identity the
-result object reports as a cross-check.
+result object reports as a cross-check.  With s pinned, the lifted form is
+v_p^T M_q(p, s) v_p + v_s^2 with v_s = 1, so the drift problem is solved on
+R^n, with the base fields pulled back by the flow to each segment's
+mid-time (the interaction picture), and only reported on the lift.
 
 Drifts are affine, X(p) = A p + b, and their flows are evaluated exactly as
 exp(t [[A, b], [0, 0]]) (Van Loan, IEEE TAC 23(3), 1978).
@@ -17,12 +20,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .functionals import _segments, energy
+from .functionals import DiscretePath, _evaluate, _segments, energy
 from .geometry import (
     FrameField,
     MetricField,
@@ -30,7 +33,7 @@ from .geometry import (
     as_point,
     penalized_forms,
 )
-from .optimizer import ContinuationSchedule, SolverConfig, continuation_solve
+from .optimizer import ContinuationSchedule, SolveResult, SolverConfig, continuation_solve
 
 logger = logging.getLogger("pengeo")
 
@@ -164,31 +167,41 @@ class FlowMap:
 
 
 @dataclass(frozen=True)
-class LiftedStructure(SubRiemannianStructure):
-    """Drift-free structure on (p, s) whose geodesics encode drift controls."""
+class _PulledBackStructure(SubRiemannianStructure):
+    """The drift problem on R^n in the interaction picture: the base fields
+    pulled back by the drift flow, which change in time.
+
+    At time t the metric is J^T G(phi_t p) J and the frame J^{-1} F(phi_t p),
+    with J = M(t) the flow Jacobian.  ``metric`` and ``frame`` are the base
+    fields, which they equal at t = 0.
+    """
 
     base: SubRiemannianStructure = field(repr=False, default=None)  # type: ignore[assignment]
-    drift: DriftField = field(repr=False, default=None)  # type: ignore[assignment]
     flow: FlowMap = field(repr=False, default=None, compare=False)  # type: ignore[assignment]
 
-    def _fields(self, points: np.ndarray):
-        """Lifted metric and frame stacks at points (p, s), from one flow transport.
+    def _fields(self, points: np.ndarray, times):
+        """Pulled-back metric and frame stacks at points p and their times, from one
+        flow transport; J^{-1} = exp(-t A) comes from J's series, so no row is solved."""
+        images, jacs, inverses = self.flow.transport_batch(times, points)
+        G = np.matmul(jacs.transpose(0, 2, 1), np.matmul(self.base.metric.gram_batch(images), jacs))
+        return G, np.matmul(inverses, self.base.frame.frame_batch(images))
 
-        The base frame is pulled back by J^{-1} = exp(-s A), which the
-        transport returns from the same series as J, so no row is solved.
-        """
-        n = self.base.dimension
-        k = self.base.rank
-        m = points.shape[0]
-        images, jacs, inverses = self.flow.transport_batch(points[:, n], points[:, :n])
+
+@dataclass(frozen=True)
+class LiftedStructure(_PulledBackStructure):
+    """Drift-free structure on (p, s) whose geodesics encode drift controls."""
+
+    def _fields(self, points: np.ndarray, times=None):
+        """Lifted metric and frame stacks at points (p, s): the pulled-back
+        stacks at time s, padded to diag(G, 1) and [[F, 0], [0, 1]]."""
+        m, n = points.shape[0], self.base.dimension
+        Gp, Fp = super()._fields(points[:, :n], points[:, n])
         G = np.zeros((m, n + 1, n + 1))
-        G[:, :n, :n] = np.matmul(
-            jacs.transpose(0, 2, 1), np.matmul(self.base.metric.gram_batch(images), jacs)
-        )
+        G[:, :n, :n] = Gp
         G[:, n, n] = 1.0
-        F = np.zeros((m, n + 1, k + 1))
-        F[:, :n, :k] = np.matmul(inverses, self.base.frame.frame_batch(images))
-        F[:, n, k] = 1.0
+        F = np.zeros((m, n + 1, self.rank))
+        F[:, :n, :-1] = Fp
+        F[:, n, -1] = 1.0
         return G, F
 
 
@@ -204,8 +217,8 @@ def build_lifted_structure(
     J^{-1} F(image) extended by zero in s, plus the unit s direction.  The
     s direction is therefore always horizontal, and the p block measures a
     lifted velocity exactly as the base metric measures its flow transport.
-    The solver reads metric and frame together, one flow transport per point
-    set; the ``metric`` and ``frame`` fields each transport for themselves.
+    The ``metric`` and ``frame`` fields each transport for themselves; the
+    functionals read them together, one flow transport per point set.
     """
     n = structure.dimension
     if drift.b.size != n:
@@ -218,10 +231,35 @@ def build_lifted_structure(
         frame=FrameField(columns=lambda pts: lifted._fields(pts)[1]),
         name=f"{structure.name}+drift:{drift.name}",
         base=structure,
-        drift=drift,
         flow=FlowMap(drift),
     )
     return lifted
+
+
+def _reduced_structure(lifted: LiftedStructure) -> _PulledBackStructure:
+    """The lift's problem on R^n, where s is the time: once s is pinned to the
+    grid, the lifted form is v_p^T M_q(p, s) v_p + v_s^2 with v_s = 1."""
+    base = lifted.base
+    return _PulledBackStructure(
+        base.dimension, base.rank, base.metric, base.frame, lifted.name, base=base, flow=lifted.flow
+    )
+
+
+def _lifted_result(lifted: LiftedStructure, result: SolveResult) -> SolveResult:
+    """A rung solved on R^n, reported on the lifted path (p, t): its certificates
+    come from one evaluation on the lift, so they equal the public functionals
+    there bitwise, and its energy history adds the 1/2 of the unit s speed."""
+    path = DiscretePath.from_points(np.column_stack([result.path.points, result.path.times]))
+    evaluation = _evaluate(lifted, result.q, path)
+    return replace(
+        result,
+        path=path,
+        energy=evaluation.energy,
+        length=evaluation.length,
+        defect=evaluation.defect,
+        speed_cv=evaluation.speed_cv,
+        energy_history=tuple(e + 0.5 for e in result.energy_history),
+    )
 
 
 @dataclass(frozen=True)
@@ -266,33 +304,26 @@ def solve_drift_problem(
 ) -> DriftSolveResult:
     """Steer the drift system from ``start`` to ``target`` in unit time.
 
-    Runs penalty continuation on the lifted structure between (start, 0) and
-    (phi_1^{-1}(target), 1) with the s coordinate frozen to its linear
-    interpolant, so s is the time.  The final lifted minimizer is mapped back
-    to the controlled trajectory by one batched flow transport on the grid,
-    and the control is read off by a second one at the segment midpoints.
-    The control cost is the time integral of the base metric norm squared of
-    the control, evaluated at those midpoints so it ties exactly to the
-    lifted energy.
+    The lift's s coordinate is the time, so penalty continuation runs on
+    R^n, with the fields pulled back by the flow to each segment's mid-time,
+    between ``start`` and phi_1^{-1}(target); ``seed_deflection`` has shape
+    (N+1, n).  Each rung is reported on the lifted path (p, t).  The final
+    minimizer is mapped back to the controlled trajectory by one batched
+    flow transport on the grid, and the control is read off by a second one
+    at the segment midpoints.  The control cost is the time integral of the
+    base metric norm squared of the control, evaluated at those midpoints
+    so it ties exactly to the lifted energy.
     """
     x = as_point(start, structure.dimension)
     y = as_point(target, structure.dimension)
     lifted = build_lifted_structure(structure, drift)
     flow = lifted.flow
 
-    lifted_start = np.concatenate([x, [0.0]])
-    lifted_end = np.concatenate([flow.inverse(1.0, y), [1.0]])
-    frozen = np.zeros(structure.dimension + 1, dtype=bool)
-    frozen[-1] = True
-
-    results = continuation_solve(
-        lifted,
-        (lifted_start, lifted_end),
-        schedule,
-        config,
-        frozen_coords=frozen,
-        seed_deflection=seed_deflection,
+    endpoints = (x, flow.inverse(1.0, y))
+    ladder = continuation_solve(
+        _reduced_structure(lifted), endpoints, schedule, config, seed_deflection=seed_deflection
     )
+    results = [_lifted_result(lifted, r) for r in ladder]
     final = results[-1].path
     N = final.grid_size
     n = structure.dimension

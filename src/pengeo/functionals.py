@@ -153,13 +153,14 @@ class FunctionalValue:
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """One path at one penalty: its segment midpoints and velocities, the
-    frame factor at the midpoints, and the per-segment forms at q.  The flux
+    """One path at one penalty: its segment midpoints, mid-times and velocities,
+    the frame factor at the midpoints, and the per-segment forms at q.  The flux
     G (P v + q Pc v) is affine in q; ``vertical_flux`` = G Pc v is its slope."""
 
     q: float
     energy: float
     mids: np.ndarray
+    times: np.ndarray
     vels: np.ndarray
     factor: _FrameFactor
     horizontal: np.ndarray
@@ -179,15 +180,26 @@ class _Evaluation:
     def defect(self) -> float:
         return float(np.sum(self.vertical) / self.vertical.size)
 
+    @property
+    def speed_cv(self) -> float:
+        """Coefficient of variation of the speeds, 0 when they all vanish."""
+        speeds = self.speeds()
+        mean = float(np.mean(speeds))
+        return 0.0 if mean <= 0.0 else float(np.std(speeds) / mean)
+
 
 def _evaluate(structure: SubRiemannianStructure, q, path: DiscretePath) -> _Evaluation:
-    """Factor the frame at the path's midpoints once and evaluate its forms at q."""
+    """Factor the frame at the path's midpoints and mid-times once and evaluate its forms at q."""
     qf = check_penalty(q)
     mids, vels = _segments(path)
-    factor = _factor_frame(structure, mids)
+    t = path.times
+    times = 0.5 * (t[:-1] + t[1:])
+    factor = _factor_frame(structure, mids, times)
     horizontal, vertical, Gpv, Gpp = factor.split_forms(vels)
     value = float(np.sum(horizontal + qf * vertical) / (2.0 * path.grid_size))
-    return _Evaluation(qf, value, mids, vels, factor, horizontal, vertical, Gpv + qf * Gpp, Gpp)
+    return _Evaluation(
+        qf, value, mids, times, vels, factor, horizontal, vertical, Gpv + qf * Gpp, Gpp
+    )
 
 
 def energy(structure: SubRiemannianStructure, q, path: DiscretePath) -> float:
@@ -239,7 +251,10 @@ def semimetric_rho(path_a: DiscretePath, path_b: DiscretePath, order: int) -> np
             "paths must share grid size and dimension:"
             f" ({path_a.grid_size}, {path_a.dimension}) vs ({path_b.grid_size}, {path_b.dimension})"
         )
-    mids_a, vels_a = _segments(path_a)
-    mids_b, vels_b = _segments(path_b)
-    diff = (mids_a - mids_b) if order == 0 else (vels_a - vels_b)
+    return _rms_gap(_segments(path_a)[order], _segments(path_b)[order])
+
+
+def _rms_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-column root mean square of a - b."""
+    diff = a - b
     return np.sqrt(np.mean(diff * diff, axis=0))

@@ -168,8 +168,9 @@ class SubRiemannianStructure:
                 f"need 1 <= rank <= dimension, got rank {self.rank} in dimension {self.dimension}"
             )
 
-    def _fields(self, points: np.ndarray):
-        """Metric and frame stacks (G, F) at a batch of points, in one evaluation."""
+    def _fields(self, points: np.ndarray, times=None):
+        """Metric and frame stacks (G, F) at a batch of points, in one evaluation;
+        these fields do not change in time, so the points' ``times`` are unused."""
         return self.metric.gram_batch(points), self.frame.frame_batch(points)
 
 
@@ -265,15 +266,15 @@ def _frame_gram(points: np.ndarray, G: np.ndarray, F: np.ndarray):
     return FtG, M
 
 
-def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray) -> _FrameFactor:
+def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray, times=None) -> _FrameFactor:
     """Factor the frame Gram matrix F^T G F at a batch of points into F+.
 
-    G and F come from one joint field evaluation, ``structure._fields``; the
-    drift lift uses it to transport each point set once.  Raises
-    :class:`DegenerateFrameError` when F^T G F is not finite, ill
-    conditioned or not positive definite at any of the points.
+    G and F come from one joint field evaluation at the points and their
+    ``times``, ``structure._fields``; a drift problem transports each point
+    set once in it.  Raises :class:`DegenerateFrameError` when F^T G F is
+    not finite, ill conditioned or not positive definite at any point.
     """
-    G, F = structure._fields(points)
+    G, F = structure._fields(points, times)
     m = points.shape[0]
     expected = (m, structure.dimension, structure.rank)
     if F.shape != expected:
@@ -296,59 +297,60 @@ def _fd_step(points: np.ndarray) -> float:
     return BRACKET_FD_SCALE * (1.0 + float(np.max(np.abs(points), initial=0.0)))
 
 
-def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, coords):
-    """Derivatives (dG, dF) of the metric and frame stacks along ``coords``,
-    with the stacks they come from.
+def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, times):
+    """Derivatives (dG, dF) of the metric and frame stacks along every
+    coordinate, with the stacks they come from.
 
-    Central differences from one ``structure._fields`` evaluation at the 2a
-    copies points +- h e_c, c in ``coords``, stacked into one batch, with
-    h from :func:`_fd_step`.  Returns (dG, dF, G, F): the derivatives, of
-    shapes (a, m, n, n) and (a, m, n, k), and the stacks at the copies, of
-    shapes (2, a, m, n, n) and (2, a, m, n, k) with the plus copies first,
-    which :func:`_field_stencil` reuses.  No frame is factored.
+    Central differences from one ``structure._fields`` evaluation at the 2n
+    copies points +- h e_c, stacked into one batch with the ``times`` of the
+    points, and h from :func:`_fd_step`.  Returns (dG, dF, G, F): the
+    derivatives, of shapes (n, m, n, n) and (n, m, n, k), and the stacks at
+    the copies, of shapes (2, n, m, n, n) and (2, n, m, n, k) with the plus
+    copies first, which :func:`_field_stencil` reuses.  No frame is factored.
     """
     m, n = points.shape
     h = _fd_step(points)
-    shift = h * np.eye(n)[coords][:, None, :]
-    G, F = structure._fields(np.concatenate([points + shift, points - shift]).reshape(-1, n))
-    G = G.reshape(2, len(coords), m, n, n)
-    F = F.reshape(2, len(coords), m, n, -1)
+    shift = h * np.eye(n)[:, None, :]
+    rows = np.concatenate([points + shift, points - shift]).reshape(-1, n)
+    G, F = structure._fields(rows, np.tile(times, 2 * n))
+    G = G.reshape(2, n, m, n, n)
+    F = F.reshape(2, n, m, n, -1)
     return (G[0] - G[1]) / (2.0 * h), (F[0] - F[1]) / (2.0 * h), G, F
 
 
-def _field_stencil(structure: SubRiemannianStructure, factor: _FrameFactor, points, coords, first):
-    """Second derivatives (d2G, d2F) of the metric and frame stacks along ``coords``.
+def _field_stencil(structure: SubRiemannianStructure, factor: _FrameFactor, points, times, first):
+    """Second derivatives (d2G, d2F) of the metric and frame stacks in all coordinates.
 
-    ``first`` is :func:`_field_differences` at the same points and coords.
+    ``first`` is :func:`_field_differences` at the same points and times.
     Its stacks at points +- h e_c, with the factor's own G and F at
     ``points``, give the diagonal second differences, so one
-    ``structure._fields`` evaluation reads only the 2a(a - 1) m copies
+    ``structure._fields`` evaluation reads only the 2n(n - 1) m copies
     points +- h e_c +- h e_d, c < d, for the mixed ones (Nocedal & Wright,
-    *Numerical Optimization*, 2nd ed., 8.1).  Shapes (a, a, m, n, n) and
-    (a, a, m, n, k).  No frame is factored, but the checks of
+    *Numerical Optimization*, 2nd ed., 8.1).  Shapes (n, n, m, n, n) and
+    (n, n, m, n, k).  No frame is factored, but the checks of
     :func:`_factor_frame` still hold: F^T G F must be finite and well
     conditioned on the first-order rows, and G finite on the mixed ones, or
     :class:`DegenerateFrameError` is raised.
     """
     m, n = points.shape
-    a = len(coords)
     h = _fd_step(points)
-    axes = h * np.eye(n)[coords]
+    axes = h * np.eye(n)
     _, _, Gs, Fs = first
     rows = (points[None, :, :] + np.concatenate([axes, -axes])[:, None, :]).reshape(-1, n)
     _frame_gram(rows, Gs.reshape((-1,) + Gs.shape[3:]), Fs.reshape((-1,) + Fs.shape[3:]))
-    c, d = np.triu_indices(a, 1)
+    c, d = np.triu_indices(n, 1)
     offsets = np.concatenate(
         [sc * axes[c] + sd * axes[d] for sc, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     )
-    G, F = structure._fields((points[None, :, :] + offsets[:, None, :]).reshape(-1, n))
+    corners = (points[None, :, :] + offsets[:, None, :]).reshape(-1, n)
+    G, F = structure._fields(corners, np.tile(times, len(offsets)))
     if not np.all(np.isfinite(G)):
         raise DegenerateFrameError(_NOT_FINITE_MESSAGE)
 
     def second(mixed, shifted, X0):
         mixed = mixed.reshape((4, -1, m) + mixed.shape[1:])
-        out = np.empty((a, a, m) + X0.shape[1:])
-        out[np.arange(a), np.arange(a)] = (shifted[0] - 2.0 * X0 + shifted[1]) / h**2
+        out = np.empty((n, n, m) + X0.shape[1:])
+        out[np.arange(n), np.arange(n)] = (shifted[0] - 2.0 * X0 + shifted[1]) / h**2
         out[c, d] = (mixed[0] - mixed[1] - mixed[2] + mixed[3]) / (4.0 * h**2)
         out[d, c] = out[c, d]
         return out

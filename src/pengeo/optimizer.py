@@ -5,7 +5,9 @@ The decision variable is the flattened stack of interior points of a
 gradient of the discrete energy is assembled from the penalized form's flux
 vectors (velocity dependence) and its base-point derivative, which the frame
 factor gives from central differences of the metric and frame fields at
-shifted midpoints: one batched field evaluation, no factorization.
+shifted midpoints: one batched field evaluation, no factorization.  Fields
+that change in time, as a drift problem's pulled-back ones do, are read at
+each segment's mid-time.
 
 Minimization is Newton's method on the exact Hessian of the discrete energy,
 with a backtracking Armijo line search that starts every search at the unit
@@ -150,42 +152,27 @@ class SolveResult:
     energy_history: tuple
 
 
-def energy_gradient(
-    structure: SubRiemannianStructure,
-    q,
-    path: DiscretePath,
-    frozen_coords: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def energy_gradient(structure: SubRiemannianStructure, q, path: DiscretePath) -> np.ndarray:
     """Gradient of the discrete energy in the flattened interior points.
 
     The velocity dependence is differentiated exactly through the penalized
     form's flux; the base-point dependence differentiates the form through
     the projection, from central differences of the O(1) metric and frame
-    fields (not of the O(q) form) in the midpoint coordinates.
-    Coordinates flagged in ``frozen_coords`` (a boolean mask of length n)
-    are excluded from both parts and their gradient entries are zero, which
-    pins those coordinates to whatever the path already does linearly.
+    fields (not of the O(q) form) in the midpoint coordinates, at the
+    segment mid-times.
     """
-    mask = _frozen_mask(frozen_coords, path.dimension)
-    return _gradient(structure, _evaluate(structure, q, path), mask)[0]
+    return _gradient(structure, _evaluate(structure, q, path))[0]
 
 
-def _frozen_mask(frozen_coords, n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool) if frozen_coords is None else np.asarray(frozen_coords, dtype=bool)
-    if mask.shape != (n,):
-        raise ValueError(f"frozen_coords must be a boolean mask of length {n}")
-    return mask
-
-
-def _gradient(structure, evaluation, frozen_mask: np.ndarray):
+def _gradient(structure, evaluation):
     """:func:`energy_gradient` from the path's evaluation, whose flux and factor
     it reuses, the gradient's slope in q, and the field differences.
 
     The energy is affine in q with slope half the defect, so the slope is the
     gradient of D/2; it is assembled from the slopes of the flux and of the
     base-point derivative, from the same field differences.  Those come from
-    :func:`_field_differences` on the active coordinates (None when every
-    coordinate is frozen), and the Hessian at the same evaluation reuses them.
+    :func:`_field_differences`, and the Hessian at the same evaluation reuses
+    them.
     """
     q, mids, vels = evaluation.q, evaluation.mids, evaluation.vels
     N, n = vels.shape
@@ -201,16 +188,11 @@ def _gradient(structure, evaluation, frozen_mask: np.ndarray):
 
     # Base-point dependence: each midpoint is the mean of its segment's ends
     # and the quadrature carries 1/(2N), so each end gets dQ/(4N).
-    active = np.flatnonzero(~frozen_mask)
-    first = None
-    if active.size:
-        first = _field_differences(structure, mids, active)
-        dQ = np.stack(evaluation.factor.form_derivatives(q, vels, *first[:2])) / (4.0 * N)
-        dQ = dQ.transpose(0, 2, 1)
-        grads[:, :-1, active] += dQ
-        grads[:, 1:, active] += dQ
-
-    grads[:, :, frozen_mask] = 0.0
+    first = _field_differences(structure, mids, evaluation.times)
+    dQ = np.stack(evaluation.factor.form_derivatives(q, vels, *first[:2])) / (4.0 * N)
+    dQ = dQ.transpose(0, 2, 1)
+    grads[:, :-1] += dQ
+    grads[:, 1:] += dQ
     return grads[0, 1:-1].ravel(), grads[1, 1:-1].ravel(), first
 
 
@@ -287,7 +269,7 @@ class _BlockTridiagonalFactor:
         return x.ravel()
 
 
-def _velocity_decrement(M: np.ndarray, g: np.ndarray, frozen_mask: np.ndarray) -> float:
+def _velocity_decrement(M: np.ndarray, g: np.ndarray) -> float:
     """The Newton decrement g^T H0^{-1} g in closed form, with no block factorization.
 
     H0 = N D^T M D is a path-graph Laplacian: D takes the interior points to
@@ -298,45 +280,36 @@ def _velocity_decrement(M: np.ndarray, g: np.ndarray, frozen_mask: np.ndarray) -
     S_i = g_1 + ... + g_i (S_0 = 0),
 
         y_0 = (sum_i M_i^{-1})^{-1} sum_i M_i^{-1} S_i,   y_i = y_0 - S_i,
-        g^T H0^{-1} g = (1/N) sum_i y_i^T M_i^{-1} y_i,
+        g^T H0^{-1} g = (1/N) sum_i y_i^T M_i^{-1} y_i.
 
-    on the active coordinates; frozen ones have g = 0 and a unit block in
-    H0.  One batched Cholesky factorization of the M_i raises
+    One batched Cholesky factorization of the M_i raises
     ``np.linalg.LinAlgError`` when one is not positive definite, so that H0
     is singular in floating point.
     """
-    N = M.shape[0]
-    active = np.flatnonzero(~frozen_mask)
-    S = np.zeros((N, active.size))
-    np.cumsum(g.reshape(N - 1, -1)[:, active], axis=0, out=S[1:])
-    M = M[:, active[:, None], active]
+    N, n, _ = M.shape
+    S = np.zeros((N, n))
+    np.cumsum(g.reshape(N - 1, n), axis=0, out=S[1:])
     np.linalg.cholesky(M)
     Minv = np.linalg.inv(M)
     y = np.linalg.solve(Minv.sum(axis=0), np.einsum("mij,mj->i", Minv, S)) - S
     return float(np.einsum("mi,mij,mj->", y, Minv, y)) / N
 
 
-def _velocity_hessian(M: np.ndarray, frozen_mask: np.ndarray):
+def _velocity_hessian(M: np.ndarray):
     """Blocks (diag, off) of the velocity-part Hessian H0 of the energy.
 
     With M_i the penalized metric matrix at midpoint i of a path of
     N = ``len(M)`` segments, the Hessian of (1/2N) sum vel^T M vel in the
     interior points has diagonal blocks N (M_{j-1} + M_j) and off-diagonal
-    blocks -N M_j.  Frozen coordinates get their rows and columns zeroed (in
-    ``M``, which is overwritten) and a unit diagonal, so a solve leaves
-    them untouched.
+    blocks -N M_j.
     """
     N = M.shape[0]
-    M[:, frozen_mask, :] = 0.0
-    M[:, :, frozen_mask] = 0.0
     diag = float(N) * (M[:-1] + M[1:])
     off = -float(N) * M[1:-1]
-    idx = np.flatnonzero(frozen_mask)
-    diag[:, idx, idx] = 1.0
     return diag, off
 
 
-def _base_point_hessian(structure, evaluation, first, frozen_mask: np.ndarray):
+def _base_point_hessian(structure, evaluation, first):
     """Blocks (diag, off) of the exact Hessian's remainder H - H0.
 
     Segment i contributes (1/2N) vel^T M_q(mid) vel, with mid = (p_i +
@@ -356,17 +329,15 @@ def _base_point_hessian(structure, evaluation, first, frozen_mask: np.ndarray):
     with d2G, d2F the second derivatives along c and d.  The first
     derivatives are ``first``, the gradient's :func:`_field_differences` at
     this evaluation, and the second ones come from :func:`_field_stencil`,
-    which reuses them: one field evaluation on the 2a(a - 1) N mixed rows
-    and no frame factorization.  Frozen coordinates get zero rows and
-    columns.
+    which reuses them: one field evaluation on the 2n(n - 1) N mixed rows
+    and no frame factorization.
     """
-    q, mids, vels, factor = evaluation.q, evaluation.mids, evaluation.vels, evaluation.factor
-    N, n = vels.shape
-    active = np.flatnonzero(~frozen_mask)
+    q, vels, factor = evaluation.q, evaluation.vels, evaluation.factor
+    N = vels.shape[0]
     dG, dF = first[:2]
-    d2G, d2F = _field_stencil(structure, factor, mids, active, first)
+    d2G, d2F = _field_stencil(structure, factor, evaluation.mids, evaluation.times, first)
     G, F, Fplus = factor.G, factor.F, factor.Fplus
-    # Einsum indices a and b run over the active coordinates (c and d above).
+    # Einsum indices a and b run over the coordinates (c and d above).
     c = np.matmul(Fplus, vels[:, :, None])[:, :, 0]
     r = vels - np.matmul(F, c[:, :, None])[:, :, 0]
     Gr = np.matmul(G, r[:, :, None])[:, :, 0]
@@ -381,9 +352,7 @@ def _base_point_hessian(structure, evaluation, first, frozen_mask: np.ndarray):
     # dflux_c = dG_c r + G d_c r, the complement's part of the flux derivative.
     dflux = dGr + np.einsum("mij,amj->ami", G, dr)
 
-    J = np.zeros((N, n, n))
-    J[:, :, active] = (np.einsum("amij,mj->ami", dG, vels) + (q - 1.0) * dflux).transpose(1, 2, 0)
-    J[:, frozen_mask, :] = 0.0
+    J = (np.einsum("amij,mj->ami", dG, vels) + (q - 1.0) * dflux).transpose(1, 2, 0)
     twist = np.einsum("abmik,mk,mi->abm", d2F, c, Gr) + np.einsum("amik,bmk,mi->abm", dF, dc, Gr)
     slope = (
         np.einsum("mi,abmij,mj->abm", r, d2G, r)
@@ -391,10 +360,7 @@ def _base_point_hessian(structure, evaluation, first, frozen_mask: np.ndarray):
         - 2.0 * twist
         - 2.0 * np.einsum("ami,bmi->abm", dFc, dflux)
     )
-    Q = np.zeros((N, n, n))
-    Q[:, active[:, None], active] = (
-        np.einsum("mi,abmij,mj->abm", vels, d2G, vels) + (q - 1.0) * slope
-    ).transpose(2, 0, 1)
+    Q = (np.einsum("mi,abmij,mj->abm", vels, d2G, vels) + (q - 1.0) * slope).transpose(2, 0, 1)
 
     # Per segment: the mid-mid part Q / 8N enters all four end blocks, the
     # mixed part enters the diagonal blocks as -+(J + J^T)/2 and the block
@@ -411,7 +377,6 @@ def minimize_energy(
     q,
     initial: DiscretePath,
     config: SolverConfig,
-    frozen_coords: Optional[np.ndarray] = None,
 ) -> SolveResult:
     """Minimize the penalized energy at fixed q from the given initial path.
 
@@ -438,10 +403,10 @@ def minimize_energy(
     direction that is not finite (a Hessian with non-finite entries, which
     the factorization does not reject) raises ``FloatingPointError``.
     """
-    return _minimize(structure, q, initial, config, frozen_coords)[0]
+    return _minimize(structure, q, initial, config)[0]
 
 
-def _minimize(structure, q, initial: DiscretePath, config, frozen_coords=None, evaluation=None):
+def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
     """:func:`minimize_energy`, which also returns what the next rung's predictor needs.
 
     Returns the ``SolveResult``, the last shifted Newton factor (None when
@@ -449,17 +414,12 @@ def _minimize(structure, q, initial: DiscretePath, config, frozen_coords=None, e
     ``evaluation``, when given, is the evaluation of ``initial`` at q.
     """
     qf = check_penalty(q)
-    frozen_mask = _frozen_mask(frozen_coords, initial.dimension)
     x = initial.interior().ravel()
-
-    def rebuild(vec: np.ndarray) -> DiscretePath:
-        return initial.with_interior(vec.reshape(initial.grid_size - 1, initial.dimension))
-
     current = initial
     if evaluation is None:
         evaluation = _evaluate(structure, qf, current)
     f = evaluation.energy
-    g, slope, first = _gradient(structure, evaluation, frozen_mask)
+    g, slope, first = _gradient(structure, evaluation)
     history = [f]
     shift = 0.0
     iterations = 0
@@ -473,15 +433,15 @@ def _minimize(structure, q, initial: DiscretePath, config, frozen_coords=None, e
     while True:
         gram = evaluation.factor.gram(qf)
         try:
-            decrement = _velocity_decrement(gram, g, frozen_mask)
+            decrement = _velocity_decrement(gram, g)
         except np.linalg.LinAlgError as exc:
             raise singular(exc) from exc
         converged = decrement <= DECREMENT_TOLERANCE * (1.0 + abs(f))
         if converged or iterations >= config.max_iterations:
             break
 
-        h0_diag, h0_off = _velocity_hessian(gram, frozen_mask)
-        rest_diag, rest_off = _base_point_hessian(structure, evaluation, first, frozen_mask)
+        h0_diag, h0_off = _velocity_hessian(gram)
+        rest_diag, rest_off = _base_point_hessian(structure, evaluation, first)
         shift = shift / SHIFT_GROWTH if shift >= SHIFT_START * SHIFT_GROWTH else 0.0
         while True:
             try:
@@ -507,7 +467,7 @@ def _minimize(structure, q, initial: DiscretePath, config, frozen_coords=None, e
         step = 1.0
         while step >= STEP_FLOOR:
             x_new = x + step * direction
-            cand = rebuild(x_new)
+            cand = initial.with_interior(x_new.reshape(initial.grid_size - 1, -1))
             try:
                 trial = _evaluate(structure, qf, cand)
             except DegenerateFrameError:
@@ -523,7 +483,7 @@ def _minimize(structure, q, initial: DiscretePath, config, frozen_coords=None, e
             )
 
         x, f, current, evaluation = x_new, trial.energy, cand, trial
-        g, slope, first = _gradient(structure, evaluation, frozen_mask)
+        g, slope, first = _gradient(structure, evaluation)
         history.append(f)
         iterations += 1
         logger.debug(
@@ -536,8 +496,6 @@ def _minimize(structure, q, initial: DiscretePath, config, frozen_coords=None, e
             step,
         )
 
-    speeds = evaluation.speeds()
-    mean = float(np.mean(speeds))
     result = SolveResult(
         q=qf,
         path=current,
@@ -547,7 +505,7 @@ def _minimize(structure, q, initial: DiscretePath, config, frozen_coords=None, e
         iterations=iterations,
         converged=converged,
         gradient_norm=float(np.max(np.abs(g), initial=0.0)),
-        speed_cv=0.0 if mean <= 0.0 else float(np.std(speeds) / mean),
+        speed_cv=evaluation.speed_cv,
         energy_history=tuple(history),
     )
     return result, factor, slope
@@ -586,7 +544,6 @@ def continuation_solve(
     schedule: ContinuationSchedule,
     config: SolverConfig,
     initial: Optional[DiscretePath] = None,
-    frozen_coords: Optional[np.ndarray] = None,
     seed_deflection: Optional[np.ndarray] = None,
 ) -> list:
     """Solve the penalty ladder; one SolveResult per q.
@@ -637,12 +594,10 @@ def continuation_solve(
             step_norm,
             "used" if evaluation is not None else "not used",
         )
-        result, factor, slope = _minimize(
-            structure, qv, rung_start, config, frozen_coords, evaluation
-        )
+        result, factor, slope = _minimize(structure, qv, rung_start, config, evaluation)
         if result.iterations == 0 and deflect is not None and evaluation is None:
             kicked = guess.with_interior(guess.interior() + deflect[1:-1])
-            result, factor, slope = _minimize(structure, qv, kicked, config, frozen_coords)
+            result, factor, slope = _minimize(structure, qv, kicked, config)
         if not result.converged:
             logger.warning(
                 "penalty step q=%g on %s hit the iteration cap (|grad|_inf = %.3e)",

@@ -165,14 +165,10 @@ class Problem:
         return self.drift is not None
 
     def seed_deflection(self) -> Optional[np.ndarray]:
+        """The seed kick, shape (N+1, n) for drift problems too, or None."""
         if self.seed_amplitude == 0.0:
             return None
-        dim = self.structure.dimension + (1 if self.has_drift else 0)
-        out = sinusoidal_deflection(self.grid_size, dim, self.seed_amplitude)
-        if self.has_drift:
-            # The lifted time coordinate must stay on its linear interpolant.
-            out[:, -1] = 0.0
-        return out
+        return sinusoidal_deflection(self.grid_size, self.structure.dimension, self.seed_amplitude)
 
 
 _DEFAULT_SCHEDULE = ContinuationSchedule(q_start=1.0, ratio=10.0, step_count=5)

@@ -86,7 +86,7 @@ def fd_energy_gradient(structure, q, path, step: float = 1e-6) -> np.ndarray:
     return grad.ravel()
 
 
-def fd_energy_hessian(structure, q, path, frozen_coords=None, step: float = 1e-4) -> np.ndarray:
+def fd_energy_hessian(structure, q, path, step: float = 1e-4) -> np.ndarray:
     """Central finite differences of ``energy_gradient`` over interior coordinates.
 
     Column k of the result differences the gradient along interior
@@ -104,8 +104,8 @@ def fd_energy_hessian(structure, q, path, frozen_coords=None, step: float = 1e-4
         minus[k] -= h
         plus_path = path.with_interior(plus.reshape(interior.shape))
         minus_path = path.with_interior(minus.reshape(interior.shape))
-        g_plus = energy_gradient(structure, q, plus_path, frozen_coords)
-        g_minus = energy_gradient(structure, q, minus_path, frozen_coords)
+        g_plus = energy_gradient(structure, q, plus_path)
+        g_minus = energy_gradient(structure, q, minus_path)
         columns.append((g_plus - g_minus) / (2.0 * h))
     return np.column_stack(columns)
 
@@ -150,8 +150,8 @@ def nan_hessian(monkeypatch) -> None:
 
     build = optimizer._base_point_hessian
 
-    def nan_blocks(structure, evaluation, first, frozen_mask):
-        diag, off = build(structure, evaluation, first, frozen_mask)
+    def nan_blocks(structure, evaluation, first):
+        diag, off = build(structure, evaluation, first)
         return np.full_like(diag, np.nan), off
 
     monkeypatch.setattr(optimizer, "_base_point_hessian", nan_blocks)

@@ -635,9 +635,9 @@ def _round_trip(tmp_path, capsys, monkeypatch, name: str, command: str) -> None:
     factored = []
     original = geometry._factor_frame
 
-    def counted(structure, points):
+    def counted(structure, points, times=None):
         factored.append(points.shape[0])
-        return original(structure, points)
+        return original(structure, points, times)
 
     monkeypatch.setattr(geometry, "_factor_frame", counted)
     monkeypatch.setattr(functionals, "_factor_frame", counted)

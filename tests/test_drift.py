@@ -12,8 +12,11 @@ from pengeo import (
     build_lifted_structure,
     constant_drift,
     continuation_solve,
+    energy,
     euclidean_structure,
     get_problem,
+    horizontality_defect,
+    length,
     linear_drift,
     solve_drift_problem,
     zero_drift,
@@ -277,4 +280,42 @@ def test_drift_solver_rejects_wrong_dimensions(euclidean3):
     with pytest.raises(ValueError, match="drift field zero does not act on dimension 3"):
         solve_drift_problem(
             euclidean3, zero_drift(2), np.zeros(3), np.ones(3), sched, config
+        )
+
+
+@pytest.mark.parametrize("name", ["drift-constant-1d", "drift-linear-2d", "heisenberg-drift"])
+def test_drift_rungs_are_reported_on_the_lift(name):
+    # The ladder runs on R^n; each rung is reported on the lifted path (p, t),
+    # with its certificates from the lifted structure.
+    prob = get_problem(name)
+    sol = solve_drift_problem(
+        prob.structure,
+        prob.drift,
+        prob.start,
+        prob.end,
+        prob.schedule,
+        SolverConfig(grid_size=prob.grid_size),
+        seed_deflection=prob.seed_deflection(),
+    )
+    lifted = build_lifted_structure(prob.structure, prob.drift)
+    for r in sol.results:
+        assert r.path.dimension == prob.structure.dimension + 1
+        np.testing.assert_array_equal(r.path.points[:, -1], r.path.times)
+        assert r.energy == energy(lifted, r.q, r.path)
+        assert r.length == length(lifted, r.q, r.path)
+        assert r.defect == horizontality_defect(lifted, r.path)
+
+
+def test_drift_solver_rejects_a_lifted_seed_deflection():
+    prob = get_problem("heisenberg-drift")
+    N, n = prob.grid_size, prob.structure.dimension
+    with pytest.raises(ValueError, match=r"seed_deflection must have shape \(101, 3\)"):
+        solve_drift_problem(
+            prob.structure,
+            prob.drift,
+            prob.start,
+            prob.end,
+            prob.schedule,
+            SolverConfig(grid_size=N),
+            seed_deflection=np.zeros((N + 1, n + 1)),
         )

@@ -190,13 +190,12 @@ def test_field_stencil_keeps_the_frame_checks():
     # The Hessian's stencil factors no frame, but rejects what factoring the
     # gradient's first-order rows would have rejected, and a metric that is
     # not finite on any mixed row, with the messages of _factor_frame.
-    origin = np.zeros((1, 2))
-    coords = np.arange(2)
+    origin, times = np.zeros((1, 2)), np.zeros(1)
 
     def derivatives(structure):
-        first = _field_differences(structure, origin, coords)
+        first = _field_differences(structure, origin, times)
         factor = _factor_frame(structure, origin)
-        return first[:2] + _field_stencil(structure, factor, origin, coords, first)
+        return first[:2] + _field_stencil(structure, factor, origin, times, first)
 
     def gram_nan_on_diagonals(pts):
         both = (pts[:, 0] > 0.0) & (pts[:, 1] > 0.0)

@@ -22,17 +22,16 @@ from pengeo import (
     linear_drift,
     get_problem,
     minimize_energy,
-    penalized_gram,
     sinusoidal_deflection,
     vertical_heisenberg_problem,
 )
+from pengeo.drift import _lifted_result, _reduced_structure
 from pengeo.functionals import _evaluate
 from pengeo.geometry import DegenerateFrameError
 from pengeo.optimizer import (
     DECREMENT_TOLERANCE,
     _base_point_hessian,
     _BlockTridiagonalFactor,
-    _frozen_mask,
     _gradient,
     _velocity_decrement,
     _velocity_hessian,
@@ -98,20 +97,17 @@ def _mixed_frame_heisenberg():
     )
 
 
-def _time_on_chord(path):
-    """The path with its last (time) coordinate put back on its chord."""
-    interior = path.interior()
-    interior[:, -1] = DiscretePath.chord(path.start, path.end, path.grid_size).interior()[:, -1]
-    return path.with_interior(interior)
+def _drift_heisenberg(heisenberg):
+    """The Heisenberg drift problem on R^3 under the linear drift 0.3 p: its
+    fields are the pulled-back, time-dependent ones of a drift solve."""
+    return _reduced_structure(build_lifted_structure(heisenberg, linear_drift(0.3 * np.eye(3))))
 
 
-def _assert_gradient_matches(structure, q, path, frozen=None):
-    grad = energy_gradient(structure, q, path, frozen_coords=frozen)
-    fd = fd_energy_gradient(structure, q, path).reshape(path.grid_size - 1, path.dimension)
-    if frozen is not None:
-        fd[:, frozen] = 0.0
+def _assert_gradient_matches(structure, q, path):
+    grad = energy_gradient(structure, q, path)
+    fd = fd_energy_gradient(structure, q, path)
     denom = np.max(np.abs(fd)) + 1e-12
-    assert np.max(np.abs(grad - fd.ravel())) / denom < 1e-5
+    assert np.max(np.abs(grad - fd)) / denom < 1e-5
 
 
 def test_gradient_matches_finite_differences(heisenberg, martinet, euclidean3, rng):
@@ -119,16 +115,16 @@ def test_gradient_matches_finite_differences(heisenberg, martinet, euclidean3, r
         for q in (1.0, 100.0):
             _assert_gradient_matches(structure, q, random_path(structure, 12, rng, scale=0.3))
     # The presets' metrics are all Euclidean, so the warped metric is what
-    # exercises the metric terms of the base-point derivative.  The lift's
-    # fields come through the flow transport; its time coordinate s is
-    # frozen on its chord, as in a drift solve.
+    # exercises the metric terms of the base-point derivative.  The drift
+    # problem's fields come through the flow transport at the segment
+    # mid-times, as in a drift solve.
     warped = _warped_heisenberg(heisenberg)
-    lifted = build_lifted_structure(heisenberg, linear_drift(0.3 * np.eye(3)))
-    start, end = np.zeros(4), np.array([1.0, 0.0, 0.0, 1.0])
+    drifted = _drift_heisenberg(heisenberg)
+    start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
     for q in (1.0, 10.0, 100.0):
         _assert_gradient_matches(warped, q, random_path(warped, 12, rng, scale=0.3))
-        path = _time_on_chord(random_path(lifted, 12, rng, scale=0.3, start=start, end=end))
-        _assert_gradient_matches(lifted, q, path, frozen=np.array([False, False, False, True]))
+        path = random_path(drifted, 12, rng, scale=0.3, start=start, end=end)
+        _assert_gradient_matches(drifted, q, path)
 
 
 def _dense_block_tridiagonal(diag, off):
@@ -143,16 +139,13 @@ def _dense_block_tridiagonal(diag, off):
     return H
 
 
-def _assert_hessian_matches(structure, q, path, frozen=None):
-    mask = _frozen_mask(frozen, path.dimension)
+def _assert_hessian_matches(structure, q, path):
     evaluation = _evaluate(structure, q, path)
-    first = _gradient(structure, evaluation, mask)[2]
-    h0_diag, h0_off = _velocity_hessian(evaluation.factor.gram(q), mask)
-    rest_diag, rest_off = _base_point_hessian(structure, evaluation, first, mask)
+    first = _gradient(structure, evaluation)[2]
+    h0_diag, h0_off = _velocity_hessian(evaluation.factor.gram(q))
+    rest_diag, rest_off = _base_point_hessian(structure, evaluation, first)
     H = _dense_block_tridiagonal(h0_diag + rest_diag, h0_off + rest_off)
-    fd = fd_energy_hessian(structure, q, path, frozen)
-    free = ~np.tile(mask, path.grid_size - 1)
-    H, fd = H[np.ix_(free, free)], fd[np.ix_(free, free)]
+    fd = fd_energy_hessian(structure, q, path)
     assert np.max(np.abs(H - fd)) / (np.max(np.abs(fd)) + 1e-12) < 1e-5
 
 
@@ -160,17 +153,17 @@ def test_hessian_matches_finite_differences_of_the_gradient(heisenberg, martinet
     # The exact Hessian, H0 plus the base-point and mixed blocks, against
     # central differences of the gradient, on the same structures as the
     # gradient test: the warped metric exercises the metric terms and the
-    # lift, with s frozen on its chord, the transported fields.  The mixed
+    # drift problem the transported, time-dependent fields.  The mixed
     # frame is the one whose frame has nonzero mixed second derivatives.
     warped = _warped_heisenberg(heisenberg)
     mixed = _mixed_frame_heisenberg()
-    lifted = build_lifted_structure(heisenberg, linear_drift(0.3 * np.eye(3)))
-    start, end = np.zeros(4), np.array([1.0, 0.0, 0.0, 1.0])
+    drifted = _drift_heisenberg(heisenberg)
+    start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
     for q in (1.0, 10.0, 100.0):
         for structure in (heisenberg, martinet, warped, mixed):
             _assert_hessian_matches(structure, q, random_path(structure, 12, rng, scale=0.3))
-        path = _time_on_chord(random_path(lifted, 12, rng, scale=0.3, start=start, end=end))
-        _assert_hessian_matches(lifted, q, path, frozen=np.array([False, False, False, True]))
+        path = random_path(drifted, 12, rng, scale=0.3, start=start, end=end)
+        _assert_hessian_matches(drifted, q, path)
 
 
 def test_gradient_affine_in_q(heisenberg, rng):
@@ -183,29 +176,16 @@ def test_gradient_affine_in_q(heisenberg, rng):
     assert np.max(np.abs(slope_a - slope_b)) <= 1e-9 * (1.0 + np.max(np.abs(g4)))
 
 
-def test_gradient_frozen_coordinates(heisenberg, rng):
-    path = random_path(heisenberg, 10, rng)
-    frozen = np.array([False, False, True])
-    grad = energy_gradient(heisenberg, 5.0, path, frozen_coords=frozen)
-    grid = grad.reshape(path.grid_size - 1, path.dimension)
-    np.testing.assert_array_equal(grid[:, 2], 0.0)
-    assert np.any(grid[:, :2] != 0.0)
-    everything = np.ones(3, dtype=bool)
-    np.testing.assert_array_equal(energy_gradient(heisenberg, 5.0, path, frozen_coords=everything), 0.0)
-
-
-def _h0_factor(structure, q, path, frozen=None):
+def _h0_factor(structure, q, path):
     """H0 factored from the path's evaluation at q, as minimize_energy does."""
-    if frozen is None:
-        frozen = np.zeros(path.dimension, dtype=bool)
-    return _BlockTridiagonalFactor(*_velocity_hessian(_evaluate(structure, q, path).factor.gram(q), frozen))
+    return _BlockTridiagonalFactor(*_velocity_hessian(_evaluate(structure, q, path).factor.gram(q)))
 
 
 def _dense_velocity_hessian(structure, q, path):
-    """H0 assembled entry by entry: blocks N (M_{j-1} + M_j) and -N M_j."""
+    """H0 assembled entry by entry: blocks N (M_{j-1} + M_j) and -N M_j, with
+    M_j the penalized metric at midpoint j and its mid-time."""
     N, n = path.grid_size, path.dimension
-    mids = 0.5 * (path.points[:-1] + path.points[1:])
-    M = penalized_gram(structure, q, mids)
+    M = _evaluate(structure, q, path).factor.gram(q)
     H = np.zeros(((N - 1) * n, (N - 1) * n))
     for j in range(N - 1):
         H[j * n : (j + 1) * n, j * n : (j + 1) * n] = N * (M[j] + M[j + 1])
@@ -241,30 +221,6 @@ def test_velocity_hessian_solve_matches_dense(heisenberg, rng, blocks, q):
     b = rng.normal(size=blocks * 3)
     x = _h0_factor(heisenberg, q, path).solve(b)
     _assert_solves(_dense_velocity_hessian(heisenberg, q, path), x, b)
-
-
-@pytest.mark.parametrize("blocks", BLOCK_COUNTS)
-def test_velocity_hessian_solve_frozen_time_coordinate(heisenberg, rng, blocks):
-    # The lifted drift structure with s frozen, as the drift solver runs it:
-    # the free coordinates solve the free part of H0, the frozen ones
-    # return the right-hand side unchanged.
-    drift = linear_drift(0.3 * np.eye(3))
-    lifted = build_lifted_structure(heisenberg, drift)
-    start = np.concatenate([rng.normal(size=3), [0.0]])
-    end = np.concatenate([rng.normal(size=3), [1.0]])
-    path = random_path(lifted, blocks + 1, rng, scale=0.3, start=start, end=end)
-    s_line = DiscretePath.chord(start, end, blocks + 1).interior()[:, 3]
-    interior = path.interior()
-    interior[:, 3] = s_line
-    path = path.with_interior(interior)
-    frozen = np.array([False, False, False, True])
-    b = rng.normal(size=blocks * 4)
-    x = _h0_factor(lifted, 1e3, path, frozen).solve(b)
-
-    free = ~np.tile(frozen, blocks)
-    H = _dense_velocity_hessian(lifted, 1e3, path)
-    _assert_solves(H[np.ix_(free, free)], x[free], b[free])
-    np.testing.assert_array_equal(x[~free], b[~free])
 
 
 def _random_spd_block_tridiagonal(rng, blocks, n=3):
@@ -338,23 +294,22 @@ def test_minimize_heisenberg_perturbed_chord(heisenberg, rng):
 @pytest.mark.parametrize("name", ["vertical-50", "heisenberg-drift"])
 def test_closed_form_decrement_matches_the_dense_velocity_hessian(name):
     # The stop test's g^T H0^{-1} g comes from the midpoint metrics alone,
-    # with no block factorization, at the kicked chord of each ladder (on
-    # the lift with s frozen).  Two backward-stable evaluations of it may
-    # differ by about eps cond(H0), which is the bound.  Measured relative
-    # gaps to the dense solve at q = 1, 1e2, 1e4: 2.0e-15, 2.1e-15, 1.7e-15
-    # on the vertical run and 1.3e-15, 3.1e-14, 1.5e-11 on the lift, against
-    # bounds of 2.2e-13 ... 9.0e-9; block cyclic reduction's own gaps there
-    # are 1.8e-15, 1.0e-15, 3.4e-16 and 1.4e-16, 6.4e-14, 1.1e-11.
-    structure, endpoints, _, config, frozen, seed = _ladder_inputs(name)
+    # with no block factorization, at the kicked chord of each ladder (the
+    # drift one on R^3 with its pulled-back fields).  Two backward-stable
+    # evaluations of it may differ by about eps cond(H0), which is the bound.
+    # Measured relative gaps to the dense solve at q = 1, 1e2, 1e4: 2.0e-15,
+    # 2.1e-15, 1.7e-15 on the vertical run and 1.3e-15, 1.4e-14, 1.5e-11 on
+    # the drift one, against bounds of 2.2e-13 ... 9.0e-9; block cyclic
+    # reduction's own gaps there are 1.8e-15, 1.0e-15, 3.4e-16 and 1.4e-16,
+    # 8.8e-14, 2.4e-11.
+    structure, endpoints, _, config, seed = _ladder_inputs(name)
     chord = DiscretePath.chord(*endpoints, config.grid_size)
     path = chord.with_interior(chord.interior() + seed[1:-1])
-    mask = _frozen_mask(frozen, structure.dimension)
-    free = ~np.tile(mask, config.grid_size - 1)
     for q in (1.0, 1e2, 1e4):
-        g = energy_gradient(structure, q, path, frozen)
-        decrement = _velocity_decrement(_evaluate(structure, q, path).factor.gram(q), g, mask)
-        H = _dense_velocity_hessian(structure, q, path)[np.ix_(free, free)]
-        dense = float(g[free] @ np.linalg.solve(H, g[free]))
+        g = energy_gradient(structure, q, path)
+        decrement = _velocity_decrement(_evaluate(structure, q, path).factor.gram(q), g)
+        H = _dense_velocity_hessian(structure, q, path)
+        dense = float(g @ np.linalg.solve(H, g))
         assert abs(decrement - dense) <= np.finfo(float).eps * np.linalg.cond(H) * dense
 
 
@@ -388,8 +343,8 @@ def test_velocity_hessian_without_block_pivots_is_a_floating_point_error(heisenb
     build = optimizer._velocity_hessian
     factored = []
 
-    def negated(M, frozen_mask):
-        diag, off = build(M, frozen_mask)
+    def negated(M):
+        diag, off = build(M)
         return -diag, -off
 
     def counting(diag, off):
@@ -454,7 +409,7 @@ def _count_solver_calls(monkeypatch):
         return factor
 
     monkeypatch.setattr(optimizer, "_BlockTridiagonalFactor", factored)
-    for cls in (SubRiemannianStructure, drift.LiftedStructure):
+    for cls in (SubRiemannianStructure, drift._PulledBackStructure):
         monkeypatch.setattr(cls, "_fields", counting("fields", cls._fields))
     monkeypatch.setattr(
         drift.FlowMap, "transport_batch", counting("transport", drift.FlowMap.transport_batch)
@@ -462,22 +417,22 @@ def _count_solver_calls(monkeypatch):
     return counts
 
 
-def _assert_hessian_counts(counts, gradients, lifted, active, grid_size):
+def _assert_hessian_counts(counts, gradients, transported, n, grid_size):
     """Each evaluation factors its point set once and nothing else factors;
-    each evaluation, gradient and Hessian build reads the fields once (the
-    lift transports each such read once), a Hessian's read on the
-    2a(a - 1) N mixed rows of its stencil, since it reuses the gradient's
+    each evaluation, gradient and Hessian build reads the fields once (a
+    drift problem transports each such read once), a Hessian's read on the
+    2n(n - 1) N mixed rows of its stencil, since it reuses the gradient's
     first-order rows.  Only the Newton step factors a block matrix, and it
     succeeds once per Hessian: the stop test factors none."""
     assert counts["factor"] == counts["evaluate"]
     assert counts["fields"] == counts["evaluate"] + gradients + counts["hessian"]
-    assert counts["transport"] == (counts["fields"] if lifted else 0)
-    assert counts["stencil_rows"] == [2 * active * (active - 1) * grid_size] * counts["hessian"]
+    assert counts["transport"] == (counts["fields"] if transported else 0)
+    assert counts["stencil_rows"] == [2 * n * (n - 1) * grid_size] * counts["hessian"]
     assert counts["block"] == counts["hessian"]
 
 
-@pytest.mark.parametrize("lifted", [False, True])
-def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, lifted):
+@pytest.mark.parametrize("drifted", [False, True])
+def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, drifted):
     # Factorizations are the evaluations (the start and every line-search
     # trial); the gradient, H0, the Hessian and the certificates reuse the
     # accepted trial's factor.  Each iteration builds one Hessian, and the
@@ -485,21 +440,14 @@ def test_each_accepted_point_set_is_factored_once(heisenberg, rng, monkeypatch, 
     # fields once more, at the shifted midpoints of their difference
     # stencils; the Hessian only at the rows the gradient did not read.
     counts = _count_solver_calls(monkeypatch)
-    structure, frozen = heisenberg, None
-    start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
-    if lifted:
-        structure = build_lifted_structure(heisenberg, linear_drift(0.3 * np.eye(3)))
-        start, end = np.append(start, 0.0), np.append(end, 1.0)
-        frozen = np.array([False, False, False, True])
-    path = random_path(structure, 12, rng, scale=0.1, start=start, end=end)
-    if lifted:
-        path = _time_on_chord(path)
+    structure = _drift_heisenberg(heisenberg) if drifted else heisenberg
+    path = random_path(structure, 12, rng, scale=0.1, start=np.zeros(3), end=np.array([1.0, 0.0, 0.0]))
 
-    result = minimize_energy(structure, 100.0, path, SolverConfig(grid_size=12), frozen)
+    result = minimize_energy(structure, 100.0, path, SolverConfig(grid_size=12))
     assert result.converged and result.iterations >= 1
     assert counts["evaluate"] >= result.iterations + 1
     assert counts["hessian"] == result.iterations
-    _assert_hessian_counts(counts, result.iterations + 1, lifted, 3, 12)
+    _assert_hessian_counts(counts, result.iterations + 1, drifted, 3, 12)
 
 
 def test_converged_start_factors_nothing(heisenberg, monkeypatch):
@@ -520,8 +468,8 @@ def test_converged_start_factors_nothing(heisenberg, monkeypatch):
 def test_default_ladders_take_their_recorded_iterations(name, iterations):
     # The per-rung Newton iterations of the two benchmark ladders at their
     # preset kicks: a solver change that keeps the numbers keeps these.
-    structure, endpoints, schedule, config, frozen, seed = _ladder_inputs(name)
-    results = continuation_solve(structure, endpoints, schedule, config, None, frozen, seed)
+    structure, endpoints, schedule, config, seed = _ladder_inputs(name)
+    results = continuation_solve(structure, endpoints, schedule, config, None, seed)
     assert [r.iterations for r in results] == iterations
     assert all(r.converged for r in results)
 
@@ -534,10 +482,10 @@ def test_predictor_adds_one_evaluation_per_predicted_start(monkeypatch, caplog, 
     # predicted start, which the rung's solve then takes as its own: every
     # solve's start is evaluated once, and each iteration's line search once
     # per halving of its logged step, plus one.
-    structure, endpoints, schedule, config, frozen, seed = _ladder_inputs(name)
+    structure, endpoints, schedule, config, seed = _ladder_inputs(name)
     counts = _count_solver_calls(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="pengeo"):
-        results = continuation_solve(structure, endpoints, schedule, config, None, frozen, seed)
+        results = continuation_solve(structure, endpoints, schedule, config, None, seed)
     lines = [r.getMessage() for r in caplog.records]
     used = [line for line in lines if line.endswith("predicted start used")]
     steps = [float(line.rsplit(", step ", 1)[1]) for line in lines if " iteration " in line]
@@ -548,8 +496,8 @@ def test_predictor_adds_one_evaluation_per_predicted_start(monkeypatch, caplog, 
     assert len(steps) == iterations
     assert counts["evaluate"] == counts["minimize"] + trials
     assert counts["hessian"] == iterations
-    active = structure.dimension - (0 if frozen is None else int(np.sum(frozen)))
-    _assert_hessian_counts(counts, gradients, frozen is not None, active, config.grid_size)
+    transported = name.endswith("drift")
+    _assert_hessian_counts(counts, gradients, transported, structure.dimension, config.grid_size)
 
 
 def test_non_finite_newton_direction_is_a_floating_point_error(heisenberg, monkeypatch):
@@ -664,33 +612,32 @@ def test_minimize_logs_one_debug_line_per_iteration(heisenberg, rng, caplog):
 
 
 def _ladder_inputs(name):
-    """(structure, endpoints, schedule, config, frozen, seed) of a ladder as
-    the CLI runs it; a drift preset runs on its lift with s frozen, as in
+    """(structure, endpoints, schedule, config, seed) of a ladder as the CLI
+    runs it; a drift preset runs on R^n with the pulled-back fields, between
+    the start and the target pulled back by the flow, as in
     ``solve_drift_problem``."""
     if name.startswith("vertical-"):
         prob = vertical_heisenberg_problem(int(name.split("-")[1]))
     else:
         prob = get_problem(name)
-    structure, endpoints, frozen = prob.structure, (prob.start, prob.end), None
+    structure, endpoints = prob.structure, (prob.start, prob.end)
     if prob.has_drift:
-        structure = build_lifted_structure(prob.structure, prob.drift)
-        end = np.append(structure.flow.inverse(1.0, prob.end), 1.0)
-        endpoints = (np.append(prob.start, 0.0), end)
-        frozen = np.array([False] * prob.structure.dimension + [True])
+        structure = _reduced_structure(build_lifted_structure(prob.structure, prob.drift))
+        endpoints = (prob.start, structure.flow.inverse(1.0, prob.end))
     config = SolverConfig(grid_size=prob.grid_size)
-    return structure, endpoints, prob.schedule, config, frozen, prob.seed_deflection()
+    return structure, endpoints, prob.schedule, config, prob.seed_deflection()
 
 
-def _plain_ladder(structure, endpoints, schedule, config, frozen=None, seed=None):
+def _plain_ladder(structure, endpoints, schedule, config, seed=None):
     """The ladder warm started rung by rung from the previous minimizer, with
     the seed kick on every start that is accepted at iteration 0."""
     guess = DiscretePath.chord(*endpoints, config.grid_size)
     results = []
     for q in schedule.q_values():
-        result = minimize_energy(structure, q, guess, config, frozen)
+        result = minimize_energy(structure, q, guess, config)
         if result.iterations == 0 and seed is not None:
             kicked = guess.with_interior(guess.interior() + seed[1:-1])
-            result = minimize_energy(structure, q, kicked, config, frozen)
+            result = minimize_energy(structure, q, kicked, config)
         results.append(result)
         guess = result.path
     return results
@@ -703,11 +650,15 @@ def test_predicted_ladder_matches_plain_warm_starts(name):
     # stationary at an energy minimizer, so the stop rule leaves it less
     # settled: one more Newton step moves the plain ladder's last
     # heisenberg-drift length by 1.07e-12 relative and the predicted one's by
-    # 3e-16, hence 2e-12 for lengths.  The iteration count guards the
-    # predictor against regression; it is not a tuned value.
-    structure, endpoints, schedule, config, frozen, seed = _ladder_inputs(name)
-    predicted = continuation_solve(structure, endpoints, schedule, config, None, frozen, seed)
-    plain = _plain_ladder(structure, endpoints, schedule, config, frozen, seed)
+    # 3e-16, hence 2e-12 for lengths.  The drift rungs are compared as
+    # reported, on the lift.  The iteration count guards the predictor
+    # against regression; it is not a tuned value.
+    structure, endpoints, schedule, config, seed = _ladder_inputs(name)
+    predicted = continuation_solve(structure, endpoints, schedule, config, None, seed)
+    plain = _plain_ladder(structure, endpoints, schedule, config, seed)
+    if name == "heisenberg-drift":
+        lifted = build_lifted_structure(structure.base, structure.flow.drift)
+        predicted, plain = ([_lifted_result(lifted, r) for r in rungs] for rungs in (predicted, plain))
     assert [r.q for r in predicted] == [r.q for r in plain]
     for a, b in zip(predicted, plain):
         assert a.converged and b.converged
@@ -731,11 +682,11 @@ def test_chord_presets_match_plain_warm_starts_bitwise(name, kick):
     # The chord is the minimizer of every rung, so no predictor step is
     # taken, and with a seed kick every rung is kicked off the chord and
     # solved back to it, exactly as by plain warm starts.
-    structure, endpoints, schedule, config, frozen, seed = _ladder_inputs(name)
+    structure, endpoints, schedule, config, seed = _ladder_inputs(name)
     if kick:
         seed = sinusoidal_deflection(config.grid_size, structure.dimension, 0.05)
-    results = continuation_solve(structure, endpoints, schedule, config, None, frozen, seed)
-    _assert_same_results(results, _plain_ladder(structure, endpoints, schedule, config, frozen, seed))
+    results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+    _assert_same_results(results, _plain_ladder(structure, endpoints, schedule, config, seed))
 
 
 def _called_from(name):
@@ -757,20 +708,20 @@ def test_predicted_start_with_degenerate_frame_falls_back(monkeypatch, caplog):
         return _evaluate(structure, q, path)
 
     monkeypatch.setattr(optimizer, "_evaluate", degenerate_when_predicted)
-    structure, endpoints, schedule, config, frozen, seed = _ladder_inputs("vertical-50")
+    structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-50")
     with caplog.at_level(logging.DEBUG, logger="pengeo"):
-        results = continuation_solve(structure, endpoints, schedule, config, None, frozen, seed)
+        results = continuation_solve(structure, endpoints, schedule, config, None, seed)
     starts = [r.getMessage() for r in caplog.records if "rung start" in r.getMessage()]
     assert refused and len(starts) == len(results)
     assert all(line.endswith("predicted start not used") for line in starts)
     assert all(r.converged for r in results)
-    _assert_same_results(results, _plain_ladder(structure, endpoints, schedule, config, frozen, seed))
+    _assert_same_results(results, _plain_ladder(structure, endpoints, schedule, config, seed))
 
 
 def test_continuation_logs_one_debug_line_per_rung(caplog):
-    structure, endpoints, schedule, config, frozen, seed = _ladder_inputs("vertical-50")
+    structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-50")
     with caplog.at_level(logging.DEBUG, logger="pengeo"):
-        results = continuation_solve(structure, endpoints, schedule, config, None, frozen, seed)
+        results = continuation_solve(structure, endpoints, schedule, config, None, seed)
     lines = [r.getMessage() for r in caplog.records if "rung start" in r.getMessage()]
     assert len(lines) == len(results)
     for line, result in zip(lines, results):

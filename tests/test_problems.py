@@ -77,13 +77,13 @@ def test_bracket_certificates_of_presets(rng):
         assert validate_bracket_generating(mart, [p[0], 0.0, p[2]], 3) == (3, 3)
 
 
-def test_seed_deflection_of_drift_problem_freezes_time():
+def test_seed_deflection_of_drift_problem_has_the_base_dimension():
+    # A drift problem is solved on R^n, so its kick has no time column.
     prob = get_problem("heisenberg-drift")
     seed = prob.seed_deflection()
     assert seed is not None
-    assert seed.shape == (prob.grid_size + 1, prob.structure.dimension + 1)
-    np.testing.assert_array_equal(seed[:, -1], 0.0)
-    assert np.max(np.abs(seed[:, :-1])) > 0.0
+    assert seed.shape == (prob.grid_size + 1, prob.structure.dimension)
+    assert np.max(np.abs(seed)) > 0.0
     assert get_problem("heisenberg").seed_deflection() is None
 
 
