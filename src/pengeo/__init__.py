@@ -25,8 +25,6 @@ from .drift import (
     DriftField,
     DriftSolveResult,
     FlowMap,
-    LiftedStructure,
-    build_lifted_structure,
     constant_drift,
     linear_drift,
     solve_drift_problem,
@@ -90,8 +88,6 @@ __all__ = [
     "DriftField",
     "DriftSolveResult",
     "FlowMap",
-    "LiftedStructure",
-    "build_lifted_structure",
     "constant_drift",
     "linear_drift",
     "solve_drift_problem",

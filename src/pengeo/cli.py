@@ -30,7 +30,14 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import ConvergenceReport, distance_chain_report, minimizer_cauchy_report
-from .drift import build_lifted_structure, constant_drift, linear_drift, solve_drift_problem, zero_drift
+from .drift import (
+    _lifted_evaluation,
+    _pull_back,
+    constant_drift,
+    linear_drift,
+    solve_drift_problem,
+    zero_drift,
+)
 from .functionals import DiscretePath, _evaluate, semimetric_rho
 from .geometry import DegenerateFrameError, FrameField, MetricField, SubRiemannianStructure
 from .optimizer import (
@@ -671,10 +678,13 @@ def _cmd_diagnose(results_dir: str) -> int:
             raise ConfigError(f"{root} is not a results directory (missing {required.name})")
     spec = parse_config(config_path)
     problem = spec.problem
+    # A drift-solve path is lifted: its last column is the time s.
     if problem.has_drift:
-        structure = build_lifted_structure(problem.structure, problem.drift)
+        structure = _pull_back(problem.structure, problem.drift)
+        evaluate, width = _lifted_evaluation, structure.dimension + 1
     else:
         structure = problem.structure
+        evaluate, width = _evaluate, structure.dimension
 
     rows = _read_table(results_path)
     failures = []
@@ -710,7 +720,9 @@ def _cmd_diagnose(results_dir: str) -> int:
             raise ConfigError(f"{root}: cannot read {_path_file_name(q)}: {exc}") from exc
         # One frame factorization; the defect does not depend on q.
         try:
-            evaluation = _evaluate(structure, q, path)
+            if path.dimension != width:
+                raise ValueError(f"path width is {path.dimension}, expected {width}")
+            evaluation = evaluate(structure, q, path)
         except (DegenerateFrameError, FloatingPointError, ValueError) as exc:
             mismatch(q, f"re-derivation failed: {exc}")
         else:

@@ -1,16 +1,19 @@
-"""Affine drift flows and the time-lifted constrained problem.
+"""Affine drift flows and the drift problem in the interaction picture.
 
 A control system  p' = X(p) + u  with u constrained to the distribution of
-a base structure is reduced to a drift-free problem one dimension up: the
-extra coordinate is the time parameter s of the drift flow, the frame is the
-flow-pulled-back base frame together with the unit vector along s, and the
-metric is the flow pullback of the base metric on the first block with a
-unit weight on s.  Pinning s to advance linearly from 0 to 1 makes the q = 1
-lifted energy equal to half the control cost plus one half, an identity the
-result object reports as a cross-check.  With s pinned, the lifted form is
-v_p^T M_q(p, s) v_p + v_s^2 with v_s = 1, so the drift problem is solved on
-R^n, with the base fields pulled back by the flow to each segment's
-mid-time (the interaction picture), and only reported on the lift.
+a base structure becomes a drift-free problem in coordinates that follow
+the drift flow: at time t the metric is the flow pullback of the base
+metric and the frame is the pulled-back base frame.  That is the one
+structure here, :class:`_PulledBackStructure`, and the solver runs on R^n
+with its fields at each segment's mid-time.
+
+Each rung is reported on the lifted path (p, s), with s the time: the
+problem one dimension up whose metric is diag(G, 1) and whose frame adds
+the unit s column.  Its forms are the pulled-back ones with v_s^2 added to
+the horizontal form, so :func:`_lifted_evaluation` reads them from one
+factorization of the pulled-back frame.  With s pinned to advance linearly
+from 0 to 1, the q = 1 lifted energy equals half the control cost plus one
+half, an identity the result object reports as a cross-check.
 
 Drifts are affine, X(p) = A p + b, and their flows are evaluated exactly as
 exp(t [[A, b], [0, 0]]) (Van Loan, IEEE TAC 23(3), 1978).
@@ -25,14 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .functionals import DiscretePath, _evaluate, _segments, energy
-from .geometry import (
-    FrameField,
-    MetricField,
-    SubRiemannianStructure,
-    as_point,
-    penalized_forms,
-)
+from .functionals import DiscretePath, _evaluate_segments, _Evaluation, _segments
+from .geometry import SubRiemannianStructure, as_point, penalized_forms
 from .optimizer import ContinuationSchedule, SolveResult, SolverConfig, continuation_solve
 
 logger = logging.getLogger("pengeo")
@@ -43,8 +40,6 @@ __all__ = [
     "constant_drift",
     "linear_drift",
     "FlowMap",
-    "LiftedStructure",
-    "build_lifted_structure",
     "DriftSolveResult",
     "solve_drift_problem",
 ]
@@ -173,84 +168,58 @@ class _PulledBackStructure(SubRiemannianStructure):
 
     At time t the metric is J^T G(phi_t p) J and the frame J^{-1} F(phi_t p),
     with J = M(t) the flow Jacobian.  ``metric`` and ``frame`` are the base
-    fields, which they equal at t = 0.
+    fields, which they equal at t = 0.  Build it with :func:`_pull_back`.
     """
 
-    base: SubRiemannianStructure = field(repr=False, default=None)  # type: ignore[assignment]
-    flow: FlowMap = field(repr=False, default=None, compare=False)  # type: ignore[assignment]
+    base: SubRiemannianStructure = field(repr=False)
+    flow: FlowMap = field(repr=False, compare=False)
 
     def _fields(self, points: np.ndarray, times):
         """Pulled-back metric and frame stacks at points p and their times, from one
         flow transport; J^{-1} = exp(-t A) comes from J's series, so no row is solved."""
+        if times is None:
+            raise ValueError(f"the fields of {self.name} change in time and need the points' times")
         images, jacs, inverses = self.flow.transport_batch(times, points)
         G = np.matmul(jacs.transpose(0, 2, 1), np.matmul(self.base.metric.gram_batch(images), jacs))
         return G, np.matmul(inverses, self.base.frame.frame_batch(images))
 
 
-@dataclass(frozen=True)
-class LiftedStructure(_PulledBackStructure):
-    """Drift-free structure on (p, s) whose geodesics encode drift controls."""
-
-    def _fields(self, points: np.ndarray, times=None):
-        """Lifted metric and frame stacks at points (p, s): the pulled-back
-        stacks at time s, padded to diag(G, 1) and [[F, 0], [0, 1]]."""
-        m, n = points.shape[0], self.base.dimension
-        Gp, Fp = super()._fields(points[:, :n], points[:, n])
-        G = np.zeros((m, n + 1, n + 1))
-        G[:, :n, :n] = Gp
-        G[:, n, n] = 1.0
-        F = np.zeros((m, n + 1, self.rank))
-        F[:, :n, :-1] = Fp
-        F[:, n, -1] = 1.0
-        return G, F
-
-
-def build_lifted_structure(
-    structure: SubRiemannianStructure,
-    drift: DriftField,
-) -> LiftedStructure:
-    """Lift a base structure and drift to a drift-free structure on (p, s).
-
-    At a lifted point (p, s) with flow data (image, J) = phi_s evaluated at
-    p, the metric is block diagonal: J^T G(image) J on the p block and 1 on
-    the s coordinate.  The frame consists of the pulled-back base frame
-    J^{-1} F(image) extended by zero in s, plus the unit s direction.  The
-    s direction is therefore always horizontal, and the p block measures a
-    lifted velocity exactly as the base metric measures its flow transport.
-    The ``metric`` and ``frame`` fields each transport for themselves; the
-    functionals read them together, one flow transport per point set.
-    """
+def _pull_back(structure: SubRiemannianStructure, drift: DriftField) -> _PulledBackStructure:
+    """The fields of ``structure`` pulled back by the flow of ``drift``."""
     n = structure.dimension
     if drift.b.size != n:
         raise ValueError(f"drift field {drift.name} does not act on dimension {n}")
-    # The field closures read ``lifted`` when called, after it is bound.
-    lifted = LiftedStructure(
-        dimension=n + 1,
-        rank=structure.rank + 1,
-        metric=MetricField(gram=lambda pts: lifted._fields(pts)[0]),
-        frame=FrameField(columns=lambda pts: lifted._fields(pts)[1]),
-        name=f"{structure.name}+drift:{drift.name}",
+    return _PulledBackStructure(
+        n,
+        structure.rank,
+        structure.metric,
+        structure.frame,
+        f"{structure.name}+drift:{drift.name}",
         base=structure,
         flow=FlowMap(drift),
     )
-    return lifted
 
 
-def _reduced_structure(lifted: LiftedStructure) -> _PulledBackStructure:
-    """The lift's problem on R^n, where s is the time: once s is pinned to the
-    grid, the lifted form is v_p^T M_q(p, s) v_p + v_s^2 with v_s = 1."""
-    base = lifted.base
-    return _PulledBackStructure(
-        base.dimension, base.rank, base.metric, base.frame, lifted.name, base=base, flow=lifted.flow
-    )
+def _lifted_evaluation(structure: _PulledBackStructure, q, lifted_path: DiscretePath) -> _Evaluation:
+    """The quadrature of a lifted path (p, s), whose metric is diag(G, 1) and
+    whose frame has the unit s column beside the pulled-back one.
+
+    The s direction is horizontal with unit weight, so the lifted forms are
+    the pulled-back ones at the p-midpoints and the s-midpoints, with v_s^2
+    added to the horizontal form: one factorization of the pulled-back
+    frame.  The factor, velocities and flux are those of the p block.
+    """
+    n = structure.dimension
+    mids, vels = _segments(lifted_path)
+    return _evaluate_segments(structure, q, mids[:, :n], mids[:, n], vels[:, :n], vels[:, n] ** 2)
 
 
-def _lifted_result(lifted: LiftedStructure, result: SolveResult) -> SolveResult:
+def _lifted_result(structure: _PulledBackStructure, result: SolveResult) -> SolveResult:
     """A rung solved on R^n, reported on the lifted path (p, t): its certificates
-    come from one evaluation on the lift, so they equal the public functionals
-    there bitwise, and its energy history adds the 1/2 of the unit s speed."""
+    come from :func:`_lifted_evaluation`, and its energy history adds the 1/2
+    of the unit s speed."""
     path = DiscretePath.from_points(np.column_stack([result.path.points, result.path.times]))
-    evaluation = _evaluate(lifted, result.q, path)
+    evaluation = _lifted_evaluation(structure, result.q, path)
     return replace(
         result,
         path=path,
@@ -316,14 +285,12 @@ def solve_drift_problem(
     """
     x = as_point(start, structure.dimension)
     y = as_point(target, structure.dimension)
-    lifted = build_lifted_structure(structure, drift)
-    flow = lifted.flow
+    pulled = _pull_back(structure, drift)
+    flow = pulled.flow
 
     endpoints = (x, flow.inverse(1.0, y))
-    ladder = continuation_solve(
-        _reduced_structure(lifted), endpoints, schedule, config, seed_deflection=seed_deflection
-    )
-    results = [_lifted_result(lifted, r) for r in ladder]
+    ladder = continuation_solve(pulled, endpoints, schedule, config, seed_deflection=seed_deflection)
+    results = [_lifted_result(pulled, r) for r in ladder]
     final = results[-1].path
     N = final.grid_size
     n = structure.dimension
@@ -348,7 +315,7 @@ def solve_drift_problem(
     dgamma[-1] = N * (trajectory[-1] - trajectory[-2])
     control_grid = dgamma - (trajectory @ drift.A.T + drift.b)
 
-    lifted_energy = energy(lifted, 1.0, final)
+    lifted_energy = _lifted_evaluation(pulled, 1.0, final).energy
     cost_identity_gap = abs(control_cost - (2.0 * lifted_energy - 1.0))
 
     _, vertical, _ = penalized_forms(structure, 1.0, base_mid, control_mid)
@@ -360,7 +327,7 @@ def solve_drift_problem(
     if not success:
         logger.warning(
             "drift solve on %s: converged=%s, endpoint mismatch %.3e",
-            lifted.name,
+            pulled.name,
             all(r.converged for r in results),
             endpoint_mismatch,
         )

@@ -190,13 +190,20 @@ class _Evaluation:
 
 def _evaluate(structure: SubRiemannianStructure, q, path: DiscretePath) -> _Evaluation:
     """Factor the frame at the path's midpoints and mid-times once and evaluate its forms at q."""
-    qf = check_penalty(q)
     mids, vels = _segments(path)
     t = path.times
-    times = 0.5 * (t[:-1] + t[1:])
+    return _evaluate_segments(structure, q, mids, 0.5 * (t[:-1] + t[1:]), vels)
+
+
+def _evaluate_segments(structure, q, mids, times, vels, extra=None) -> _Evaluation:
+    """The quadrature of :func:`_evaluate` on given segment midpoints, mid-times and
+    velocities; ``extra``, if given, is a per-segment term of the horizontal form."""
+    qf = check_penalty(q)
     factor = _factor_frame(structure, mids, times)
     horizontal, vertical, Gpv, Gpp = factor.split_forms(vels)
-    value = float(np.sum(horizontal + qf * vertical) / (2.0 * path.grid_size))
+    if extra is not None:
+        horizontal = horizontal + extra
+    value = float(np.sum(horizontal + qf * vertical) / (2.0 * vels.shape[0]))
     return _Evaluation(
         qf, value, mids, times, vels, factor, horizontal, vertical, Gpv + qf * Gpp, Gpp
     )

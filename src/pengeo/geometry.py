@@ -425,10 +425,10 @@ def project_horizontal(structure: SubRiemannianStructure, p, v):
 def field_jacobian(field: Callable[[np.ndarray], np.ndarray], p, step: Optional[float] = None) -> np.ndarray:
     """Jacobian of a vector field by central finite differences.
 
-    The step is ``BRACKET_FD_SCALE * (1 + |p|_inf)`` unless given explicitly.
+    The step is :func:`_fd_step` at p unless given explicitly.
     """
     pt = as_point(p)
-    h = step if step is not None else BRACKET_FD_SCALE * (1.0 + float(np.max(np.abs(pt))))
+    h = step if step is not None else _fd_step(pt)
     cols = []
     for a in range(pt.size):
         e = np.zeros(pt.size)

@@ -137,7 +137,9 @@ class SolveResult:
     """Minimizer and certificates for one penalty value.
 
     ``energy``, ``length`` and ``defect`` equal the public functionals on the
-    stored path bitwise; ``converged`` is False only at the iteration cap.
+    stored path bitwise; on a drift rung, whose path is lifted to (p, t),
+    they equal what ``pengeo diagnose`` re-derives from it.  ``converged``
+    is False only at the iteration cap.
     """
 
     q: float

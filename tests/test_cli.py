@@ -669,6 +669,10 @@ def _set_field(row: int, column: int, text: str):
     return tamper
 
 
+def _drop_last_column(lines: list) -> None:
+    lines[:] = [line.rpartition(",")[0] for line in lines]
+
+
 _HEISENBERG_TWO_RUNGS = "[problem]\nname = heisenberg\ngrid_size = 10\n[schedule]\nstep_count = 2\n"
 
 
@@ -699,8 +703,24 @@ _HEISENBERG_TWO_RUNGS = "[problem]\nname = heisenberg\ngrid_size = 10\n[schedule
             lambda lines: lines.pop(4),
             "q=10 rho0: re-derivation failed: paths must share grid size",
         ),
+        # A path with a column dropped names the width its command writes:
+        # n for solve, n + 1 for the lifted paths of drift-solve.
+        (
+            "solve",
+            _HEISENBERG_TWO_RUNGS,
+            "path_q10.csv",
+            _drop_last_column,
+            "q=10 re-derivation failed: path width is 2, expected 3",
+        ),
+        (
+            "drift-solve",
+            "[problem]\nname = drift-constant-1d\n",
+            "path_q10.csv",
+            _drop_last_column,
+            "q=10 re-derivation failed: path width is 1, expected 2",
+        ),
     ],
-    ids=["degenerate-frame", "flow-time", "grid-size"],
+    ids=["degenerate-frame", "flow-time", "grid-size", "path-width-solve", "path-width-drift"],
 )
 def test_diagnose_rederivation_failure_is_a_mismatch(
     tmp_path, capsys, command, body, file_name, tamper, failed_line

@@ -6,21 +6,20 @@ from scipy.linalg import expm
 
 from pengeo import (
     ContinuationSchedule,
+    DiscretePath,
     DriftField,
     FlowMap,
     SolverConfig,
-    build_lifted_structure,
     constant_drift,
     continuation_solve,
-    energy,
-    euclidean_structure,
     get_problem,
-    horizontality_defect,
-    length,
     linear_drift,
+    penalized_gram,
     solve_drift_problem,
     zero_drift,
 )
+from pengeo.drift import _lifted_evaluation, _pull_back
+from pengeo.functionals import _evaluate
 
 
 def _gramian_min_cost(A: np.ndarray, x0: np.ndarray, y: np.ndarray, nodes: int = 4001) -> float:
@@ -176,31 +175,31 @@ def test_flow_map_rejects_times_outside_unit_interval():
             flow.inverse(bad, [0.0])
 
 
-def test_lifted_structure_blocks_for_zero_drift(heisenberg, rng):
-    lifted = build_lifted_structure(heisenberg, zero_drift(3))
-    assert lifted.dimension == 4
-    assert lifted.rank == 3
-    pts = np.column_stack([rng.normal(size=(5, 3)), rng.uniform(0.0, 1.0, size=5)])
-    gram = lifted.metric.gram_batch(pts)
-    base_gram = heisenberg.metric.gram_batch(pts[:, :3])
-    np.testing.assert_allclose(gram[:, :3, :3], base_gram, atol=1e-12)
-    np.testing.assert_allclose(gram[:, 3, 3], 1.0, atol=1e-15)
-    np.testing.assert_allclose(gram[:, :3, 3], 0.0, atol=1e-15)
-    cols = lifted.frame.frame_batch(pts)
-    base_cols = heisenberg.frame.frame_batch(pts[:, :3])
-    np.testing.assert_allclose(cols[:, :3, :2], base_cols, atol=1e-12)
-    np.testing.assert_allclose(cols[:, 3, 2], 1.0, atol=1e-15)
-    np.testing.assert_allclose(cols[:, :3, 2], 0.0, atol=1e-15)
+def test_pulled_back_fields_are_the_base_fields_under_zero_drift(heisenberg, rng):
+    # The zero drift's flow is the identity, so at any time the pulled-back
+    # fields are the base fields.
+    pulled = _pull_back(heisenberg, zero_drift(3))
+    assert (pulled.dimension, pulled.rank) == (3, 2)
+    pts = rng.normal(size=(5, 3))
+    gram, cols = pulled._fields(pts, rng.uniform(0.0, 1.0, size=5))
+    np.testing.assert_array_equal(gram, heisenberg.metric.gram_batch(pts))
+    np.testing.assert_array_equal(cols, heisenberg.frame.frame_batch(pts))
 
 
-def test_lifted_structure_transports_through_constant_drift(euclidean3, rng):
-    # A constant field has identity flow Jacobian, so the lifted metric's
-    # p block equals the base metric at the translated point.
-    drift = constant_drift([0.2, 0.0, -0.1])
-    lifted = build_lifted_structure(euclidean3, drift)
-    pts = np.column_stack([rng.normal(size=(4, 3)), rng.uniform(0.0, 1.0, size=4)])
-    gram = lifted.metric.gram_batch(pts)
-    np.testing.assert_allclose(gram[:, :3, :3], np.tile(np.eye(3), (4, 1, 1)), atol=1e-12)
+def test_pulled_back_metric_is_the_identity_under_constant_drift(euclidean3, rng):
+    # A constant field has identity flow Jacobian, so the pulled-back metric
+    # equals the base metric at the translated point.
+    pulled = _pull_back(euclidean3, constant_drift([0.2, 0.0, -0.1]))
+    gram, _ = pulled._fields(rng.normal(size=(4, 3)), rng.uniform(0.0, 1.0, size=4))
+    np.testing.assert_allclose(gram, np.tile(np.eye(3), (4, 1, 1)), atol=1e-12)
+
+
+def test_time_dependent_fields_need_the_points_times(heisenberg):
+    # The public functions read the fields without times, which a drift's
+    # pulled-back fields cannot do without.
+    pulled = _pull_back(heisenberg, linear_drift(0.3 * np.eye(3)))
+    with pytest.raises(ValueError, match="change in time and need the points' times"):
+        penalized_gram(pulled, 10.0, np.zeros((2, 3)))
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +285,8 @@ def test_drift_solver_rejects_wrong_dimensions(euclidean3):
 @pytest.mark.parametrize("name", ["drift-constant-1d", "drift-linear-2d", "heisenberg-drift"])
 def test_drift_rungs_are_reported_on_the_lift(name):
     # The ladder runs on R^n; each rung is reported on the lifted path (p, t),
-    # with its certificates from the lifted structure.
+    # whose forms are the pulled-back ones with v_s^2 added to the horizontal
+    # form: the same defect, and the energy plus the mean of v_s^2 / 2.
     prob = get_problem(name)
     sol = solve_drift_problem(
         prob.structure,
@@ -297,13 +297,20 @@ def test_drift_rungs_are_reported_on_the_lift(name):
         SolverConfig(grid_size=prob.grid_size),
         seed_deflection=prob.seed_deflection(),
     )
-    lifted = build_lifted_structure(prob.structure, prob.drift)
+    pulled = _pull_back(prob.structure, prob.drift)
+    n = prob.structure.dimension
     for r in sol.results:
-        assert r.path.dimension == prob.structure.dimension + 1
+        assert r.path.dimension == n + 1
         np.testing.assert_array_equal(r.path.points[:, -1], r.path.times)
-        assert r.energy == energy(lifted, r.q, r.path)
-        assert r.length == length(lifted, r.q, r.path)
-        assert r.defect == horizontality_defect(lifted, r.path)
+        lifted = _lifted_evaluation(pulled, r.q, r.path)
+        certificates = ("energy", "length", "defect", "speed_cv")
+        assert [getattr(r, f) for f in certificates] == [getattr(lifted, f) for f in certificates]
+        reduced = _evaluate(pulled, r.q, DiscretePath.from_points(r.path.points[:, :n]))
+        assert r.defect == reduced.defect
+        N = r.path.grid_size
+        time_speeds = N * np.diff(r.path.points[:, -1])
+        expected = reduced.energy + np.sum(time_speeds**2) / (2.0 * N)
+        assert r.energy == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_drift_solver_rejects_a_lifted_seed_deflection():

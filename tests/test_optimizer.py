@@ -13,7 +13,6 @@ from pengeo import (
     MetricField,
     SolverConfig,
     SubRiemannianStructure,
-    build_lifted_structure,
     continuation_solve,
     energy,
     energy_gradient,
@@ -25,7 +24,7 @@ from pengeo import (
     sinusoidal_deflection,
     vertical_heisenberg_problem,
 )
-from pengeo.drift import _lifted_result, _reduced_structure
+from pengeo.drift import _lifted_result, _pull_back
 from pengeo.functionals import _evaluate
 from pengeo.geometry import DegenerateFrameError
 from pengeo.optimizer import (
@@ -100,7 +99,7 @@ def _mixed_frame_heisenberg():
 def _drift_heisenberg(heisenberg):
     """The Heisenberg drift problem on R^3 under the linear drift 0.3 p: its
     fields are the pulled-back, time-dependent ones of a drift solve."""
-    return _reduced_structure(build_lifted_structure(heisenberg, linear_drift(0.3 * np.eye(3))))
+    return _pull_back(heisenberg, linear_drift(0.3 * np.eye(3)))
 
 
 def _assert_gradient_matches(structure, q, path):
@@ -622,7 +621,7 @@ def _ladder_inputs(name):
         prob = get_problem(name)
     structure, endpoints = prob.structure, (prob.start, prob.end)
     if prob.has_drift:
-        structure = _reduced_structure(build_lifted_structure(prob.structure, prob.drift))
+        structure = _pull_back(prob.structure, prob.drift)
         endpoints = (prob.start, structure.flow.inverse(1.0, prob.end))
     config = SolverConfig(grid_size=prob.grid_size)
     return structure, endpoints, prob.schedule, config, prob.seed_deflection()
@@ -657,8 +656,7 @@ def test_predicted_ladder_matches_plain_warm_starts(name):
     predicted = continuation_solve(structure, endpoints, schedule, config, None, seed)
     plain = _plain_ladder(structure, endpoints, schedule, config, seed)
     if name == "heisenberg-drift":
-        lifted = build_lifted_structure(structure.base, structure.flow.drift)
-        predicted, plain = ([_lifted_result(lifted, r) for r in rungs] for rungs in (predicted, plain))
+        predicted, plain = ([_lifted_result(structure, r) for r in rungs] for rungs in (predicted, plain))
     assert [r.q for r in predicted] == [r.q for r in plain]
     for a, b in zip(predicted, plain):
         assert a.converged and b.converged
