@@ -238,11 +238,37 @@ class _FrameFactor:
         return 0.5 * (Gq + Gq.transpose(0, 2, 1))
 
 
+def _condition_numbers(M: np.ndarray) -> np.ndarray:
+    """2-norm condition numbers of a finite stack of symmetric k x k matrices.
+
+    For a symmetric matrix this is the ratio of the extreme eigenvalue
+    magnitudes; a singular matrix gives inf, and a zero one nan.  Rank 2
+    has a closed form (Golub & Van Loan, *Matrix Computations*, 4th ed.,
+    8.5.2): for M = [[a, b], [b, d]] the largest magnitude is
+    top = (|a + d| + hypot(a - d, 2b)) / 2 and the eigenvalues multiply to
+    ad - b^2, so cond = top^2 / |ad - b^2|.  Each matrix is first scaled by
+    its largest entry, which leaves cond as it is and keeps products of
+    entries from overflowing or underflowing.  The rounding of ad - b^2
+    bounds the error by a few eps * cond relative, the accuracy of
+    ``eigvalsh``'s smallest eigenvalue, which other ranks take.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if M.shape[-1] != 2:
+            spectrum = np.abs(np.linalg.eigvalsh(M))
+            return spectrum.max(axis=1) / spectrum.min(axis=1)
+        a, b, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 1]
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(d))
+        a, b, d = a / scale, b / scale, d / scale
+        top = 0.5 * (np.abs(a + d) + np.hypot(a - d, 2.0 * b))
+        return top * top / np.abs(a * d - b * b)
+
+
 def _frame_gram(points: np.ndarray, G: np.ndarray, F: np.ndarray):
     """F^T G and the symmetrized frame Gram matrices F^T G F at a batch of points.
 
     Raises :class:`DegenerateFrameError` when F^T G F is not finite, or its
-    condition number exceeds ``FRAME_CONDITION_LIMIT``, at any of the points.
+    condition number (:func:`_condition_numbers`, in closed form at rank 2)
+    exceeds ``FRAME_CONDITION_LIMIT``, at any of the points.
     """
     # A frame that overflows along the path fails below, not in warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -251,11 +277,7 @@ def _frame_gram(points: np.ndarray, G: np.ndarray, F: np.ndarray):
         M = 0.5 * (M + M.transpose(0, 2, 1))
     if not np.all(np.isfinite(M)):
         raise DegenerateFrameError(_NOT_FINITE_MESSAGE)
-    # For a symmetric matrix the 2-norm condition number is the ratio of the
-    # extreme eigenvalue magnitudes; a singular M gives inf (or nan if M = 0).
-    spectrum = np.abs(np.linalg.eigvalsh(M))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = spectrum.max(axis=1) / spectrum.min(axis=1)
+    cond = _condition_numbers(M)
     bad = ~np.isfinite(cond) | (cond > FRAME_CONDITION_LIMIT)
     if np.any(bad):
         i = int(np.argmax(bad))

@@ -139,7 +139,10 @@ class SolveResult:
     ``energy``, ``length`` and ``defect`` equal the public functionals on the
     stored path bitwise; on a drift rung, whose path is lifted to (p, t),
     they equal what ``pengeo diagnose`` re-derives from it.  ``converged``
-    is False only at the iteration cap.
+    is False only at the iteration cap.  ``gradient_norm``, the inf-norm of
+    the final gradient, is rounding noise on a converged rung (1e-14 ...
+    5e-8 on the catalogue): the stop rule reads the Newton decrement, not
+    this norm, so it is not a result.
     """
 
     q: float
@@ -394,7 +397,8 @@ def minimize_energy(
     degenerate fails that test and backtracks too.  The accepted trial's
     evaluation is kept: its frame factor gives H0, H, the gradient and, at
     exit, the certificates.  Each iteration is logged at DEBUG on the
-    ``pengeo`` logger.
+    ``pengeo`` logger, with the number of shifted factorizations that failed
+    before one succeeded.
 
     Hitting the iteration cap returns ``converged=False`` rather than
     raising.  A line-search step underflow (a genuinely stuck search
@@ -445,6 +449,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
         h0_diag, h0_off = _velocity_hessian(gram)
         rest_diag, rest_off = _base_point_hessian(structure, evaluation, first)
         shift = shift / SHIFT_GROWTH if shift >= SHIFT_START * SHIFT_GROWTH else 0.0
+        failures = 0  # shifted factorizations that failed before one succeeded
         while True:
             try:
                 factor = _BlockTridiagonalFactor(
@@ -456,13 +461,14 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
                 # Cholesky test, but its block pivots did not.
                 if shift == np.inf:
                     raise singular(exc) from exc
+                failures += 1
                 shift = max(SHIFT_START, SHIFT_GROWTH * shift)
         direction = -factor.solve(g)
         if not np.all(np.isfinite(direction)):
             raise FloatingPointError(
                 f"Newton direction is not finite at q={qf:g} in iteration {iterations + 1}"
             )
-        slope = float(g @ direction)
+        descent = float(g @ direction)  # the Armijo slope, not the gradient's q-slope
 
         # Trial points only need the energy; the gradient is computed once,
         # at the accepted point, since it costs several times as much.
@@ -475,7 +481,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
             except DegenerateFrameError:
                 pass  # a step too long to factor the frame: take a shorter one
             else:
-                if trial.energy <= f + SUFFICIENT_DECREASE * step * slope:
+                if trial.energy <= f + SUFFICIENT_DECREASE * step * descent:
                     break
             step *= BACKTRACKING_RATIO
         else:
@@ -489,12 +495,14 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
         history.append(f)
         iterations += 1
         logger.debug(
-            "q=%g iteration %d: energy %.17g, H0 decrement %.3e, shift %.3g, step %.3g",
+            "q=%g iteration %d: energy %.17g, H0 decrement %.3e, shift %.3g"
+            " after %d failed factorizations, step %.3g",
             qf,
             iterations,
             f,
             decrement,
             shift,
+            failures,
             step,
         )
 

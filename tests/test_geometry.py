@@ -17,7 +17,14 @@ from pengeo import (
     validate_bracket_generating,
     validate_structure,
 )
-from pengeo.geometry import _factor_frame, _field_differences, _field_stencil
+from pengeo.geometry import (
+    FRAME_CONDITION_LIMIT,
+    _condition_numbers,
+    _factor_frame,
+    _field_differences,
+    _field_stencil,
+    _frame_gram,
+)
 from conftest import random_path
 
 
@@ -147,13 +154,14 @@ def test_degenerate_frame_detected():
         project_horizontal(structure, np.zeros(2), np.ones(2))
 
 
-def _graded_frame_structure(gram_condition: float) -> SubRiemannianStructure:
-    """Flat 3-D structure whose frame Gram is diag(1, 1/gram_condition)."""
-    columns = np.array([[1.0, 0.0], [0.0, gram_condition**-0.5], [0.0, 0.0]])
+def _graded_frame_structure(gram_condition: float, rank: int = 2) -> SubRiemannianStructure:
+    """Flat structure on R^(rank + 1) whose frame Gram is diagonal, graded
+    geometrically from 1 to 1/gram_condition."""
+    columns = np.eye(rank + 1, rank) * gram_condition ** (-0.5 * np.linspace(0.0, 1.0, rank))
     return SubRiemannianStructure(
-        dimension=3,
-        rank=2,
-        metric=MetricField(gram=lambda p: np.eye(3)),
+        dimension=rank + 1,
+        rank=rank,
+        metric=MetricField(gram=lambda p: np.eye(rank + 1)),
         frame=FrameField(columns=lambda p: columns),
         name="graded",
     )
@@ -170,6 +178,64 @@ def test_frame_below_condition_limit_accepted():
     pv, pperp = project_horizontal(structure, np.zeros(3), np.ones(3))
     np.testing.assert_allclose(pv, [1.0, 1.0, 0.0], atol=1e-9)
     np.testing.assert_allclose(pperp, [0.0, 0.0, 1.0], atol=1e-9)
+
+
+def test_rank_three_frame_keeps_the_eigenvalue_condition_check(monkeypatch):
+    # Only rank 2 has the closed form; a rank-3 frame is checked by eigvalsh,
+    # with the same limit and message.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
+    with pytest.raises(DegenerateFrameError, match=r"condition number 1\.0\d*e\+09"):
+        project_horizontal(_graded_frame_structure(1e9, rank=3), np.zeros(4), np.ones(4))
+    assert calls == [(1, 3, 3)]
+    pv, pperp = project_horizontal(_graded_frame_structure(1e7, rank=3), np.zeros(4), np.ones(4))
+    np.testing.assert_allclose(pv, [1.0, 1.0, 1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(pperp, [0.0, 0.0, 0.0, 1.0], atol=1e-9)
+
+
+def _rotated_diagonals(rng, cond, scale):
+    """Symmetric 2 x 2 stack R diag(s, +-s/c) R^T, every third one indefinite."""
+    m = cond.size
+    sign = np.where(np.arange(m) % 3 == 0, -1.0, 1.0)
+    theta = rng.uniform(0.0, np.pi, m)
+    R = np.stack([np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)], axis=1).reshape(m, 2, 2)
+    M = np.einsum("mik,mk,mjk->mij", R, np.stack([scale, sign * scale / cond], axis=1), R)
+    return 0.5 * (M + M.transpose(0, 2, 1))
+
+
+def test_closed_form_condition_number_matches_eigvalsh(rng):
+    # Cond c from 1 to 1e12 and scale s from 1e-150 to 1e150, then c up to
+    # 1e6 at s near 1e+-300, where a product of two entries overflows or
+    # underflows unless the matrix is scaled first: the closed form agrees
+    # with eigvalsh within 8 eps c relative, the accuracy of eigvalsh's
+    # smallest eigenvalue, and so on every accept/reject decision at the limit.
+    m = 20000
+    M = np.concatenate([
+        _rotated_diagonals(rng, 10.0 ** rng.uniform(0.0, 12.0, m), 10.0 ** rng.uniform(-150.0, 150.0, m)),
+        _rotated_diagonals(rng, 10.0 ** rng.uniform(0.0, 6.0, 60), 10.0 ** np.repeat([-300.0, 300.0], 30)),
+    ])
+    spectrum = np.abs(np.linalg.eigvalsh(M))
+    reference = spectrum.max(axis=1) / spectrum.min(axis=1)
+    closed = _condition_numbers(M)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(closed / reference - 1.0) <= 8.0 * eps * reference)
+    accepted = reference <= FRAME_CONDITION_LIMIT
+    assert 0 < accepted.sum() < len(M)
+    np.testing.assert_array_equal(closed <= FRAME_CONDITION_LIMIT, accepted)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_zero_and_rank_one_frame_grams_are_rejected(scale):
+    # A zero Gram matrix has cond nan, an exactly singular one inf, and both
+    # are rejected as ill conditioned, at every scale.
+    M = scale * np.array([[[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    cond = _condition_numbers(M)
+    assert np.isnan(cond[0]) and cond[1] == np.inf and cond[2] == 1.0
+    G = np.broadcast_to(np.eye(2), (1, 2, 2))
+    for F, shown in ((np.zeros((1, 2, 2)), "nan"), (np.array([[[1.0, 2.0], [0.0, 0.0]]]), "inf")):
+        with pytest.raises(DegenerateFrameError, match=f"condition number {shown} exceeds"):
+            _frame_gram(np.zeros((1, 2)), G, np.sqrt(scale) * F)
 
 
 def _plane_structure(gram, scale):

@@ -610,6 +610,45 @@ def test_minimize_logs_one_debug_line_per_iteration(heisenberg, rng, caplog):
         assert ", shift " in line and ", step " in line
 
 
+def test_debug_lines_count_the_failed_shifted_factorizations(monkeypatch, caplog):
+    # Each iteration's line logs how many shifted block factorizations
+    # failed before the one that succeeded; summed over the vertical ladder
+    # at N = 200 they equal the failures and successes of the factor class.
+    from pengeo import optimizer
+
+    built = {"ok": 0, "failed": 0}
+    block_factor = optimizer._BlockTridiagonalFactor
+
+    def factored(diag, off):
+        try:
+            factor = block_factor(diag, off)
+        except np.linalg.LinAlgError:
+            built["failed"] += 1
+            raise
+        built["ok"] += 1
+        return factor
+
+    monkeypatch.setattr(optimizer, "_BlockTridiagonalFactor", factored)
+    structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-200")
+    with caplog.at_level(logging.DEBUG, logger="pengeo"):
+        continuation_solve(structure, endpoints, schedule, config, None, seed)
+    lines = [r.getMessage() for r in caplog.records if " iteration " in r.getMessage()]
+    failed = [int(line.split(" after ")[1].split(" failed factorizations")[0]) for line in lines]
+    assert (sum(failed), len(lines)) == (built["failed"], built["ok"]) == (12, 18)
+
+
+def test_rank_two_ladder_reads_the_condition_number_in_closed_form(monkeypatch):
+    # Every catalogue Heisenberg frame has rank 2, so no condition check of
+    # a whole ladder, evaluations and Hessian stencils alike, calls eigvalsh.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
+    structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-50")
+    results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+    assert sum(r.iterations for r in results) > 0
+    assert calls == []
+
+
 def _ladder_inputs(name):
     """(structure, endpoints, schedule, config, seed) of a ladder as the CLI
     runs it; a drift preset runs on R^n with the pulled-back fields, between
