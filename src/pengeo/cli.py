@@ -710,7 +710,7 @@ def _cmd_diagnose(results_dir: str) -> int:
         print(f"q={q:g} {what} [MISMATCH]")
         failures.append((q, what, float("nan")))
 
-    previous_path = None
+    previous_path = previous = None  # the last row's path and, if it re-derived, its evaluation
     for index, row in enumerate(rows):
         q = number(index, "q")
         try:
@@ -718,11 +718,15 @@ def _cmd_diagnose(results_dir: str) -> int:
             path = DiscretePath.from_points(samples[:, 1:])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{root}: cannot read {_path_file_name(q)}: {exc}") from exc
-        # One frame factorization; the defect does not depend on q.
+        # One frame factorization per distinct path: the factor and the forms do
+        # not depend on q, so a row storing the previous row's points bitwise
+        # (of the same width, checked first) re-forms that row's evaluation.
+        same = previous is not None and path.points.tobytes() == previous_path.points.tobytes()
+        evaluation = None
         try:
             if path.dimension != width:
                 raise ValueError(f"path width is {path.dimension}, expected {width}")
-            evaluation = evaluate(structure, q, path)
+            evaluation = previous.at(q) if same else evaluate(structure, q, path)
         except (DegenerateFrameError, FloatingPointError, ValueError) as exc:
             mismatch(q, f"re-derivation failed: {exc}")
         else:
@@ -741,7 +745,7 @@ def _cmd_diagnose(results_dir: str) -> int:
                 mismatch(q, f"{field_name}: re-derivation failed: {exc}")
                 continue
             check(q, field_name, number(index, field_name), recomputed)
-        previous_path = path
+        previous_path, previous = path, evaluation
 
     if failures:
         print(f"diagnose: {len(failures)} mismatches found")

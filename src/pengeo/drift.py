@@ -10,8 +10,10 @@ with its fields at each segment's mid-time.
 Each rung is reported on the lifted path (p, s), with s the time: the
 problem one dimension up whose metric is diag(G, 1) and whose frame adds
 the unit s column.  Its forms are the pulled-back ones with v_s^2 added to
-the horizontal form, so :func:`_lifted_evaluation` reads them from one
-factorization of the pulled-back frame.  With s pinned to advance linearly
+the horizontal form, so the ladder's own final evaluation of each rung
+gives them, with no further factorization, and :func:`_lifted_evaluation`
+reads a stored lifted path from one factorization of the pulled-back
+frame.  With s pinned to advance linearly
 from 0 to 1, the q = 1 lifted energy equals half the control cost plus one
 half, an identity the result object reports as a cross-check.
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .functionals import DiscretePath, _evaluate_segments, _Evaluation, _segments
 from .geometry import SubRiemannianStructure, as_point, penalized_forms
-from .optimizer import ContinuationSchedule, SolveResult, SolverConfig, continuation_solve
+from .optimizer import ContinuationSchedule, SolveResult, SolverConfig, _ladder
 
 logger = logging.getLogger("pengeo")
 
@@ -211,22 +213,25 @@ def _lifted_evaluation(structure: _PulledBackStructure, q, lifted_path: Discrete
     """
     n = structure.dimension
     mids, vels = _segments(lifted_path)
-    return _evaluate_segments(structure, q, mids[:, :n], mids[:, n], vels[:, :n], vels[:, n] ** 2)
+    evaluation = _evaluate_segments(structure, q, mids[:, :n], mids[:, n], vels[:, :n])
+    return evaluation.at(q, vels[:, n] ** 2)
 
 
-def _lifted_result(structure: _PulledBackStructure, result: SolveResult) -> SolveResult:
+def _lifted_result(result: SolveResult, evaluation: _Evaluation) -> SolveResult:
     """A rung solved on R^n, reported on the lifted path (p, t): its certificates
-    come from :func:`_lifted_evaluation`, and its energy history adds the 1/2
-    of the unit s speed."""
+    are those of ``evaluation``, the rung path's evaluation at its q, with the
+    lift's v_s^2 added to the horizontal form, bitwise what
+    :func:`_lifted_evaluation` reads from the lifted path; its energy history
+    adds the 1/2 of the unit s speed."""
     path = DiscretePath.from_points(np.column_stack([result.path.points, result.path.times]))
-    evaluation = _lifted_evaluation(structure, result.q, path)
+    lifted = evaluation.at(result.q, _segments(path)[1][:, -1] ** 2)
     return replace(
         result,
         path=path,
-        energy=evaluation.energy,
-        length=evaluation.length,
-        defect=evaluation.defect,
-        speed_cv=evaluation.speed_cv,
+        energy=lifted.energy,
+        length=lifted.length,
+        defect=lifted.defect,
+        speed_cv=lifted.speed_cv,
         energy_history=tuple(e + 0.5 for e in result.energy_history),
     )
 
@@ -276,7 +281,9 @@ def solve_drift_problem(
     The lift's s coordinate is the time, so penalty continuation runs on
     R^n, with the fields pulled back by the flow to each segment's mid-time,
     between ``start`` and phi_1^{-1}(target); ``seed_deflection`` has shape
-    (N+1, n).  Each rung is reported on the lifted path (p, t).  The final
+    (N+1, n).  Each rung is reported on the lifted path (p, t), from the
+    ladder's own evaluation of its path, and the q = 1 lifted energy is the
+    last rung's evaluation re-formed at q = 1.  The final
     minimizer is mapped back to the controlled trajectory by one batched
     flow transport on the grid, and the control is read off by a second one
     at the segment midpoints.  The control cost is the time integral of the
@@ -289,8 +296,9 @@ def solve_drift_problem(
     flow = pulled.flow
 
     endpoints = (x, flow.inverse(1.0, y))
-    ladder = continuation_solve(pulled, endpoints, schedule, config, seed_deflection=seed_deflection)
-    results = [_lifted_result(pulled, r) for r in ladder]
+    results = []
+    for result, evaluation in _ladder(pulled, endpoints, schedule, config, None, seed_deflection):
+        results.append(_lifted_result(result, evaluation))
     final = results[-1].path
     N = final.grid_size
     n = structure.dimension
@@ -315,7 +323,7 @@ def solve_drift_problem(
     dgamma[-1] = N * (trajectory[-1] - trajectory[-2])
     control_grid = dgamma - (trajectory @ drift.A.T + drift.b)
 
-    lifted_energy = _lifted_evaluation(pulled, 1.0, final).energy
+    lifted_energy = evaluation.at(1.0, vels[:, n] ** 2).energy  # the last rung's evaluation
     cost_identity_gap = abs(control_cost - (2.0 * lifted_energy - 1.0))
 
     _, vertical, _ = penalized_forms(structure, 1.0, base_mid, control_mid)

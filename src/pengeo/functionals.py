@@ -12,12 +12,15 @@ must never be changed independently of them.
 
 ``_evaluate`` is that quadrature: it factors the frame at the midpoints once
 and keeps the factor and the per-segment forms, which the functionals here
-and the optimizer's gradient, H0 and certificates all read.
+and the optimizer's gradient, H0 and certificates all read.  The factor and
+the split forms do not depend on q, so an evaluation re-forms at another
+penalty without factoring again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -154,19 +157,35 @@ class FunctionalValue:
 @dataclass(frozen=True)
 class _Evaluation:
     """One path at one penalty: its segment midpoints, mid-times and velocities,
-    the frame factor at the midpoints, and the per-segment forms at q.  The flux
-    G (P v + q Pc v) is affine in q; ``vertical_flux`` = G Pc v is its slope."""
+    the frame factor at the midpoints, the per-segment forms and the two parts
+    G P v and G Pc v of the flux G (P v + q Pc v).  Only ``q`` and what is read
+    from it, the energy, flux and speeds, depend on the penalty, so :meth:`at`
+    re-forms the evaluation at another one without factoring again."""
 
     q: float
-    energy: float
     mids: np.ndarray
     times: np.ndarray
     vels: np.ndarray
     factor: _FrameFactor
     horizontal: np.ndarray
     vertical: np.ndarray
-    flux: np.ndarray
+    horizontal_flux: np.ndarray
     vertical_flux: np.ndarray
+
+    def at(self, q, extra=None) -> "_Evaluation":
+        """The same segments at penalty q, bitwise what :func:`_evaluate_segments`
+        gives there; ``extra``, if given, is a per-segment term added to the
+        horizontal form."""
+        horizontal = self.horizontal if extra is None else self.horizontal + extra
+        return replace(self, q=check_penalty(q), horizontal=horizontal)
+
+    @cached_property
+    def energy(self) -> float:
+        return float(np.sum(self.horizontal + self.q * self.vertical) / (2.0 * self.vels.shape[0]))
+
+    @property
+    def flux(self) -> np.ndarray:
+        return self.horizontal_flux + self.q * self.vertical_flux
 
     def speeds(self) -> np.ndarray:
         """Per-segment penalized speeds sqrt(g_q(mid; vel, vel))."""
@@ -195,18 +214,12 @@ def _evaluate(structure: SubRiemannianStructure, q, path: DiscretePath) -> _Eval
     return _evaluate_segments(structure, q, mids, 0.5 * (t[:-1] + t[1:]), vels)
 
 
-def _evaluate_segments(structure, q, mids, times, vels, extra=None) -> _Evaluation:
-    """The quadrature of :func:`_evaluate` on given segment midpoints, mid-times and
-    velocities; ``extra``, if given, is a per-segment term of the horizontal form."""
+def _evaluate_segments(structure, q, mids, times, vels) -> _Evaluation:
+    """The quadrature of :func:`_evaluate` on given segment midpoints, mid-times
+    and velocities."""
     qf = check_penalty(q)
     factor = _factor_frame(structure, mids, times)
-    horizontal, vertical, Gpv, Gpp = factor.split_forms(vels)
-    if extra is not None:
-        horizontal = horizontal + extra
-    value = float(np.sum(horizontal + qf * vertical) / (2.0 * vels.shape[0]))
-    return _Evaluation(
-        qf, value, mids, times, vels, factor, horizontal, vertical, Gpv + qf * Gpp, Gpp
-    )
+    return _Evaluation(qf, mids, times, vels, factor, *factor.split_forms(vels))
 
 
 def energy(structure: SubRiemannianStructure, q, path: DiscretePath) -> float:

@@ -266,9 +266,10 @@ def _condition_numbers(M: np.ndarray) -> np.ndarray:
 def _frame_gram(points: np.ndarray, G: np.ndarray, F: np.ndarray):
     """F^T G and the symmetrized frame Gram matrices F^T G F at a batch of points.
 
-    Raises :class:`DegenerateFrameError` when F^T G F is not finite, or its
-    condition number (:func:`_condition_numbers`, in closed form at rank 2)
-    exceeds ``FRAME_CONDITION_LIMIT``, at any of the points.
+    Raises :class:`DegenerateFrameError` when F^T G F is not finite, vanishes
+    (its condition number is then 0/0), or its condition number
+    (:func:`_condition_numbers`, in closed form at rank 2) exceeds
+    ``FRAME_CONDITION_LIMIT``, at any of the points.
     """
     # A frame that overflows along the path fails below, not in warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -281,6 +282,10 @@ def _frame_gram(points: np.ndarray, G: np.ndarray, F: np.ndarray):
     bad = ~np.isfinite(cond) | (cond > FRAME_CONDITION_LIMIT)
     if np.any(bad):
         i = int(np.argmax(bad))
+        if not M[i].any():
+            raise DegenerateFrameError(
+                f"frame vanishes at point {points[i].tolist()} (its Gram matrix F^T G F is zero)"
+            )
         raise DegenerateFrameError(
             f"frame is numerically degenerate at point {points[i].tolist()}"
             f" (frame Gram condition number {cond[i]:.3e} exceeds {FRAME_CONDITION_LIMIT:.1e})"

@@ -40,7 +40,10 @@ q-slope of its final gradient, from the same field differences.  The
 predictor therefore costs one block solve per rung and no factorization
 (Allgower & Georg, *Introduction to Numerical Continuation Methods*, 1990,
 ch. 2).  A rung that stopped at iteration 0 built no Newton factor, and the
-next one warm starts from its minimizer.
+next one warm starts from its minimizer.  The frame factor, the split forms
+and the field differences of a path do not depend on q, so a rung that
+starts on the previous minimizer re-forms that rung's final evaluation at
+its own q and reuses its field differences: it factors and reads nothing.
 """
 
 from __future__ import annotations
@@ -169,15 +172,15 @@ def energy_gradient(structure: SubRiemannianStructure, q, path: DiscretePath) ->
     return _gradient(structure, _evaluate(structure, q, path))[0]
 
 
-def _gradient(structure, evaluation):
+def _gradient(structure, evaluation, first=None):
     """:func:`energy_gradient` from the path's evaluation, whose flux and factor
     it reuses, the gradient's slope in q, and the field differences.
 
     The energy is affine in q with slope half the defect, so the slope is the
     gradient of D/2; it is assembled from the slopes of the flux and of the
     base-point derivative, from the same field differences.  Those come from
-    :func:`_field_differences`, and the Hessian at the same evaluation reuses
-    them.
+    :func:`_field_differences`, unless ``first`` already holds them for the
+    evaluation's segments, and the Hessian at the same evaluation reuses them.
     """
     q, mids, vels = evaluation.q, evaluation.mids, evaluation.vels
     N, n = vels.shape
@@ -193,7 +196,8 @@ def _gradient(structure, evaluation):
 
     # Base-point dependence: each midpoint is the mean of its segment's ends
     # and the quadrature carries 1/(2N), so each end gets dQ/(4N).
-    first = _field_differences(structure, mids, evaluation.times)
+    if first is None:
+        first = _field_differences(structure, mids, evaluation.times)
     dQ = np.stack(evaluation.factor.form_derivatives(q, vels, *first[:2])) / (4.0 * N)
     dQ = dQ.transpose(0, 2, 1)
     grads[:, :-1] += dQ
@@ -412,12 +416,14 @@ def minimize_energy(
     return _minimize(structure, q, initial, config)[0]
 
 
-def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
-    """:func:`minimize_energy`, which also returns what the next rung's predictor needs.
+def _minimize(structure, q, initial: DiscretePath, config, evaluation=None, first=None):
+    """:func:`minimize_energy`, which also returns what the next rung needs.
 
     Returns the ``SolveResult``, the last shifted Newton factor (None when
-    the solve stopped at iteration 0) and the q-slope of the final gradient.
-    ``evaluation``, when given, is the evaluation of ``initial`` at q.
+    the solve stopped at iteration 0), the q-slope of the final gradient,
+    and the final path's evaluation and field differences.  ``evaluation``,
+    when given, is the evaluation of ``initial`` at q, and ``first``, when
+    given, its field differences.
     """
     qf = check_penalty(q)
     x = initial.interior().ravel()
@@ -425,7 +431,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
     if evaluation is None:
         evaluation = _evaluate(structure, qf, current)
     f = evaluation.energy
-    g, slope, first = _gradient(structure, evaluation)
+    g, slope, first = _gradient(structure, evaluation, first)
     history = [f]
     shift = 0.0
     iterations = 0
@@ -518,7 +524,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
         speed_cv=evaluation.speed_cv,
         energy_history=tuple(history),
     )
-    return result, factor, slope
+    return result, factor, slope, evaluation, first
 
 
 def _predict(structure, q, previous: SolveResult, factor, slope):
@@ -563,8 +569,10 @@ def continuation_solve(
     previous minimizer itself (a warm start) when the previous rung stopped
     at iteration 0 and so built no Newton factor, when the predicted frame
     does not factor, or when the step is below the stop rule's resolution.
-    Each rung logs its q, the predictor step's inf-norm and whether the
-    predicted start was used at DEBUG on the ``pengeo`` logger.
+    A warm start re-forms the previous rung's final evaluation at the new q
+    and reuses its field differences.  Each rung logs its q, the predictor
+    step's inf-norm, which start it took and whether the predicted start was
+    used at DEBUG on the ``pengeo`` logger.
 
     ``seed_deflection`` (shape (N+1, n), zero rows at both ends) is added to
     a warm start that :func:`minimize_energy` accepts at iteration 0, i.e. a
@@ -576,6 +584,13 @@ def continuation_solve(
     the nudge breaks that symmetry.  Warm starts with a live gradient are left
     alone, since kicking them would only throw away progress.
     """
+    rungs = _ladder(structure, endpoints, schedule, config, initial, seed_deflection)
+    return [result for result, _ in rungs]
+
+
+def _ladder(structure, endpoints, schedule, config, initial, seed_deflection):
+    """:func:`continuation_solve` rung by rung: yields each rung's result with
+    the evaluation of its path at its q."""
     start, end = endpoints
     if initial is None:
         initial = DiscretePath.chord(start, end, config.grid_size)
@@ -589,25 +604,35 @@ def continuation_solve(
         if np.any(deflect[0] != 0.0) or np.any(deflect[-1] != 0.0):
             raise ValueError("seed_deflection must vanish at both endpoint rows")
 
-    results = []
+    previous = None  # the last rung's result, final evaluation and field differences
     factor = slope = None
     for qv in schedule.q_values():
-        guess = results[-1].path if results else initial
-        rung_start, evaluation, step_norm = guess, None, 0.0
+        rung_start, evaluation, first, step_norm = initial, None, None, 0.0
         if factor is not None:
             rung_start, evaluation, step_norm = _predict(
-                structure, qv, results[-1], factor, slope
+                structure, qv, previous[0], factor, slope
             )
+        predicted = evaluation is not None
+        if predicted:
+            kind = "predicted path evaluated"
+        elif previous is not None:
+            rung_start, evaluation, first = previous[0].path, previous[1].at(qv), previous[2]
+            kind = "previous minimizer (evaluation reused)"
+        else:
+            kind = "initial path evaluated"
         logger.debug(
-            "q=%g rung start: predictor step %.3e, predicted start %s",
+            "q=%g rung start: predictor step %.3e, %s, predicted start %s",
             qv,
             step_norm,
-            "used" if evaluation is not None else "not used",
+            kind,
+            "used" if predicted else "not used",
         )
-        result, factor, slope = _minimize(structure, qv, rung_start, config, evaluation)
-        if result.iterations == 0 and deflect is not None and evaluation is None:
-            kicked = guess.with_interior(guess.interior() + deflect[1:-1])
-            result, factor, slope = _minimize(structure, qv, kicked, config)
+        result, factor, slope, final, first = _minimize(
+            structure, qv, rung_start, config, evaluation, first
+        )
+        if result.iterations == 0 and deflect is not None and not predicted:
+            kicked = rung_start.with_interior(rung_start.interior() + deflect[1:-1])
+            result, factor, slope, final, first = _minimize(structure, qv, kicked, config)
         if not result.converged:
             logger.warning(
                 "penalty step q=%g on %s hit the iteration cap (|grad|_inf = %.3e)",
@@ -615,6 +640,5 @@ def continuation_solve(
                 structure.name,
                 result.gradient_norm,
             )
-        results.append(result)
-    return results
-
+        previous = (result, final, first)
+        yield result, final

@@ -155,3 +155,11 @@ def nan_hessian(monkeypatch) -> None:
         return np.full_like(diag, np.nan), off
 
     monkeypatch.setattr(optimizer, "_base_point_hessian", nan_blocks)
+
+
+def assert_same_evaluation(a, b) -> None:
+    """Two path evaluations agree bitwise in q, every reading and every form."""
+    readings = ("q", "energy", "length", "defect", "speed_cv")
+    assert [getattr(a, f) for f in readings] == [getattr(b, f) for f in readings]
+    for name in ("flux", "horizontal", "vertical", "horizontal_flux", "vertical_flux"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))

@@ -19,7 +19,8 @@ from pengeo import (
     zero_drift,
 )
 from pengeo.drift import _lifted_evaluation, _pull_back
-from pengeo.functionals import _evaluate
+from pengeo.functionals import _evaluate, _segments
+from conftest import assert_same_evaluation
 
 
 def _gramian_min_cost(A: np.ndarray, x0: np.ndarray, y: np.ndarray, nodes: int = 4001) -> float:
@@ -311,6 +312,58 @@ def test_drift_rungs_are_reported_on_the_lift(name):
         time_speeds = N * np.diff(r.path.points[:, -1])
         expected = reduced.energy + np.sum(time_speeds**2) / (2.0 * N)
         assert r.energy == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_lifted_evaluation_reforms_bitwise():
+    # A lifted evaluation re-formed at q' is the lifted evaluation at q', and
+    # so is the evaluation of the p path re-formed with the lift's v_s^2 added
+    # to its horizontal form: the reading of every reported drift rung.
+    prob = get_problem("heisenberg-drift")
+    pulled = _pull_back(prob.structure, prob.drift)
+    chord = DiscretePath.chord(prob.start, prob.end, 12)
+    jitter = 0.1 * np.random.default_rng(3).normal(size=(11, 3))
+    path = chord.with_interior(chord.interior() + jitter)
+    lifted = DiscretePath.from_points(np.column_stack([path.points, path.times]))
+    time_speeds = _segments(lifted)[1][:, -1]
+    for q in (1.0, 10.0, 1e4):
+        on_lift, on_path = _lifted_evaluation(pulled, q, lifted), _evaluate(pulled, q, path)
+        for q_new in (1.0, q, 1e6):
+            expected = _lifted_evaluation(pulled, q_new, lifted)
+            assert_same_evaluation(on_lift.at(q_new), expected)
+            assert_same_evaluation(on_path.at(q_new, time_speeds**2), expected)
+
+
+def test_drift_solve_factors_each_point_set_once(monkeypatch):
+    # The lifted reports read the ladder's own evaluations and the q = 1
+    # lifted energy the last rung's, so the frame is factored once per
+    # ladder evaluation and once more for the control defect: 18 times on
+    # heisenberg-drift, where factoring each report again took 24.
+    from pengeo import functionals, geometry, optimizer
+
+    counts = dict.fromkeys(["factor", "evaluate"], 0)
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (geometry, functionals):
+        monkeypatch.setattr(module, "_factor_frame", counting("factor", module._factor_frame))
+    monkeypatch.setattr(optimizer, "_evaluate", counting("evaluate", optimizer._evaluate))
+    prob = get_problem("heisenberg-drift")
+    sol = solve_drift_problem(
+        prob.structure,
+        prob.drift,
+        prob.start,
+        prob.end,
+        prob.schedule,
+        SolverConfig(grid_size=prob.grid_size),
+        seed_deflection=prob.seed_deflection(),
+    )
+    assert sol.success
+    assert counts["factor"] == counts["evaluate"] + 1 == 18
 
 
 def test_drift_solver_rejects_a_lifted_seed_deflection():

@@ -14,7 +14,8 @@ from pengeo import (
     limit_energy,
     semimetric_rho,
 )
-from conftest import random_path
+from pengeo.functionals import _evaluate
+from conftest import assert_same_evaluation, random_path
 
 
 def test_chord_construction(euclidean3):
@@ -143,3 +144,14 @@ def test_semimetric_rho_validation(rng):
     with pytest.raises(ValueError):
         semimetric_rho(a, a, order=2)
     np.testing.assert_array_equal(semimetric_rho(a, a, order=0), np.zeros(2))
+
+
+def test_reformed_evaluation_is_a_fresh_one_bitwise(heisenberg, martinet, rng):
+    # The factor and the split forms do not depend on q, so an evaluation
+    # re-formed at q' is the evaluation at q', to the last bit.
+    for structure in (heisenberg, martinet):
+        path = random_path(structure, 12, rng, scale=0.3)
+        for q in (1.0, 10.0, 1e4):
+            evaluation = _evaluate(structure, q, path)
+            for q_new in (1.0, 3.5, 1e6):
+                assert_same_evaluation(evaluation.at(q_new), _evaluate(structure, q_new, path))

@@ -228,14 +228,22 @@ def test_closed_form_condition_number_matches_eigvalsh(rng):
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
 def test_zero_and_rank_one_frame_grams_are_rejected(scale):
     # A zero Gram matrix has cond nan, an exactly singular one inf, and both
-    # are rejected as ill conditioned, at every scale.
+    # are rejected at every scale: the zero one as a vanishing frame, since
+    # its nan is 0/0 and not a size, the singular one as ill conditioned.
     M = scale * np.array([[[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]]])
     cond = _condition_numbers(M)
     assert np.isnan(cond[0]) and cond[1] == np.inf and cond[2] == 1.0
     G = np.broadcast_to(np.eye(2), (1, 2, 2))
-    for F, shown in ((np.zeros((1, 2, 2)), "nan"), (np.array([[[1.0, 2.0], [0.0, 0.0]]]), "inf")):
-        with pytest.raises(DegenerateFrameError, match=f"condition number {shown} exceeds"):
+    vanishes = r"frame vanishes at point \[0\.0, 0\.0\] \(its Gram matrix F\^T G F is zero\)"
+    for F, message in (
+        (np.zeros((1, 2, 2)), vanishes),
+        (np.array([[[1.0, 2.0], [0.0, 0.0]]]), "condition number inf exceeds"),
+    ):
+        with pytest.raises(DegenerateFrameError, match=message):
             _frame_gram(np.zeros((1, 2)), G, np.sqrt(scale) * F)
+    # Other ranks take eigvalsh, whose cond of a zero matrix is nan too.
+    with pytest.raises(DegenerateFrameError, match="frame vanishes at point"):
+        _frame_gram(np.zeros((1, 3)), np.broadcast_to(np.eye(3), (1, 3, 3)), np.zeros((1, 3, 3)))
 
 
 def _plane_structure(gram, scale):

@@ -126,6 +126,24 @@ def test_gradient_matches_finite_differences(heisenberg, martinet, euclidean3, r
         _assert_gradient_matches(drifted, q, path)
 
 
+def test_gradient_from_reused_field_differences_is_bitwise(heisenberg, rng):
+    # A warm start re-forms the previous rung's evaluation at the new q and
+    # hands its field differences to the gradient: the gradient and its
+    # q-slope are bitwise those of a fresh evaluation.
+    drifted = _drift_heisenberg(heisenberg)
+    start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
+    for structure in (heisenberg, drifted):
+        path = random_path(structure, 12, rng, scale=0.3, start=start, end=end)
+        evaluation = _evaluate(structure, 10.0, path)
+        first = _gradient(structure, evaluation)[2]
+        for q in (1.0, 1e3):
+            g, slope, reused = _gradient(structure, evaluation.at(q), first)
+            fresh = _gradient(structure, _evaluate(structure, q, path))
+            np.testing.assert_array_equal(g, energy_gradient(structure, q, path))
+            np.testing.assert_array_equal(slope, fresh[1])
+            assert reused is first
+
+
 def _dense_block_tridiagonal(diag, off):
     """The symmetric matrix with diagonal blocks ``diag`` and super-diagonal blocks ``off``."""
     m, n, _ = diag.shape
@@ -460,6 +478,32 @@ def test_converged_start_factors_nothing(heisenberg, monkeypatch):
     assert counts["block"] == counts["hessian"] == 0
 
 
+def test_chord_ladder_factors_its_frame_once(monkeypatch):
+    # Every rung of the Heisenberg preset stops at iteration 0 on the chord,
+    # so each warm start re-forms the first rung's evaluation: one frame
+    # factorization and one first-order field read for the whole ladder.
+    from pengeo import functionals, geometry, optimizer
+
+    counts = dict.fromkeys(["factor", "differences"], 0)
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (geometry, functionals):
+        monkeypatch.setattr(module, "_factor_frame", counting("factor", module._factor_frame))
+    monkeypatch.setattr(
+        optimizer, "_field_differences", counting("differences", optimizer._field_differences)
+    )
+    structure, endpoints, schedule, config, seed = _ladder_inputs("heisenberg")
+    results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+    assert len(results) == 5 and all(r.iterations == 0 for r in results)
+    assert counts == {"factor": 1, "differences": 1}
+
+
 @pytest.mark.parametrize(
     "name, iterations",
     [("vertical-200", [1, 3, 4, 8, 2]), ("heisenberg-drift", [1, 3, 3, 2, 2])],
@@ -478,22 +522,26 @@ def test_predictor_adds_one_evaluation_per_predicted_start(monkeypatch, caplog, 
     # Over a whole ladder the counts of a single solve still hold, summed
     # over every solve (kicked rungs solve twice): the predictor builds no
     # Hessian and factors and transports nothing but the evaluation of each
-    # predicted start, which the rung's solve then takes as its own: every
-    # solve's start is evaluated once, and each iteration's line search once
-    # per halving of its logged step, plus one.
+    # predicted start, which the rung's solve then takes as its own.  Every
+    # solve's start is evaluated once, except a warm start on the previous
+    # minimizer, which re-forms that rung's final evaluation and reuses its
+    # field differences; each iteration's line search evaluates once per
+    # halving of its logged step, plus one.
     structure, endpoints, schedule, config, seed = _ladder_inputs(name)
     counts = _count_solver_calls(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="pengeo"):
         results = continuation_solve(structure, endpoints, schedule, config, None, seed)
     lines = [r.getMessage() for r in caplog.records]
     used = [line for line in lines if line.endswith("predicted start used")]
+    reused = [line for line in lines if "(evaluation reused)" in line]
     steps = [float(line.rsplit(", step ", 1)[1]) for line in lines if " iteration " in line]
     trials = sum(1 + round(-np.log2(step)) for step in steps)
     iterations = sum(r.iterations for r in results)
-    gradients = counts["minimize"] + iterations
+    gradients = counts["minimize"] - len(reused) + iterations
     assert used and counts["predicted"] == len(used)
     assert len(steps) == iterations
-    assert counts["evaluate"] == counts["minimize"] + trials
+    evaluations = {"vertical-50": 29, "heisenberg-drift": 17}[name]
+    assert counts["evaluate"] == counts["minimize"] - len(reused) + trials == evaluations
     assert counts["hessian"] == iterations
     transported = name.endswith("drift")
     _assert_hessian_counts(counts, gradients, transported, structure.dimension, config.grid_size)
@@ -695,7 +743,10 @@ def test_predicted_ladder_matches_plain_warm_starts(name):
     predicted = continuation_solve(structure, endpoints, schedule, config, None, seed)
     plain = _plain_ladder(structure, endpoints, schedule, config, seed)
     if name == "heisenberg-drift":
-        predicted, plain = ([_lifted_result(structure, r) for r in rungs] for rungs in (predicted, plain))
+        predicted, plain = (
+            [_lifted_result(r, _evaluate(structure, r.q, r.path)) for r in rungs]
+            for rungs in (predicted, plain)
+        )
     assert [r.q for r in predicted] == [r.q for r in plain]
     for a, b in zip(predicted, plain):
         assert a.converged and b.converged
@@ -761,11 +812,19 @@ def test_continuation_logs_one_debug_line_per_rung(caplog):
         results = continuation_solve(structure, endpoints, schedule, config, None, seed)
     lines = [r.getMessage() for r in caplog.records if "rung start" in r.getMessage()]
     assert len(lines) == len(results)
+    # Each line names the start its rung took: the initial path, the
+    # previous minimizer with its evaluation reused, or the predicted path.
     for line, result in zip(lines, results):
         assert line.startswith(f"q={result.q:g} rung start: predictor step ")
-        assert line.endswith(", predicted start used") or line.endswith(", predicted start not used")
-    assert lines[0] == "q=1 rung start: predictor step 0.000e+00, predicted start not used"
+    for line in lines[1:]:
+        assert line.endswith(", predicted path evaluated, predicted start used") or line.endswith(
+            ", previous minimizer (evaluation reused), predicted start not used"
+        )
+    assert lines[0] == (
+        "q=1 rung start: predictor step 0.000e+00, initial path evaluated, predicted start not used"
+    )
     assert lines[-1].endswith(", predicted start used")
+    assert any("(evaluation reused)" in line for line in lines)
 
 
 def test_continuation_rejects_bad_deflection(heisenberg):
