@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .functionals import DiscretePath, _evaluate_segments, _Evaluation, _segments
-from .geometry import SubRiemannianStructure, as_point, penalized_forms
+from .geometry import SubRiemannianStructure, as_point
 from .optimizer import ContinuationSchedule, SolveResult, SolverConfig, _ladder
 
 logger = logging.getLogger("pengeo")
@@ -247,8 +247,12 @@ class DriftSolveResult:
     ``control_mid`` holds the midpoint samples that define ``control_cost``.
     ``cost_identity_gap`` is |cost - (2 E_1 - 1)| for the final lifted path,
     which vanishes up to roundoff because the s coordinate is pinned to the
-    time.  ``time_rate_deviation`` is the largest gap between the discrete
-    rate of the s coordinate and 1, a roundoff-level check of that pinning.
+    time.  ``control_defect`` is by construction the last rung's defect:
+    the mean vertical form of the control in the base frame is the
+    pulled-back vertical form of the final velocities, so it is read from
+    the last rung's evaluation and factors nothing.
+    ``time_rate_deviation`` is the largest gap between the discrete rate of
+    the s coordinate and 1, a roundoff-level check of that pinning.
     """
 
     results: list
@@ -283,7 +287,8 @@ def solve_drift_problem(
     between ``start`` and phi_1^{-1}(target); ``seed_deflection`` has shape
     (N+1, n).  Each rung is reported on the lifted path (p, t), from the
     ladder's own evaluation of its path, and the q = 1 lifted energy is the
-    last rung's evaluation re-formed at q = 1.  The final
+    last rung's evaluation re-formed at q = 1, whose defect is the control
+    defect.  The final
     minimizer is mapped back to the controlled trajectory by one batched
     flow transport on the grid, and the control is read off by a second one
     at the segment midpoints.  The control cost is the time integral of the
@@ -326,9 +331,6 @@ def solve_drift_problem(
     lifted_energy = evaluation.at(1.0, vels[:, n] ** 2).energy  # the last rung's evaluation
     cost_identity_gap = abs(control_cost - (2.0 * lifted_energy - 1.0))
 
-    _, vertical, _ = penalized_forms(structure, 1.0, base_mid, control_mid)
-    control_defect = float(np.sum(vertical) / N)
-
     time_rate_deviation = float(np.max(np.abs(vels[:, n] - 1.0)))
     endpoint_mismatch = float(np.max(np.abs(trajectory[-1] - y)))
     success = all(r.converged for r in results) and endpoint_mismatch <= endpoint_tolerance
@@ -348,7 +350,7 @@ def solve_drift_problem(
         control_cost=control_cost,
         lifted_energy=lifted_energy,
         cost_identity_gap=cost_identity_gap,
-        control_defect=control_defect,
+        control_defect=evaluation.defect,
         endpoint_mismatch=endpoint_mismatch,
         time_rate_deviation=time_rate_deviation,
         success=success,

@@ -213,29 +213,35 @@ class _FrameFactor:
     def form_derivatives(self, q: float, vectors, dG, dF):
         """Base-point derivatives of the penalized forms v^T M_q v at fixed v.
 
-        ``dG`` (a, m, n, n) and ``dF`` (a, m, n, k) are the derivatives of
-        the metric and frame stacks along a coordinates.  With c = F+ v,
-        P v = F c and Pc v = v - F c, differentiating
+        ``dG`` (m, a, n, n) and ``dF`` (m, a, n, k) are the derivatives of
+        the metric and frame stacks along a coordinates, segment first.
+        With c = F+ v, P v = F c and Pc v = v - F c, differentiating
         M_q = q G + (1 - q) G P  through P = F (F^T G F)^{-1} F^T G gives
 
             v^T dG v + (q - 1) (Pc v^T dG Pc v - 2 (dF c)^T G Pc v),
 
-        returned as an (a, m) array, together with its slope in q (the
+        returned as an (m, a) array, together with its slope in q (the
         bracketed term), an array of the same shape.
         """
-        c = np.matmul(self.Fplus, vectors[:, :, None])
-        pperp = vectors - np.matmul(self.F, c)[:, :, 0]
-        Gpp = np.matmul(self.G, pperp[:, :, None])[:, :, 0]
-        full = np.einsum("mi,amij,mj->am", vectors, dG, vectors)
-        complement = np.einsum("mi,amij,mj->am", pperp, dG, pperp)
-        twist = np.einsum("amij,mj,mi->am", dF, c[:, :, 0], Gpp)
-        slope = complement - 2.0 * twist
+        v = vectors[:, :, None]
+        c = np.matmul(self.Fplus, v)
+        pperp = v - np.matmul(self.F, c)
+        Gpp = np.matmul(self.G, pperp)
+        full = _contract(_contract(dG, v), v)
+        slope = _contract(_contract(dG, pperp), pperp) - 2.0 * _contract(_contract(dF, c), Gpp)
         return full + (q - 1.0) * slope, slope
 
     def gram(self, q: float) -> np.ndarray:
         """The penalized metric matrices q G + (1 - q) G P, symmetrized."""
         Gq = q * self.G + (1.0 - q) * np.matmul(self.G, np.matmul(self.F, self.Fplus))
         return 0.5 * (Gq + Gq.transpose(0, 2, 1))
+
+
+def _contract(X: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Contract the last axis of the stack X (m, ..., l) with the column stack
+    u (m, l, 1), segment by segment: one batched matmul on a free reshape of
+    X, of shape X.shape[:-1]."""
+    return np.matmul(X.reshape(X.shape[0], -1, X.shape[-1]), u).reshape(X.shape[:-1])
 
 
 def _condition_numbers(M: np.ndarray) -> np.ndarray:
@@ -324,6 +330,14 @@ def _fd_step(points: np.ndarray) -> float:
     return BRACKET_FD_SCALE * (1.0 + float(np.max(np.abs(points), initial=0.0)))
 
 
+def _shifted_rows(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The copies points + o of every point for each offset o in the (s, j, n)
+    stack ``offsets``, in the order (s, point, j): a point's copies for one s
+    are adjacent, so their times are ``np.tile(np.repeat(times, j), s)``."""
+    m, (j, n) = points.shape[0], offsets.shape[1:]
+    return (np.repeat(points, j, axis=0).reshape(1, m, j, n) + offsets[:, None]).reshape(-1, n)
+
+
 def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, times):
     """Derivatives (dG, dF) of the metric and frame stacks along every
     coordinate, with the stacks they come from.
@@ -331,17 +345,19 @@ def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, ti
     Central differences from one ``structure._fields`` evaluation at the 2n
     copies points +- h e_c, stacked into one batch with the ``times`` of the
     points, and h from :func:`_fd_step`.  Returns (dG, dF, G, F): the
-    derivatives, of shapes (n, m, n, n) and (n, m, n, k), and the stacks at
-    the copies, of shapes (2, n, m, n, n) and (2, n, m, n, k) with the plus
-    copies first, which :func:`_field_stencil` reuses.  No frame is factored.
+    derivatives, of shapes (m, n, n, n) and (m, n, n, k), and the stacks at
+    the copies, of shapes (2, m, n, n, n) and (2, m, n, n, k) with the plus
+    copies first, which :func:`_field_stencil` reuses.  The segment comes
+    before the coordinate, so every stack reshapes for free into the
+    batched matmuls of the Newton step.  No frame is factored.
     """
     m, n = points.shape
     h = _fd_step(points)
-    shift = h * np.eye(n)[:, None, :]
-    rows = np.concatenate([points + shift, points - shift]).reshape(-1, n)
-    G, F = structure._fields(rows, np.tile(times, 2 * n))
-    G = G.reshape(2, n, m, n, n)
-    F = F.reshape(2, n, m, n, -1)
+    axes = h * np.eye(n)
+    rows = _shifted_rows(points, np.stack([axes, -axes]))
+    G, F = structure._fields(rows, np.tile(np.repeat(times, n), 2))
+    G = G.reshape(2, m, n, n, n)
+    F = F.reshape(2, m, n, n, -1)
     return (G[0] - G[1]) / (2.0 * h), (F[0] - F[1]) / (2.0 * h), G, F
 
 
@@ -353,8 +369,9 @@ def _field_stencil(structure: SubRiemannianStructure, factor: _FrameFactor, poin
     ``points``, give the diagonal second differences, so one
     ``structure._fields`` evaluation reads only the 2n(n - 1) m copies
     points +- h e_c +- h e_d, c < d, for the mixed ones (Nocedal & Wright,
-    *Numerical Optimization*, 2nd ed., 8.1).  Shapes (n, n, m, n, n) and
-    (n, n, m, n, k).  No frame is factored, but the checks of
+    *Numerical Optimization*, 2nd ed., 8.1).  Shapes (m, n, n, n, n) and
+    (m, n, n, n, k), segment first and symmetric in the two coordinate
+    axes after it.  No frame is factored, but the checks of
     :func:`_factor_frame` still hold: F^T G F must be finite and well
     conditioned on the first-order rows, and G finite on the mixed ones, or
     :class:`DegenerateFrameError` is raised.
@@ -363,23 +380,20 @@ def _field_stencil(structure: SubRiemannianStructure, factor: _FrameFactor, poin
     h = _fd_step(points)
     axes = h * np.eye(n)
     _, _, Gs, Fs = first
-    rows = (points[None, :, :] + np.concatenate([axes, -axes])[:, None, :]).reshape(-1, n)
+    rows = _shifted_rows(points, np.stack([axes, -axes]))
     _frame_gram(rows, Gs.reshape((-1,) + Gs.shape[3:]), Fs.reshape((-1,) + Fs.shape[3:]))
-    c, d = np.triu_indices(n, 1)
-    offsets = np.concatenate(
-        [sc * axes[c] + sd * axes[d] for sc, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    )
-    corners = (points[None, :, :] + offsets[:, None, :]).reshape(-1, n)
-    G, F = structure._fields(corners, np.tile(times, len(offsets)))
+    c, d = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the pairs c < d
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[:, :, None, None]
+    offsets = signs[:, 0] * axes[c] + signs[:, 1] * axes[d]
+    G, F = structure._fields(_shifted_rows(points, offsets), np.tile(np.repeat(times, c.size), 4))
     if not np.all(np.isfinite(G)):
         raise DegenerateFrameError(_NOT_FINITE_MESSAGE)
 
     def second(mixed, shifted, X0):
-        mixed = mixed.reshape((4, -1, m) + mixed.shape[1:])
-        out = np.empty((n, n, m) + X0.shape[1:])
-        out[np.arange(n), np.arange(n)] = (shifted[0] - 2.0 * X0 + shifted[1]) / h**2
-        out[c, d] = (mixed[0] - mixed[1] - mixed[2] + mixed[3]) / (4.0 * h**2)
-        out[d, c] = out[c, d]
+        mixed = mixed.reshape((4, m, c.size) + mixed.shape[1:])
+        out = np.empty((m, n, n) + X0.shape[1:])
+        out[:, np.arange(n), np.arange(n)] = (shifted[0] - 2.0 * X0[:, None] + shifted[1]) / h**2
+        out[:, c, d] = out[:, d, c] = (mixed[0] - mixed[1] - mixed[2] + mixed[3]) / (4.0 * h**2)
         return out
 
     return second(G, Gs, factor.G), second(F, Fs, factor.F)

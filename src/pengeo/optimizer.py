@@ -58,6 +58,7 @@ from .functionals import DiscretePath, _evaluate
 from .geometry import (
     DegenerateFrameError,
     SubRiemannianStructure,
+    _contract,
     _field_differences,
     _field_stencil,
     check_penalty,
@@ -199,7 +200,6 @@ def _gradient(structure, evaluation, first=None):
     if first is None:
         first = _field_differences(structure, mids, evaluation.times)
     dQ = np.stack(evaluation.factor.form_derivatives(q, vels, *first[:2])) / (4.0 * N)
-    dQ = dQ.transpose(0, 2, 1)
     grads[:, :-1] += dQ
     grads[:, 1:] += dQ
     return grads[0, 1:-1].ravel(), grads[1, 1:-1].ravel(), first
@@ -337,39 +337,43 @@ def _base_point_hessian(structure, evaluation, first):
 
     with d2G, d2F the second derivatives along c and d.  The first
     derivatives are ``first``, the gradient's :func:`_field_differences` at
-    this evaluation, and the second ones come from :func:`_field_stencil`,
-    which reuses them: one field evaluation on the 2n(n - 1) N mixed rows
-    and no frame factorization.
+    this evaluation, of shapes (N, n, n, n) and (N, n, n, k), and the second
+    ones come from :func:`_field_stencil`, which reuses them: one field
+    evaluation on the 2n(n - 1) N mixed rows and no frame factorization,
+    of shapes (N, n, n, n, n) and (N, n, n, n, k).  With the segment first,
+    every contraction is a batched matmul over segments of a free reshape,
+    and both twist terms share w_c = (G r)^T dF_c.
     """
     q, vels, factor = evaluation.q, evaluation.vels, evaluation.factor
     N = vels.shape[0]
     dG, dF = first[:2]
     d2G, d2F = _field_stencil(structure, factor, evaluation.mids, evaluation.times, first)
     G, F, Fplus = factor.G, factor.F, factor.Fplus
-    # Einsum indices a and b run over the coordinates (c and d above).
-    c = np.matmul(Fplus, vels[:, :, None])[:, :, 0]
-    r = vels - np.matmul(F, c[:, :, None])[:, :, 0]
-    Gr = np.matmul(G, r[:, :, None])[:, :, 0]
-    dFc = np.einsum("amik,mk->ami", dF, c)
-    dGr = np.einsum("amij,mj->ami", dG, r)
-    dc = np.einsum(
-        "mkl,aml->amk",
-        factor.Sinv,
-        np.einsum("amik,mi->amk", dF, Gr) + np.einsum("mik,ami->amk", F, dGr),
-    ) - np.einsum("mki,ami->amk", Fplus, dFc)
-    dr = -(dFc + np.einsum("mik,amk->ami", F, dc))
-    # dflux_c = dG_c r + G d_c r, the complement's part of the flux derivative.
-    dflux = dGr + np.einsum("mij,amj->ami", G, dr)
 
-    J = (np.einsum("amij,mj->ami", dG, vels) + (q - 1.0) * dflux).transpose(1, 2, 0)
-    twist = np.einsum("abmik,mk,mi->abm", d2F, c, Gr) + np.einsum("amik,bmk,mi->abm", dF, dc, Gr)
-    slope = (
-        np.einsum("mi,abmij,mj->abm", r, d2G, r)
-        + 2.0 * np.einsum("bmi,ami->abm", dr, dGr)
-        - 2.0 * twist
-        - 2.0 * np.einsum("ami,bmi->abm", dFc, dflux)
+    # Axis 1 of the (N, n, .) stacks below runs over the coordinates (c and d above).
+    v = vels[:, :, None]
+    c = np.matmul(Fplus, v)
+    r = v - np.matmul(F, c)
+    Gr = np.matmul(G, r)
+    dFc = _contract(dF, c)
+    dGr = _contract(dG, r)
+    w = np.matmul(Gr.transpose(0, 2, 1)[:, None], dF)[:, :, 0]  # w_c = (G r)^T dF_c
+    dc = np.matmul(w + np.matmul(dGr, F), factor.Sinv.transpose(0, 2, 1)) - np.matmul(
+        dFc, Fplus.transpose(0, 2, 1)
     )
-    Q = (np.einsum("mi,abmij,mj->abm", vels, d2G, vels) + (q - 1.0) * slope).transpose(2, 0, 1)
+    dr = -(dFc + np.matmul(dc, F.transpose(0, 2, 1)))
+    # dflux_c = dG_c r + G d_c r, the complement's part of the flux derivative.
+    dflux = dGr + np.matmul(dr, G.transpose(0, 2, 1))
+
+    J = (_contract(dG, v) + (q - 1.0) * dflux).transpose(0, 2, 1)
+    twist = _contract(_contract(d2F, c), Gr) + np.matmul(w, dc.transpose(0, 2, 1))
+    slope = (
+        _contract(_contract(d2G, r), r)
+        + 2.0 * np.matmul(dGr, dr.transpose(0, 2, 1))
+        - 2.0 * twist
+        - 2.0 * np.matmul(dFc, dflux.transpose(0, 2, 1))
+    )
+    Q = _contract(_contract(d2G, v), v) + (q - 1.0) * slope
 
     # Per segment: the mid-mid part Q / 8N enters all four end blocks, the
     # mixed part enters the diagonal blocks as -+(J + J^T)/2 and the block

@@ -21,6 +21,7 @@ from pengeo.geometry import (
     FRAME_CONDITION_LIMIT,
     _condition_numbers,
     _factor_frame,
+    _fd_step,
     _field_differences,
     _field_stencil,
     _frame_gram,
@@ -290,6 +291,44 @@ def test_field_stencil_keeps_the_frame_checks():
     structure = _plane_structure(lambda pts: np.eye(2), unit)
     for difference in derivatives(structure):
         np.testing.assert_array_equal(difference, 0.0)
+
+
+class _ClockedStructure(SubRiemannianStructure):
+    """Fields that change in time, row by row: the metric I + t w w^T with
+    w = (sin y, x z, 1), and the Heisenberg-like frame (1, 0, x y - t y),
+    (0, 1, t x + y z)."""
+
+    def _fields(self, points, times):
+        x, y, z = points.T
+        w = np.stack([np.sin(y), x * z, np.ones_like(x)], axis=1)
+        G = np.eye(3) + times[:, None, None] * w[:, :, None] * w[:, None, :]
+        F = np.zeros((points.shape[0], 3, 2))
+        F[:, 0, 0] = F[:, 1, 1] = 1.0
+        F[:, 2, 0] = x * y - times * y
+        F[:, 2, 1] = times * x + y * z
+        return G, F
+
+
+def test_field_derivative_stacks_are_segment_major(heisenberg, rng):
+    # Row i of every derivative stack belongs to point i and its time, and
+    # the coordinate axis comes next: the difference along c is bitwise the
+    # central difference of the fields read at points +- h e_c alone.  The
+    # second derivatives are symmetric in their two coordinate axes.
+    structure = _ClockedStructure(3, 2, heisenberg.metric, heisenberg.frame, "clocked")
+    points, times = rng.normal(size=(7, 3)), np.linspace(0.05, 0.95, 7)
+    first = _field_differences(structure, points, times)
+    h = _fd_step(points)
+    for c in range(3):
+        plus = structure._fields(points + h * np.eye(3)[c], times)
+        minus = structure._fields(points - h * np.eye(3)[c], times)
+        for derivative, up, down in zip(first[:2], plus, minus):
+            np.testing.assert_array_equal(derivative[:, c], (up - down) / (2.0 * h))
+    assert first[0].shape == (7, 3, 3, 3) and first[1].shape == (7, 3, 3, 2)
+    second = _field_stencil(structure, _factor_frame(structure, points, times), points, times, first)
+    for derivative, k in zip(second, (3, 2)):
+        assert derivative.shape == (7, 3, 3, 3, k)
+        assert np.any(derivative[:, 0, 1] != 0.0)
+        np.testing.assert_array_equal(derivative, derivative.transpose(0, 2, 1, 3, 4))
 
 
 def test_heisenberg_bracket_symbolic_oracle(heisenberg, rng):

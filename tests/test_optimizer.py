@@ -96,6 +96,59 @@ def _mixed_frame_heisenberg():
     )
 
 
+def _bent_line_on_the_plane():
+    """A rank-1 frame (1 + y^2/2, x y - x/2) on R^2 under the metric I + w w^T,
+    w = (sin y, x): n = 2 and k = 1, unlike every other Hessian case."""
+
+    def gram(pts):
+        w = np.stack([np.sin(pts[:, 1]), pts[:, 0]], axis=1)
+        return np.eye(2) + w[:, :, None] * w[:, None, :]
+
+    def columns(pts):
+        x, y = pts.T
+        return np.stack([1.0 + 0.5 * y**2, x * y - 0.5 * x], axis=1)[:, :, None]
+
+    return SubRiemannianStructure(
+        dimension=2, rank=1, metric=MetricField(gram=gram), frame=FrameField(columns=columns), name="bent-line"
+    )
+
+
+def _varying_line():
+    """The frame 1 + x/2 on R^1 under the metric 1 + x^2: n = 1, so there
+    are no mixed second differences and the corner stencil is empty."""
+    return SubRiemannianStructure(
+        dimension=1,
+        rank=1,
+        metric=MetricField(gram=lambda pts: 1.0 + pts[:, :, None] ** 2),
+        frame=FrameField(columns=lambda pts: 1.0 + 0.5 * pts[:, :, None]),
+        name="varying-line",
+    )
+
+
+def _warped_rank_two_on_r4():
+    """A rank-2 frame on R^4 whose columns and the metric I + w w^T all vary
+    in every coordinate, with nonzero mixed second derivatives: n = 4."""
+
+    def gram(pts):
+        x0, x1, x2, x3 = pts.T
+        w = np.stack([np.sin(x1), x0, 0.5 * x2, x3 * x0], axis=1)
+        return np.eye(4) + w[:, :, None] * w[:, None, :]
+
+    def columns(pts):
+        x0, x1, x2, x3 = pts.T
+        F = np.zeros((pts.shape[0], 4, 2))
+        F[:, 0, 0] = F[:, 1, 1] = 1.0
+        F[:, 2, 0] = x0 * x1 - 0.5 * x1 + x3
+        F[:, 3, 0] = x2 * x3
+        F[:, 2, 1] = 0.5 * x0 + x1 * x2
+        F[:, 3, 1] = x0 * x3 - 0.5 * x2**2
+        return F
+
+    return SubRiemannianStructure(
+        dimension=4, rank=2, metric=MetricField(gram=gram), frame=FrameField(columns=columns), name="warped-r4"
+    )
+
+
 def _drift_heisenberg(heisenberg):
     """The Heisenberg drift problem on R^3 under the linear drift 0.3 p: its
     fields are the pulled-back, time-dependent ones of a drift solve."""
@@ -172,12 +225,24 @@ def test_hessian_matches_finite_differences_of_the_gradient(heisenberg, martinet
     # gradient test: the warped metric exercises the metric terms and the
     # drift problem the transported, time-dependent fields.  The mixed
     # frame is the one whose frame has nonzero mixed second derivatives.
+    # The rank-1 frame on R^2 and the rank-2 frame on R^4 have n != 3 and
+    # k != 2, so a contraction that swaps two axes of the derivative stacks
+    # fails there even where it cancels at n = 3, k = 2.  The line R^1 has
+    # no pairs c < d, so its mixed stencil is empty.
     warped = _warped_heisenberg(heisenberg)
     mixed = _mixed_frame_heisenberg()
     drifted = _drift_heisenberg(heisenberg)
     start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
     for q in (1.0, 10.0, 100.0):
-        for structure in (heisenberg, martinet, warped, mixed):
+        for structure in (
+            heisenberg,
+            martinet,
+            warped,
+            mixed,
+            _varying_line(),
+            _bent_line_on_the_plane(),
+            _warped_rank_two_on_r4(),
+        ):
             _assert_hessian_matches(structure, q, random_path(structure, 12, rng, scale=0.3))
         path = random_path(drifted, 12, rng, scale=0.3, start=start, end=end)
         _assert_hessian_matches(drifted, q, path)
@@ -695,6 +760,30 @@ def test_rank_two_ladder_reads_the_condition_number_in_closed_form(monkeypatch):
     results = continuation_solve(structure, endpoints, schedule, config, None, seed)
     assert sum(r.iterations for r in results) > 0
     assert calls == []
+
+
+def test_newton_step_contracts_without_einsum(monkeypatch):
+    # The Hessian's base-point blocks and the gradient's form derivatives
+    # contract segment-major stacks by batched matmuls: no einsum call of a
+    # whole vertical ladder comes from either, while the calls that remain
+    # (the split forms and the stop test) still reach the counter.
+    calls = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name not in (
+            "_base_point_hessian", "form_derivatives"
+        ):
+            frame = frame.f_back
+        calls.append(None if frame is None else frame.f_code.co_name)
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-50")
+    results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+    assert sum(r.iterations for r in results) > 0
+    assert calls and set(calls) == {None}
 
 
 def _ladder_inputs(name):
