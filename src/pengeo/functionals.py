@@ -157,10 +157,12 @@ class FunctionalValue:
 @dataclass(frozen=True)
 class _Evaluation:
     """One path at one penalty: its segment midpoints, mid-times and velocities,
-    the frame factor at the midpoints, the per-segment forms and the two parts
-    G P v and G Pc v of the flux G (P v + q Pc v).  Only ``q`` and what is read
-    from it, the energy, flux and speeds, depend on the penalty, so :meth:`at`
-    re-forms the evaluation at another one without factoring again."""
+    the frame factor at the midpoints, the per-segment forms, the two parts
+    G P v and G Pc v of the flux G (P v + q Pc v), and the frame coefficients
+    c = F+ v and complement parts Pc v of the velocities, which the gradient
+    and the Hessian reuse.  Only ``q`` and what is read from it, the energy,
+    flux and speeds, depend on the penalty, so :meth:`at` re-forms the
+    evaluation at another one without factoring again."""
 
     q: float
     mids: np.ndarray
@@ -171,6 +173,8 @@ class _Evaluation:
     vertical: np.ndarray
     horizontal_flux: np.ndarray
     vertical_flux: np.ndarray
+    coefficients: np.ndarray
+    complement: np.ndarray
 
     def at(self, q, extra=None) -> "_Evaluation":
         """The same segments at penalty q, bitwise what :func:`_evaluate_segments`
@@ -178,6 +182,11 @@ class _Evaluation:
         horizontal form."""
         horizontal = self.horizontal if extra is None else self.horizontal + extra
         return replace(self, q=check_penalty(q), horizontal=horizontal)
+
+    def columns(self):
+        """The velocities v, frame coefficients c = F+ v, complement parts Pc v
+        and fluxes G Pc v of the segments, as (N, ., 1) column stacks."""
+        return tuple(x[:, :, None] for x in (self.vels, self.coefficients, self.complement, self.vertical_flux))
 
     @cached_property
     def energy(self) -> float:

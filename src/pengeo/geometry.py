@@ -179,11 +179,11 @@ class _FrameFactor:
     """The q-free factored frame at a batch of points: the metric stack G,
     the frame stack F, the g-weighted pseudo-inverse F+ = (F^T G F)^{-1}
     F^T G of F, so that c = F+ v are the frame coefficients of P v and
-    P = F F+, and the inverse frame Gram matrices S^{-1} = (F^T G F)^{-1}.
-    The projection, the penalized forms, their base-point derivatives and
-    the penalized Gram matrices at these points follow from it for every q
-    and every batch of vectors; S^{-1} carries the derivative of c through
-    the exact Hessian's base-point blocks."""
+    P = F F+, and the inverse frame Gram matrices S^{-1} = (F^T G F)^{-1},
+    from one batched sweep (:func:`_spd_inverse`).  The projection, the
+    penalized forms and the penalized Gram matrices at these points follow
+    from it for every q and every batch of vectors; S^{-1} carries the
+    derivative of c through the exact Hessian's base-point blocks."""
 
     G: np.ndarray
     F: np.ndarray
@@ -191,45 +191,28 @@ class _FrameFactor:
     Sinv: np.ndarray
 
     def project(self, vectors):
-        """Horizontal and complement parts (P v, v - P v) of one vector per point."""
-        pv = np.matmul(self.F, np.matmul(self.Fplus, vectors[:, :, None]))[:, :, 0]
-        return pv, vectors - pv
+        """Frame coefficients c = F+ v, and the horizontal and complement parts
+        (P v, v - P v) = (F c, v - F c), of one vector per point."""
+        c = np.matmul(self.Fplus, vectors[:, :, None])
+        pv = np.matmul(self.F, c)[:, :, 0]
+        return c[:, :, 0], pv, vectors - pv
 
     def split_forms(self, vectors):
-        """(horizontal, vertical, G P v, G Pc v): the forms and the two parts
-        of the flux G (P v + q Pc v), which is affine in q."""
-        pv, pperp = self.project(vectors)
+        """(horizontal, vertical, G P v, G Pc v, c, Pc v): the forms, the two
+        parts of the flux G (P v + q Pc v), which is affine in q, and the
+        frame coefficients and complement part of v, which the form's
+        base-point derivatives reuse."""
+        c, pv, pperp = self.project(vectors)
         Gpv = np.matmul(self.G, pv[:, :, None])[:, :, 0]
         Gpp = np.matmul(self.G, pperp[:, :, None])[:, :, 0]
         horizontal = np.einsum("mi,mi->m", pv, Gpv)
         vertical = np.einsum("mi,mi->m", pperp, Gpp)
-        return horizontal, vertical, Gpv, Gpp
+        return horizontal, vertical, Gpv, Gpp, c, pperp
 
     def forms(self, q: float, vectors):
         """(horizontal, vertical, flux) of :func:`penalized_forms` at penalty q."""
-        horizontal, vertical, Gpv, Gpp = self.split_forms(vectors)
+        horizontal, vertical, Gpv, Gpp = self.split_forms(vectors)[:4]
         return horizontal, vertical, Gpv + q * Gpp
-
-    def form_derivatives(self, q: float, vectors, dG, dF):
-        """Base-point derivatives of the penalized forms v^T M_q v at fixed v.
-
-        ``dG`` (m, a, n, n) and ``dF`` (m, a, n, k) are the derivatives of
-        the metric and frame stacks along a coordinates, segment first.
-        With c = F+ v, P v = F c and Pc v = v - F c, differentiating
-        M_q = q G + (1 - q) G P  through P = F (F^T G F)^{-1} F^T G gives
-
-            v^T dG v + (q - 1) (Pc v^T dG Pc v - 2 (dF c)^T G Pc v),
-
-        returned as an (m, a) array, together with its slope in q (the
-        bracketed term), an array of the same shape.
-        """
-        v = vectors[:, :, None]
-        c = np.matmul(self.Fplus, v)
-        pperp = v - np.matmul(self.F, c)
-        Gpp = np.matmul(self.G, pperp)
-        full = _contract(_contract(dG, v), v)
-        slope = _contract(_contract(dG, pperp), pperp) - 2.0 * _contract(_contract(dF, c), Gpp)
-        return full + (q - 1.0) * slope, slope
 
     def gram(self, q: float) -> np.ndarray:
         """The penalized metric matrices q G + (1 - q) G P, symmetrized."""
@@ -269,13 +252,50 @@ def _condition_numbers(M: np.ndarray) -> np.ndarray:
         return top * top / np.abs(a * d - b * b)
 
 
-def _frame_gram(points: np.ndarray, G: np.ndarray, F: np.ndarray):
+def _spd_inverse(M: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of symmetric positive definite k x k matrices.
+
+    The symmetric sweep operator (Goodnight, *The American Statistician*
+    33(3), 1979) on each pivot j in turn, vectorized over the stack in a
+    batch-last copy, where every entry is one contiguous row: with
+    d = A_jj and a the j-th column,
+
+        A_jj <- -1/d,   A_ij = A_ji <- a_i/d,   A_il <- A_il - a_i a_l/d,
+
+    so that k sweeps leave -M^{-1}, and every update keeps an exactly
+    symmetric A so.  The pivots d are the Schur complements whose square
+    roots are the diagonal of M's Cholesky factor, so a pivot <= 0 in any
+    matrix raises ``np.linalg.LinAlgError`` where a Cholesky factorization
+    fails, up to rounding at the boundary (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., ch. 10 and 14).  A NaN pivot passes,
+    as in LAPACK, and the arithmetic after a bad pivot warns of nothing:
+    LAPACK does not either.
+    """
+    k = M.shape[-1]
+    A = M.transpose(1, 2, 0).copy()
+    pivots = np.empty((k, M.shape[0]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(k):
+            pivots[j] = A[j, j]
+            r = 1.0 / pivots[j]
+            a = A[j].copy()
+            A -= a[:, None] * a[None, :] * r
+            A[j] = A[:, j] = a * r
+            A[j, j] = -r
+    if np.any(pivots <= 0.0):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return np.negative(A, out=A).transpose(2, 0, 1)
+
+
+def _frame_gram(points: np.ndarray, G: np.ndarray, F: np.ndarray, offsets=None):
     """F^T G and the symmetrized frame Gram matrices F^T G F at a batch of points.
 
-    Raises :class:`DegenerateFrameError` when F^T G F is not finite, vanishes
-    (its condition number is then 0/0), or its condition number
-    (:func:`_condition_numbers`, in closed form at rank 2) exceeds
-    ``FRAME_CONDITION_LIMIT``, at any of the points.
+    The rows of G and F are at ``points``, or, when ``offsets`` is given, at
+    their copies ``_shifted_rows(points, offsets)``, of which only a bad one
+    is built, for the message.  Raises :class:`DegenerateFrameError` when
+    F^T G F is not finite, vanishes (its condition number is then 0/0), or
+    its condition number (:func:`_condition_numbers`, in closed form at rank
+    2) exceeds ``FRAME_CONDITION_LIMIT``, at any of the rows.
     """
     # A frame that overflows along the path fails below, not in warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -288,12 +308,13 @@ def _frame_gram(points: np.ndarray, G: np.ndarray, F: np.ndarray):
     bad = ~np.isfinite(cond) | (cond > FRAME_CONDITION_LIMIT)
     if np.any(bad):
         i = int(np.argmax(bad))
+        point = points[i] if offsets is None else _shifted_row(points, offsets, i)
         if not M[i].any():
             raise DegenerateFrameError(
-                f"frame vanishes at point {points[i].tolist()} (its Gram matrix F^T G F is zero)"
+                f"frame vanishes at point {point.tolist()} (its Gram matrix F^T G F is zero)"
             )
         raise DegenerateFrameError(
-            f"frame is numerically degenerate at point {points[i].tolist()}"
+            f"frame is numerically degenerate at point {point.tolist()}"
             f" (frame Gram condition number {cond[i]:.3e} exceeds {FRAME_CONDITION_LIMIT:.1e})"
         )
     return FtG, M
@@ -304,8 +325,11 @@ def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray, times=N
 
     G and F come from one joint field evaluation at the points and their
     ``times``, ``structure._fields``; a drift problem transports each point
-    set once in it.  Raises :class:`DegenerateFrameError` when F^T G F is
-    not finite, ill conditioned or not positive definite at any point.
+    set once in it.  (F^T G F)^{-1} comes from one batched sweep,
+    :func:`_spd_inverse`, whose pivots test positive definiteness as a
+    Cholesky factorization would.  Raises :class:`DegenerateFrameError`
+    when F^T G F is not finite, ill conditioned or not positive definite at
+    any point.
     """
     G, F = structure._fields(points, times)
     m = points.shape[0]
@@ -314,14 +338,11 @@ def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray, times=N
         raise ValueError(f"frame stack has shape {F.shape}, expected {expected}")
     FtG, M = _frame_gram(points, G, F)
     try:
-        L = np.linalg.cholesky(M)
+        Sinv = _spd_inverse(M)
     except np.linalg.LinAlgError as exc:
         raise DegenerateFrameError(
             f"frame Gram matrix is not positive definite: {exc}"
         ) from exc
-    # (F^T G F)^{-1} = L^{-T} L^{-1}, from one batched k x k inverse.
-    Linv = np.linalg.inv(L)
-    Sinv = np.matmul(Linv.transpose(0, 2, 1), Linv)
     return _FrameFactor(G, F, np.matmul(Sinv, FtG), Sinv)
 
 
@@ -336,6 +357,12 @@ def _shifted_rows(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     are adjacent, so their times are ``np.tile(np.repeat(times, j), s)``."""
     m, (j, n) = points.shape[0], offsets.shape[1:]
     return (np.repeat(points, j, axis=0).reshape(1, m, j, n) + offsets[:, None]).reshape(-1, n)
+
+
+def _shifted_row(points: np.ndarray, offsets: np.ndarray, i: int) -> np.ndarray:
+    """Row i of ``_shifted_rows(points, offsets)``, without building the others."""
+    s, p, j = np.unravel_index(i, (offsets.shape[0], points.shape[0], offsets.shape[1]))
+    return points[p] + offsets[s, j]
 
 
 def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, times):
@@ -380,8 +407,9 @@ def _field_stencil(structure: SubRiemannianStructure, factor: _FrameFactor, poin
     h = _fd_step(points)
     axes = h * np.eye(n)
     _, _, Gs, Fs = first
-    rows = _shifted_rows(points, np.stack([axes, -axes]))
-    _frame_gram(rows, Gs.reshape((-1,) + Gs.shape[3:]), Fs.reshape((-1,) + Fs.shape[3:]))
+    _frame_gram(
+        points, Gs.reshape((-1,) + Gs.shape[3:]), Fs.reshape((-1,) + Fs.shape[3:]), np.stack([axes, -axes])
+    )
     c, d = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the pairs c < d
     signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[:, :, None, None]
     offsets = signs[:, 0] * axes[c] + signs[:, 1] * axes[d]
@@ -459,7 +487,7 @@ def project_horizontal(structure: SubRiemannianStructure, p, v):
     """
     pt = as_point(p, structure.dimension)
     vec = as_point(v, structure.dimension)
-    pv, pperp = _factor_frame(structure, pt[None, :]).project(vec[None, :])
+    _, pv, pperp = _factor_frame(structure, pt[None, :]).project(vec[None, :])
     return pv[0], pperp[0]
 
 

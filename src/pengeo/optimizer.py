@@ -61,6 +61,7 @@ from .geometry import (
     _contract,
     _field_differences,
     _field_stencil,
+    _spd_inverse,
     check_penalty,
 )
 
@@ -146,7 +147,10 @@ class SolveResult:
     is False only at the iteration cap.  ``gradient_norm``, the inf-norm of
     the final gradient, is rounding noise on a converged rung (1e-14 ...
     5e-8 on the catalogue): the stop rule reads the Newton decrement, not
-    this norm, so it is not a result.
+    this norm, so it is not a result.  The stop rule settles ``energy`` to
+    rounding but ``length`` only to about 1e-12 relative: the discrete
+    length is not stationary at an energy minimizer, and one more Newton
+    step moves the ``heisenberg-drift`` q = 1e4 length by 1.1e-12.
     """
 
     q: float
@@ -196,10 +200,18 @@ def _gradient(structure, evaluation, first=None):
     grads[:, :-1] -= flux
 
     # Base-point dependence: each midpoint is the mean of its segment's ends
-    # and the quadrature carries 1/(2N), so each end gets dQ/(4N).
+    # and the quadrature carries 1/(2N), so each end gets dQ/(4N).  With
+    # c = F+ v and Pc v = v - F c, differentiating the form's matrix
+    # M_q = q G + (1 - q) G P through P = F (F^T G F)^{-1} F^T G gives
+    #     dQ_a = v^T dG_a v + (q - 1) (Pc v^T dG_a Pc v - 2 (dF_a c)^T G Pc v),
+    # whose q-slope is the bracket; c, Pc v and G Pc v are the evaluation's.
     if first is None:
         first = _field_differences(structure, mids, evaluation.times)
-    dQ = np.stack(evaluation.factor.form_derivatives(q, vels, *first[:2])) / (4.0 * N)
+    dG, dF = first[:2]
+    v, c, r, Gr = evaluation.columns()
+    dQ_slope = _contract(_contract(dG, r), r) - 2.0 * _contract(_contract(dF, c), Gr)
+    dQ_full = _contract(_contract(dG, v), v) + (q - 1.0) * dQ_slope
+    dQ = np.stack([dQ_full, dQ_slope]) / (4.0 * N)
     grads[:, :-1] += dQ
     grads[:, 1:] += dQ
     return grads[0, 1:-1].ravel(), grads[1, 1:-1].ravel(), first
@@ -291,15 +303,15 @@ def _velocity_decrement(M: np.ndarray, g: np.ndarray) -> float:
         y_0 = (sum_i M_i^{-1})^{-1} sum_i M_i^{-1} S_i,   y_i = y_0 - S_i,
         g^T H0^{-1} g = (1/N) sum_i y_i^T M_i^{-1} y_i.
 
-    One batched Cholesky factorization of the M_i raises
-    ``np.linalg.LinAlgError`` when one is not positive definite, so that H0
-    is singular in floating point.
+    The M_i^{-1} come from one batched sweep (:func:`_spd_inverse`), whose
+    pivots raise ``np.linalg.LinAlgError`` where a Cholesky factorization
+    would: when an M_i is not positive definite, so that H0 is singular in
+    floating point.
     """
     N, n, _ = M.shape
     S = np.zeros((N, n))
     np.cumsum(g.reshape(N - 1, n), axis=0, out=S[1:])
-    np.linalg.cholesky(M)
-    Minv = np.linalg.inv(M)
+    Minv = _spd_inverse(M)
     y = np.linalg.solve(Minv.sum(axis=0), np.einsum("mij,mj->i", Minv, S)) - S
     return float(np.einsum("mi,mij,mj->", y, Minv, y)) / N
 
@@ -351,10 +363,7 @@ def _base_point_hessian(structure, evaluation, first):
     G, F, Fplus = factor.G, factor.F, factor.Fplus
 
     # Axis 1 of the (N, n, .) stacks below runs over the coordinates (c and d above).
-    v = vels[:, :, None]
-    c = np.matmul(Fplus, v)
-    r = v - np.matmul(F, c)
-    Gr = np.matmul(G, r)
+    v, c, r, Gr = evaluation.columns()
     dFc = _contract(dF, c)
     dGr = _contract(dG, r)
     w = np.matmul(Gr.transpose(0, 2, 1)[:, None], dF)[:, :, 0]  # w_c = (G r)^T dF_c
@@ -403,16 +412,18 @@ def minimize_energy(
     is then positive definite, so the direction descends.  It backtracks from
     the unit step to the Armijo condition; a trial whose frame is
     degenerate fails that test and backtracks too.  The accepted trial's
-    evaluation is kept: its frame factor gives H0, H, the gradient and, at
-    exit, the certificates.  Each iteration is logged at DEBUG on the
+    evaluation is kept: its frame factor and its split of the velocities
+    (c = F+ v, Pc v and G Pc v) give H0, H, the gradient and, at exit, the
+    certificates.  Each iteration is logged at DEBUG on the
     ``pengeo`` logger, with the number of shifted factorizations that failed
     before one succeeded.
 
     Hitting the iteration cap returns ``converged=False`` rather than
     raising.  A line-search step underflow (a genuinely stuck search
     direction) raises :class:`StepUnderflowError`; an H0 that is singular
-    in floating point, so that the Cholesky factorization of a midpoint
-    metric or of H0's block pivots fails (a penalty so large that
+    in floating point, so that a sweep pivot of a midpoint metric's
+    inverse (:func:`_velocity_decrement`) or the Cholesky factorization of
+    H0's block pivots fails (a penalty so large that
     q G + (1 - q) G P loses its horizontal block to rounding), or a Newton
     direction that is not finite (a Hessian with non-finite entries, which
     the factorization does not reject) raises ``FloatingPointError``.
@@ -468,7 +479,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None, firs
                 break
             except np.linalg.LinAlgError as exc:
                 # An infinite shift factors H0 itself: its M_i passed their
-                # Cholesky test, but its block pivots did not.
+                # sweep's pivot test, but its block pivots did not.
                 if shift == np.inf:
                     raise singular(exc) from exc
                 failures += 1

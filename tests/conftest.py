@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,26 @@ def assert_same_evaluation(a, b) -> None:
     assert [getattr(a, f) for f in readings] == [getattr(b, f) for f in readings]
     for name in ("flux", "horizontal", "vertical", "horizontal_flux", "vertical_flux"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def count_calls(monkeypatch, owner, name: str, *callers) -> list:
+    """Record every call of ``owner.name`` (a numpy function, say) for the rest
+    of the test, and return the list of records.
+
+    Each record is the ``__qualname__`` of the innermost of the functions
+    ``callers`` on the call stack, matched by code object, or None when none
+    of them is on it (always None when no callers are given).
+    """
+    fn = getattr(owner, name)
+    codes = {caller.__code__: caller.__qualname__ for caller in callers}
+    calls = []
+
+    def counting(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in codes:
+            frame = frame.f_back
+        calls.append(None if frame is None else codes[frame.f_code])
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,9 @@ from pengeo.geometry import (
     _field_differences,
     _field_stencil,
     _frame_gram,
+    _shifted_row,
+    _shifted_rows,
+    _spd_inverse,
 )
 from conftest import random_path
 
@@ -247,6 +252,89 @@ def test_zero_and_rank_one_frame_grams_are_rejected(scale):
         _frame_gram(np.zeros((1, 3)), np.broadcast_to(np.eye(3), (1, 3, 3)), np.zeros((1, 3, 3)))
 
 
+def _spd_stack(rng, m, k, log_cond):
+    """m random symmetric positive definite k x k matrices whose eigenvalues
+    spread over ``log_cond`` decades, exactly symmetric."""
+    Q = np.linalg.qr(rng.normal(size=(m, k, k)))[0]
+    spectrum = 10.0 ** (log_cond * rng.uniform(size=(m, k)))
+    M = np.matmul(Q * spectrum[:, None, :], Q.transpose(0, 2, 1))
+    return 0.5 * (M + M.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_spd_inverse_matches_lapack_inverse(rng, k):
+    # Both inverses have a normwise forward error of at most a modest
+    # multiple of u cond_2(M) to first order, u = eps/2 (Higham, *Accuracy
+    # and Stability of Numerical Algorithms*, 2nd ed., ch. 14: Gauss-Jordan
+    # elimination, which the sweep is on a symmetric matrix, and LU-based
+    # inversion), with constants that grow with k as the rounded operations
+    # per entry do: k pivot steps of k-term updates.  So the two may differ by
+    # up to about k^2 eps cond_2(M), which the test allows; the largest gap
+    # measured over such stacks, cond_2 from 1 to 1e8 (the frame condition
+    # limit), is about 2 eps cond_2 at k = 3 and 4, 1 at k = 2 and 0 at k = 1.
+    # The sweep's result is exactly symmetric.
+    eps = np.finfo(float).eps
+    for log_cond in (0.0, 2.0, 4.0, 6.0, 8.0):
+        M = _spd_stack(rng, 500, k, log_cond)
+        X, Y = _spd_inverse(M), np.linalg.inv(M)
+        gap = np.linalg.norm(X - Y, 2, axis=(1, 2)) / np.linalg.norm(Y, 2, axis=(1, 2))
+        assert np.all(gap <= k * k * eps * np.linalg.cond(M))
+        np.testing.assert_array_equal(X, X.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_spd_inverse_rejects_what_cholesky_rejects(rng, k):
+    # One matrix that is not positive definite, wherever it sits in the stack,
+    # fails a sweep pivot exactly when it fails a Cholesky pivot; a positive
+    # definite stack, even a nearly singular one, passes both.
+    Q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    bad = [
+        np.zeros((k, k)),
+        -np.eye(k),
+        np.diag(np.r_[np.ones(k - 1), 0.0]),
+        (Q * np.r_[np.ones(k - 1), -1.0]) @ Q.T,
+    ]
+    if k >= 2:
+        coupled = np.eye(k)
+        coupled[:2, :2] = 1.0  # exactly singular behind a nonzero first pivot
+        bad.append(coupled)
+    good = _spd_stack(rng, 6, k, 12.0)
+    np.linalg.cholesky(good)
+    _spd_inverse(good)
+    for block in bad:
+        for position in (0, 3, 5):
+            stack = good.copy()
+            stack[position] = 0.5 * (block + block.T)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(stack)
+            with pytest.raises(np.linalg.LinAlgError, match="Matrix is not positive definite"):
+                _spd_inverse(stack)
+
+
+def test_spd_inverse_passes_nan_blocks(rng):
+    # A NaN pivot passes a Cholesky factorization without raising, and so it
+    # passes the sweep, silently: RuntimeWarnings are errors in this suite.
+    # The NaN stays in its own block; the others are still inverted.
+    M = _spd_stack(rng, 5, 3, 2.0)
+    M[1] = np.nan
+    M[3, 0, 2] = M[3, 2, 0] = np.nan
+    np.linalg.cholesky(M)
+    X = _spd_inverse(M)
+    assert np.all(np.isnan(X[1])) and np.any(np.isnan(X[3]))
+    clean = [0, 2, 4]
+    np.testing.assert_allclose(X[clean], np.linalg.inv(M[clean]), rtol=1e-12, atol=0.0)
+
+
+def test_shifted_row_is_a_row_of_the_shifted_rows(rng):
+    # The stencil's frame check names a bad first-order row by its index.
+    points = rng.normal(size=(4, 3))
+    axes = 1e-5 * np.eye(3)
+    offsets = np.stack([axes, -axes])
+    rows = _shifted_rows(points, offsets)
+    for i in range(rows.shape[0]):
+        np.testing.assert_array_equal(_shifted_row(points, offsets, i), rows[i])
+
+
 def _plane_structure(gram, scale):
     """Flat-plane frame diag(1, scale(x)) under the metric field ``gram``."""
 
@@ -283,9 +371,12 @@ def test_field_stencil_keeps_the_frame_checks():
     structure = _plane_structure(gram_nan_on_diagonals, unit)
     with pytest.raises(DegenerateFrameError, match="F\\^T G F is not finite"):
         derivatives(structure)
-    # The first-order row (h, 0) has a frame Gram condition number of 1e10.
+    # The first-order row (h, 0) has a frame Gram condition number of 1e10,
+    # and the message names that row.
     structure = _plane_structure(lambda pts: np.eye(2), lambda x: np.where(x > 0.0, 1e-5, 1.0))
-    with pytest.raises(DegenerateFrameError, match=r"condition number 1\.0\d*e\+10"):
+    point = [_fd_step(origin), 0.0]
+    message = re.escape(f"at point {point} (frame Gram condition number ") + r"1\.0\d*e\+10"
+    with pytest.raises(DegenerateFrameError, match=message):
         derivatives(structure)
     # Neither field varies on a plain plane: every difference is zero.
     structure = _plane_structure(lambda pts: np.eye(2), unit)

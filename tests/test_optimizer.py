@@ -35,7 +35,7 @@ from pengeo.optimizer import (
     _velocity_decrement,
     _velocity_hessian,
 )
-from conftest import fd_energy_gradient, fd_energy_hessian, nan_hessian, random_path
+from conftest import count_calls, fd_energy_gradient, fd_energy_hessian, nan_hessian, random_path
 
 
 def test_solver_config_validation():
@@ -155,6 +155,15 @@ def _drift_heisenberg(heisenberg):
     return _pull_back(heisenberg, linear_drift(0.3 * np.eye(3)))
 
 
+def _rotating_heisenberg(heisenberg):
+    """The Heisenberg drift problem on R^3 under the rotation drift about z,
+    X = (-2 y, 2 x, 0).  The rotation keeps the flat metric and the
+    distribution, so the pulled-back metric is G and the pulled-back frame is
+    F R(2t) with R(2t) a planar rotation: dF changes with t, and a field
+    derivative read at another segment's time gives a wrong gradient."""
+    return _pull_back(heisenberg, linear_drift([[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
 def _assert_gradient_matches(structure, q, path):
     grad = energy_gradient(structure, q, path)
     fd = fd_energy_gradient(structure, q, path)
@@ -168,15 +177,17 @@ def test_gradient_matches_finite_differences(heisenberg, martinet, euclidean3, r
             _assert_gradient_matches(structure, q, random_path(structure, 12, rng, scale=0.3))
     # The presets' metrics are all Euclidean, so the warped metric is what
     # exercises the metric terms of the base-point derivative.  The drift
-    # problem's fields come through the flow transport at the segment
-    # mid-times, as in a drift solve.
+    # problems' fields come through the flow transport at the segment
+    # mid-times, as in a drift solve; under the linear drift 0.3 p the
+    # derivatives dG = 0 and dF do not change with t, under the rotation they
+    # do, so only the rotation sees a field read at the wrong time.
     warped = _warped_heisenberg(heisenberg)
-    drifted = _drift_heisenberg(heisenberg)
     start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
     for q in (1.0, 10.0, 100.0):
         _assert_gradient_matches(warped, q, random_path(warped, 12, rng, scale=0.3))
-        path = random_path(drifted, 12, rng, scale=0.3, start=start, end=end)
-        _assert_gradient_matches(drifted, q, path)
+        for drifted in (_drift_heisenberg(heisenberg), _rotating_heisenberg(heisenberg)):
+            path = random_path(drifted, 12, rng, scale=0.3, start=start, end=end)
+            _assert_gradient_matches(drifted, q, path)
 
 
 def test_gradient_from_reused_field_differences_is_bitwise(heisenberg, rng):
@@ -195,6 +206,20 @@ def test_gradient_from_reused_field_differences_is_bitwise(heisenberg, rng):
             np.testing.assert_array_equal(g, energy_gradient(structure, q, path))
             np.testing.assert_array_equal(slope, fresh[1])
             assert reused is first
+
+
+def test_evaluation_keeps_the_parts_the_derivatives_read(heisenberg, rng):
+    # The gradient and the Hessian read c = F+ v, Pc v and G Pc v from the
+    # evaluation; they are bitwise what the factor gives for its velocities.
+    start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
+    for structure in (_warped_heisenberg(heisenberg), _rotating_heisenberg(heisenberg)):
+        evaluation = _evaluate(structure, 10.0, random_path(structure, 12, rng, 0.3, start, end))
+        factor, v = evaluation.factor, evaluation.vels[:, :, None]
+        c = np.matmul(factor.Fplus, v)
+        r = v - np.matmul(factor.F, c)
+        np.testing.assert_array_equal(evaluation.coefficients, c[:, :, 0])
+        np.testing.assert_array_equal(evaluation.complement, r[:, :, 0])
+        np.testing.assert_array_equal(evaluation.vertical_flux, np.matmul(factor.G, r)[:, :, 0])
 
 
 def _dense_block_tridiagonal(diag, off):
@@ -767,23 +792,28 @@ def test_newton_step_contracts_without_einsum(monkeypatch):
     # contract segment-major stacks by batched matmuls: no einsum call of a
     # whole vertical ladder comes from either, while the calls that remain
     # (the split forms and the stop test) still reach the counter.
-    calls = []
-    einsum = np.einsum
+    from pengeo import optimizer
 
-    def counting(*args, **kwargs):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code.co_name not in (
-            "_base_point_hessian", "form_derivatives"
-        ):
-            frame = frame.f_back
-        calls.append(None if frame is None else frame.f_code.co_name)
-        return einsum(*args, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", counting)
+    calls = count_calls(monkeypatch, np, "einsum", optimizer._base_point_hessian, optimizer._gradient)
     structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-50")
     results = continuation_solve(structure, endpoints, schedule, config, None, seed)
     assert sum(r.iterations for r in results) > 0
     assert calls and set(calls) == {None}
+
+
+def test_small_blocks_are_inverted_by_sweeps(monkeypatch):
+    # The frame Grams and the stop test's midpoint metrics are inverted by
+    # batched sweeps: a whole vertical ladder calls np.linalg.inv nowhere, and
+    # np.linalg.cholesky only to check the block pivots of a Newton factor.
+    from pengeo import optimizer
+
+    inverses = count_calls(monkeypatch, np.linalg, "inv")
+    factors = count_calls(monkeypatch, np.linalg, "cholesky", optimizer._BlockTridiagonalFactor.__init__)
+    structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-50")
+    results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+    assert sum(r.iterations for r in results) > 0
+    assert inverses == []
+    assert factors and set(factors) == {"_BlockTridiagonalFactor.__init__"}
 
 
 def _ladder_inputs(name):
