@@ -32,7 +32,6 @@ from .drift import (
 )
 from .functionals import (
     DiscretePath,
-    FunctionalValue,
     energy,
     horizontality_defect,
     length,
@@ -93,7 +92,6 @@ __all__ = [
     "solve_drift_problem",
     "zero_drift",
     "DiscretePath",
-    "FunctionalValue",
     "energy",
     "horizontality_defect",
     "length",

@@ -114,7 +114,7 @@ def _get_int(section, key: str, fallback: int) -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise ConfigError(f"key '{key}' is not an integer: {raw!r}") from exc
+        raise ConfigError(f"key '{key}' in [{section.name}] is not an integer: {raw!r}") from exc
 
 
 def _get_bool(section, key: str, fallback: bool) -> bool:
@@ -126,7 +126,7 @@ def _get_bool(section, key: str, fallback: bool) -> bool:
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"key '{key}' is not a boolean: {raw!r}")
+    raise ConfigError(f"key '{key}' in [{section.name}] is not a boolean: {raw!r}")
 
 
 def _parse_vector(text: str, key: str, dimension: Optional[int] = None) -> np.ndarray:
@@ -715,7 +715,7 @@ def _cmd_diagnose(results_dir: str) -> int:
         q = number(index, "q")
         try:
             samples = np.loadtxt(root / _path_file_name(q), delimiter=",", skiprows=1, ndmin=2)
-            path = DiscretePath.from_points(samples[:, 1:])
+            path = DiscretePath(samples[:, 1:])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{root}: cannot read {_path_file_name(q)}: {exc}") from exc
         # One frame factorization per distinct path: the factor and the forms do

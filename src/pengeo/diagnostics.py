@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .functionals import (
+    HORIZONTAL_TOLERANCE,
     DiscretePath,
     _rms_gap,
     _segments,
@@ -40,6 +41,8 @@ __all__ = [
 
 # Floating-point slack for the order verdicts on lengths and defects.
 ORDER_SLACK = 1e-9
+# Relative slack of the lengths over the reference distance.
+REFERENCE_TOLERANCE = 0.01
 
 
 class NotHorizontalError(ValueError):
@@ -75,7 +78,6 @@ class ConvergenceReport:
     lengths_nondecreasing: bool
     defects_nonincreasing: bool
     reference_distance: Optional[float]
-    reference_tolerance: float
     lengths_within_reference: Optional[bool]
     final_gap: Optional[float]
 
@@ -104,7 +106,7 @@ class ConvergenceReport:
             lines.append(
                 "all lengths within reference * (1 + tol):"
                 f" {self.lengths_within_reference}"
-                f" (tol {self.reference_tolerance:g})"
+                f" (tol {REFERENCE_TOLERANCE:g})"
             )
             lines.append(f"final length gap to reference: {self.final_gap:.6e}")
         return "\n".join(lines) + "\n"
@@ -136,11 +138,10 @@ def recovery_sequence_check(
     structure: SubRiemannianStructure,
     path: DiscretePath,
     q_list: Sequence[float],
-    horizontal_tol: float = 1e-6,
 ) -> float:
     """Max deviation of the penalized energy from the limit energy.
 
-    The path must be horizontal within ``horizontal_tol``; then the
+    The path must be horizontal within ``HORIZONTAL_TOLERANCE``; then the
     deviation at penalty q is (q - 1)/2 times the defect, so the returned
     maximum obeys  max <= q_max * defect / 2 + roundoff.
 
@@ -151,14 +152,12 @@ def recovery_sequence_check(
         infinite there and no finite deviation exists.
     """
     defect = horizontality_defect(structure, path)
-    if defect > horizontal_tol:
+    if defect > HORIZONTAL_TOLERANCE:
         raise NotHorizontalError(
-            f"path has defect {defect:.3e}, above the horizontal tolerance {horizontal_tol:g}"
+            f"path has defect {defect:.3e}, above the horizontal tolerance {HORIZONTAL_TOLERANCE:g}"
         )
-    limit = limit_energy(structure, path, horizontal_tol)
-    deviations = [
-        abs(energy(structure, q, path) - limit.value) for q in q_list
-    ]
+    limit = limit_energy(structure, path)
+    deviations = [abs(energy(structure, q, path) - limit) for q in q_list]
     return float(max(deviations))
 
 
@@ -182,14 +181,13 @@ def _rho_pairs(results) -> list:
 def distance_chain_report(
     results,
     reference_d_infinity: Optional[float] = None,
-    reference_tolerance: float = 0.01,
 ) -> ConvergenceReport:
     """Chain verdicts for one continuation run.
 
     Checks that minimized energies and lengths are nondecreasing and defects
     nonincreasing along the ladder (within floating-point slack), and, when
     a reference constrained distance is given, that every length stays below
-    reference * (1 + tolerance), reporting the final closing gap.
+    reference * (1 + ``REFERENCE_TOLERANCE``), reporting the final closing gap.
     """
     if not results:
         raise ValueError("need at least one continuation result")
@@ -228,7 +226,7 @@ def distance_chain_report(
         ref = float(reference_d_infinity)
         if ref <= 0.0:
             raise ValueError("reference distance must be positive")
-        within = all(l <= ref * (1.0 + reference_tolerance) for l in lengths)
+        within = all(l <= ref * (1.0 + REFERENCE_TOLERANCE) for l in lengths)
         gap = float(ref - lengths[-1])
 
     return ConvergenceReport(
@@ -237,7 +235,6 @@ def distance_chain_report(
         lengths_nondecreasing=lengths_ok,
         defects_nonincreasing=defects_ok,
         reference_distance=None if reference_d_infinity is None else float(reference_d_infinity),
-        reference_tolerance=reference_tolerance,
         lengths_within_reference=within,
         final_gap=gap,
     )

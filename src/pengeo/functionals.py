@@ -28,7 +28,6 @@ from .geometry import SubRiemannianStructure, _factor_frame, _FrameFactor, as_po
 
 __all__ = [
     "DiscretePath",
-    "FunctionalValue",
     "energy",
     "length",
     "horizontality_defect",
@@ -36,45 +35,32 @@ __all__ = [
     "semimetric_rho",
 ]
 
+# Largest defect at which a path counts as horizontal.
+HORIZONTAL_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class DiscretePath:
-    """Uniformly sampled path with pinned endpoints.
+    """Uniformly sampled path, its points of shape (N+1, n) with N >= 2.
 
-    ``points`` has shape (N+1, n) with N >= 2; row 0 must equal ``start``
-    bitwise and the last row must equal ``end`` bitwise.  Arrays are stored
-    read-only, so a path can be shared freely between solver iterations.
+    Rows 0 and -1 are the pinned endpoints, read as :attr:`start` and
+    :attr:`end`.  The constructor stores a read-only copy of the points and
+    raises ValueError unless they are a finite 2-d array with at least three
+    rows, so a path can be shared freely between solver iterations.
     """
 
-    start: np.ndarray
-    end: np.ndarray
     points: np.ndarray
 
     def __post_init__(self):
-        start = as_point(self.start)
-        end = as_point(self.end, start.size)
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != start.size:
-            raise ValueError(
-                f"points must have shape (N+1, {start.size}), got {pts.shape}"
-            )
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError(f"points must have shape (N+1, n), got {pts.shape}")
         if pts.shape[0] < 3:
             raise ValueError("a path needs at least two segments (three grid points)")
         if not np.all(np.isfinite(pts)):
             raise ValueError("path points must be finite")
-        if not np.array_equal(pts[0], start):
-            raise ValueError("points[0] must equal start exactly")
-        if not np.array_equal(pts[-1], end):
-            raise ValueError("points[-1] must equal end exactly")
-        for name, arr in (("start", start), ("end", end), ("points", pts)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_points(cls, points) -> "DiscretePath":
-        pts = np.asarray(points, dtype=float)
-        return cls(start=pts[0], end=pts[-1], points=pts)
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
 
     @classmethod
     def chord(cls, start, end, grid_size: int) -> "DiscretePath":
@@ -85,7 +71,15 @@ class DiscretePath:
         pts = (1.0 - lam) * s[None, :] + lam * e[None, :]
         pts[0] = s
         pts[-1] = e
-        return cls(start=s, end=e, points=pts)
+        return cls(pts)
+
+    @property
+    def start(self) -> np.ndarray:
+        return self.points[0]
+
+    @property
+    def end(self) -> np.ndarray:
+        return self.points[-1]
 
     @property
     def grid_size(self) -> int:
@@ -112,8 +106,7 @@ class DiscretePath:
             raise ValueError(
                 f"interior must have shape {(self.grid_size - 1, self.dimension)}, got {inner.shape}"
             )
-        pts = np.vstack([self.start[None, :], inner, self.end[None, :]])
-        return DiscretePath(start=self.start, end=self.end, points=pts)
+        return DiscretePath(np.vstack([self.start[None, :], inner, self.end[None, :]]))
 
 
 def _segments(path: DiscretePath):
@@ -121,37 +114,6 @@ def _segments(path: DiscretePath):
     mids = 0.5 * (pts[:-1] + pts[1:])
     vels = path.grid_size * (pts[1:] - pts[:-1])
     return mids, vels
-
-
-@dataclass(frozen=True)
-class FunctionalValue:
-    """Value of a functional that may be infinite.
-
-    Exactly one of the two readings is active: a finite float, or the flag.
-    ``float(fv)`` returns ``inf`` for the infinite case so values can be
-    compared without branching.
-    """
-
-    value: float
-    is_infinite: bool
-
-    def __post_init__(self):
-        if self.is_infinite:
-            if self.value != 0.0:
-                raise ValueError("infinite functional values carry no finite payload")
-        elif not np.isfinite(self.value):
-            raise ValueError("finite functional values must be finite floats")
-
-    @classmethod
-    def finite(cls, value: float) -> "FunctionalValue":
-        return cls(value=float(value), is_infinite=False)
-
-    @classmethod
-    def infinite(cls) -> "FunctionalValue":
-        return cls(value=0.0, is_infinite=True)
-
-    def __float__(self) -> float:
-        return float("inf") if self.is_infinite else self.value
 
 
 @dataclass(frozen=True)
@@ -250,20 +212,16 @@ def horizontality_defect(structure: SubRiemannianStructure, path: DiscretePath) 
     return _evaluate(structure, 1.0, path).defect
 
 
-def limit_energy(
-    structure: SubRiemannianStructure,
-    path: DiscretePath,
-    horizontal_tol: float = 1e-6,
-) -> FunctionalValue:
-    """The q -> infinity energy: E_1 on horizontal paths, infinite otherwise.
+def limit_energy(structure: SubRiemannianStructure, path: DiscretePath) -> float:
+    """The q -> infinity energy: E_1 on horizontal paths, ``inf`` otherwise.
 
     A path counts as horizontal when its defect does not exceed
-    ``horizontal_tol``; discrete paths are almost never exactly horizontal,
-    so the tolerance is part of the definition rather than a fudge.
+    ``HORIZONTAL_TOLERANCE``; discrete paths are almost never exactly
+    horizontal, so the tolerance is part of the definition rather than a
+    fudge.
     """
-    if horizontality_defect(structure, path) > horizontal_tol:
-        return FunctionalValue.infinite()
-    return FunctionalValue.finite(energy(structure, 1.0, path))
+    evaluation = _evaluate(structure, 1.0, path)
+    return float("inf") if evaluation.defect > HORIZONTAL_TOLERANCE else evaluation.energy
 
 
 def semimetric_rho(path_a: DiscretePath, path_b: DiscretePath, order: int) -> np.ndarray:

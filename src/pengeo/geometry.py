@@ -491,13 +491,10 @@ def project_horizontal(structure: SubRiemannianStructure, p, v):
     return pv[0], pperp[0]
 
 
-def field_jacobian(field: Callable[[np.ndarray], np.ndarray], p, step: Optional[float] = None) -> np.ndarray:
-    """Jacobian of a vector field by central finite differences.
-
-    The step is :func:`_fd_step` at p unless given explicitly.
-    """
+def field_jacobian(field: Callable[[np.ndarray], np.ndarray], p) -> np.ndarray:
+    """Jacobian of a vector field by central finite differences of step :func:`_fd_step` at p."""
     pt = as_point(p)
-    h = step if step is not None else _fd_step(pt)
+    h = _fd_step(pt)
     cols = []
     for a in range(pt.size):
         e = np.zeros(pt.size)

@@ -80,12 +80,15 @@ __all__ = [
 # Line search steps below this are treated as a hard failure.
 STEP_FLOOR = 1e-20
 
-# The first nonzero shift mu of (H + mu H0) / (1 + mu), and the factor by
-# which it grows after each failed factorization.  Each iteration starts from
-# the previous accepted shift divided by the same factor (zero once that falls
-# below the first shift), since successive Hessians of one solve are close.
+# The first nonzero shift mu of (H + mu H0) / (1 + mu), the factor by which it
+# grows after each failed factorization, and the shift after whose failure the
+# next is infinite (factoring H0 itself; past 1/eps, H is rounding next to H0).
+# Each iteration starts from the previous accepted shift divided by the growth
+# factor (zero once that falls below the first shift), since successive
+# Hessians of one solve are close.
 SHIFT_START = 1e-4
 SHIFT_GROWTH = 10.0
+SHIFT_CEILING = 1.0 / np.finfo(float).eps
 
 # Backtracking shrink factor and Armijo sufficient-decrease constant.
 BACKTRACKING_RATIO = 0.5
@@ -408,8 +411,9 @@ def minimize_energy(
     |E|)`` (Boyd & Vandenberghe, *Convex Optimization*, 9.5.4).  Otherwise
     it builds H0 and the exact Hessian H and takes
     the direction -(1 + mu) (H + mu H0)^{-1} g, with the smallest shift mu of
-    the geometric sequence that lets the factorization succeed; the matrix
-    is then positive definite, so the direction descends.  It backtracks from
+    the geometric sequence, infinite once it passes ``SHIFT_CEILING``, that
+    lets the factorization succeed; the matrix is then positive definite, so
+    the direction descends.  It backtracks from
     the unit step to the Armijo condition; a trial whose frame is
     degenerate fails that test and backtracks too.  The accepted trial's
     evaluation is kept: its frame factor and its split of the velocities
@@ -483,7 +487,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None, firs
                 if shift == np.inf:
                     raise singular(exc) from exc
                 failures += 1
-                shift = max(SHIFT_START, SHIFT_GROWTH * shift)
+                shift = np.inf if shift >= SHIFT_CEILING else max(SHIFT_START, SHIFT_GROWTH * shift)
         direction = -factor.solve(g)
         if not np.all(np.isfinite(direction)):
             raise FloatingPointError(
@@ -574,12 +578,13 @@ def continuation_solve(
     endpoints,
     schedule: ContinuationSchedule,
     config: SolverConfig,
-    initial: Optional[DiscretePath] = None,
     seed_deflection: Optional[np.ndarray] = None,
 ) -> list:
     """Solve the penalty ladder; one SolveResult per q.
 
-    Each rung after the first starts at the tangent prediction of
+    The first rung starts on the chord between the endpoints, with
+    ``config.grid_size`` segments.  Each rung after the first starts at the
+    tangent prediction of
     :func:`_predict` from the previous minimizer, and falls back to the
     previous minimizer itself (a warm start) when the previous rung stopped
     at iteration 0 and so built no Newton factor, when the predicted frame
@@ -599,16 +604,14 @@ def continuation_solve(
     the nudge breaks that symmetry.  Warm starts with a live gradient are left
     alone, since kicking them would only throw away progress.
     """
-    rungs = _ladder(structure, endpoints, schedule, config, initial, seed_deflection)
+    rungs = _ladder(structure, endpoints, schedule, config, seed_deflection)
     return [result for result, _ in rungs]
 
 
-def _ladder(structure, endpoints, schedule, config, initial, seed_deflection):
+def _ladder(structure, endpoints, schedule, config, seed_deflection):
     """:func:`continuation_solve` rung by rung: yields each rung's result with
     the evaluation of its path at its q."""
-    start, end = endpoints
-    if initial is None:
-        initial = DiscretePath.chord(start, end, config.grid_size)
+    initial = DiscretePath.chord(*endpoints, config.grid_size)
     deflect = None
     if seed_deflection is not None:
         deflect = np.asarray(seed_deflection, dtype=float)

@@ -127,7 +127,7 @@ def heisenberg_lifted_circle(radius: float, grid_size: int) -> DiscretePath:
         xm = 0.5 * (x[i] + x[i + 1])
         ym = 0.5 * (y[i] + y[i + 1])
         z[i + 1] = z[i] + 0.5 * (xm * (y[i + 1] - y[i]) - ym * (x[i + 1] - x[i]))
-    return DiscretePath.from_points(np.column_stack([x, y, z]))
+    return DiscretePath(np.column_stack([x, y, z]))
 
 
 def martinet_lifted_wave(amplitude: float, grid_size: int) -> DiscretePath:
@@ -143,7 +143,7 @@ def martinet_lifted_wave(amplitude: float, grid_size: int) -> DiscretePath:
     for i in range(grid_size):
         ym = 0.5 * (y[i] + y[i + 1])
         z[i + 1] = z[i] + ym * ym * (x[i + 1] - x[i])
-    return DiscretePath.from_points(np.column_stack([x, y, z]))
+    return DiscretePath(np.column_stack([x, y, z]))
 
 
 def nan_hessian(monkeypatch) -> None:

@@ -434,6 +434,25 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             """,
             "cauchy_rho1_tol",
         ),
+        # Malformed integers and booleans name their key and section.
+        "fractional_iterations.ini": (
+            """
+            [problem]
+            name = heisenberg
+
+            [solver]
+            max_iterations = 2.5
+            """,
+            "key 'max_iterations' in [solver] is not an integer",
+        ),
+        "non_boolean_unique_limit.ini": (
+            """
+            [problem]
+            name = heisenberg
+            unique_limit = maybe
+            """,
+            "key 'unique_limit' in [problem] is not a boolean",
+        ),
     }
     for filename, (body, needle) in cases.items():
         config = _write_config(tmp_path, body, name=filename)

@@ -307,7 +307,7 @@ def test_drift_rungs_are_reported_on_the_lift(name):
         lifted = _lifted_evaluation(pulled, r.q, r.path)
         certificates = ("energy", "length", "defect", "speed_cv")
         assert [getattr(r, f) for f in certificates] == [getattr(lifted, f) for f in certificates]
-        reduced = _evaluate(pulled, r.q, DiscretePath.from_points(r.path.points[:, :n]))
+        reduced = _evaluate(pulled, r.q, DiscretePath(r.path.points[:, :n]))
         assert r.defect == reduced.defect
         N = r.path.grid_size
         time_speeds = N * np.diff(r.path.points[:, -1])
@@ -345,7 +345,7 @@ def test_lifted_evaluation_reforms_bitwise():
     chord = DiscretePath.chord(prob.start, prob.end, 12)
     jitter = 0.1 * np.random.default_rng(3).normal(size=(11, 3))
     path = chord.with_interior(chord.interior() + jitter)
-    lifted = DiscretePath.from_points(np.column_stack([path.points, path.times]))
+    lifted = DiscretePath(np.column_stack([path.points, path.times]))
     time_speeds = _segments(lifted)[1][:, -1]
     for q in (1.0, 10.0, 1e4):
         on_lift, on_path = _lifted_evaluation(pulled, q, lifted), _evaluate(pulled, q, path)

@@ -7,7 +7,6 @@ import pytest
 
 from pengeo import (
     DiscretePath,
-    FunctionalValue,
     energy,
     horizontality_defect,
     length,
@@ -33,9 +32,23 @@ def test_path_validation_rejects_bad_shapes():
         DiscretePath.chord(np.zeros(3), np.ones(3), 1)
     pts = np.linspace(0.0, 1.0, 5)[:, None] * np.ones(3)
     with pytest.raises(ValueError):
-        DiscretePath(start=np.ones(3), end=pts[-1], points=pts)
+        DiscretePath(pts[:, 0])
+    pts[2, 1] = np.nan
     with pytest.raises(ValueError):
-        DiscretePath(start=pts[0], end=np.zeros(3), points=pts)
+        DiscretePath(pts)
+
+
+def test_path_copies_its_points_and_reads_its_endpoints_from_them():
+    pts = np.linspace(0.0, 1.0, 5)[:, None] * np.ones(3)
+    expected = pts.copy()
+    path = DiscretePath(pts)
+    pts[:] = 7.0
+    np.testing.assert_array_equal(path.points, expected)
+    np.testing.assert_array_equal(path.start, np.zeros(3))
+    np.testing.assert_array_equal(path.end, np.ones(3))
+    for endpoint in (path.start, path.end):
+        with pytest.raises(ValueError):
+            endpoint[0] = 99.0
 
 
 def test_path_points_are_read_only():
@@ -72,7 +85,7 @@ def test_euclidean_zigzag_energy(euclidean3):
             [1.0, 0.0, 0.0],
         ]
     )
-    path = DiscretePath.from_points(pts)
+    path = DiscretePath(pts)
     assert energy(euclidean3, 1.0, path) == pytest.approx(4.5, rel=1e-14)
 
 
@@ -106,21 +119,10 @@ def test_length_energy_cauchy_schwarz(heisenberg, rng):
 
 def test_limit_energy_finite_iff_horizontal(heisenberg, euclidean3):
     chord = DiscretePath.chord(np.zeros(3), np.array([1.0, 0.0, 0.0]), 20)
-    fin = limit_energy(heisenberg, chord)
-    assert not fin.is_infinite
-    assert float(fin) == pytest.approx(0.5, rel=1e-12)
+    assert limit_energy(heisenberg, chord) == pytest.approx(0.5, rel=1e-12)
 
     vertical = DiscretePath.chord(np.zeros(3), np.array([0.0, 0.0, 1.0]), 20)
-    inf = limit_energy(heisenberg, vertical)
-    assert inf.is_infinite
-    assert math.isinf(float(inf))
-
-
-def test_functional_value_requires_exactly_one_state():
-    with pytest.raises(ValueError):
-        FunctionalValue(value=1.0, is_infinite=True)
-    assert float(FunctionalValue.finite(2.0)) == 2.0
-    assert math.isinf(float(FunctionalValue.infinite()))
+    assert limit_energy(heisenberg, vertical) == math.inf
 
 
 def test_semimetric_rho_velocity_example():

@@ -443,8 +443,8 @@ def test_non_positive_definite_metric_block_is_a_singular_velocity_hessian(heise
 def test_velocity_hessian_without_block_pivots_is_a_floating_point_error(heisenberg, monkeypatch):
     # Midpoint metrics that pass their Cholesky test leave H0 positive
     # definite in exact arithmetic.  Should its block pivots fail anyway, the
-    # shift grows until it is infinite and factors H0 itself, which raises
-    # instead of looping: 315 tries, at mu = 0, 1e-4, 1e-3, ..., 1e308, inf.
+    # shift grows past 1/eps and then turns infinite, factoring H0 itself,
+    # which raises instead of looping: 23 tries, at mu = 0, 1e-4, ..., 1e16, inf.
     from pengeo import optimizer
 
     build = optimizer._velocity_hessian
@@ -465,7 +465,7 @@ def test_velocity_hessian_without_block_pivots_is_a_floating_point_error(heisenb
     )
     with pytest.raises(FloatingPointError, match="velocity Hessian is singular at q=10 after 0 iterations"):
         minimize_energy(heisenberg, 10.0, path, SolverConfig(grid_size=10))
-    assert len(factored) == 315
+    assert len(factored) == 23
 
 
 def test_solve_result_certificates_equal_the_functionals_bitwise(heisenberg, rng):
@@ -589,7 +589,7 @@ def test_chord_ladder_factors_its_frame_once(monkeypatch):
         optimizer, "_field_differences", counting("differences", optimizer._field_differences)
     )
     structure, endpoints, schedule, config, seed = _ladder_inputs("heisenberg")
-    results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+    results = continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
     assert len(results) == 5 and all(r.iterations == 0 for r in results)
     assert counts == {"factor": 1, "differences": 1}
 
@@ -602,7 +602,7 @@ def test_default_ladders_take_their_recorded_iterations(name, iterations):
     # The per-rung Newton iterations of the two benchmark ladders at their
     # preset kicks: a solver change that keeps the numbers keeps these.
     structure, endpoints, schedule, config, seed = _ladder_inputs(name)
-    results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+    results = continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
     assert [r.iterations for r in results] == iterations
     assert all(r.converged for r in results)
 
@@ -620,7 +620,7 @@ def test_predictor_adds_one_evaluation_per_predicted_start(monkeypatch, caplog, 
     structure, endpoints, schedule, config, seed = _ladder_inputs(name)
     counts = _count_solver_calls(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="pengeo"):
-        results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+        results = continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
     lines = [r.getMessage() for r in caplog.records]
     used = [line for line in lines if line.endswith("predicted start used")]
     reused = [line for line in lines if "(evaluation reused)" in line]
@@ -769,7 +769,7 @@ def test_debug_lines_count_the_failed_shifted_factorizations(monkeypatch, caplog
     monkeypatch.setattr(optimizer, "_BlockTridiagonalFactor", factored)
     structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-200")
     with caplog.at_level(logging.DEBUG, logger="pengeo"):
-        continuation_solve(structure, endpoints, schedule, config, None, seed)
+        continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
     lines = [r.getMessage() for r in caplog.records if " iteration " in r.getMessage()]
     failed = [int(line.split(" after ")[1].split(" failed factorizations")[0]) for line in lines]
     assert (sum(failed), len(lines)) == (built["failed"], built["ok"]) == (12, 18)
@@ -782,7 +782,7 @@ def test_rank_two_ladder_reads_the_condition_number_in_closed_form(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
     structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-50")
-    results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+    results = continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
     assert sum(r.iterations for r in results) > 0
     assert calls == []
 
@@ -796,7 +796,7 @@ def test_newton_step_contracts_without_einsum(monkeypatch):
 
     calls = count_calls(monkeypatch, np, "einsum", optimizer._base_point_hessian, optimizer._gradient)
     structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-50")
-    results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+    results = continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
     assert sum(r.iterations for r in results) > 0
     assert calls and set(calls) == {None}
 
@@ -810,7 +810,7 @@ def test_small_blocks_are_inverted_by_sweeps(monkeypatch):
     inverses = count_calls(monkeypatch, np.linalg, "inv")
     factors = count_calls(monkeypatch, np.linalg, "cholesky", optimizer._BlockTridiagonalFactor.__init__)
     structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-50")
-    results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+    results = continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
     assert sum(r.iterations for r in results) > 0
     assert inverses == []
     assert factors and set(factors) == {"_BlockTridiagonalFactor.__init__"}
@@ -859,7 +859,7 @@ def test_predicted_ladder_matches_plain_warm_starts(name):
     # reported, on the lift.  The iteration count guards the predictor
     # against regression; it is not a tuned value.
     structure, endpoints, schedule, config, seed = _ladder_inputs(name)
-    predicted = continuation_solve(structure, endpoints, schedule, config, None, seed)
+    predicted = continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
     plain = _plain_ladder(structure, endpoints, schedule, config, seed)
     if name == "heisenberg-drift":
         predicted, plain = (
@@ -892,7 +892,7 @@ def test_chord_presets_match_plain_warm_starts_bitwise(name, kick):
     structure, endpoints, schedule, config, seed = _ladder_inputs(name)
     if kick:
         seed = sinusoidal_deflection(config.grid_size, structure.dimension, 0.05)
-    results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+    results = continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
     _assert_same_results(results, _plain_ladder(structure, endpoints, schedule, config, seed))
 
 
@@ -917,7 +917,7 @@ def test_predicted_start_with_degenerate_frame_falls_back(monkeypatch, caplog):
     monkeypatch.setattr(optimizer, "_evaluate", degenerate_when_predicted)
     structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-50")
     with caplog.at_level(logging.DEBUG, logger="pengeo"):
-        results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+        results = continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
     starts = [r.getMessage() for r in caplog.records if "rung start" in r.getMessage()]
     assert refused and len(starts) == len(results)
     assert all(line.endswith("predicted start not used") for line in starts)
@@ -928,7 +928,7 @@ def test_predicted_start_with_degenerate_frame_falls_back(monkeypatch, caplog):
 def test_continuation_logs_one_debug_line_per_rung(caplog):
     structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-50")
     with caplog.at_level(logging.DEBUG, logger="pengeo"):
-        results = continuation_solve(structure, endpoints, schedule, config, None, seed)
+        results = continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
     lines = [r.getMessage() for r in caplog.records if "rung start" in r.getMessage()]
     assert len(lines) == len(results)
     # Each line names the start its rung took: the initial path, the
