@@ -11,13 +11,9 @@ batch front end.
 __version__ = "0.1.0"
 
 from .diagnostics import (
-    CauchyReport,
-    CauchyStep,
     ConvergenceReport,
     NotHorizontalError,
-    QRecord,
     distance_chain_report,
-    minimizer_cauchy_report,
     pointwise_affine_check,
     recovery_sequence_check,
 )
@@ -75,13 +71,9 @@ from .problems import (
 
 __all__ = [
     "__version__",
-    "CauchyReport",
-    "CauchyStep",
     "ConvergenceReport",
     "NotHorizontalError",
-    "QRecord",
     "distance_chain_report",
-    "minimizer_cauchy_report",
     "pointwise_affine_check",
     "recovery_sequence_check",
     "DriftField",

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .diagnostics import ConvergenceReport, distance_chain_report, minimizer_cauchy_report
+from .diagnostics import ConvergenceReport, distance_chain_report
 from .drift import (
     _lifted_evaluation,
     _pull_back,
@@ -75,7 +75,7 @@ _SECTION_KEYS = {
     "schedule": {"q_start", "ratio", "step_count"},
     "solver": {"max_iterations"},
     "drift": {"kind", "vector", "matrix"},
-    "structure": {"dimension", "rank", "metric", "frame"},
+    "structure": {"dimension", "frame"},
     "output": {"root"},
 }
 
@@ -238,18 +238,13 @@ def _compile_polynomial(text: str, dimension: int, key: str):
 def _parse_structure(section) -> SubRiemannianStructure:
     """Build a structure from an inline [structure] section.
 
-    The metric is a named preset (only ``euclidean`` is built in); the frame
-    is a semicolon-separated list of columns, each column a comma-separated
-    tuple of polynomial entries in x1..xn, parentheses optional.
+    The metric is Euclidean; the frame is a semicolon-separated list of
+    columns, each column a comma-separated tuple of polynomial entries in
+    x1..xn, parentheses optional.  The rank is the number of columns.
     """
     dimension = _get_int(section, "dimension", 0)
     if dimension < 1:
         raise ConfigError("key 'dimension' must be a positive integer")
-    metric_name = section.get("metric", "euclidean").strip().lower()
-    if metric_name != "euclidean":
-        raise ConfigError(
-            f"key 'metric': unknown preset {metric_name!r} (only 'euclidean' is built in)"
-        )
     eye = np.eye(dimension)
     metric = MetricField(gram=lambda pts: eye)
 
@@ -267,11 +262,6 @@ def _parse_structure(section) -> SubRiemannianStructure:
             )
         columns.append([_compile_polynomial(e, dimension, "frame") for e in entries])
     rank = len(columns)
-    declared = _get_int(section, "rank", rank)
-    if declared != rank:
-        raise ConfigError(
-            f"key 'rank' says {declared} but the frame has {rank} columns"
-        )
 
     def frame_columns(pts: np.ndarray) -> np.ndarray:
         out = np.empty((pts.shape[0], dimension, rank))
@@ -433,7 +423,7 @@ def _path_file_name(q: float) -> str:
 
 
 def _write_results_csv(
-    out_dir: Path, problem: Problem, records, dimension: int, wall_time: float
+    out_dir: Path, problem: Problem, chain: ConvergenceReport, dimension: int, wall_time: float
 ) -> None:
     lines = [
         f"# problem: {problem.name}",
@@ -443,10 +433,10 @@ def _write_results_csv(
         f"# wall_time_s: {wall_time:.3f}",
         "q,energy,length,defect,iterations,converged,gradient_norm,rho0,rho1",
     ]
-    for rec in records:
-        fields = [_fmt(rec.q), _fmt(rec.energy), _fmt(rec.length), _fmt(rec.defect)]
-        fields += [str(rec.iterations), str(rec.converged).lower(), _fmt(rec.gradient_norm)]
-        fields += ["nan" if r is None else _fmt(np.max(r)) for r in (rec.rho0, rec.rho1)]
+    for res, rho0, rho1 in zip(chain.results, chain.rho0, chain.rho1):
+        fields = [_fmt(res.q), _fmt(res.energy), _fmt(res.length), _fmt(res.defect)]
+        fields += [str(res.iterations), str(res.converged).lower(), _fmt(res.gradient_norm)]
+        fields += ["nan" if r is None else _fmt(np.max(r)) for r in (rho0, rho1)]
         lines.append(",".join(fields))
     (out_dir / "results.csv").write_text("\n".join(lines) + "\n")
 
@@ -518,9 +508,12 @@ def _run_ladder(
 
     A solver failure (line-search underflow, a degenerate frame, a diverging
     flow) writes ``report.txt`` as ``solver failure: <message>``, prints the
-    same line to stderr and returns 1.  Otherwise the run passes when every
-    rung converged, energies rise, defects fall, the Cauchy check (if any)
-    holds and the command's own verdicts hold.
+    same line to stderr and returns 1.  Otherwise one
+    :func:`distance_chain_report` covers the ladder: its chain block heads
+    ``report.txt`` and, from two rungs on, its Cauchy table ends it.  The run
+    passes when every rung converged, energies rise, defects fall, the
+    Cauchy check (if the limit is declared unique) holds and the command's
+    own verdicts hold.
     """
     problem = spec.problem
     out_dir = _resolve_out_dir(out, spec)
@@ -542,15 +535,12 @@ def _run_ladder(
     wall = time.perf_counter() - started
 
     results = ladder.results
-    chain = distance_chain_report(results, ladder.reference_distance)
-    cauchy = None
-    if len(results) > 1:
-        cauchy = minimizer_cauchy_report(
-            results, problem.unique_limit, problem.cauchy_rho1_tol
-        )
+    chain = distance_chain_report(
+        results, ladder.reference_distance, problem.unique_limit, problem.cauchy_rho1_tol
+    )
 
     final = results[-1].path
-    _write_results_csv(out_dir, problem, chain.records, final.dimension, wall)
+    _write_results_csv(out_dir, problem, chain, final.dimension, wall)
     for res in results:
         _write_samples_csv(
             out_dir / _path_file_name(res.q), res.path.times, res.path.points, "x"
@@ -560,15 +550,15 @@ def _run_ladder(
     report_text = chain.format_text()
     if ladder.report:
         report_text += "\n" + ladder.report
-    if cauchy is not None:
-        report_text += "\n" + cauchy.format_text()
+    if len(results) > 1:
+        report_text += "\n" + chain.format_cauchy()
     (out_dir / "report.txt").write_text(report_text)
 
-    for rec in chain.records:
+    for res in results:
         print(
-            f"  q={rec.q:g}: energy={rec.energy:.12g} length={rec.length:.12g}"
-            f" defect={rec.defect:.3e} iterations={rec.iterations}"
-            f" converged={str(rec.converged).lower()}"
+            f"  q={res.q:g}: energy={res.energy:.12g} length={res.length:.12g}"
+            f" defect={res.defect:.3e} iterations={res.iterations}"
+            f" converged={str(res.converged).lower()}"
         )
     if ladder.summary is not None:
         print(ladder.summary)
@@ -576,7 +566,7 @@ def _run_ladder(
         all(r.converged for r in results)
         and chain.energies_nondecreasing
         and chain.defects_nonincreasing
-        and (cauchy is None or cauchy.passed is not False)
+        and chain.cauchy_passed is not False
         and ladder.verdict(chain)
     )
     print(f"results written to {out_dir}")

@@ -39,14 +39,15 @@ __all__ = [
 HORIZONTAL_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretePath:
     """Uniformly sampled path, its points of shape (N+1, n) with N >= 2.
 
     Rows 0 and -1 are the pinned endpoints, read as :attr:`start` and
     :attr:`end`.  The constructor stores a read-only copy of the points and
     raises ValueError unless they are a finite 2-d array with at least three
-    rows, so a path can be shared freely between solver iterations.
+    rows, so a path can be shared freely between solver iterations.  Paths
+    compare by identity; compare ``points`` to compare samples.
     """
 
     points: np.ndarray

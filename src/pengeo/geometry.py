@@ -94,10 +94,6 @@ class MetricField:
 
     gram: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, p) -> np.ndarray:
-        pt = as_point(p)
-        return self.gram_batch(pt[None, :])[0]
-
     def gram_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the Gram matrix at every row of ``points`` (shape (m, n))."""
         m, n = points.shape
@@ -125,10 +121,6 @@ class FrameField:
     """
 
     columns: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, p) -> np.ndarray:
-        pt = as_point(p)
-        return self.frame_batch(pt[None, :])[0]
 
     def frame_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the frame matrix at every row of ``points`` (shape (m, n))."""

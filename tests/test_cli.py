@@ -147,8 +147,6 @@ def test_solve_inline_structure_matches_preset(tmp_path):
 
         [structure]
         dimension = 3
-        rank = 2
-        metric = euclidean
         frame = (1, 0, -x2/2); (0, 1, x1/2)
 
         [schedule]
@@ -330,6 +328,32 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             sufficient_decrease = 1e-4
             """,
             "sufficient_decrease",
+        ),
+        "removed_metric.ini": (
+            """
+            [structure]
+            dimension = 2
+            metric = euclidean
+            frame = (1, 0); (0, 1)
+
+            [problem]
+            start = 0, 0
+            end = 1, 0
+            """,
+            "metric",
+        ),
+        "removed_rank.ini": (
+            """
+            [structure]
+            dimension = 2
+            rank = 2
+            frame = (1, 0); (0, 1)
+
+            [problem]
+            start = 0, 0
+            end = 1, 0
+            """,
+            "rank",
         ),
         # Constant frame entries that are not finite are malformed input.
         "infinite_frame_constant.ini": (

@@ -11,11 +11,13 @@ from pengeo import (
     SolveResult,
     continuation_solve,
     distance_chain_report,
+    energy,
     horizontality_defect,
-    minimizer_cauchy_report,
+    limit_energy,
     pointwise_affine_check,
     recovery_sequence_check,
 )
+from pengeo import functionals
 from conftest import random_path
 
 
@@ -78,8 +80,8 @@ def test_chain_report_on_real_run(heisenberg_chord_run):
     assert report.defects_nonincreasing
     assert report.lengths_within_reference
     assert abs(report.final_gap) < 1e-4
-    assert report.records[0].rho0 is None
-    assert report.records[1].rho1 is not None
+    assert report.rho0[0] is None
+    assert report.rho1[1] is not None
     text = report.format_text()
     assert "nondecreasing" in text
     assert "q=1000" in text or "1000" in text
@@ -107,25 +109,58 @@ def test_chain_report_validation():
 
 
 def test_cauchy_report_on_unique_limit(heisenberg_chord_run):
-    report = minimizer_cauchy_report(heisenberg_chord_run, unique_limit=True)
-    assert report.passed is True
-    assert report.final_rho1_max <= 1e-6
-    text = report.format_text()
+    report = distance_chain_report(heisenberg_chord_run, unique_limit=True)
+    assert report.cauchy_passed is True
+    assert float(np.max(report.rho1[-1])) <= 1e-6
+    text = report.format_cauchy()
     assert "rho" in text
 
 
 def test_cauchy_report_without_uniqueness(heisenberg_chord_run):
-    report = minimizer_cauchy_report(heisenberg_chord_run, unique_limit=False)
-    assert report.passed is None
+    report = distance_chain_report(heisenberg_chord_run, unique_limit=False)
+    assert report.cauchy_passed is None
 
 
 def test_cauchy_report_needs_two_results(heisenberg_chord_run):
+    report = distance_chain_report(heisenberg_chord_run[:1], unique_limit=True)
+    assert report.cauchy_passed is None
     with pytest.raises(ValueError):
-        minimizer_cauchy_report(heisenberg_chord_run[:1], unique_limit=True)
+        report.format_cauchy()
 
 
 def test_cauchy_report_needs_matching_grids(heisenberg_chord_run):
     small = DiscretePath.chord(np.zeros(3), np.array([1.0, 0.0, 0.0]), 10)
     mismatched = list(heisenberg_chord_run) + [_fake_result(1e5, small, 0.5, 1.0, 0.0)]
     with pytest.raises(ValueError):
-        minimizer_cauchy_report(mismatched, unique_limit=True)
+        distance_chain_report(mismatched, unique_limit=True)
+
+
+def test_witnesses_factor_the_path_once(heisenberg, rng, monkeypatch):
+    # Each witness evaluates its path once and re-forms it at every q, which
+    # gives the energies energy() gives, bitwise.
+    path = random_path(heisenberg, 30, rng)
+    chord = DiscretePath.chord(np.zeros(3), np.array([1.0, 0.0, 0.0]), 50)
+    qs = [1.0, 3.0, 10.0, 30.0, 100.0]
+    energies = np.array([energy(heisenberg, q, path) for q in qs])
+    design = np.column_stack([np.ones(len(qs)), qs])
+    coeffs, *_ = np.linalg.lstsq(design, energies, rcond=None)
+    expected_fit = (
+        float(coeffs[0]),
+        float(coeffs[1]),
+        float(np.max(np.abs(energies - design @ coeffs))),
+    )
+    limit = limit_energy(heisenberg, chord)
+    expected_gap = max(abs(energy(heisenberg, q, chord) - limit) for q in qs)
+
+    factored = []
+    original = functionals._factor_frame
+
+    def counted(structure, points, times=None):
+        factored.append(points.shape[0])
+        return original(structure, points, times)
+
+    monkeypatch.setattr(functionals, "_factor_frame", counted)
+    assert pointwise_affine_check(heisenberg, path, qs) == expected_fit
+    assert len(factored) == 1
+    assert recovery_sequence_check(heisenberg, chord, qs) == expected_gap
+    assert len(factored) == 2

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import importlib
+import re
+from pathlib import Path
 
 import pengeo
 
@@ -20,3 +22,19 @@ def test_package_exports_are_exactly_the_submodule_exports():
     assert set(pengeo.__all__) - {"__version__"} == union
     for attr in pengeo.__all__:
         assert hasattr(pengeo, attr), f"pengeo.__all__ lists missing {attr!r}"
+
+
+def test_readme_entry_points_are_exported():
+    # Each "Key entry points" bullet of the README's library quick start
+    # leads with backticked names; every one must be a package attribute,
+    # so deleting a name without editing the README fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    bullets = section.split("Key entry points:", 1)[1].split("\n- ")[1:]
+    assert bullets
+    for bullet in bullets:
+        lead = re.match(r"(?:`[^`]+`[,\s]*)+", bullet)
+        assert lead, f"entry-point bullet does not lead with a name: {bullet[:40]!r}"
+        for quoted in re.findall(r"`([^`]+)`", lead.group(0)):
+            name = quoted.split("(")[0]
+            assert hasattr(pengeo, name), f"README entry point {name!r} is not in pengeo"

@@ -57,6 +57,15 @@ def test_path_points_are_read_only():
         path.points[1, 0] = 99.0
 
 
+def test_paths_compare_by_identity_without_raising():
+    # Equality on the points would compare arrays elementwise, whose truth
+    # value is ambiguous; paths compare by identity instead.
+    a = DiscretePath.chord(np.zeros(2), np.ones(2), 4)
+    b = DiscretePath.chord(np.zeros(2), np.ones(2), 4)
+    assert (a == b) is False
+    assert a == a
+
+
 def test_with_interior_keeps_endpoints_bitwise():
     start = np.array([0.1, -0.7])
     end = np.array([2.0, 0.3])

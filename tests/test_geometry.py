@@ -126,7 +126,7 @@ def test_check_penalty_validation():
 def test_metric_field_rejects_asymmetric_gram():
     bad = MetricField(gram=lambda p: np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        bad(np.zeros(2))
+        bad.gram_batch(np.zeros((1, 2)))
 
 
 def test_gram_batch_of_zero_points(heisenberg):
