@@ -38,7 +38,7 @@ from .drift import (
     solve_drift_problem,
     zero_drift,
 )
-from .functionals import DiscretePath, _evaluate, semimetric_rho
+from .functionals import DiscretePath, _evaluate, _rms_gap, _segments
 from .geometry import DegenerateFrameError, FrameField, MetricField, SubRiemannianStructure
 from .optimizer import (
     ContinuationSchedule,
@@ -700,7 +700,8 @@ def _cmd_diagnose(results_dir: str) -> int:
         print(f"q={q:g} {what} [MISMATCH]")
         failures.append((q, what, float("nan")))
 
-    previous_path = previous = None  # the last row's path and, if it re-derived, its evaluation
+    # The last row's path, its segments and, if it re-derived, its evaluation.
+    previous_path = previous_segments = previous = None
     for index, row in enumerate(rows):
         q = number(index, "q")
         try:
@@ -722,20 +723,22 @@ def _cmd_diagnose(results_dir: str) -> int:
         else:
             for field_name in ("energy", "length", "defect"):
                 check(q, field_name, number(index, field_name), getattr(evaluation, field_name))
+        # A tampered path far from its neighbour reads as rho = inf.
+        with np.errstate(over="ignore"):
+            segments = _segments(path)
         for order, field_name in ((0, "rho0"), (1, "rho1")):
             if previous_path is None:
                 if row.get(field_name) != "nan":
                     mismatch(q, f"{field_name}: expected nan on the first row")
                 continue
             try:
-                # A tampered path far from its neighbour reads as rho = inf.
                 with np.errstate(over="ignore"):
-                    recomputed = float(np.max(semimetric_rho(previous_path, path, order)))
+                    recomputed = float(np.max(_rms_gap(previous_segments[order], segments[order])))
             except ValueError as exc:  # the two paths differ in grid size or dimension
                 mismatch(q, f"{field_name}: re-derivation failed: {exc}")
                 continue
             check(q, field_name, number(index, field_name), recomputed)
-        previous_path, previous = path, evaluation
+        previous_path, previous_segments, previous = path, segments, evaluation
 
     if failures:
         print(f"diagnose: {len(failures)} mismatches found")

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .functionals import HORIZONTAL_TOLERANCE, DiscretePath, _evaluate, semimetric_rho
+from .functionals import HORIZONTAL_TOLERANCE, DiscretePath, _evaluate, _rms_gap, _segments
 from .geometry import SubRiemannianStructure
 
 __all__ = [
@@ -192,9 +192,9 @@ def distance_chain_report(
     if not results:
         raise ValueError("need at least one continuation result")
     results = tuple(results)
-    steps = list(zip(results, results[1:]))
-    rho0 = (None,) + tuple(semimetric_rho(prev.path, curr.path, 0) for prev, curr in steps)
-    rho1 = (None,) + tuple(semimetric_rho(prev.path, curr.path, 1) for prev, curr in steps)
+    # semimetric_rho of each neighbouring pair, from each path segmented once.
+    mids, vels = zip(*(_segments(r.path) for r in results))
+    rho0, rho1 = ((None,) + tuple(map(_rms_gap, xs, xs[1:])) for xs in (mids, vels))
 
     energies = [r.energy for r in results]
     lengths = [r.length for r in results]

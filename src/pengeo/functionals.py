@@ -234,15 +234,13 @@ def semimetric_rho(path_a: DiscretePath, path_b: DiscretePath, order: int) -> np
     """
     if order not in (0, 1):
         raise ValueError(f"order must be 0 or 1, got {order}")
-    if path_a.grid_size != path_b.grid_size or path_a.dimension != path_b.dimension:
-        raise ValueError(
-            "paths must share grid size and dimension:"
-            f" ({path_a.grid_size}, {path_a.dimension}) vs ({path_b.grid_size}, {path_b.dimension})"
-        )
     return _rms_gap(_segments(path_a)[order], _segments(path_b)[order])
 
 
 def _rms_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-column root mean square of a - b."""
+    """Per-column root mean square of a - b, two segment stacks of one path
+    shape (grid size, dimension); ValueError if the shapes differ."""
+    if a.shape != b.shape:
+        raise ValueError(f"paths must share grid size and dimension: {a.shape} vs {b.shape}")
     diff = a - b
     return np.sqrt(np.mean(diff * diff, axis=0))

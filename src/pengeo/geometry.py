@@ -8,7 +8,8 @@ metric (as a Gram-matrix field) with a frame of vector fields spanning the
 constraint distribution.  The penalized metric keeps the base metric on the
 distribution and scales its g-orthogonal complement by a factor q >= 1, so
 q = 1 recovers the base metric and large q makes non-horizontal motion
-expensive.
+expensive.  The solver's derivatives read central differences of the two
+fields; a metric difference stack that is exactly zero is None, not formed.
 
 All operations here are pure functions of immutable inputs and are safe to
 call concurrently.
@@ -212,10 +213,12 @@ class _FrameFactor:
         return 0.5 * (Gq + Gq.transpose(0, 2, 1))
 
 
-def _contract(X: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _contract(X: Optional[np.ndarray], u: np.ndarray) -> Optional[np.ndarray]:
     """Contract the last axis of the stack X (m, ..., l) with the column stack
     u (m, l, 1), segment by segment: one batched matmul on a free reshape of
-    X, of shape X.shape[:-1]."""
+    X, of shape X.shape[:-1]; a None (exactly zero) stack contracts to None."""
+    if X is None:
+        return None
     return np.matmul(X.reshape(X.shape[0], -1, X.shape[-1]), u).reshape(X.shape[:-1])
 
 
@@ -368,7 +371,8 @@ def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, ti
     the copies, of shapes (2, m, n, n, n) and (2, m, n, n, k) with the plus
     copies first, which :func:`_field_stencil` reuses.  The segment comes
     before the coordinate, so every stack reshapes for free into the
-    batched matmuls of the Newton step.  No frame is factored.
+    batched matmuls of the Newton step.  No frame is factored.  dG is None
+    when it is exactly zero, as for any metric that does not depend on the point.
     """
     m, n = points.shape
     h = _fd_step(points)
@@ -377,7 +381,8 @@ def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, ti
     G, F = structure._fields(rows, np.tile(np.repeat(times, n), 2))
     G = G.reshape(2, m, n, n, n)
     F = F.reshape(2, m, n, n, -1)
-    return (G[0] - G[1]) / (2.0 * h), (F[0] - F[1]) / (2.0 * h), G, F
+    dG = (G[0] - G[1]) / (2.0 * h)
+    return dG if dG.any() else None, (F[0] - F[1]) / (2.0 * h), G, F
 
 
 def _field_stencil(structure: SubRiemannianStructure, factor: _FrameFactor, points, times, first):
@@ -393,7 +398,9 @@ def _field_stencil(structure: SubRiemannianStructure, factor: _FrameFactor, poin
     axes after it.  No frame is factored, but the checks of
     :func:`_factor_frame` still hold: F^T G F must be finite and well
     conditioned on the first-order rows, and G finite on the mixed ones, or
-    :class:`DegenerateFrameError` is raised.
+    :class:`DegenerateFrameError` is raised.  d2G is None, and not formed,
+    when G reads back bitwise equal to the factor's G on every first-order
+    and every mixed row.
     """
     m, n = points.shape
     h = _fd_step(points)
@@ -416,7 +423,9 @@ def _field_stencil(structure: SubRiemannianStructure, factor: _FrameFactor, poin
         out[:, c, d] = out[:, d, c] = (mixed[0] - mixed[1] - mixed[2] + mixed[3]) / (4.0 * h**2)
         return out
 
-    return second(G, Gs, factor.G), second(F, Fs, factor.F)
+    G0 = factor.G[:, None]
+    flat = (Gs == G0).all() and (G.reshape(4, m, c.size, n, n) == G0).all()
+    return None if flat else second(G, Gs, factor.G), second(F, Fs, factor.F)
 
 
 def penalized_forms(structure: SubRiemannianStructure, q, points, vectors):

@@ -18,7 +18,10 @@ metric at the segment midpoints, carries both ill-conditioning sources (the
 1/N^2 grid stiffness and the penalty q); the base-point and mixed parts,
 also O(q), follow by the chain rule through the accepted evaluation's frame
 factor, from first and second differences of the metric and frame fields
-at shifted midpoints, and factor no frame.  Where the
+at shifted midpoints, and factor no frame.  A metric difference stack
+that is exactly zero, as on every preset, inline ``[structure]`` and drift
+pull-back of them, is None and neither formed nor contracted; a metric that
+depends on the point takes the full chain rule.  Where the
 Hessian H is not positive definite the direction solves against
 (H + mu H0) / (1 + mu) instead, with the shift mu raised geometrically
 until the factorization succeeds (Nocedal & Wright, *Numerical
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -188,7 +192,8 @@ def _gradient(structure, evaluation, first=None):
     gradient of D/2; it is assembled from the slopes of the flux and of the
     base-point derivative, from the same field differences.  Those come from
     :func:`_field_differences`, unless ``first`` already holds them for the
-    evaluation's segments, and the Hessian at the same evaluation reuses them.
+    evaluation's segments, and the Hessian at the same evaluation reuses them;
+    a None dG is exactly zero, and the terms that contract it are omitted.
     """
     q, mids, vels = evaluation.q, evaluation.mids, evaluation.vels
     N, n = vels.shape
@@ -212,12 +217,19 @@ def _gradient(structure, evaluation, first=None):
         first = _field_differences(structure, mids, evaluation.times)
     dG, dF = first[:2]
     v, c, r, Gr = evaluation.columns()
-    dQ_slope = _contract(_contract(dG, r), r) - 2.0 * _contract(_contract(dF, c), Gr)
-    dQ_full = _contract(_contract(dG, v), v) + (q - 1.0) * dQ_slope
+    dQ_slope = _sum(_contract(_contract(dG, r), r), -2.0 * _contract(_contract(dF, c), Gr))
+    dQ_full = _sum(_contract(_contract(dG, v), v), (q - 1.0) * dQ_slope)
     dQ = np.stack([dQ_full, dQ_slope]) / (4.0 * N)
     grads[:, :-1] += dQ
     grads[:, 1:] += dQ
     return grads[0, 1:-1].ravel(), grads[1, 1:-1].ravel(), first
+
+
+def _sum(*terms):
+    """The sum from the left of the terms that are not None.  A term that
+    contracts a None (exactly zero) metric stack is None and omitted, which
+    changes no bit of the sum: x + 0.0 = x and 0.0 - y = -y."""
+    return reduce(np.add, [term for term in terms if term is not None])
 
 
 def _pad_block(stack: np.ndarray) -> np.ndarray:
@@ -355,7 +367,8 @@ def _base_point_hessian(structure, evaluation, first):
     this evaluation, of shapes (N, n, n, n) and (N, n, n, k), and the second
     ones come from :func:`_field_stencil`, which reuses them: one field
     evaluation on the 2n(n - 1) N mixed rows and no frame factorization,
-    of shapes (N, n, n, n, n) and (N, n, n, n, k).  With the segment first,
+    of shapes (N, n, n, n, n) and (N, n, n, n, k); the terms that contract a
+    None (exactly zero) dG or d2G are omitted.  With the segment first,
     every contraction is a batched matmul over segments of a free reshape,
     and both twist terms share w_c = (G r)^T dF_c.
     """
@@ -370,22 +383,23 @@ def _base_point_hessian(structure, evaluation, first):
     dFc = _contract(dF, c)
     dGr = _contract(dG, r)
     w = np.matmul(Gr.transpose(0, 2, 1)[:, None], dF)[:, :, 0]  # w_c = (G r)^T dF_c
-    dc = np.matmul(w + np.matmul(dGr, F), factor.Sinv.transpose(0, 2, 1)) - np.matmul(
+    dGrF = None if dGr is None else np.matmul(dGr, F)
+    dc = np.matmul(_sum(w, dGrF), factor.Sinv.transpose(0, 2, 1)) - np.matmul(
         dFc, Fplus.transpose(0, 2, 1)
     )
     dr = -(dFc + np.matmul(dc, F.transpose(0, 2, 1)))
     # dflux_c = dG_c r + G d_c r, the complement's part of the flux derivative.
-    dflux = dGr + np.matmul(dr, G.transpose(0, 2, 1))
+    dflux = _sum(dGr, np.matmul(dr, G.transpose(0, 2, 1)))
 
-    J = (_contract(dG, v) + (q - 1.0) * dflux).transpose(0, 2, 1)
+    J = _sum(_contract(dG, v), (q - 1.0) * dflux).transpose(0, 2, 1)
     twist = _contract(_contract(d2F, c), Gr) + np.matmul(w, dc.transpose(0, 2, 1))
-    slope = (
-        _contract(_contract(d2G, r), r)
-        + 2.0 * np.matmul(dGr, dr.transpose(0, 2, 1))
-        - 2.0 * twist
-        - 2.0 * np.matmul(dFc, dflux.transpose(0, 2, 1))
+    slope = _sum(
+        _contract(_contract(d2G, r), r),
+        None if dGr is None else 2.0 * np.matmul(dGr, dr.transpose(0, 2, 1)),
+        -2.0 * twist,
+        -2.0 * np.matmul(dFc, dflux.transpose(0, 2, 1)),
     )
-    Q = _contract(_contract(d2G, v), v) + (q - 1.0) * slope
+    Q = _sum(_contract(_contract(d2G, v), v), (q - 1.0) * slope)
 
     # Per segment: the mid-mid part Q / 8N enters all four end blocks, the
     # mixed part enters the diagonal blocks as -+(J + J^T)/2 and the block

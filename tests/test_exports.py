@@ -38,3 +38,13 @@ def test_readme_entry_points_are_exported():
         for quoted in re.findall(r"`([^`]+)`", lead.group(0)):
             name = quoted.split("(")[0]
             assert hasattr(pengeo, name), f"README entry point {name!r} is not in pengeo"
+
+
+def test_readme_catalogue_table_lists_exactly_the_presets():
+    # The README's problem-catalogue table names every preset of
+    # problem_names() once and nothing else, so a preset cannot be added or
+    # removed without the doc.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Problem catalogue", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert sorted(names) == sorted(pengeo.problem_names())

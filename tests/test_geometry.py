@@ -378,10 +378,13 @@ def test_field_stencil_keeps_the_frame_checks():
     message = re.escape(f"at point {point} (frame Gram condition number ") + r"1\.0\d*e\+10"
     with pytest.raises(DegenerateFrameError, match=message):
         derivatives(structure)
-    # Neither field varies on a plain plane: every difference is zero.
+    # Neither field varies on a plain plane: the metric stacks are None, as
+    # every exactly zero metric derivative is, and the frame stacks are zero.
     structure = _plane_structure(lambda pts: np.eye(2), unit)
-    for difference in derivatives(structure):
-        np.testing.assert_array_equal(difference, 0.0)
+    dG, dF, d2G, d2F = derivatives(structure)
+    assert dG is None and d2G is None
+    np.testing.assert_array_equal(dF, 0.0)
+    np.testing.assert_array_equal(d2F, 0.0)
 
 
 class _ClockedStructure(SubRiemannianStructure):

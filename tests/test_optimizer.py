@@ -21,12 +21,13 @@ from pengeo import (
     linear_drift,
     get_problem,
     minimize_energy,
+    problem_names,
     sinusoidal_deflection,
     vertical_heisenberg_problem,
 )
 from pengeo.drift import _lifted_result, _pull_back
 from pengeo.functionals import _evaluate
-from pengeo.geometry import DegenerateFrameError
+from pengeo.geometry import DegenerateFrameError, _factor_frame, _field_differences, _field_stencil
 from pengeo.optimizer import (
     DECREMENT_TOLERANCE,
     _base_point_hessian,
@@ -36,6 +37,7 @@ from pengeo.optimizer import (
     _velocity_hessian,
 )
 from conftest import count_calls, fd_energy_gradient, fd_energy_hessian, nan_hessian, random_path
+from test_geometry import _ClockedStructure
 
 
 def test_solver_config_validation():
@@ -271,6 +273,60 @@ def test_hessian_matches_finite_differences_of_the_gradient(heisenberg, martinet
             _assert_hessian_matches(structure, q, random_path(structure, 12, rng, scale=0.3))
         path = random_path(drifted, 12, rng, scale=0.3, start=start, end=end)
         _assert_hessian_matches(drifted, q, path)
+
+
+def _metric_stacks(structure, rng):
+    """(dG, d2G) of the field differences and stencil at a few points and times."""
+    points = 0.3 * rng.normal(size=(7, structure.dimension))
+    times = np.linspace(0.05, 0.95, 7)
+    first = _field_differences(structure, points, times)
+    factor = _factor_frame(structure, points, times)
+    return first[0], _field_stencil(structure, factor, points, times, first)[0]
+
+
+def test_metric_stacks_are_none_exactly_where_the_metric_does_not_move(heisenberg, rng):
+    # Every preset's metric, and its drift pull-back J(t)^T G J(t), does not
+    # depend on the point, so both metric stacks are None there; a metric
+    # that varies in the point, or in the point and time, gives arrays.
+    problems = [get_problem(name) for name in problem_names()] + [vertical_heisenberg_problem(50)]
+    for problem in problems:
+        structure = _pull_back(problem.structure, problem.drift) if problem.has_drift else problem.structure
+        assert _metric_stacks(structure, rng) == (None, None), structure.name
+    clocked = _ClockedStructure(3, 2, heisenberg.metric, heisenberg.frame, "clocked")
+    for structure in (
+        _warped_heisenberg(heisenberg),
+        _bent_line_on_the_plane(),
+        _warped_rank_two_on_r4(),
+        clocked,
+    ):
+        for stack in _metric_stacks(structure, rng):
+            assert isinstance(stack, np.ndarray), structure.name
+
+
+def test_omitted_metric_terms_change_no_bit(heisenberg, rng, monkeypatch):
+    # The gradient and the Hessian blocks from None metric stacks are
+    # bitwise those of the full formulas on explicit zero stacks, on a flat
+    # metric under a frame with second derivatives and on a drift pull-back.
+    from pengeo import optimizer
+
+    stencil = optimizer._field_stencil
+    start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
+    for structure in (_mixed_frame_heisenberg(), _drift_heisenberg(heisenberg)):
+        evaluation = _evaluate(structure, 10.0, random_path(structure, 12, rng, 0.3, start, end))
+        first = _gradient(structure, evaluation)[2]
+        assert first[0] is None
+        zeros = (np.zeros((12, 3, 3, 3)),) + first[1:]
+        omitted = _gradient(structure, evaluation, first)[:2]
+        for a, b in zip(omitted, _gradient(structure, evaluation, zeros)[:2]):
+            np.testing.assert_array_equal(a, b)
+        omitted = _base_point_hessian(structure, evaluation, first)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                optimizer, "_field_stencil", lambda *args: (np.zeros((12, 3, 3, 3, 3)), stencil(*args)[1])
+            )
+            full = _base_point_hessian(structure, evaluation, zeros)
+        for a, b in zip(omitted, full):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_gradient_affine_in_q(heisenberg, rng):
