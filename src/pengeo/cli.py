@@ -2,7 +2,9 @@
 
 Configurations are INI files with sections [problem], [schedule], [solver],
 [drift], [structure], and [output]; every key is validated against a
-whitelist so a typo fails fast with the offending name.  Runs write
+whitelist so a typo fails fast with the offending name.  ``solve`` and
+``drift-solve`` share one run path; a drift run differs only in the solver it
+calls, two extra tables, a report block and its verdicts.  Runs write
 comma-separated tables with 17 significant digits, which round-trips doubles
 exactly; that is what lets ``diagnose`` re-derive every reported number from
 the stored path samples and flag any mismatch.
@@ -24,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -486,36 +488,30 @@ def _cmd_list_problems() -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _Ladder:
-    """What a command's solve step hands to the shared run pipeline: the ladder,
-    the command's own verdicts on the chain report, the reference distance for
-    its length checks, extra (file name, values, column prefix) tables on the
-    final grid, a block for ``report.txt`` and a summary line."""
-
-    results: list
-    verdict: Callable[[ConvergenceReport], bool]
-    reference_distance: Optional[float] = None
-    tables: tuple = ()
-    report: str = ""
-    summary: Optional[str] = None
-
-
-def _run_ladder(
-    config_path: str, out: Optional[str], spec: RunSpec, solve: Callable[[], _Ladder]
-) -> int:
-    """Run ``solve`` and write, print and judge what it returns.
+def _cmd_run(command: str, config_path: str, out: Optional[str]) -> int:
+    """Run ``solve`` or ``drift-solve`` on a config; write, print and judge the ladder.
 
     A solver failure (line-search underflow, a degenerate frame, a diverging
     flow) writes ``report.txt`` as ``solver failure: <message>``, prints the
     same line to stderr and returns 1.  Otherwise one
     :func:`distance_chain_report` covers the ladder: its chain block heads
-    ``report.txt`` and, from two rungs on, its Cauchy table ends it.  The run
-    passes when every rung converged, energies rise, defects fall, the
-    Cauchy check (if the limit is declared unique) holds and the command's
-    own verdicts hold.
+    ``report.txt`` and, from two rungs on, its Cauchy table ends it.  A drift
+    run also writes ``controls.csv`` and ``trajectory.csv`` on the final grid
+    and puts a "drift reduction" block between the two.  The run passes when
+    every rung converged, energies rise, defects fall and the Cauchy check (if
+    the limit is declared unique) holds; ``solve`` also needs lengths that
+    rise and stay within the reference distance, ``drift-solve`` a successful
+    drift solve and the control cost identity.
     """
+    spec = parse_config(config_path)
     problem = spec.problem
+    drift = command == "drift-solve"
+    if problem.has_drift != drift:
+        raise ConfigError(
+            f"problem '{problem.name}' includes a drift field; use the drift-solve command"
+            if problem.has_drift
+            else f"problem '{problem.name}' has no drift field; use the solve command"
+        )
     out_dir = _resolve_out_dir(out, spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(config_path, out_dir / "config.ini")
@@ -527,29 +523,69 @@ def _run_ladder(
     )
     started = time.perf_counter()
     try:
-        ladder = solve()
+        if drift:
+            solution = solve_drift_problem(
+                problem.structure,
+                problem.drift,
+                problem.start,
+                problem.end,
+                spec.schedule,
+                spec.solver,
+                seed_deflection=problem.seed_deflection(),
+            )
+            results = solution.results
+        else:
+            results = continuation_solve(
+                problem.structure,
+                (problem.start, problem.end),
+                spec.schedule,
+                spec.solver,
+                seed_deflection=problem.seed_deflection(),
+            )
     except (StepUnderflowError, DegenerateFrameError, FloatingPointError) as exc:
         (out_dir / "report.txt").write_text(f"solver failure: {exc}\n")
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - started
 
-    results = ladder.results
     chain = distance_chain_report(
-        results, ladder.reference_distance, problem.unique_limit, problem.cauchy_rho1_tol
+        results,
+        None if drift else problem.reference_distance,
+        problem.unique_limit,
+        problem.cauchy_rho1_tol,
     )
-
     final = results[-1].path
     _write_results_csv(out_dir, problem, chain, final.dimension, wall)
     for res in results:
         _write_samples_csv(
             out_dir / _path_file_name(res.q), res.path.times, res.path.points, "x"
         )
-    for name, values, prefix in ladder.tables:
-        _write_samples_csv(out_dir / name, final.times, values, prefix)
     report_text = chain.format_text()
-    if ladder.report:
-        report_text += "\n" + ladder.report
+    if drift:
+        _write_samples_csv(out_dir / "controls.csv", final.times, solution.control_grid, "Y")
+        _write_samples_csv(out_dir / "trajectory.csv", final.times, solution.trajectory, "x")
+        identity_ok = solution.cost_identity_gap <= IDENTITY_TOLERANCE * (
+            1.0 + abs(solution.control_cost)
+        )
+        report_text += "\n" + "\n".join(
+            [
+                "drift reduction",
+                "=" * 15,
+                "",
+                f"control cost:                     {solution.control_cost:.17g}",
+                f"lifted energy (q = 1):            {solution.lifted_energy:.17g}",
+                f"cost identity |cost - (2E - 1)|:  {solution.cost_identity_gap:.6e}"
+                f" ({'pass' if identity_ok else 'FAIL'})",
+                f"control defect:                   {solution.control_defect:.6e}",
+                f"endpoint mismatch:                {solution.endpoint_mismatch:.6e}",
+                f"time rate deviation:              {solution.time_rate_deviation:.6e}"
+                " (time coordinate pinned)",
+                "",
+            ]
+        )
+        verdict = solution.success and identity_ok
+    else:
+        verdict = chain.lengths_nondecreasing and chain.lengths_within_reference is not False
     if len(results) > 1:
         report_text += "\n" + chain.format_cauchy()
     (out_dir / "report.txt").write_text(report_text)
@@ -560,97 +596,22 @@ def _run_ladder(
             f" defect={res.defect:.3e} iterations={res.iterations}"
             f" converged={str(res.converged).lower()}"
         )
-    if ladder.summary is not None:
-        print(ladder.summary)
+    if drift:
+        print(
+            f"control cost {solution.control_cost:.12g},"
+            f" identity gap {solution.cost_identity_gap:.3e},"
+            f" endpoint mismatch {solution.endpoint_mismatch:.3e}"
+        )
     ok = (
         all(r.converged for r in results)
         and chain.energies_nondecreasing
         and chain.defects_nonincreasing
         and chain.cauchy_passed is not False
-        and ladder.verdict(chain)
+        and verdict
     )
     print(f"results written to {out_dir}")
     print(f"verdicts: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
-
-
-def _cmd_solve(config_path: str, out: Optional[str]) -> int:
-    spec = parse_config(config_path)
-    problem = spec.problem
-    if problem.has_drift:
-        raise ConfigError(
-            f"problem '{problem.name}' includes a drift field; use the drift-solve command"
-        )
-
-    def solve() -> _Ladder:
-        results = continuation_solve(
-            problem.structure,
-            (problem.start, problem.end),
-            spec.schedule,
-            spec.solver,
-            seed_deflection=problem.seed_deflection(),
-        )
-        return _Ladder(
-            results=results,
-            verdict=lambda chain: chain.lengths_nondecreasing
-            and chain.lengths_within_reference is not False,
-            reference_distance=problem.reference_distance,
-        )
-
-    return _run_ladder(config_path, out, spec, solve)
-
-
-def _cmd_drift_solve(config_path: str, out: Optional[str]) -> int:
-    spec = parse_config(config_path)
-    problem = spec.problem
-    if not problem.has_drift:
-        raise ConfigError(
-            f"problem '{problem.name}' has no drift field; use the solve command"
-        )
-
-    def solve() -> _Ladder:
-        solution = solve_drift_problem(
-            problem.structure,
-            problem.drift,
-            problem.start,
-            problem.end,
-            spec.schedule,
-            spec.solver,
-            seed_deflection=problem.seed_deflection(),
-        )
-        identity_ok = solution.cost_identity_gap <= IDENTITY_TOLERANCE * (
-            1.0 + abs(solution.control_cost)
-        )
-        report = [
-            "drift reduction",
-            "=" * 15,
-            "",
-            f"control cost:                     {solution.control_cost:.17g}",
-            f"lifted energy (q = 1):            {solution.lifted_energy:.17g}",
-            f"cost identity |cost - (2E - 1)|:  {solution.cost_identity_gap:.6e}"
-            f" ({'pass' if identity_ok else 'FAIL'})",
-            f"control defect:                   {solution.control_defect:.6e}",
-            f"endpoint mismatch:                {solution.endpoint_mismatch:.6e}",
-            f"time rate deviation:              {solution.time_rate_deviation:.6e}"
-            " (time coordinate pinned)",
-            "",
-        ]
-        return _Ladder(
-            results=solution.results,
-            verdict=lambda chain: solution.success and identity_ok,
-            tables=(
-                ("controls.csv", solution.control_grid, "Y"),
-                ("trajectory.csv", solution.trajectory, "x"),
-            ),
-            report="\n".join(report),
-            summary=(
-                f"control cost {solution.control_cost:.12g},"
-                f" identity gap {solution.cost_identity_gap:.3e},"
-                f" endpoint mismatch {solution.endpoint_mismatch:.3e}"
-            ),
-        )
-
-    return _run_ladder(config_path, out, spec, solve)
 
 
 def _cmd_diagnose(results_dir: str) -> int:
@@ -774,10 +735,8 @@ def main(argv: Optional[list] = None) -> int:
     try:
         if args.command == "list-problems":
             return _cmd_list_problems()
-        if args.command == "solve":
-            return _cmd_solve(args.config, args.out)
-        if args.command == "drift-solve":
-            return _cmd_drift_solve(args.config, args.out)
+        if args.command in ("solve", "drift-solve"):
+            return _cmd_run(args.command, args.config, args.out)
         if args.command == "diagnose":
             return _cmd_diagnose(args.results)
     except ConfigError as exc:

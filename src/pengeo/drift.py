@@ -172,10 +172,10 @@ class _PulledBackStructure(SubRiemannianStructure):
 
     At time t the metric is J^T G(phi_t p) J and the frame J^{-1} F(phi_t p),
     with J = M(t) the flow Jacobian.  ``metric`` and ``frame`` are the base
-    fields, which they equal at t = 0.  Build it with :func:`_pull_back`.
+    fields G and F, which ``_fields`` pulls back and which the pulled-back
+    fields equal at t = 0.  Build it with :func:`_pull_back`.
     """
 
-    base: SubRiemannianStructure = field(repr=False)
     flow: FlowMap = field(repr=False, compare=False)
 
     def _fields(self, points: np.ndarray, times):
@@ -184,8 +184,8 @@ class _PulledBackStructure(SubRiemannianStructure):
         if times is None:
             raise ValueError(f"the fields of {self.name} change in time and need the points' times")
         images, jacs, inverses = self.flow.transport_batch(times, points)
-        G = np.matmul(jacs.transpose(0, 2, 1), np.matmul(self.base.metric.gram_batch(images), jacs))
-        return G, np.matmul(inverses, self.base.frame.frame_batch(images))
+        G = np.matmul(jacs.transpose(0, 2, 1), np.matmul(self.metric.gram_batch(images), jacs))
+        return G, np.matmul(inverses, self.frame.frame_batch(images))
 
 
 def _pull_back(structure: SubRiemannianStructure, drift: DriftField) -> _PulledBackStructure:
@@ -199,7 +199,6 @@ def _pull_back(structure: SubRiemannianStructure, drift: DriftField) -> _PulledB
         structure.metric,
         structure.frame,
         f"{structure.name}+drift:{drift.name}",
-        base=structure,
         flow=FlowMap(drift),
     )
 

@@ -202,11 +202,6 @@ class _FrameFactor:
         vertical = np.einsum("mi,mi->m", pperp, Gpp)
         return horizontal, vertical, Gpv, Gpp, c, pperp
 
-    def forms(self, q: float, vectors):
-        """(horizontal, vertical, flux) of :func:`penalized_forms` at penalty q."""
-        horizontal, vertical, Gpv, Gpp = self.split_forms(vectors)[:4]
-        return horizontal, vertical, Gpv + q * Gpp
-
     def gram(self, q: float) -> np.ndarray:
         """The penalized metric matrices q G + (1 - q) G P, symmetrized."""
         Gq = q * self.G + (1.0 - q) * np.matmul(self.G, np.matmul(self.F, self.Fplus))
@@ -445,7 +440,8 @@ def penalized_forms(structure: SubRiemannianStructure, q, points, vectors):
     """
     qf = check_penalty(q)
     factor = _factor_frame(structure, np.asarray(points, dtype=float))
-    return factor.forms(qf, np.asarray(vectors, dtype=float))
+    horizontal, vertical, Gpv, Gpp = factor.split_forms(np.asarray(vectors, dtype=float))[:4]
+    return horizontal, vertical, Gpv + qf * Gpp
 
 
 def penalized_gram(structure: SubRiemannianStructure, q, points) -> np.ndarray:

@@ -159,6 +159,25 @@ def nan_hessian(monkeypatch) -> None:
     monkeypatch.setattr(optimizer, "_base_point_hessian", nan_blocks)
 
 
+def stalled_line_search(monkeypatch) -> None:
+    """Let the optimizer's first path evaluation through and make every later
+    one raise DegenerateFrameError, so the first line search that runs backtracks
+    below its floor."""
+    from pengeo import optimizer
+    from pengeo.geometry import DegenerateFrameError
+
+    evaluate = optimizer._evaluate
+    calls = []
+
+    def first_only(structure, q, path):
+        calls.append(q)
+        if len(calls) > 1:
+            raise DegenerateFrameError("every trial frame is rejected")
+        return evaluate(structure, q, path)
+
+    monkeypatch.setattr(optimizer, "_evaluate", first_only)
+
+
 def assert_same_evaluation(a, b) -> None:
     """Two path evaluations agree bitwise in q, every reading and every form."""
     readings = ("q", "energy", "length", "defect", "speed_cv")

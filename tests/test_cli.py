@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.metadata
+import logging
 import os
 import re
 import shutil
@@ -22,7 +23,7 @@ from pengeo.cli import (
     parse_config,
 )
 from pengeo.problems import get_problem, problem_names
-from conftest import nan_hessian
+from conftest import nan_hessian, stalled_line_search
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -632,6 +633,57 @@ def test_solve_non_finite_newton_direction_is_a_solver_failure(tmp_path, capsys,
     assert report.startswith("solver failure:")
     assert "Newton direction is not finite" in report
     assert capsys.readouterr().err.startswith("solver failure:")
+
+
+def test_solve_line_search_underflow_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    # A line search that backtracks below its floor ends the run, and
+    # diagnose on its directory, as a solver failure.
+    stalled_line_search(monkeypatch)
+    config = _write_config(
+        tmp_path,
+        """
+        [problem]
+        name = heisenberg
+        grid_size = 20
+        end = 1, 0.5, 0.3
+        """,
+    )
+    out_dir = tmp_path / "run"
+    assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 1
+    assert (out_dir / "report.txt").read_text().startswith("solver failure: line search stalled")
+    assert capsys.readouterr().err.startswith("solver failure: line search stalled")
+    assert main(["diagnose", "--results", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("solver failure: line search stalled")
+
+
+_VERTICAL_CONFIG = """
+    [problem]
+    name = heisenberg
+    grid_size = 200
+    start = 0, 0, 0
+    end = 0, 0, 0.0796
+    seed_amplitude = 0.05
+    unique_limit = false
+    """
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [("solve", _VERTICAL_CONFIG), ("drift-solve", "[problem]\nname = heisenberg-drift\n")],
+    ids=["vertical", "heisenberg-drift"],
+)
+def test_iteration_cap_fails_the_run(tmp_path, caplog, command, body):
+    # One iteration per rung is too few for the vertical run and for
+    # heisenberg-drift: the run still writes its results, with the capped
+    # rungs marked unconverged, logs the cap and fails its verdicts.
+    config = _write_config(tmp_path, body + "\n[solver]\nmax_iterations = 1\n")
+    out_dir = tmp_path / "run"
+    with caplog.at_level(logging.WARNING, logger="pengeo"):
+        assert main([command, "--config", str(config), "--out", str(out_dir)]) == 1
+    converged = [row["converged"] for row in _data_rows(out_dir / "results.csv")]
+    assert "false" in converged and set(converged) <= {"true", "false"}
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert any("hit the iteration cap" in w for w in warnings)
 
 
 def test_drift_solve_diverging_flow_is_a_solver_failure(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -313,6 +315,27 @@ def test_drift_rungs_are_reported_on_the_lift(name):
         time_speeds = N * np.diff(r.path.points[:, -1])
         expected = reduced.energy + np.sum(time_speeds**2) / (2.0 * N)
         assert r.energy == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_drift_solve_at_the_iteration_cap_is_not_a_success(caplog):
+    # One iteration per rung leaves heisenberg-drift's upper rungs short of
+    # their stop test: the solve returns, unsuccessful, and says so.
+    prob = get_problem("heisenberg-drift")
+    with caplog.at_level(logging.WARNING, logger="pengeo"):
+        sol = solve_drift_problem(
+            prob.structure,
+            prob.drift,
+            prob.start,
+            prob.end,
+            prob.schedule,
+            SolverConfig(max_iterations=1, grid_size=prob.grid_size),
+            seed_deflection=prob.seed_deflection(),
+        )
+    assert sol.success is False
+    assert not all(r.converged for r in sol.results)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert any(w.startswith("drift solve on heisenberg+drift:") for w in warnings)
+    assert any("hit the iteration cap" in w for w in warnings)
 
 
 def test_control_defect_reads_the_base_frame(heisenberg):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -333,6 +334,26 @@ def test_shifted_row_is_a_row_of_the_shifted_rows(rng):
     rows = _shifted_rows(points, offsets)
     for i in range(rows.shape[0]):
         np.testing.assert_array_equal(_shifted_row(points, offsets, i), rows[i])
+
+
+@pytest.mark.parametrize("rank", [0, 4])
+def test_structure_rejects_a_rank_outside_one_to_dimension(rank):
+    plane = _graded_frame_structure(1.0)
+    with pytest.raises(ValueError, match=rf"need 1 <= rank <= dimension, got rank {rank} in dimension 3"):
+        SubRiemannianStructure(3, rank, plane.metric, plane.frame, "bad rank")
+
+
+def test_frame_factor_rejects_a_wrong_column_count_and_an_indefinite_gram():
+    # The plane frame of R^3 has two columns, not the one its rank declares;
+    # under diag(1, -1, 1) its frame Gram diag(1, -1) is perfectly
+    # conditioned but not positive definite, which the sweep's pivots catch.
+    plane = _graded_frame_structure(1.0)
+    points = np.zeros((4, 3))
+    with pytest.raises(ValueError, match=re.escape("frame stack has shape (4, 3, 2), expected (4, 3, 1)")):
+        _factor_frame(replace(plane, rank=1), points)
+    indefinite = replace(plane, metric=MetricField(gram=lambda p: np.diag([1.0, -1.0, 1.0])))
+    with pytest.raises(DegenerateFrameError, match="^frame Gram matrix is not positive definite"):
+        _factor_frame(indefinite, points)
 
 
 def _plane_structure(gram, scale):

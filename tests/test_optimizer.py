@@ -30,13 +30,21 @@ from pengeo.functionals import _evaluate
 from pengeo.geometry import DegenerateFrameError, _factor_frame, _field_differences, _field_stencil
 from pengeo.optimizer import (
     DECREMENT_TOLERANCE,
+    StepUnderflowError,
     _base_point_hessian,
     _BlockTridiagonalFactor,
     _gradient,
     _velocity_decrement,
     _velocity_hessian,
 )
-from conftest import count_calls, fd_energy_gradient, fd_energy_hessian, nan_hessian, random_path
+from conftest import (
+    count_calls,
+    fd_energy_gradient,
+    fd_energy_hessian,
+    nan_hessian,
+    random_path,
+    stalled_line_search,
+)
 from test_geometry import _ClockedStructure
 
 
@@ -715,6 +723,17 @@ def test_degenerate_trial_frame_backtracks(heisenberg):
         result = minimize_energy(heisenberg, q, path, SolverConfig(grid_size=10, max_iterations=20))
         assert result.iterations == 20 and not result.converged
         assert result.energy < result.energy_history[0]
+
+
+def test_line_search_underflow_is_a_step_underflow_error(heisenberg, monkeypatch):
+    # Every trial frame is degenerate, so every step backtracks until it
+    # falls below the floor and the search reports that it stalled.
+    stalled_line_search(monkeypatch)
+    path = random_path(
+        heisenberg, 20, np.random.default_rng(0), scale=0.1, start=np.zeros(3), end=np.array([1.0, 0.0, 0.0])
+    )
+    with pytest.raises(StepUnderflowError, match=r"^line search stalled at q=10 after 0 iterations"):
+        minimize_energy(heisenberg, 10.0, path, SolverConfig(grid_size=20))
 
 
 def test_minimize_respects_iteration_cap(heisenberg):
