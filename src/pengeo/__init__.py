@@ -36,8 +36,6 @@ from .functionals import (
 )
 from .geometry import (
     DegenerateFrameError,
-    FrameField,
-    MetricField,
     SubRiemannianStructure,
     check_penalty,
     field_jacobian,
@@ -90,8 +88,6 @@ __all__ = [
     "limit_energy",
     "semimetric_rho",
     "DegenerateFrameError",
-    "FrameField",
-    "MetricField",
     "SubRiemannianStructure",
     "check_penalty",
     "field_jacobian",

@@ -1,13 +1,15 @@
 """Batch front end: problem catalogue, config ingestion, runs, and audits.
 
-Configurations are INI files with sections [problem], [schedule], [solver],
-[drift], [structure], and [output]; every key is validated against a
-whitelist so a typo fails fast with the offending name.  ``solve`` and
-``drift-solve`` share one run path; a drift run differs only in the solver it
-calls, two extra tables, a report block and its verdicts.  Runs write
-comma-separated tables with 17 significant digits, which round-trips doubles
-exactly; that is what lets ``diagnose`` re-derive every reported number from
-the stored path samples and flag any mismatch.
+Configurations are UTF-8 INI files, read with no ``%`` interpolation, with
+sections [problem], [schedule], [solver], [drift], [structure], and [output];
+a file that does not parse is a configuration error, and every key is
+validated against a whitelist so a typo fails fast with the offending name.
+``solve`` and ``drift-solve`` share one run path; a drift run differs only in
+the solver it calls, two extra tables, a report block and its verdicts.  Runs
+write comma-separated tables, and name each path file by its q, with 17
+significant digits, which round-trips doubles exactly; that is what lets
+``diagnose`` re-derive every reported number from the stored path samples and
+flag any mismatch.
 
 Exit codes: 0 when everything converged and all activated verdicts hold,
 1 for solver failures or failed verdicts (reports are still written),
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import ast
 import configparser
+import contextlib
 import logging
 import os
 import shutil
@@ -41,7 +44,7 @@ from .drift import (
     zero_drift,
 )
 from .functionals import DiscretePath, _evaluate, _rms_gap, _segments
-from .geometry import DegenerateFrameError, FrameField, MetricField, SubRiemannianStructure
+from .geometry import DegenerateFrameError, SubRiemannianStructure
 from .optimizer import (
     ContinuationSchedule,
     SolverConfig,
@@ -248,7 +251,6 @@ def _parse_structure(section) -> SubRiemannianStructure:
     if dimension < 1:
         raise ConfigError("key 'dimension' must be a positive integer")
     eye = np.eye(dimension)
-    metric = MetricField(gram=lambda pts: eye)
 
     frame_text = section.get("frame")
     if not frame_text:
@@ -275,8 +277,8 @@ def _parse_structure(section) -> SubRiemannianStructure:
     return SubRiemannianStructure(
         dimension=dimension,
         rank=rank,
-        metric=metric,
-        frame=FrameField(columns=frame_columns),
+        metric=lambda pts: eye,
+        frame=frame_columns,
         name="custom",
     )
 
@@ -309,8 +311,11 @@ def _parse_drift(section, dimension: int):
 
 def parse_config(path) -> RunSpec:
     """Read and validate a run configuration; raise ConfigError on any defect."""
-    parser = configparser.ConfigParser()
-    read = parser.read(str(path))
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(str(path), encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
@@ -421,7 +426,7 @@ def _fmt(x: float) -> str:
 
 
 def _path_file_name(q: float) -> str:
-    return f"path_q{q:g}.csv"
+    return f"path_q{_fmt(q)}.csv"
 
 
 def _write_results_csv(
@@ -514,7 +519,8 @@ def _cmd_run(command: str, config_path: str, out: Optional[str]) -> int:
         )
     out_dir = _resolve_out_dir(out, spec)
     out_dir.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(config_path, out_dir / "config.ini")
+    with contextlib.suppress(shutil.SameFileError):  # a re-run into the config's own directory
+        shutil.copyfile(config_path, out_dir / "config.ini")
 
     qs = spec.schedule.q_values()
     print(

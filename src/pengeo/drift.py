@@ -172,8 +172,8 @@ class _PulledBackStructure(SubRiemannianStructure):
 
     At time t the metric is J^T G(phi_t p) J and the frame J^{-1} F(phi_t p),
     with J = M(t) the flow Jacobian.  ``metric`` and ``frame`` are the base
-    fields G and F, which ``_fields`` pulls back and which the pulled-back
-    fields equal at t = 0.  Build it with :func:`_pull_back`.
+    fields G and F, whose checked stacks ``_fields`` pulls back and which
+    the pulled-back fields equal at t = 0.  Build it with :func:`_pull_back`.
     """
 
     flow: FlowMap = field(repr=False, compare=False)
@@ -184,8 +184,8 @@ class _PulledBackStructure(SubRiemannianStructure):
         if times is None:
             raise ValueError(f"the fields of {self.name} change in time and need the points' times")
         images, jacs, inverses = self.flow.transport_batch(times, points)
-        G = np.matmul(jacs.transpose(0, 2, 1), np.matmul(self.metric.gram_batch(images), jacs))
-        return G, np.matmul(inverses, self.frame.frame_batch(images))
+        G, F = super()._fields(images)
+        return np.matmul(jacs.transpose(0, 2, 1), np.matmul(G, jacs)), np.matmul(inverses, F)
 
 
 def _pull_back(structure: SubRiemannianStructure, drift: DriftField) -> _PulledBackStructure:
@@ -315,7 +315,7 @@ def solve_drift_problem(
     mids, vels = _segments(final)
     base_mid, jacs, _ = flow.transport_batch(mids[:, n], mids[:, :n])
     control_mid = np.einsum("mij,mj->mi", jacs, vels[:, :n])
-    G_mid = structure.metric.gram_batch(base_mid)
+    G_mid = structure._fields(base_mid)[0]
     control_cost = float(
         np.einsum("mi,mij,mj->", control_mid, G_mid, control_mid) / N
     )

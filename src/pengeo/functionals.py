@@ -12,9 +12,9 @@ must never be changed independently of them.
 
 ``_evaluate`` is that quadrature: it factors the frame at the midpoints once
 and keeps the factor and the per-segment forms, which the functionals here
-and the optimizer's gradient, H0 and certificates all read.  The factor and
-the split forms do not depend on q, so an evaluation re-forms at another
-penalty without factoring again.
+and the optimizer's gradient, H0 and certificates all read.  The factor, with
+the field differences it keeps, and the split forms do not depend on q, so an
+evaluation re-forms at another penalty without factoring or reading again.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def _segments(path: DiscretePath):
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """One path at one penalty: its segment midpoints, mid-times and velocities,
-    the frame factor at the midpoints, the per-segment forms, the two parts
+    """One path at one penalty: its segment velocities, the frame factor at the
+    segment midpoints and mid-times, the per-segment forms, the two parts
     G P v and G Pc v of the flux G (P v + q Pc v), and the frame coefficients
     c = F+ v and complement parts Pc v of the velocities, which the gradient
     and the Hessian reuse.  Only ``q`` and what is read from it, the energy,
@@ -128,8 +128,6 @@ class _Evaluation:
     evaluation at another one without factoring again."""
 
     q: float
-    mids: np.ndarray
-    times: np.ndarray
     vels: np.ndarray
     factor: _FrameFactor
     horizontal: np.ndarray
@@ -191,7 +189,7 @@ def _evaluate_segments(structure, q, mids, times, vels) -> _Evaluation:
     and velocities."""
     qf = check_penalty(q)
     factor = _factor_frame(structure, mids, times)
-    return _Evaluation(qf, mids, times, vels, factor, *factor.split_forms(vels))
+    return _Evaluation(qf, vels, factor, *factor.split_forms(vels))
 
 
 def energy(structure: SubRiemannianStructure, q, path: DiscretePath) -> float:

@@ -3,13 +3,15 @@ the penalized metric family.
 
 Everything lives in a single global coordinate chart on R^n.  Points and
 tangent vectors are plain 1-d numpy arrays of length n; no wrapper classes
-are used for them.  A :class:`SubRiemannianStructure` bundles a Riemannian
-metric (as a Gram-matrix field) with a frame of vector fields spanning the
-constraint distribution.  The penalized metric keeps the base metric on the
-distribution and scales its g-orthogonal complement by a factor q >= 1, so
-q = 1 recovers the base metric and large q makes non-horizontal motion
-expensive.  The solver's derivatives read central differences of the two
-fields; a metric difference stack that is exactly zero is None, not formed.
+are used for them.  A :class:`SubRiemannianStructure` holds a Riemannian
+metric (a callable returning Gram matrices) and a frame (a callable returning
+the vector fields that span the constraint distribution), and reads both.
+The penalized metric keeps the base metric on the distribution and scales
+its g-orthogonal complement by a factor q >= 1, so q = 1 recovers the base
+metric and large q makes non-horizontal motion expensive.  The solver's
+derivatives read central differences of the two fields, which each frame
+factor keeps for its points; a metric difference stack that is exactly zero
+is None, not formed.
 
 All operations here are pure functions of immutable inputs and are safe to
 call concurrently.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,8 +30,6 @@ logger = logging.getLogger("pengeo")
 
 __all__ = [
     "DegenerateFrameError",
-    "MetricField",
-    "FrameField",
     "SubRiemannianStructure",
     "check_penalty",
     "project_horizontal",
@@ -85,74 +86,23 @@ def check_penalty(q) -> float:
 
 
 @dataclass(frozen=True)
-class MetricField:
-    """Riemannian metric given by its Gram-matrix field in chart coordinates.
-
-    ``gram`` maps a stack of points of shape (m, n) to an (m, n, n) stack of
-    symmetric positive definite Gram matrices, or to a single (n, n) matrix
-    valid for all of them (constant metrics).
-    """
-
-    gram: Callable[[np.ndarray], np.ndarray]
-
-    def gram_batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the Gram matrix at every row of ``points`` (shape (m, n))."""
-        m, n = points.shape
-        raw = np.asarray(self.gram(points), dtype=float)
-        if raw.shape not in ((n, n), (m, n, n)):
-            raise ValueError(
-                f"metric field returned shape {raw.shape}, expected {(m, n, n)}"
-            )
-        # A constant metric is checked once, before it is broadcast.
-        gap = float(np.max(np.abs(raw - np.swapaxes(raw, -1, -2)), initial=0.0))
-        if gap > 1e-10 * (1.0 + float(np.max(np.abs(raw), initial=0.0))):
-            raise ValueError(f"metric Gram matrix is not symmetric (gap {gap:.3e})")
-        if raw.ndim == 2:
-            raw = np.broadcast_to(raw, (m, n, n))
-        return raw
-
-
-@dataclass(frozen=True)
-class FrameField:
-    """Frame of vector fields spanning the constraint distribution.
-
-    ``columns`` maps a stack of points (m, n) to an (m, n, k) stack whose
-    columns are the frame vectors at each point, or to a constant (n, k)
-    matrix.
-    """
-
-    columns: Callable[[np.ndarray], np.ndarray]
-
-    def frame_batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the frame matrix at every row of ``points`` (shape (m, n))."""
-        m, n = points.shape
-        # A frame that overflows along the path fails below, not in warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            raw = np.asarray(self.columns(points), dtype=float)
-        if raw.ndim == 2:
-            raw = np.broadcast_to(raw, (m,) + raw.shape)
-        if raw.ndim != 3 or raw.shape[0] != m or raw.shape[1] != n:
-            raise ValueError(
-                f"frame field returned shape {raw.shape}, expected (m, {n}, k)"
-            )
-        if not np.all(np.isfinite(raw)):
-            raise DegenerateFrameError("frame is degenerate: its field returned non-finite entries")
-        return raw
-
-
-@dataclass(frozen=True)
 class SubRiemannianStructure:
     """The geometric problem datum: chart dimension, metric, horizontal frame.
 
-    The distribution is the column span of ``frame``; orthogonal projections
-    onto it (and its g-orthogonal complement) are computed on demand by
-    :func:`project_horizontal`.  Instances are immutable and safe to share.
+    ``metric`` maps a stack of points of shape (m, n) to an (m, n, n) stack of
+    symmetric positive definite Gram matrices, or to a single (n, n) matrix
+    valid for all of them (constant metrics).  ``frame`` maps it to an
+    (m, n, k) stack whose columns are the frame vectors at each point, or to
+    a constant (n, k) matrix.  The distribution is the column span of the
+    frame; orthogonal projections onto it (and its g-orthogonal complement)
+    are computed on demand by :func:`project_horizontal`.  Instances are
+    immutable and safe to share.
     """
 
     dimension: int
     rank: int
-    metric: MetricField
-    frame: FrameField
+    metric: Callable[[np.ndarray], np.ndarray]
+    frame: Callable[[np.ndarray], np.ndarray]
     name: str
 
     def __post_init__(self):
@@ -162,22 +112,47 @@ class SubRiemannianStructure:
             )
 
     def _fields(self, points: np.ndarray, times=None):
-        """Metric and frame stacks (G, F) at a batch of points, in one evaluation;
-        these fields do not change in time, so the points' ``times`` are unused."""
-        return self.metric.gram_batch(points), self.frame.frame_batch(points)
+        """Metric and frame stacks (G, F) at a batch of points (m, n), in one
+        evaluation, with constant fields broadcast over the points; these
+        fields do not change in time, so the points' ``times`` are unused."""
+        m, n = points.shape
+        G = np.asarray(self.metric(points), dtype=float)
+        if G.shape not in ((n, n), (m, n, n)):
+            raise ValueError(f"metric field returned shape {G.shape}, expected {(m, n, n)}")
+        # A constant metric is checked once, before it is broadcast.
+        gap = float(np.max(np.abs(G - np.swapaxes(G, -1, -2)), initial=0.0))
+        if gap > 1e-10 * (1.0 + float(np.max(np.abs(G), initial=0.0))):
+            raise ValueError(f"metric Gram matrix is not symmetric (gap {gap:.3e})")
+        if G.ndim == 2:
+            G = np.broadcast_to(G, (m, n, n))
+        # A frame that overflows along the path fails below, not in warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = np.asarray(self.frame(points), dtype=float)
+        if F.ndim == 2:
+            F = np.broadcast_to(F, (m,) + F.shape)
+        if F.ndim != 3 or F.shape[0] != m or F.shape[1] != n:
+            raise ValueError(f"frame field returned shape {F.shape}, expected (m, {n}, k)")
+        if not np.all(np.isfinite(F)):
+            raise DegenerateFrameError("frame is degenerate: its field returned non-finite entries")
+        return G, F
 
 
 @dataclass(frozen=True)
 class _FrameFactor:
-    """The q-free factored frame at a batch of points: the metric stack G,
-    the frame stack F, the g-weighted pseudo-inverse F+ = (F^T G F)^{-1}
-    F^T G of F, so that c = F+ v are the frame coefficients of P v and
-    P = F F+, and the inverse frame Gram matrices S^{-1} = (F^T G F)^{-1},
-    from one batched sweep (:func:`_spd_inverse`).  The projection, the
-    penalized forms and the penalized Gram matrices at these points follow
-    from it for every q and every batch of vectors; S^{-1} carries the
-    derivative of c through the exact Hessian's base-point blocks."""
+    """The q-free factored frame of ``structure`` at a batch of ``points`` and
+    their ``times``: the metric stack G, the frame stack F, the g-weighted
+    pseudo-inverse F+ = (F^T G F)^{-1} F^T G of F, so that c = F+ v are the
+    frame coefficients of P v and P = F F+, and the inverse frame Gram
+    matrices S^{-1} = (F^T G F)^{-1}, from one batched sweep
+    (:func:`_spd_inverse`).  The projection, the penalized forms and the
+    penalized Gram matrices at these points follow from it for every q and
+    every batch of vectors; S^{-1} carries the derivative of c through the
+    exact Hessian's base-point blocks, and :attr:`differences` holds the
+    field differences there, read at most once."""
 
+    structure: SubRiemannianStructure
+    points: np.ndarray
+    times: Optional[np.ndarray]
     G: np.ndarray
     F: np.ndarray
     Fplus: np.ndarray
@@ -206,6 +181,11 @@ class _FrameFactor:
         """The penalized metric matrices q G + (1 - q) G P, symmetrized."""
         Gq = q * self.G + (1.0 - q) * np.matmul(self.G, np.matmul(self.F, self.Fplus))
         return 0.5 * (Gq + Gq.transpose(0, 2, 1))
+
+    @cached_property
+    def differences(self):
+        """:func:`_field_differences` at the factor's points and times."""
+        return _field_differences(self.structure, self.points, self.times)
 
 
 def _contract(X: Optional[np.ndarray], u: np.ndarray) -> Optional[np.ndarray]:
@@ -333,7 +313,7 @@ def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray, times=N
         raise DegenerateFrameError(
             f"frame Gram matrix is not positive definite: {exc}"
         ) from exc
-    return _FrameFactor(G, F, np.matmul(Sinv, FtG), Sinv)
+    return _FrameFactor(structure, points, times, G, F, np.matmul(Sinv, FtG), Sinv)
 
 
 def _fd_step(points: np.ndarray) -> float:
@@ -364,7 +344,8 @@ def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, ti
     points, and h from :func:`_fd_step`.  Returns (dG, dF, G, F): the
     derivatives, of shapes (m, n, n, n) and (m, n, n, k), and the stacks at
     the copies, of shapes (2, m, n, n, n) and (2, m, n, n, k) with the plus
-    copies first, which :func:`_field_stencil` reuses.  The segment comes
+    copies first, which :func:`_field_stencil` reuses.  A frame factor keeps
+    them as :attr:`_FrameFactor.differences`.  The segment comes
     before the coordinate, so every stack reshapes for free into the
     batched matmuls of the Newton step.  No frame is factored.  dG is None
     when it is exactly zero, as for any metric that does not depend on the point.
@@ -380,13 +361,14 @@ def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, ti
     return dG if dG.any() else None, (F[0] - F[1]) / (2.0 * h), G, F
 
 
-def _field_stencil(structure: SubRiemannianStructure, factor: _FrameFactor, points, times, first):
-    """Second derivatives (d2G, d2F) of the metric and frame stacks in all coordinates.
+def _field_stencil(factor: _FrameFactor):
+    """Second derivatives (d2G, d2F) of the metric and frame stacks in all
+    coordinates, at the factor's points and times.
 
-    ``first`` is :func:`_field_differences` at the same points and times.
-    Its stacks at points +- h e_c, with the factor's own G and F at
-    ``points``, give the diagonal second differences, so one
-    ``structure._fields`` evaluation reads only the 2n(n - 1) m copies
+    The stacks of the factor's :attr:`~_FrameFactor.differences` at points
+    +- h e_c, with its own G and F at the points, give the diagonal second
+    differences, so one ``structure._fields`` evaluation reads only the
+    2n(n - 1) m copies
     points +- h e_c +- h e_d, c < d, for the mixed ones (Nocedal & Wright,
     *Numerical Optimization*, 2nd ed., 8.1).  Shapes (m, n, n, n, n) and
     (m, n, n, n, k), segment first and symmetric in the two coordinate
@@ -397,10 +379,11 @@ def _field_stencil(structure: SubRiemannianStructure, factor: _FrameFactor, poin
     when G reads back bitwise equal to the factor's G on every first-order
     and every mixed row.
     """
+    structure, points, times = factor.structure, factor.points, factor.times
     m, n = points.shape
     h = _fd_step(points)
     axes = h * np.eye(n)
-    _, _, Gs, Fs = first
+    _, _, Gs, Fs = factor.differences
     _frame_gram(
         points, Gs.reshape((-1,) + Gs.shape[3:]), Fs.reshape((-1,) + Fs.shape[3:]), np.stack([axes, -axes])
     )
@@ -520,7 +503,8 @@ def _bracket_field(field_v, field_w):
 def validate_bracket_generating(structure: SubRiemannianStructure, p, max_depth: int):
     """Certificate that iterated frame brackets span the whole chart at p.
 
-    Starting from the frame fields (depth 1), brackets of accumulated fields
+    Starting from the frame fields at time 0 (depth 1), which on a drift
+    problem's pulled-back structure are its base frame, brackets of accumulated fields
     whose depths sum to d are adjoined at each depth d, and the numerical
     rank of all field values at p is taken after every round (singular
     values above ``RANK_TOLERANCE`` times the largest count).
@@ -540,7 +524,7 @@ def validate_bracket_generating(structure: SubRiemannianStructure, p, max_depth:
     def frame_column(j):
         def column(x):
             x = np.asarray(x, dtype=float)
-            return structure.frame.frame_batch(x[None, :])[0][:, j]
+            return structure._fields(x[None, :], np.zeros(1))[1][0][:, j]
 
         return column
 

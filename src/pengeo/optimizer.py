@@ -63,7 +63,6 @@ from .geometry import (
     DegenerateFrameError,
     SubRiemannianStructure,
     _contract,
-    _field_differences,
     _field_stencil,
     _spd_inverse,
     check_penalty,
@@ -181,21 +180,20 @@ def energy_gradient(structure: SubRiemannianStructure, q, path: DiscretePath) ->
     fields (not of the O(q) form) in the midpoint coordinates, at the
     segment mid-times.
     """
-    return _gradient(structure, _evaluate(structure, q, path))[0]
+    return _gradient(_evaluate(structure, q, path))[0]
 
 
-def _gradient(structure, evaluation, first=None):
+def _gradient(evaluation):
     """:func:`energy_gradient` from the path's evaluation, whose flux and factor
-    it reuses, the gradient's slope in q, and the field differences.
+    it reuses, and the gradient's slope in q.
 
     The energy is affine in q with slope half the defect, so the slope is the
     gradient of D/2; it is assembled from the slopes of the flux and of the
-    base-point derivative, from the same field differences.  Those come from
-    :func:`_field_differences`, unless ``first`` already holds them for the
-    evaluation's segments, and the Hessian at the same evaluation reuses them;
-    a None dG is exactly zero, and the terms that contract it are omitted.
+    base-point derivative, from the field differences that the evaluation's
+    frame factor keeps and the Hessian at the same evaluation reuses; a None
+    dG is exactly zero, and the terms that contract it are omitted.
     """
-    q, mids, vels = evaluation.q, evaluation.mids, evaluation.vels
+    q, vels = evaluation.q, evaluation.vels
     N, n = vels.shape
 
     # Velocity dependence: d/dv of the quadratic form is 2 flux, the segment
@@ -213,16 +211,14 @@ def _gradient(structure, evaluation, first=None):
     # M_q = q G + (1 - q) G P through P = F (F^T G F)^{-1} F^T G gives
     #     dQ_a = v^T dG_a v + (q - 1) (Pc v^T dG_a Pc v - 2 (dF_a c)^T G Pc v),
     # whose q-slope is the bracket; c, Pc v and G Pc v are the evaluation's.
-    if first is None:
-        first = _field_differences(structure, mids, evaluation.times)
-    dG, dF = first[:2]
+    dG, dF = evaluation.factor.differences[:2]
     v, c, r, Gr = evaluation.columns()
     dQ_slope = _sum(_contract(_contract(dG, r), r), -2.0 * _contract(_contract(dF, c), Gr))
     dQ_full = _sum(_contract(_contract(dG, v), v), (q - 1.0) * dQ_slope)
     dQ = np.stack([dQ_full, dQ_slope]) / (4.0 * N)
     grads[:, :-1] += dQ
     grads[:, 1:] += dQ
-    return grads[0, 1:-1].ravel(), grads[1, 1:-1].ravel(), first
+    return grads[0, 1:-1].ravel(), grads[1, 1:-1].ravel()
 
 
 def _sum(*terms):
@@ -345,7 +341,7 @@ def _velocity_hessian(M: np.ndarray):
     return diag, off
 
 
-def _base_point_hessian(structure, evaluation, first):
+def _base_point_hessian(evaluation):
     """Blocks (diag, off) of the exact Hessian's remainder H - H0.
 
     Segment i contributes (1/2N) vel^T M_q(mid) vel, with mid = (p_i +
@@ -363,8 +359,8 @@ def _base_point_hessian(structure, evaluation, first):
                - 2 (d2F c + dF_c d_d c)^T G r - 2 (dF_c c)^T (dG_d r + G d_d r)),
 
     with d2G, d2F the second derivatives along c and d.  The first
-    derivatives are ``first``, the gradient's :func:`_field_differences` at
-    this evaluation, of shapes (N, n, n, n) and (N, n, n, k), and the second
+    derivatives are the field differences the gradient read from this
+    evaluation's factor, of shapes (N, n, n, n) and (N, n, n, k), and the second
     ones come from :func:`_field_stencil`, which reuses them: one field
     evaluation on the 2n(n - 1) N mixed rows and no frame factorization,
     of shapes (N, n, n, n, n) and (N, n, n, n, k); the terms that contract a
@@ -374,8 +370,8 @@ def _base_point_hessian(structure, evaluation, first):
     """
     q, vels, factor = evaluation.q, evaluation.vels, evaluation.factor
     N = vels.shape[0]
-    dG, dF = first[:2]
-    d2G, d2F = _field_stencil(structure, factor, evaluation.mids, evaluation.times, first)
+    dG, dF = factor.differences[:2]
+    d2G, d2F = _field_stencil(factor)
     G, F, Fplus = factor.G, factor.F, factor.Fplus
 
     # Axis 1 of the (N, n, .) stacks below runs over the coordinates (c and d above).
@@ -449,14 +445,13 @@ def minimize_energy(
     return _minimize(structure, q, initial, config)[0]
 
 
-def _minimize(structure, q, initial: DiscretePath, config, evaluation=None, first=None):
+def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
     """:func:`minimize_energy`, which also returns what the next rung needs.
 
     Returns the ``SolveResult``, the last shifted Newton factor (None when
     the solve stopped at iteration 0), the q-slope of the final gradient,
-    and the final path's evaluation and field differences.  ``evaluation``,
-    when given, is the evaluation of ``initial`` at q, and ``first``, when
-    given, its field differences.
+    and the final path's evaluation.  ``evaluation``, when given, is the
+    evaluation of ``initial`` at q.
     """
     qf = check_penalty(q)
     x = initial.interior().ravel()
@@ -464,7 +459,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None, firs
     if evaluation is None:
         evaluation = _evaluate(structure, qf, current)
     f = evaluation.energy
-    g, slope, first = _gradient(structure, evaluation, first)
+    g, slope = _gradient(evaluation)
     history = [f]
     shift = 0.0
     iterations = 0
@@ -486,7 +481,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None, firs
             break
 
         h0_diag, h0_off = _velocity_hessian(gram)
-        rest_diag, rest_off = _base_point_hessian(structure, evaluation, first)
+        rest_diag, rest_off = _base_point_hessian(evaluation)
         shift = shift / SHIFT_GROWTH if shift >= SHIFT_START * SHIFT_GROWTH else 0.0
         failures = 0  # shifted factorizations that failed before one succeeded
         while True:
@@ -530,7 +525,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None, firs
             )
 
         x, f, current, evaluation = x_new, trial.energy, cand, trial
-        g, slope, first = _gradient(structure, evaluation)
+        g, slope = _gradient(evaluation)
         history.append(f)
         iterations += 1
         logger.debug(
@@ -557,7 +552,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None, firs
         speed_cv=evaluation.speed_cv,
         energy_history=tuple(history),
     )
-    return result, factor, slope, evaluation, first
+    return result, factor, slope, evaluation
 
 
 def _predict(structure, q, previous: SolveResult, factor, slope):
@@ -636,10 +631,10 @@ def _ladder(structure, endpoints, schedule, config, seed_deflection):
         if np.any(deflect[0] != 0.0) or np.any(deflect[-1] != 0.0):
             raise ValueError("seed_deflection must vanish at both endpoint rows")
 
-    previous = None  # the last rung's result, final evaluation and field differences
+    previous = None  # the last rung's result and final evaluation
     factor = slope = None
     for qv in schedule.q_values():
-        rung_start, evaluation, first, step_norm = initial, None, None, 0.0
+        rung_start, evaluation, step_norm = initial, None, 0.0
         if factor is not None:
             rung_start, evaluation, step_norm = _predict(
                 structure, qv, previous[0], factor, slope
@@ -648,7 +643,7 @@ def _ladder(structure, endpoints, schedule, config, seed_deflection):
         if predicted:
             kind = "predicted path evaluated"
         elif previous is not None:
-            rung_start, evaluation, first = previous[0].path, previous[1].at(qv), previous[2]
+            rung_start, evaluation = previous[0].path, previous[1].at(qv)
             kind = "previous minimizer (evaluation reused)"
         else:
             kind = "initial path evaluated"
@@ -659,12 +654,10 @@ def _ladder(structure, endpoints, schedule, config, seed_deflection):
             kind,
             "used" if predicted else "not used",
         )
-        result, factor, slope, final, first = _minimize(
-            structure, qv, rung_start, config, evaluation, first
-        )
+        result, factor, slope, final = _minimize(structure, qv, rung_start, config, evaluation)
         if result.iterations == 0 and deflect is not None and not predicted:
             kicked = rung_start.with_interior(rung_start.interior() + deflect[1:-1])
-            result, factor, slope, final, first = _minimize(structure, qv, kicked, config)
+            result, factor, slope, final = _minimize(structure, qv, kicked, config)
         if not result.converged:
             logger.warning(
                 "penalty step q=%g on %s hit the iteration cap (|grad|_inf = %.3e)",
@@ -672,5 +665,5 @@ def _ladder(structure, endpoints, schedule, config, seed_deflection):
                 structure.name,
                 result.gradient_norm,
             )
-        previous = (result, final, first)
+        previous = (result, final)
         yield result, final

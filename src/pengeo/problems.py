@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .drift import DriftField, constant_drift, linear_drift
-from .geometry import FrameField, MetricField, SubRiemannianStructure
+from .geometry import SubRiemannianStructure
 from .optimizer import ContinuationSchedule
 
 __all__ = [
@@ -40,8 +40,8 @@ def euclidean_structure(dimension: int) -> SubRiemannianStructure:
     return SubRiemannianStructure(
         dimension=dimension,
         rank=dimension,
-        metric=MetricField(gram=lambda pts: eye),
-        frame=FrameField(columns=lambda pts: eye),
+        metric=lambda pts: eye,
+        frame=lambda pts: eye,
         name=f"euclidean-{dimension}",
     )
 
@@ -66,8 +66,8 @@ def heisenberg_structure() -> SubRiemannianStructure:
     return SubRiemannianStructure(
         dimension=3,
         rank=2,
-        metric=MetricField(gram=lambda pts: eye),
-        frame=FrameField(columns=columns),
+        metric=lambda pts: eye,
+        frame=columns,
         name="heisenberg",
     )
 
@@ -93,8 +93,8 @@ def martinet_structure() -> SubRiemannianStructure:
     return SubRiemannianStructure(
         dimension=3,
         rank=2,
-        metric=MetricField(gram=lambda pts: eye),
-        frame=FrameField(columns=columns),
+        metric=lambda pts: eye,
+        frame=columns,
         name="martinet",
     )
 

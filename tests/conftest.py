@@ -152,8 +152,8 @@ def nan_hessian(monkeypatch) -> None:
 
     build = optimizer._base_point_hessian
 
-    def nan_blocks(structure, evaluation, first):
-        diag, off = build(structure, evaluation, first)
+    def nan_blocks(evaluation):
+        diag, off = build(evaluation)
         return np.full_like(diag, np.nan), off
 
     monkeypatch.setattr(optimizer, "_base_point_hessian", nan_blocks)

@@ -478,6 +478,39 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             """,
             "key 'unique_limit' in [problem] is not a boolean",
         ),
+        # A file the INI reader rejects is malformed input too.
+        "duplicate_key.ini": (
+            """
+            [problem]
+            name = heisenberg
+            name = martinet
+            """,
+            "option 'name' in section 'problem' already exists",
+        ),
+        "duplicate_section.ini": (
+            """
+            [problem]
+            name = heisenberg
+
+            [problem]
+            grid_size = 20
+            """,
+            "section 'problem' already exists",
+        ),
+        "missing_section_header.ini": (
+            """
+            name = heisenberg
+            """,
+            "no section headers",
+        ),
+        # A % is an ordinary character, not the start of an interpolation.
+        "percent_in_value.ini": (
+            """
+            [problem]
+            name = heisen%berg
+            """,
+            "unknown problem 'heisen%berg'",
+        ),
     }
     for filename, (body, needle) in cases.items():
         config = _write_config(tmp_path, body, name=filename)
@@ -485,6 +518,70 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err
         assert needle in err, filename
+        # diagnose reads a results directory's copy of the config alike.
+        results = _results_dir_with_config(tmp_path / Path(filename).stem, config.read_bytes())
+        assert main(["diagnose", "--results", str(results)]) == 2, filename
+        assert needle in capsys.readouterr().err, filename
+
+
+def _results_dir_with_config(directory: Path, config: bytes) -> Path:
+    """A results directory holding ``config`` as its config.ini and an empty results.csv."""
+    directory.mkdir()
+    (directory / "config.ini").write_bytes(config)
+    (directory / "results.csv").write_text("")
+    return directory
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # Bytes that do not decode as UTF-8 are a config error in solve and in
+    # diagnose, not a decoding traceback.
+    config = tmp_path / "latin1.ini"
+    config.write_bytes("[problem]\nname = heisenberg\n# caf\xe9\n".encode("latin-1"))
+    assert main(["solve", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "utf-8" in err
+    results = _results_dir_with_config(tmp_path / "results", config.read_bytes())
+    assert main(["diagnose", "--results", str(results)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_rerun_into_the_config_directory(tmp_path, capsys):
+    # A results directory's own config.ini can be solved again into that
+    # directory: the copy onto itself is skipped, and the run re-derives.
+    config = _write_config(tmp_path, "[problem]\nname = heisenberg\ngrid_size = 20\n")
+    out_dir = tmp_path / "run"
+    assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 0
+    own = out_dir / "config.ini"
+    assert main(["solve", "--config", str(own), "--out", str(out_dir)]) == 0
+    assert own.read_text() == config.read_text()
+    assert main(["diagnose", "--results", str(out_dir)]) == 0
+
+
+def test_rungs_whose_q_agree_to_six_digits_get_their_own_path_files(tmp_path, capsys):
+    # Path files name q with 17 significant digits, as the tables do, so two
+    # rungs a ratio of 1 + 1e-6 apart write two files and diagnose reads each
+    # rung's own path back.
+    config = _write_config(
+        tmp_path,
+        """
+        [problem]
+        name = heisenberg
+        grid_size = 50
+        start = 0, 0, 0
+        end = 0, 0, 0.0796
+        seed_amplitude = 0.05
+        unique_limit = false
+
+        [schedule]
+        ratio = 1.000001
+        step_count = 2
+        """,
+    )
+    out_dir = tmp_path / "run"
+    main(["solve", "--config", str(config), "--out", str(out_dir)])
+    names = sorted(path.name for path in out_dir.glob("path_q*.csv"))
+    assert names == ["path_q1.0000009999999999.csv", "path_q1.csv"]
+    assert main(["diagnose", "--results", str(out_dir)]) == 0
 
 
 def test_solve_refuses_drift_problem(tmp_path, capsys):

@@ -19,6 +19,7 @@ from pengeo import (
     penalized_forms,
     penalized_gram,
     solve_drift_problem,
+    validate_bracket_generating,
     zero_drift,
 )
 from pengeo.drift import _lifted_evaluation, _pull_back
@@ -186,8 +187,26 @@ def test_pulled_back_fields_are_the_base_fields_under_zero_drift(heisenberg, rng
     assert (pulled.dimension, pulled.rank) == (3, 2)
     pts = rng.normal(size=(5, 3))
     gram, cols = pulled._fields(pts, rng.uniform(0.0, 1.0, size=5))
-    np.testing.assert_array_equal(gram, heisenberg.metric.gram_batch(pts))
-    np.testing.assert_array_equal(cols, heisenberg.frame.frame_batch(pts))
+    base_gram, base_cols = heisenberg._fields(pts)
+    np.testing.assert_array_equal(gram, base_gram)
+    np.testing.assert_array_equal(cols, base_cols)
+
+
+def test_pulled_back_bracket_certificate_is_the_base_one(heisenberg, martinet, rng):
+    # The certificate reads the frame at time 0, where the flow Jacobian is
+    # the identity, so a pulled-back structure's frame there is its base
+    # frame bitwise and its certificate the base one, also for a flow whose
+    # exponential takes squarings.
+    spin = np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for base in (heisenberg, martinet):
+        for drift in (linear_drift(spin), constant_drift([0.2, 0.0, -0.1])):
+            pulled = _pull_back(base, drift)
+            for p in (rng.normal(size=3), np.array([0.3, 0.0, -0.1])):
+                for a, b in zip(pulled._fields(p[None, :], np.zeros(1)), base._fields(p[None, :])):
+                    np.testing.assert_array_equal(a, b)
+                certificate = validate_bracket_generating(pulled, p, 3)
+                assert certificate == validate_bracket_generating(base, p, 3)
+    assert validate_bracket_generating(_pull_back(martinet, linear_drift(spin)), np.zeros(3), 3) == (3, 3)
 
 
 def test_pulled_back_metric_is_the_identity_under_constant_drift(euclidean3, rng):

@@ -8,8 +8,6 @@ import pytest
 
 from pengeo import (
     DegenerateFrameError,
-    FrameField,
-    MetricField,
     SubRiemannianStructure,
     check_penalty,
     field_jacobian,
@@ -124,17 +122,23 @@ def test_check_penalty_validation():
             check_penalty(bad)
 
 
+def _flat_plane(metric=lambda p: np.eye(2), frame=lambda p: np.eye(2), rank=2):
+    """A structure on R^2 with the given metric and frame callables."""
+    return SubRiemannianStructure(dimension=2, rank=rank, metric=metric, frame=frame, name="plane")
+
+
 def test_metric_field_rejects_asymmetric_gram():
-    bad = MetricField(gram=lambda p: np.array([[1.0, 0.5], [0.0, 1.0]]))
+    bad = _flat_plane(metric=lambda p: np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        bad.gram_batch(np.zeros((1, 2)))
+        bad._fields(np.zeros((1, 2)))
 
 
-def test_gram_batch_of_zero_points(heisenberg):
-    assert heisenberg.metric.gram_batch(np.zeros((0, 3))).shape == (0, 3, 3)
+def test_fields_of_zero_points(heisenberg):
+    G, F = heisenberg._fields(np.zeros((0, 3)))
+    assert G.shape == (0, 3, 3) and F.shape == (0, 3, 2)
 
 
-def test_gram_batch_rejects_non_symmetric_metrics(rng):
+def test_fields_reject_non_symmetric_metrics(rng):
     # A constant metric is checked once, before it is broadcast over the
     # points, and a point-dependent one at every point.
     skew = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -147,16 +151,12 @@ def test_gram_batch_rejects_non_symmetric_metrics(rng):
     points = rng.normal(size=(7, 2))
     for gram in (lambda pts: skew, warped):
         with pytest.raises(ValueError, match="not symmetric"):
-            MetricField(gram=gram).gram_batch(points)
+            _flat_plane(metric=gram)._fields(points)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_degenerate_frame_detected():
-    frame = FrameField(columns=lambda p: np.array([[1.0, 1.0], [0.0, 0.0]]))
-    metric = MetricField(gram=lambda p: np.eye(2))
-    structure = SubRiemannianStructure(
-        dimension=2, rank=2, metric=metric, frame=frame, name="degenerate"
-    )
+    structure = _flat_plane(frame=lambda p: np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DegenerateFrameError):
         project_horizontal(structure, np.zeros(2), np.ones(2))
 
@@ -168,8 +168,8 @@ def _graded_frame_structure(gram_condition: float, rank: int = 2) -> SubRiemanni
     return SubRiemannianStructure(
         dimension=rank + 1,
         rank=rank,
-        metric=MetricField(gram=lambda p: np.eye(rank + 1)),
-        frame=FrameField(columns=lambda p: columns),
+        metric=lambda p: np.eye(rank + 1),
+        frame=lambda p: columns,
         name="graded",
     )
 
@@ -351,7 +351,7 @@ def test_frame_factor_rejects_a_wrong_column_count_and_an_indefinite_gram():
     points = np.zeros((4, 3))
     with pytest.raises(ValueError, match=re.escape("frame stack has shape (4, 3, 2), expected (4, 3, 1)")):
         _factor_frame(replace(plane, rank=1), points)
-    indefinite = replace(plane, metric=MetricField(gram=lambda p: np.diag([1.0, -1.0, 1.0])))
+    indefinite = replace(plane, metric=lambda p: np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(DegenerateFrameError, match="^frame Gram matrix is not positive definite"):
         _factor_frame(indefinite, points)
 
@@ -365,9 +365,7 @@ def _plane_structure(gram, scale):
         F[:, 1, 1] = scale(pts[:, 0])
         return F
 
-    return SubRiemannianStructure(
-        dimension=2, rank=2, metric=MetricField(gram=gram), frame=FrameField(columns=columns), name="plane"
-    )
+    return _flat_plane(metric=gram, frame=columns)
 
 
 def test_field_stencil_keeps_the_frame_checks():
@@ -377,9 +375,8 @@ def test_field_stencil_keeps_the_frame_checks():
     origin, times = np.zeros((1, 2)), np.zeros(1)
 
     def derivatives(structure):
-        first = _field_differences(structure, origin, times)
-        factor = _factor_frame(structure, origin)
-        return first[:2] + _field_stencil(structure, factor, origin, times, first)
+        factor = _factor_frame(structure, origin, times)
+        return factor.differences[:2] + _field_stencil(factor)
 
     def gram_nan_on_diagonals(pts):
         both = (pts[:, 0] > 0.0) & (pts[:, 1] > 0.0)
@@ -439,7 +436,7 @@ def test_field_derivative_stacks_are_segment_major(heisenberg, rng):
         for derivative, up, down in zip(first[:2], plus, minus):
             np.testing.assert_array_equal(derivative[:, c], (up - down) / (2.0 * h))
     assert first[0].shape == (7, 3, 3, 3) and first[1].shape == (7, 3, 3, 2)
-    second = _field_stencil(structure, _factor_frame(structure, points, times), points, times, first)
+    second = _field_stencil(_factor_frame(structure, points, times))
     for derivative, k in zip(second, (3, 2)):
         assert derivative.shape == (7, 3, 3, 3, k)
         assert np.any(derivative[:, 0, 1] != 0.0)
@@ -503,11 +500,7 @@ def test_bracket_generation_certificates(heisenberg, martinet, euclidean3, rng):
 def test_bracket_generation_reports_failure_without_raising():
     # A single coordinate field in the plane commutes with itself, so no
     # depth can complete the span; the certificate reports rank 1 honestly.
-    frame = FrameField(columns=lambda p: np.array([[1.0], [0.0]]))
-    metric = MetricField(gram=lambda p: np.eye(2))
-    structure = SubRiemannianStructure(
-        dimension=2, rank=1, metric=metric, frame=frame, name="flat-line"
-    )
+    structure = _flat_plane(frame=lambda p: np.array([[1.0], [0.0]]), rank=1)
     rank, depth = validate_bracket_generating(structure, np.zeros(2), 4)
     assert rank == 1
     assert depth == 4
