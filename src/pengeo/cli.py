@@ -45,12 +45,7 @@ from .drift import (
 )
 from .functionals import DiscretePath, _evaluate, _rms_gap, _segments
 from .geometry import DegenerateFrameError, SubRiemannianStructure
-from .optimizer import (
-    ContinuationSchedule,
-    SolverConfig,
-    StepUnderflowError,
-    continuation_solve,
-)
+from .optimizer import SolverConfig, StepUnderflowError, continuation_solve
 from .problems import Problem, get_problem, problem_names
 
 logger = logging.getLogger("pengeo")
@@ -66,25 +61,6 @@ REDERIVE_TOLERANCE = 1e-9
 # Relative gap allowed between the control cost and 2 * lifted energy - 1.
 IDENTITY_TOLERANCE = 1e-6
 
-_SECTION_KEYS = {
-    "problem": {
-        "name",
-        "start",
-        "end",
-        "grid_size",
-        "unique_limit",
-        "cauchy_rho1_tol",
-        "reference_distance",
-        "seed_amplitude",
-    },
-    "schedule": {"q_start", "ratio", "step_count"},
-    "solver": {"max_iterations"},
-    "drift": {"kind", "vector", "matrix"},
-    "structure": {"dimension", "frame"},
-    "output": {"root"},
-}
-
-
 class ConfigError(Exception):
     """Malformed configuration; the message names the offending key."""
 
@@ -94,44 +70,8 @@ class RunSpec:
     """Everything one run needs, assembled from a config file."""
 
     problem: Problem
-    schedule: ContinuationSchedule
     solver: SolverConfig
     out_root: Optional[str]
-
-
-def _get_float(section, key: str, fallback: float) -> float:
-    raw = section.get(key)
-    if raw is None:
-        return fallback
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}' in [{section.name}] is not a number: {raw!r}") from exc
-    if not np.isfinite(value):
-        raise ConfigError(f"key '{key}' in [{section.name}] is not finite: {raw!r}")
-    return value
-
-
-def _get_int(section, key: str, fallback: int) -> int:
-    raw = section.get(key)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}' in [{section.name}] is not an integer: {raw!r}") from exc
-
-
-def _get_bool(section, key: str, fallback: bool) -> bool:
-    raw = section.get(key)
-    if raw is None:
-        return fallback
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"key '{key}' in [{section.name}] is not a boolean: {raw!r}")
 
 
 def _parse_vector(text: str, key: str, dimension: Optional[int] = None) -> np.ndarray:
@@ -146,6 +86,59 @@ def _parse_vector(text: str, key: str, dimension: Optional[int] = None) -> np.nd
             f"key '{key}' has {values.size} entries, expected {dimension}"
         )
     return values
+
+
+# Every key of every section with its reader; None marks a key read by hand.
+# A typed key of [problem], [schedule] or [solver] is named as the Problem,
+# ContinuationSchedule or SolverConfig field it sets.
+_KEYS = {
+    "problem": {
+        "name": None,
+        "start": _parse_vector,
+        "end": _parse_vector,
+        "grid_size": int,
+        "unique_limit": bool,
+        "cauchy_rho1_tol": float,
+        "reference_distance": float,
+        "seed_amplitude": float,
+    },
+    "schedule": {"q_start": float, "ratio": float, "step_count": int},
+    "solver": {"max_iterations": int},
+    "drift": {"kind": None, "vector": None, "matrix": None},
+    "structure": {"dimension": int, "frame": None},
+    "output": {"root": None},
+}
+
+_BOOLEANS = {
+    "true": True, "yes": True, "1": True, "on": True,
+    "false": False, "no": False, "0": False, "off": False,
+}
+
+
+def _fields(parser, section: str, dimension: Optional[int] = None) -> dict:
+    """The typed keys ``section`` sets, each read by its ``_KEYS`` reader;
+    a vector must have ``dimension`` entries."""
+    if not parser.has_section(section):
+        return {}
+    fields = {}
+    for key, raw in parser[section].items():
+        reader = _KEYS[section][key]
+        where = f"key '{key}' in [{section}]"
+        if reader is _parse_vector:
+            fields[key] = _parse_vector(raw, key, dimension)
+        elif reader is bool:
+            fields[key] = _BOOLEANS.get(raw.strip().lower())
+            if fields[key] is None:
+                raise ConfigError(f"{where} is not a boolean: {raw!r}")
+        elif reader is not None:
+            try:
+                fields[key] = reader(raw)
+            except ValueError as exc:
+                kind = "a number" if reader is float else "an integer"
+                raise ConfigError(f"{where} is not {kind}: {raw!r}") from exc
+            if reader is float and not np.isfinite(fields[key]):
+                raise ConfigError(f"{where} is not finite: {raw!r}")
+    return fields
 
 
 def _parse_matrix(text: str, key: str) -> np.ndarray:
@@ -240,19 +233,19 @@ def _compile_polynomial(text: str, dimension: int, key: str):
     return entry
 
 
-def _parse_structure(section) -> SubRiemannianStructure:
+def _parse_structure(parser) -> SubRiemannianStructure:
     """Build a structure from an inline [structure] section.
 
     The metric is Euclidean; the frame is a semicolon-separated list of
     columns, each column a comma-separated tuple of polynomial entries in
     x1..xn, parentheses optional.  The rank is the number of columns.
     """
-    dimension = _get_int(section, "dimension", 0)
+    dimension = _fields(parser, "structure").get("dimension", 0)
     if dimension < 1:
         raise ConfigError("key 'dimension' must be a positive integer")
     eye = np.eye(dimension)
 
-    frame_text = section.get("frame")
+    frame_text = parser["structure"].get("frame")
     if not frame_text:
         raise ConfigError("key 'frame' is required in [structure]")
     columns = []
@@ -319,36 +312,28 @@ def parse_config(path) -> RunSpec:
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
 
-    problem_section = parser["problem"] if parser.has_section("problem") else {}
-
     if parser.has_section("structure"):
-        structure = _parse_structure(parser["structure"])
-        name = problem_section.get("name", "custom")
-        if problem_section.get("start") is None or problem_section.get("end") is None:
+        structure = _parse_structure(parser)
+        if not (parser.has_option("problem", "start") and parser.has_option("problem", "end")):
             raise ConfigError(
                 "keys 'start' and 'end' are required with an inline [structure]"
             )
         base = Problem(
-            name=name,
+            name=parser.get("problem", "name", fallback="custom"),
             description="inline structure from configuration",
             structure=structure,
             start=np.zeros(structure.dimension),
             end=np.zeros(structure.dimension),
-            grid_size=100,
-            schedule=ContinuationSchedule(),
             unique_limit=False,
-            cauchy_rho1_tol=1e-6,
-            reference_distance=None,
-            reference_note="",
         )
     else:
-        name = problem_section.get("name")
+        name = parser.get("problem", "name", fallback=None)
         if not name:
             raise ConfigError("key 'name' is required in [problem]")
         try:
@@ -357,59 +342,26 @@ def parse_config(path) -> RunSpec:
             raise ConfigError(f"key 'name': {exc.args[0]}") from exc
 
     dim = base.structure.dimension
-    overrides = {}
-    if problem_section.get("start") is not None:
-        overrides["start"] = _parse_vector(problem_section["start"], "start", dim)
-    if problem_section.get("end") is not None:
-        overrides["end"] = _parse_vector(problem_section["end"], "end", dim)
-    grid_size = _get_int(problem_section, "grid_size", base.grid_size)
-    if grid_size < 2:
-        raise ConfigError("key 'grid_size' must be at least 2")
-    overrides["grid_size"] = grid_size
-    overrides["unique_limit"] = _get_bool(
-        problem_section, "unique_limit", base.unique_limit
-    )
-    overrides["cauchy_rho1_tol"] = _get_float(
-        problem_section, "cauchy_rho1_tol", base.cauchy_rho1_tol
-    )
-    if problem_section.get("reference_distance") is not None:
-        ref = _get_float(problem_section, "reference_distance", 0.0)
-        if ref <= 0.0:
-            raise ConfigError("key 'reference_distance' must be positive")
-        overrides["reference_distance"] = ref
-    overrides["seed_amplitude"] = _get_float(
-        problem_section, "seed_amplitude", base.seed_amplitude
-    )
-
+    fields = _fields(parser, "problem", dim)
     if parser.has_section("drift"):
-        overrides["drift"] = _parse_drift(parser["drift"], dim)
-
-    problem = replace(base, **overrides)
-
-    sched_section = parser["schedule"] if parser.has_section("schedule") else {}
+        fields["drift"] = _parse_drift(parser["drift"], dim)
     try:
-        schedule = ContinuationSchedule(
-            q_start=_get_float(sched_section, "q_start", base.schedule.q_start),
-            ratio=_get_float(sched_section, "ratio", base.schedule.ratio),
-            step_count=_get_int(sched_section, "step_count", base.schedule.step_count),
-        )
+        fields["schedule"] = replace(base.schedule, **_fields(parser, "schedule"))
     except ValueError as exc:
         raise ConfigError(f"invalid [schedule]: {exc}") from exc
+    problem = replace(base, **fields)
+    if problem.grid_size < 2:
+        raise ConfigError("key 'grid_size' must be at least 2")
+    if problem.reference_distance is not None and problem.reference_distance <= 0.0:
+        raise ConfigError("key 'reference_distance' must be positive")
 
-    solver_section = parser["solver"] if parser.has_section("solver") else {}
     try:
-        solver = SolverConfig(
-            max_iterations=_get_int(solver_section, "max_iterations", 500),
-            grid_size=problem.grid_size,
-        )
+        solver = SolverConfig(grid_size=problem.grid_size, **_fields(parser, "solver"))
     except ValueError as exc:
         raise ConfigError(f"invalid [solver]: {exc}") from exc
 
-    out_root = None
-    if parser.has_section("output"):
-        out_root = parser["output"].get("root") or None
-
-    return RunSpec(problem=problem, schedule=schedule, solver=solver, out_root=out_root)
+    out_root = parser.get("output", "root", fallback=None) or None
+    return RunSpec(problem=problem, solver=solver, out_root=out_root)
 
 
 def _resolve_out_dir(explicit: Optional[str], spec: RunSpec) -> Path:
@@ -522,7 +474,7 @@ def _cmd_run(command: str, config_path: str, out: Optional[str]) -> int:
     with contextlib.suppress(shutil.SameFileError):  # a re-run into the config's own directory
         shutil.copyfile(config_path, out_dir / "config.ini")
 
-    qs = spec.schedule.q_values()
+    qs = problem.schedule.q_values()
     print(
         f"problem {problem.name}: {qs.size} penalty steps,"
         f" q from {qs[0]:g} to {qs[-1]:g}, grid size {problem.grid_size}"
@@ -535,7 +487,7 @@ def _cmd_run(command: str, config_path: str, out: Optional[str]) -> int:
                 problem.drift,
                 problem.start,
                 problem.end,
-                spec.schedule,
+                problem.schedule,
                 spec.solver,
                 seed_deflection=problem.seed_deflection(),
             )
@@ -544,7 +496,7 @@ def _cmd_run(command: str, config_path: str, out: Optional[str]) -> int:
             results = continuation_solve(
                 problem.structure,
                 (problem.start, problem.end),
-                spec.schedule,
+                problem.schedule,
                 spec.solver,
                 seed_deflection=problem.seed_deflection(),
             )
@@ -598,7 +550,7 @@ def _cmd_run(command: str, config_path: str, out: Optional[str]) -> int:
 
     for res in results:
         print(
-            f"  q={res.q:g}: energy={res.energy:.12g} length={res.length:.12g}"
+            f"  q={_fmt(res.q)}: energy={res.energy:.12g} length={res.length:.12g}"
             f" defect={res.defect:.3e} iterations={res.iterations}"
             f" converged={str(res.converged).lower()}"
         )
@@ -659,12 +611,15 @@ def _cmd_diagnose(results_dir: str) -> int:
         # An infinite recomputed value would widen the bound to inf.
         ok = np.isfinite(recomputed) and gap <= REDERIVE_TOLERANCE * (1.0 + abs(recomputed))
         status = "ok" if ok else "MISMATCH"
-        print(f"q={q:g} {field_name}: stored={stored:.12g} recomputed={recomputed:.12g} [{status}]")
+        print(
+            f"q={_fmt(q)} {field_name}: stored={stored:.12g}"
+            f" recomputed={recomputed:.12g} [{status}]"
+        )
         if not ok:
             failures.append((q, field_name, gap))
 
     def mismatch(q: float, what: str) -> None:
-        print(f"q={q:g} {what} [MISMATCH]")
+        print(f"q={_fmt(q)} {what} [MISMATCH]")
         failures.append((q, what, float("nan")))
 
     # The last row's path, its segments and, if it re-derived, its evaluation.

@@ -39,7 +39,7 @@ class NotHorizontalError(ValueError):
     """Recovery check called on a path whose defect exceeds the tolerance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
     """One continuation run's results, the gaps between consecutive
     minimizers, and the verdicts they support.
@@ -50,7 +50,7 @@ class ConvergenceReport:
     None unless the limit minimizer is declared unique and there are at
     least two rungs; the gap table is then informational only.  Verdicts use
     a small floating-point slack so exact ties (identical minimizers at
-    consecutive q) pass.
+    consecutive q) pass.  Reports, which hold arrays, compare by identity.
     """
 
     results: tuple

@@ -141,21 +141,32 @@ def sinusoidal_deflection(grid_size: int, dimension: int, amplitude: float) -> n
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
-    """A named benchmark: structure, endpoints, ladder, and ground truth."""
+    """A named benchmark: structure, endpoints, ladder, and ground truth.
+
+    The defaults are what the presets share: a ``grid_size`` of 100
+    segments; the ladder ``ContinuationSchedule()``, q = 1, 10, ..., 10^4;
+    ``unique_limit`` True, so the Cauchy verdict is checked, against a max
+    rho1 of ``cauchy_rho1_tol`` = 1e-6; no ``reference_distance`` (None: no
+    closed form, so no length verdict) and an empty ``reference_note``, the
+    text that ``list-problems`` prints beside it; no ``drift``; and a zero
+    ``seed_amplitude``, so the first rung starts on the straight chord.
+    Records compare and hash by identity, as their arrays do not compare to
+    a truth value.
+    """
 
     name: str
     description: str
     structure: SubRiemannianStructure
     start: np.ndarray
     end: np.ndarray
-    grid_size: int
-    schedule: ContinuationSchedule
-    unique_limit: bool
-    cauchy_rho1_tol: float
-    reference_distance: Optional[float]
-    reference_note: str
+    grid_size: int = 100
+    schedule: ContinuationSchedule = ContinuationSchedule()
+    unique_limit: bool = True
+    cauchy_rho1_tol: float = 1e-6
+    reference_distance: Optional[float] = None
+    reference_note: str = ""
     drift: Optional[DriftField] = None
     integrator_steps: int = 100  # unused; bench/workloads.py still reads it
     seed_amplitude: float = 0.0
@@ -171,9 +182,6 @@ class Problem:
         return sinusoidal_deflection(self.grid_size, self.structure.dimension, self.seed_amplitude)
 
 
-_DEFAULT_SCHEDULE = ContinuationSchedule(q_start=1.0, ratio=10.0, step_count=5)
-
-
 def _euclidean_problem(name: str, dimension: int) -> Problem:
     start = np.zeros(dimension)
     end = np.ones(dimension)
@@ -187,9 +195,6 @@ def _euclidean_problem(name: str, dimension: int) -> Problem:
         start=start,
         end=end,
         grid_size=60,
-        schedule=_DEFAULT_SCHEDULE,
-        unique_limit=True,
-        cauchy_rho1_tol=1e-6,
         reference_distance=float(np.linalg.norm(end - start)),
         reference_note="straight-line distance",
     )
@@ -208,10 +213,6 @@ def _heisenberg_problem() -> Problem:
         structure=heisenberg_structure(),
         start=np.zeros(3),
         end=np.array([1.0, 0.0, 0.0]),
-        grid_size=100,
-        schedule=_DEFAULT_SCHEDULE,
-        unique_limit=True,
-        cauchy_rho1_tol=1e-6,
         reference_distance=1.0,
         reference_note="horizontal straight chord",
     )
@@ -239,9 +240,7 @@ def vertical_heisenberg_problem(grid_size: int = 200) -> Problem:
         start=np.zeros(3),
         end=np.array([0.0, 0.0, z]),
         grid_size=grid_size,
-        schedule=ContinuationSchedule(q_start=1.0, ratio=10.0, step_count=5),
         unique_limit=False,
-        cauchy_rho1_tol=1e-6,
         reference_distance=heisenberg_vertical_distance(z),
         reference_note="isoperimetric circle, 2 sqrt(pi z)",
         seed_amplitude=0.05,
@@ -259,10 +258,6 @@ def _martinet_problem() -> Problem:
         structure=martinet_structure(),
         start=np.zeros(3),
         end=np.array([1.0, 0.0, 0.0]),
-        grid_size=100,
-        schedule=_DEFAULT_SCHEDULE,
-        unique_limit=True,
-        cauchy_rho1_tol=1e-6,
         reference_distance=1.0,
         reference_note="horizontal straight chord",
     )
@@ -280,10 +275,6 @@ def _drift_constant_1d_problem() -> Problem:
         start=np.zeros(1),
         end=np.zeros(1),
         grid_size=50,
-        schedule=_DEFAULT_SCHEDULE,
-        unique_limit=True,
-        cauchy_rho1_tol=1e-6,
-        reference_distance=None,
         reference_note="optimal control cost 1 (constant control -1)",
         drift=constant_drift(np.array([1.0])),
     )
@@ -303,10 +294,6 @@ def _drift_linear_2d_problem() -> Problem:
         start=np.zeros(2),
         end=np.array([1.0, 0.0]),
         grid_size=40,
-        schedule=_DEFAULT_SCHEDULE,
-        unique_limit=True,
-        cauchy_rho1_tol=1e-6,
-        reference_distance=None,
         reference_note="Gramian minimum-energy cost 12/13",
         drift=linear_drift(A),
     )
@@ -324,11 +311,7 @@ def _heisenberg_drift_problem() -> Problem:
         structure=heisenberg_structure(),
         start=np.zeros(3),
         end=np.array([1.0, 0.0, 0.05]),
-        grid_size=100,
-        schedule=_DEFAULT_SCHEDULE,
-        unique_limit=True,
         cauchy_rho1_tol=0.05,
-        reference_distance=None,
         reference_note="no closed form; diagnostics only",
         drift=constant_drift(np.array([0.1, 0.0, 0.0])),
         seed_amplitude=0.05,
@@ -359,8 +342,7 @@ def get_problem(name: str) -> Problem:
     valid choices.
     """
     if name == "euclidean-n":
-        prob = _euclidean_problem("euclidean-n", 3)
-        return prob
+        return _euclidean_problem("euclidean-n", 3)
     match = _EUCLIDEAN_PATTERN.match(name)
     if match:
         dimension = int(match.group(1))

@@ -503,6 +503,34 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             """,
             "no section headers",
         ),
+        "zero_reference_distance.ini": (
+            """
+            [problem]
+            name = heisenberg
+            reference_distance = 0
+            """,
+            "key 'reference_distance' must be positive",
+        ),
+        "word_reference_distance.ini": (
+            """
+            [problem]
+            name = heisenberg
+            reference_distance = far
+            """,
+            "key 'reference_distance' in [problem] is not a number: 'far'",
+        ),
+        "word_dimension.ini": (
+            """
+            [structure]
+            dimension = three
+            frame = (1, 0); (0, 1)
+
+            [problem]
+            start = 0, 0
+            end = 1, 0
+            """,
+            "key 'dimension' in [structure] is not an integer: 'three'",
+        ),
         # A % is an ordinary character, not the start of an interpolation.
         "percent_in_value.ini": (
             """
@@ -581,7 +609,12 @@ def test_rungs_whose_q_agree_to_six_digits_get_their_own_path_files(tmp_path, ca
     main(["solve", "--config", str(config), "--out", str(out_dir)])
     names = sorted(path.name for path in out_dir.glob("path_q*.csv"))
     assert names == ["path_q1.0000009999999999.csv", "path_q1.csv"]
+    # The per-rung stdout lines tell the two rungs apart as well.
+    printed = re.findall(r"^  q=(\S+): energy=", capsys.readouterr().out, flags=re.MULTILINE)
+    assert printed == ["1", "1.0000009999999999"]
     assert main(["diagnose", "--results", str(out_dir)]) == 0
+    printed = re.findall(r"^q=(\S+) energy:", capsys.readouterr().out, flags=re.MULTILINE)
+    assert printed == ["1", "1.0000009999999999"]
 
 
 def test_solve_refuses_drift_problem(tmp_path, capsys):
@@ -1066,9 +1099,12 @@ def test_parse_config_roundtrip_values(tmp_path):
         """
         [problem]
         name = heisenberg
+        start = 0, 0.25, 0
         end = 0, 0, 0.5
         grid_size = 24
         unique_limit = false
+        cauchy_rho1_tol = 0.01
+        reference_distance = 2.5
         seed_amplitude = 0.07
 
         [schedule]
@@ -1086,10 +1122,13 @@ def test_parse_config_roundtrip_values(tmp_path):
     )
     spec = parse_config(config)
     assert spec.problem.grid_size == 24
+    np.testing.assert_array_equal(spec.problem.start, [0.0, 0.25, 0.0])
     np.testing.assert_array_equal(spec.problem.end, [0.0, 0.0, 0.5])
     assert not spec.problem.unique_limit
+    assert spec.problem.cauchy_rho1_tol == 0.01
+    assert spec.problem.reference_distance == 2.5
     assert spec.problem.seed_amplitude == 0.07
-    np.testing.assert_allclose(spec.schedule.q_values(), [2.0, 10.0, 50.0])
+    np.testing.assert_allclose(spec.problem.schedule.q_values(), [2.0, 10.0, 50.0])
     assert spec.solver.max_iterations == 123
     assert spec.solver.grid_size == 24
     assert spec.problem.has_drift

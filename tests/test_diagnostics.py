@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pengeo import (
     continuation_solve,
     distance_chain_report,
     energy,
+    get_problem,
     horizontality_defect,
     limit_energy,
     pointwise_affine_check,
@@ -85,6 +88,31 @@ def test_chain_report_on_real_run(heisenberg_chord_run):
     text = report.format_text()
     assert "nondecreasing" in text
     assert "q=1000" in text or "1000" in text
+
+
+def _equal_problems():
+    problem = get_problem("heisenberg")
+    return problem, replace(problem, end=problem.end.copy())
+
+
+def _equal_reports():
+    path = DiscretePath.chord(np.zeros(2), np.ones(2), 5)
+    rung = _fake_result(1.0, path, 1.0, 1.0, 0.5)
+    results = [rung, replace(rung, q=10.0)]
+    return distance_chain_report(results), distance_chain_report(results)
+
+
+@pytest.mark.parametrize(
+    "pair", [_equal_problems, _equal_reports], ids=["Problem", "ConvergenceReport"]
+)
+def test_records_holding_arrays_answer_eq_and_hash(pair):
+    # Two records equal field by field hold equal but distinct arrays, whose
+    # truth value is ambiguous; records compare and hash by identity instead.
+    first, second = pair()
+    assert first == first
+    assert (first == second) is False
+    assert hash(first) == hash(first)
+    assert hash(first) != hash(second)
 
 
 def test_chain_report_flags_violations():

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import pengeo
+from pengeo import cli
 
 SUBMODULES = ("diagnostics", "drift", "functionals", "geometry", "optimizer", "problems")
 
@@ -48,3 +49,17 @@ def test_readme_catalogue_table_lists_exactly_the_presets():
     section = readme.split("## Problem catalogue", 1)[1].split("\n## ", 1)[0]
     names = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
     assert sorted(names) == sorted(pengeo.problem_names())
+
+
+def test_readme_config_key_table_lists_exactly_the_keys():
+    # The README's config-key table has one row per key of cli._KEYS, and a
+    # typed key's row names its reader, so a key cannot be added, removed or
+    # retyped without the doc.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| (\w+) \|", section, flags=re.MULTILINE)
+    names = {float: "float", int: "int", bool: "bool", cli._parse_vector: "vector"}
+    keys = {(s, k): reader for s, table in cli._KEYS.items() for k, reader in table.items()}
+    assert sorted((s, k) for s, k, _ in rows) == sorted(keys)
+    typed = {(s, k): kind for s, k, kind in rows if keys[s, k] is not None}
+    assert typed == {key: names[reader] for key, reader in keys.items() if reader is not None}
