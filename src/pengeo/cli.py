@@ -238,7 +238,8 @@ def _parse_structure(parser) -> SubRiemannianStructure:
 
     The metric is Euclidean; the frame is a semicolon-separated list of
     columns, each column a comma-separated tuple of polynomial entries in
-    x1..xn, parentheses optional.  The rank is the number of columns.
+    x1..xn, parentheses optional.  The rank is the number of columns, at
+    most the dimension.
     """
     dimension = _fields(parser, "structure").get("dimension", 0)
     if dimension < 1:
@@ -258,10 +259,11 @@ def _parse_structure(parser) -> SubRiemannianStructure:
                 f" expected {dimension}"
             )
         columns.append([_compile_polynomial(e, dimension, "frame") for e in entries])
-    rank = len(columns)
+    if len(columns) > dimension:
+        raise ConfigError(f"key 'frame' has {len(columns)} columns, more than the dimension {dimension}")
 
     def frame_columns(pts: np.ndarray) -> np.ndarray:
-        out = np.empty((pts.shape[0], dimension, rank))
+        out = np.empty((pts.shape[0], dimension, len(columns)))
         for j, col in enumerate(columns):
             for i, entry in enumerate(col):
                 out[:, i, j] = entry(pts)
@@ -269,7 +271,6 @@ def _parse_structure(parser) -> SubRiemannianStructure:
 
     return SubRiemannianStructure(
         dimension=dimension,
-        rank=rank,
         metric=lambda pts: eye,
         frame=frame_columns,
         name="custom",
@@ -350,6 +351,8 @@ def parse_config(path) -> RunSpec:
     except ValueError as exc:
         raise ConfigError(f"invalid [schedule]: {exc}") from exc
     problem = replace(base, **fields)
+    if problem.has_drift and "reference_distance" in fields:
+        raise ConfigError("key 'reference_distance' does not apply to a problem with a drift field")
     if problem.grid_size < 2:
         raise ConfigError("key 'grid_size' must be at least 2")
     if problem.reference_distance is not None and problem.reference_distance <= 0.0:
@@ -427,12 +430,10 @@ def _cmd_list_problems() -> int:
     for name in problem_names():
         problem = get_problem(name)
         drift_note = problem.drift.name if problem.has_drift else "none"
+        rank = problem.structure._fields(problem.start[None, :])[1].shape[2]
         print()
         print(name)
-        print(
-            f"  dimension {problem.structure.dimension},"
-            f" rank {problem.structure.rank}, drift: {drift_note}"
-        )
+        print(f"  dimension {problem.structure.dimension}, rank {rank}, drift: {drift_note}")
         print(f"  unique limit minimizer: {str(problem.unique_limit).lower()}")
         if problem.reference_distance is not None:
             print(
@@ -477,7 +478,7 @@ def _cmd_run(command: str, config_path: str, out: Optional[str]) -> int:
     qs = problem.schedule.q_values()
     print(
         f"problem {problem.name}: {qs.size} penalty steps,"
-        f" q from {qs[0]:g} to {qs[-1]:g}, grid size {problem.grid_size}"
+        f" q from {_fmt(qs[0])} to {_fmt(qs[-1])}, grid size {problem.grid_size}"
     )
     started = time.perf_counter()
     try:
@@ -534,7 +535,7 @@ def _cmd_run(command: str, config_path: str, out: Optional[str]) -> int:
                 f"lifted energy (q = 1):            {solution.lifted_energy:.17g}",
                 f"cost identity |cost - (2E - 1)|:  {solution.cost_identity_gap:.6e}"
                 f" ({'pass' if identity_ok else 'FAIL'})",
-                f"control defect:                   {solution.control_defect:.6e}",
+                f"control defect:                   {results[-1].defect:.6e}",
                 f"endpoint mismatch:                {solution.endpoint_mismatch:.6e}",
                 f"time rate deviation:              {solution.time_rate_deviation:.6e}"
                 " (time coordinate pinned)",

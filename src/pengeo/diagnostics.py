@@ -75,7 +75,7 @@ class ConvergenceReport:
         for res, rho1 in zip(self.results, self.rho1):
             rho1 = "-" if rho1 is None else f"{float(np.max(rho1)):.3e}"
             lines.append(
-                f"{res.q:>12g} {res.energy:>22.15e} {res.length:>22.15e}"
+                f"{res.q:>12.17g} {res.energy:>22.15e} {res.length:>22.15e}"
                 f" {res.defect:>12.3e} {res.iterations:>6d}"
                 f" {str(res.converged):>5} {rho1:>12}"
             )
@@ -103,7 +103,7 @@ class ConvergenceReport:
         lines.append(f"{'q_from':>12} {'q_to':>12} {'rho0_max':>12} {'rho1_max':>12}")
         for prev, curr, rho0, rho1 in zip(self.results, self.results[1:], self.rho0[1:], self.rho1[1:]):
             lines.append(
-                f"{prev.q:>12g} {curr.q:>12g}"
+                f"{prev.q:>12.17g} {curr.q:>12.17g}"
                 f" {float(np.max(rho0)):>12.3e} {float(np.max(rho1)):>12.3e}"
             )
         lines.append("")

@@ -195,7 +195,6 @@ def _pull_back(structure: SubRiemannianStructure, drift: DriftField) -> _PulledB
         raise ValueError(f"drift field {drift.name} does not act on dimension {n}")
     return _PulledBackStructure(
         n,
-        structure.rank,
         structure.metric,
         structure.frame,
         f"{structure.name}+drift:{drift.name}",
@@ -248,10 +247,9 @@ class DriftSolveResult:
     ``control_mid`` holds the midpoint samples that define ``control_cost``.
     ``cost_identity_gap`` is |cost - (2 E_1 - 1)| for the final lifted path,
     which vanishes up to roundoff because the s coordinate is pinned to the
-    time.  ``control_defect`` is by construction the last rung's defect:
-    the mean vertical form of the control in the base frame is the
-    pulled-back vertical form of the final velocities, so it is read from
-    the last rung's evaluation and factors nothing.
+    time.  The control defect, the mean vertical form of the control in the
+    base frame, is the pulled-back vertical form of the final velocities,
+    so it is the last rung's defect, ``results[-1].defect``.
     ``time_rate_deviation`` is the largest gap between the discrete rate of
     the s coordinate and 1, a roundoff-level check of that pinning.
     """
@@ -263,7 +261,6 @@ class DriftSolveResult:
     control_cost: float
     lifted_energy: float
     cost_identity_gap: float
-    control_defect: float
     endpoint_mismatch: float
     time_rate_deviation: float
     success: bool
@@ -350,7 +347,6 @@ def solve_drift_problem(
         control_cost=control_cost,
         lifted_energy=lifted_energy,
         cost_identity_gap=cost_identity_gap,
-        control_defect=evaluation.defect,
         endpoint_mismatch=endpoint_mismatch,
         time_rate_deviation=time_rate_deviation,
         success=success,

@@ -32,9 +32,6 @@ __all__ = [
     "DegenerateFrameError",
     "SubRiemannianStructure",
     "check_penalty",
-    "project_horizontal",
-    "penalized_forms",
-    "penalized_gram",
     "field_jacobian",
     "lie_bracket",
     "validate_bracket_generating",
@@ -93,23 +90,17 @@ class SubRiemannianStructure:
     symmetric positive definite Gram matrices, or to a single (n, n) matrix
     valid for all of them (constant metrics).  ``frame`` maps it to an
     (m, n, k) stack whose columns are the frame vectors at each point, or to
-    a constant (n, k) matrix.  The distribution is the column span of the
-    frame; orthogonal projections onto it (and its g-orthogonal complement)
-    are computed on demand by :func:`project_horizontal`.  Instances are
+    a constant (n, k) matrix, 1 <= k <= n.  The distribution is the column
+    span of the frame, and its rank is k; the solver reads both fields
+    through one frame factor (:func:`_factor_frame`), which projects onto
+    the distribution and forms the penalized metric.  Instances are
     immutable and safe to share.
     """
 
     dimension: int
-    rank: int
     metric: Callable[[np.ndarray], np.ndarray]
     frame: Callable[[np.ndarray], np.ndarray]
     name: str
-
-    def __post_init__(self):
-        if not 1 <= self.rank <= self.dimension:
-            raise ValueError(
-                f"need 1 <= rank <= dimension, got rank {self.rank} in dimension {self.dimension}"
-            )
 
     def _fields(self, points: np.ndarray, times=None):
         """Metric and frame stacks (G, F) at a batch of points (m, n), in one
@@ -130,8 +121,8 @@ class SubRiemannianStructure:
             F = np.asarray(self.frame(points), dtype=float)
         if F.ndim == 2:
             F = np.broadcast_to(F, (m,) + F.shape)
-        if F.ndim != 3 or F.shape[0] != m or F.shape[1] != n:
-            raise ValueError(f"frame field returned shape {F.shape}, expected (m, {n}, k)")
+        if F.ndim != 3 or F.shape[0] != m or F.shape[1] != n or not 1 <= F.shape[2] <= n:
+            raise ValueError(f"frame field returned shape {F.shape}, expected (m, {n}, k), 1 <= k <= {n}")
         if not np.all(np.isfinite(F)):
             raise DegenerateFrameError("frame is degenerate: its field returned non-finite entries")
         return G, F
@@ -302,10 +293,6 @@ def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray, times=N
     any point.
     """
     G, F = structure._fields(points, times)
-    m = points.shape[0]
-    expected = (m, structure.dimension, structure.rank)
-    if F.shape != expected:
-        raise ValueError(f"frame stack has shape {F.shape}, expected {expected}")
     FtG, M = _frame_gram(points, G, F)
     try:
         Sinv = _spd_inverse(M)
@@ -406,71 +393,6 @@ def _field_stencil(factor: _FrameFactor):
     return None if flat else second(G, Gs, factor.G), second(F, Fs, factor.F)
 
 
-def penalized_forms(structure: SubRiemannianStructure, q, points, vectors):
-    """Penalized quadratic-form data for a batch of tangent vectors.
-
-    For each row i, with P the g-orthogonal projection onto the distribution
-    at ``points[i]`` and Pc its complement, returns three arrays:
-
-    - ``horizontal[i] = g(P v_i, P v_i)``
-    - ``vertical[i]   = g(Pc v_i, Pc v_i)``
-    - ``flux[i]       = G (P v_i + q Pc v_i)``
-
-    so that the penalized form g_q(v, v) is ``horizontal + q * vertical`` and
-    ``flux`` is the penalized form's matrix applied to v_i (the derivative of
-    the form in its vector argument is ``2 flux``).  Each call factors the
-    frame at ``points``; the solver factors once and reads all it needs.
-    """
-    qf = check_penalty(q)
-    factor = _factor_frame(structure, np.asarray(points, dtype=float))
-    horizontal, vertical, Gpv, Gpp = factor.split_forms(np.asarray(vectors, dtype=float))[:4]
-    return horizontal, vertical, Gpv + qf * Gpp
-
-
-def penalized_gram(structure: SubRiemannianStructure, q, points) -> np.ndarray:
-    """Matrix stack of the penalized metric at a batch of points.
-
-    With P the g-orthogonal projection onto the distribution, the penalized
-    form's matrix is  M_q = q G + (1 - q) G P, which is symmetric because G P
-    is (P is g-self-adjoint).  The result is symmetrized to scrub roundoff
-    and is positive definite for every valid q.  Each call factors the frame
-    at ``points``, as :func:`penalized_forms` does.
-    """
-    qf = check_penalty(q)
-    return _factor_frame(structure, np.asarray(points, dtype=float)).gram(qf)
-
-
-def project_horizontal(structure: SubRiemannianStructure, p, v):
-    """Split a tangent vector into its distribution and complement parts.
-
-    Solves (F^T G F) c = F^T G v by a symmetric positive definite
-    factorization and returns (F c, v - F c), the g-orthogonal projections
-    of v onto the distribution and onto its complement at p.
-
-    Parameters
-    ----------
-    structure : SubRiemannianStructure
-    p : array_like, shape (n,)
-        Base point.
-    v : array_like, shape (n,)
-        Tangent vector at p.
-
-    Returns
-    -------
-    (pv, pperp_v) : pair of ndarrays, shape (n,)
-        Horizontal part and complement part; their sum reproduces v.
-
-    Raises
-    ------
-    DegenerateFrameError
-        If the frame Gram matrix at p is numerically singular.
-    """
-    pt = as_point(p, structure.dimension)
-    vec = as_point(v, structure.dimension)
-    _, pv, pperp = _factor_frame(structure, pt[None, :]).project(vec[None, :])
-    return pv[0], pperp[0]
-
-
 def field_jacobian(field: Callable[[np.ndarray], np.ndarray], p) -> np.ndarray:
     """Jacobian of a vector field by central finite differences of step :func:`_fd_step` at p."""
     pt = as_point(p)
@@ -519,15 +441,14 @@ def validate_bracket_generating(structure: SubRiemannianStructure, p, max_depth:
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     pt = as_point(p, structure.dimension)
-    n, k = structure.dimension, structure.rank
+
+    def frame_at(x):
+        return structure._fields(np.asarray(x, dtype=float)[None, :], np.zeros(1))[1][0]
 
     def frame_column(j):
-        def column(x):
-            x = np.asarray(x, dtype=float)
-            return structure._fields(x[None, :], np.zeros(1))[1][0][:, j]
+        return lambda x: frame_at(x)[:, j]
 
-        return column
-
+    n, k = frame_at(pt).shape
     fields = [(1, frame_column(j)) for j in range(k)]
 
     def span_rank() -> int:

@@ -39,7 +39,6 @@ def euclidean_structure(dimension: int) -> SubRiemannianStructure:
     eye = np.eye(dimension)
     return SubRiemannianStructure(
         dimension=dimension,
-        rank=dimension,
         metric=lambda pts: eye,
         frame=lambda pts: eye,
         name=f"euclidean-{dimension}",
@@ -65,7 +64,6 @@ def heisenberg_structure() -> SubRiemannianStructure:
 
     return SubRiemannianStructure(
         dimension=3,
-        rank=2,
         metric=lambda pts: eye,
         frame=columns,
         name="heisenberg",
@@ -92,7 +90,6 @@ def martinet_structure() -> SubRiemannianStructure:
 
     return SubRiemannianStructure(
         dimension=3,
-        rank=2,
         metric=lambda pts: eye,
         frame=columns,
         name="martinet",

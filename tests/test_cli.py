@@ -64,6 +64,16 @@ def test_list_problems_prints_catalogue(capsys):
         assert name in out
     assert "2 sqrt(pi z)" in out
     assert out.count("reference") >= 5
+    # The rank is the column count of the frame read at the problem's start.
+    for name, dimension, rank in (
+        ("euclidean-n", 3, 3),
+        ("heisenberg", 3, 2),
+        ("martinet", 3, 2),
+        ("drift-constant-1d", 1, 1),
+        ("drift-linear-2d", 2, 2),
+        ("heisenberg-drift", 3, 2),
+    ):
+        assert f"\n{name}\n  dimension {dimension}, rank {rank}, drift: " in out
 
 
 def test_solve_heisenberg_writes_full_results(tmp_path, capsys):
@@ -519,6 +529,28 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
             """,
             "key 'reference_distance' in [problem] is not a number: 'far'",
         ),
+        # A drift run reports no reference distance, so it may not set one.
+        "drift_reference_distance.ini": (
+            """
+            [problem]
+            name = drift-constant-1d
+            reference_distance = 0.01
+            """,
+            "key 'reference_distance' does not apply to a problem with a drift field",
+        ),
+        # The rank is the frame's column count, at most the dimension.
+        "too_many_frame_columns.ini": (
+            """
+            [structure]
+            dimension = 2
+            frame = (1, 0); (0, 1); (1, 1)
+
+            [problem]
+            start = 0, 0
+            end = 1, 0
+            """,
+            "key 'frame' has 3 columns, more than the dimension 2",
+        ),
         "word_dimension.ini": (
             """
             [structure]
@@ -609,9 +641,15 @@ def test_rungs_whose_q_agree_to_six_digits_get_their_own_path_files(tmp_path, ca
     main(["solve", "--config", str(config), "--out", str(out_dir)])
     names = sorted(path.name for path in out_dir.glob("path_q*.csv"))
     assert names == ["path_q1.0000009999999999.csv", "path_q1.csv"]
-    # The per-rung stdout lines tell the two rungs apart as well.
-    printed = re.findall(r"^  q=(\S+): energy=", capsys.readouterr().out, flags=re.MULTILINE)
+    # The header and the per-rung stdout lines tell the two rungs apart as well.
+    out = capsys.readouterr().out
+    assert "2 penalty steps, q from 1 to 1.0000009999999999, grid size 50" in out
+    printed = re.findall(r"^  q=(\S+): energy=", out, flags=re.MULTILINE)
     assert printed == ["1", "1.0000009999999999"]
+    # So do both tables of report.txt: the rung rows and the Cauchy row.
+    report = (out_dir / "report.txt").read_text()
+    assert re.findall(r"^ *(1\S*) +\S+e[+-]\d+ ", report, flags=re.MULTILINE) == ["1", "1.0000009999999999"]
+    assert re.search(r"^ +1 1\.0000009999999999 ", report, flags=re.MULTILINE)
     assert main(["diagnose", "--results", str(out_dir)]) == 0
     printed = re.findall(r"^q=(\S+) energy:", capsys.readouterr().out, flags=re.MULTILINE)
     assert printed == ["1", "1.0000009999999999"]
@@ -1114,10 +1152,6 @@ def test_parse_config_roundtrip_values(tmp_path):
 
         [solver]
         max_iterations = 123
-
-        [drift]
-        kind = constant
-        vector = 0.1, 0, 0
         """,
     )
     spec = parse_config(config)
@@ -1131,7 +1165,20 @@ def test_parse_config_roundtrip_values(tmp_path):
     np.testing.assert_allclose(spec.problem.schedule.q_values(), [2.0, 10.0, 50.0])
     assert spec.solver.max_iterations == 123
     assert spec.solver.grid_size == 24
-    assert spec.problem.has_drift
+    # A drift run takes no reference distance, so the drift comes in its own config.
+    drifted = _write_config(
+        tmp_path,
+        """
+        [problem]
+        name = heisenberg
+
+        [drift]
+        kind = constant
+        vector = 0.1, 0, 0
+        """,
+        name="drift.ini",
+    )
+    assert parse_config(drifted).problem.has_drift
     with pytest.raises(ConfigError):
         parse_config(tmp_path / "missing.ini")
 

@@ -16,14 +16,13 @@ from pengeo import (
     continuation_solve,
     get_problem,
     linear_drift,
-    penalized_forms,
-    penalized_gram,
     solve_drift_problem,
     validate_bracket_generating,
     zero_drift,
 )
 from pengeo.drift import _lifted_evaluation, _pull_back
 from pengeo.functionals import _evaluate, _segments
+from pengeo.geometry import _factor_frame
 from conftest import assert_same_evaluation
 
 
@@ -184,9 +183,10 @@ def test_pulled_back_fields_are_the_base_fields_under_zero_drift(heisenberg, rng
     # The zero drift's flow is the identity, so at any time the pulled-back
     # fields are the base fields.
     pulled = _pull_back(heisenberg, zero_drift(3))
-    assert (pulled.dimension, pulled.rank) == (3, 2)
+    assert pulled.dimension == 3
     pts = rng.normal(size=(5, 3))
     gram, cols = pulled._fields(pts, rng.uniform(0.0, 1.0, size=5))
+    assert cols.shape == (5, 3, 2)
     base_gram, base_cols = heisenberg._fields(pts)
     np.testing.assert_array_equal(gram, base_gram)
     np.testing.assert_array_equal(cols, base_cols)
@@ -218,11 +218,11 @@ def test_pulled_back_metric_is_the_identity_under_constant_drift(euclidean3, rng
 
 
 def test_time_dependent_fields_need_the_points_times(heisenberg):
-    # The public functions read the fields without times, which a drift's
-    # pulled-back fields cannot do without.
+    # A frame factor read without times fails on a drift's pulled-back
+    # fields, which cannot do without them.
     pulled = _pull_back(heisenberg, linear_drift(0.3 * np.eye(3)))
     with pytest.raises(ValueError, match="change in time and need the points' times"):
-        penalized_gram(pulled, 10.0, np.zeros((2, 3)))
+        _factor_frame(pulled, np.zeros((2, 3)))
 
 
 @pytest.fixture(scope="module")
@@ -251,7 +251,7 @@ def test_constant_drift_cancellation_oracle(constant_1d_solution):
     assert sol.cost_identity_gap <= 1e-12
     assert sol.endpoint_mismatch <= 1e-12
     assert sol.time_rate_deviation <= 1e-12
-    assert sol.control_defect <= 1e-10
+    assert sol.results[-1].defect <= 1e-10
 
 
 def test_constant_drift_shapes(constant_1d_solution):
@@ -370,11 +370,11 @@ def test_control_defect_reads_the_base_frame(heisenberg):
     config = SolverConfig(grid_size=40)
     sol = solve_drift_problem(heisenberg, drift, np.zeros(3), end, schedule, config)
     assert sol.success
-    assert sol.control_defect == sol.results[-1].defect > 1e-9
+    assert sol.results[-1].defect > 1e-9
     mids, _ = _segments(sol.results[-1].path)
     base_mid = _pull_back(heisenberg, drift).flow.transport_batch(mids[:, 3], mids[:, :3])[0]
-    horizontal, vertical, _ = penalized_forms(heisenberg, 1.0, base_mid, sol.control_mid)
-    assert sol.control_defect == pytest.approx(np.sum(vertical) / 40, rel=1e-10)
+    horizontal, vertical = _factor_frame(heisenberg, base_mid).split_forms(sol.control_mid)[:2]
+    assert sol.results[-1].defect == pytest.approx(np.sum(vertical) / 40, rel=1e-10)
     assert sol.control_cost == pytest.approx(np.sum(horizontal + vertical) / 40, rel=1e-12)
 
 

@@ -12,9 +12,6 @@ from pengeo import (
     check_penalty,
     field_jacobian,
     lie_bracket,
-    penalized_forms,
-    penalized_gram,
-    project_horizontal,
     validate_bracket_generating,
     validate_structure,
 )
@@ -44,13 +41,20 @@ def _heisenberg_normal(p: np.ndarray) -> np.ndarray:
     return n / np.linalg.norm(n)
 
 
+def _project(structure, p, v):
+    """The horizontal and complement parts of v at p, from one frame factor."""
+    factor = _factor_frame(structure, np.asarray(p, dtype=float)[None, :])
+    _, pv, pperp = factor.project(np.asarray(v, dtype=float)[None, :])
+    return pv[0], pperp[0]
+
+
 def test_heisenberg_projection_worked_example(heisenberg):
     p = np.array([0.0, 2.0, 0.0])
     v = np.array([1.0, 0.0, 0.0])
-    pv, pperp = project_horizontal(heisenberg, p, v)
+    pv, pperp = _project(heisenberg, p, v)
     np.testing.assert_allclose(pv, [0.5, 0.0, -0.5], atol=1e-14)
     np.testing.assert_allclose(pperp, [0.5, 0.0, 0.5], atol=1e-14)
-    horizontal, vertical, _ = penalized_forms(heisenberg, 3.0, p[None, :], v[None, :])
+    horizontal, vertical = _factor_frame(heisenberg, p[None, :]).split_forms(v[None, :])[:2]
     assert horizontal[0] + 3.0 * vertical[0] == pytest.approx(2.0)
 
 
@@ -58,7 +62,7 @@ def test_projection_matches_normal_vector_oracle(heisenberg, rng):
     for _ in range(20):
         p = rng.normal(size=3)
         v = rng.normal(size=3)
-        _, pperp = project_horizontal(heisenberg, p, v)
+        _, pperp = _project(heisenberg, p, v)
         nhat = _heisenberg_normal(p)
         expected = (v @ nhat) * nhat
         np.testing.assert_allclose(pperp, expected, atol=1e-12)
@@ -68,8 +72,8 @@ def test_projection_idempotent_and_orthogonal(martinet, rng):
     for _ in range(10):
         p = rng.normal(size=3)
         v = rng.normal(size=3)
-        pv, pperp = project_horizontal(martinet, p, v)
-        pv2, residue = project_horizontal(martinet, p, pv)
+        pv, pperp = _project(martinet, p, v)
+        pv2, residue = _project(martinet, p, pv)
         np.testing.assert_allclose(pv2, pv, atol=1e-12)
         np.testing.assert_allclose(residue, 0.0, atol=1e-12)
         # flat metric, so g-orthogonality is the dot product
@@ -82,12 +86,12 @@ def test_penalized_metric_affine_in_q(heisenberg, rng):
     v = rng.normal(size=3)
 
     def g(q):
-        horizontal, vertical, _ = penalized_forms(heisenberg, q, p[None, :], v[None, :])
+        horizontal, vertical = _factor_frame(heisenberg, p[None, :]).split_forms(v[None, :])[:2]
         return float(horizontal[0] + q * vertical[0])
 
     g1, g2, g4 = g(1.0), g(2.0), g(4.0)
     assert g2 - g1 == pytest.approx((g4 - g2) / 2.0, rel=1e-12, abs=1e-14)
-    pv, pperp = project_horizontal(heisenberg, p, v)
+    pv, pperp = _project(heisenberg, p, v)
     assert g1 == pytest.approx(v @ v, rel=1e-12)
     assert g4 == pytest.approx(pv @ pv + 4.0 * (pperp @ pperp), rel=1e-12)
 
@@ -95,9 +99,10 @@ def test_penalized_metric_affine_in_q(heisenberg, rng):
 def test_penalized_gram_matches_forms(heisenberg, rng):
     pts = rng.normal(size=(8, 3))
     vecs = rng.normal(size=(8, 3))
+    factor = _factor_frame(heisenberg, pts)
     for q in (1.0, 7.5, 1e4):
-        gram = penalized_gram(heisenberg, q, pts)
-        hor, vert, _ = penalized_forms(heisenberg, q, pts, vecs)
+        gram = factor.gram(q)
+        hor, vert = factor.split_forms(vecs)[:2]
         quad = np.einsum("ij,ijk,ik->i", vecs, gram, vecs)
         np.testing.assert_allclose(quad, hor + q * vert, rtol=1e-10)
         np.testing.assert_allclose(gram, np.transpose(gram, (0, 2, 1)), atol=1e-12)
@@ -109,9 +114,9 @@ def test_penalized_forms_flux_is_gradient_of_quadratic(heisenberg, rng):
     pts = rng.normal(size=(5, 3))
     vecs = rng.normal(size=(5, 3))
     q = 30.0
-    gram = penalized_gram(heisenberg, q, pts)
-    _, _, flux = penalized_forms(heisenberg, q, pts, vecs)
-    np.testing.assert_allclose(flux, np.einsum("ijk,ik->ij", gram, vecs), rtol=1e-10)
+    factor = _factor_frame(heisenberg, pts)
+    Gpv, Gpp = factor.split_forms(vecs)[2:4]
+    np.testing.assert_allclose(Gpv + q * Gpp, np.einsum("ijk,ik->ij", factor.gram(q), vecs), rtol=1e-10)
 
 
 def test_check_penalty_validation():
@@ -122,9 +127,9 @@ def test_check_penalty_validation():
             check_penalty(bad)
 
 
-def _flat_plane(metric=lambda p: np.eye(2), frame=lambda p: np.eye(2), rank=2):
+def _flat_plane(metric=lambda p: np.eye(2), frame=lambda p: np.eye(2)):
     """A structure on R^2 with the given metric and frame callables."""
-    return SubRiemannianStructure(dimension=2, rank=rank, metric=metric, frame=frame, name="plane")
+    return SubRiemannianStructure(dimension=2, metric=metric, frame=frame, name="plane")
 
 
 def test_metric_field_rejects_asymmetric_gram():
@@ -158,7 +163,7 @@ def test_fields_reject_non_symmetric_metrics(rng):
 def test_degenerate_frame_detected():
     structure = _flat_plane(frame=lambda p: np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DegenerateFrameError):
-        project_horizontal(structure, np.zeros(2), np.ones(2))
+        _project(structure, np.zeros(2), np.ones(2))
 
 
 def _graded_frame_structure(gram_condition: float, rank: int = 2) -> SubRiemannianStructure:
@@ -167,7 +172,6 @@ def _graded_frame_structure(gram_condition: float, rank: int = 2) -> SubRiemanni
     columns = np.eye(rank + 1, rank) * gram_condition ** (-0.5 * np.linspace(0.0, 1.0, rank))
     return SubRiemannianStructure(
         dimension=rank + 1,
-        rank=rank,
         metric=lambda p: np.eye(rank + 1),
         frame=lambda p: columns,
         name="graded",
@@ -177,12 +181,12 @@ def _graded_frame_structure(gram_condition: float, rank: int = 2) -> SubRiemanni
 def test_ill_conditioned_frame_rejected_with_its_condition_number():
     structure = _graded_frame_structure(1e9)
     with pytest.raises(DegenerateFrameError, match=r"condition number 1\.0\d*e\+09"):
-        project_horizontal(structure, np.zeros(3), np.ones(3))
+        _project(structure, np.zeros(3), np.ones(3))
 
 
 def test_frame_below_condition_limit_accepted():
     structure = _graded_frame_structure(1e7)
-    pv, pperp = project_horizontal(structure, np.zeros(3), np.ones(3))
+    pv, pperp = _project(structure, np.zeros(3), np.ones(3))
     np.testing.assert_allclose(pv, [1.0, 1.0, 0.0], atol=1e-9)
     np.testing.assert_allclose(pperp, [0.0, 0.0, 1.0], atol=1e-9)
 
@@ -194,9 +198,9 @@ def test_rank_three_frame_keeps_the_eigenvalue_condition_check(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
     with pytest.raises(DegenerateFrameError, match=r"condition number 1\.0\d*e\+09"):
-        project_horizontal(_graded_frame_structure(1e9, rank=3), np.zeros(4), np.ones(4))
+        _project(_graded_frame_structure(1e9, rank=3), np.zeros(4), np.ones(4))
     assert calls == [(1, 3, 3)]
-    pv, pperp = project_horizontal(_graded_frame_structure(1e7, rank=3), np.zeros(4), np.ones(4))
+    pv, pperp = _project(_graded_frame_structure(1e7, rank=3), np.zeros(4), np.ones(4))
     np.testing.assert_allclose(pv, [1.0, 1.0, 1.0, 0.0], atol=1e-9)
     np.testing.assert_allclose(pperp, [0.0, 0.0, 0.0, 1.0], atol=1e-9)
 
@@ -336,21 +340,20 @@ def test_shifted_row_is_a_row_of_the_shifted_rows(rng):
         np.testing.assert_array_equal(_shifted_row(points, offsets, i), rows[i])
 
 
-@pytest.mark.parametrize("rank", [0, 4])
-def test_structure_rejects_a_rank_outside_one_to_dimension(rank):
-    plane = _graded_frame_structure(1.0)
-    with pytest.raises(ValueError, match=rf"need 1 <= rank <= dimension, got rank {rank} in dimension 3"):
-        SubRiemannianStructure(3, rank, plane.metric, plane.frame, "bad rank")
+@pytest.mark.parametrize("columns", [0, 4])
+def test_fields_reject_a_column_count_outside_one_to_dimension(columns):
+    # The rank is the frame's column count k, which must satisfy 1 <= k <= n.
+    structure = replace(_graded_frame_structure(1.0), frame=lambda p: np.eye(3, columns))
+    expected = f"frame field returned shape (4, 3, {columns}), expected (m, 3, k), 1 <= k <= 3"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        _factor_frame(structure, np.zeros((4, 3)))
 
 
-def test_frame_factor_rejects_a_wrong_column_count_and_an_indefinite_gram():
-    # The plane frame of R^3 has two columns, not the one its rank declares;
-    # under diag(1, -1, 1) its frame Gram diag(1, -1) is perfectly
+def test_frame_factor_rejects_an_indefinite_gram():
+    # Under diag(1, -1, 1) the plane frame Gram diag(1, -1) is perfectly
     # conditioned but not positive definite, which the sweep's pivots catch.
     plane = _graded_frame_structure(1.0)
     points = np.zeros((4, 3))
-    with pytest.raises(ValueError, match=re.escape("frame stack has shape (4, 3, 2), expected (4, 3, 1)")):
-        _factor_frame(replace(plane, rank=1), points)
     indefinite = replace(plane, metric=lambda p: np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(DegenerateFrameError, match="^frame Gram matrix is not positive definite"):
         _factor_frame(indefinite, points)
@@ -426,7 +429,7 @@ def test_field_derivative_stacks_are_segment_major(heisenberg, rng):
     # the coordinate axis comes next: the difference along c is bitwise the
     # central difference of the fields read at points +- h e_c alone.  The
     # second derivatives are symmetric in their two coordinate axes.
-    structure = _ClockedStructure(3, 2, heisenberg.metric, heisenberg.frame, "clocked")
+    structure = _ClockedStructure(3, heisenberg.metric, heisenberg.frame, "clocked")
     points, times = rng.normal(size=(7, 3)), np.linspace(0.05, 0.95, 7)
     first = _field_differences(structure, points, times)
     h = _fd_step(points)
@@ -500,7 +503,7 @@ def test_bracket_generation_certificates(heisenberg, martinet, euclidean3, rng):
 def test_bracket_generation_reports_failure_without_raising():
     # A single coordinate field in the plane commutes with itself, so no
     # depth can complete the span; the certificate reports rank 1 honestly.
-    structure = _flat_plane(frame=lambda p: np.array([[1.0], [0.0]]), rank=1)
+    structure = _flat_plane(frame=lambda p: np.array([[1.0], [0.0]]))
     rank, depth = validate_bracket_generating(structure, np.zeros(2), 4)
     assert rank == 1
     assert depth == 4

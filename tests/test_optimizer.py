@@ -80,7 +80,7 @@ def _warped_heisenberg(heisenberg):
         return np.eye(3) + w[:, :, None] * w[:, None, :]
 
     return SubRiemannianStructure(
-        dimension=3, rank=2, metric=gram, frame=heisenberg.frame, name="warped"
+        dimension=3, metric=gram, frame=heisenberg.frame, name="warped"
     )
 
 
@@ -98,7 +98,6 @@ def _mixed_frame_heisenberg():
 
     return SubRiemannianStructure(
         dimension=3,
-        rank=2,
         metric=lambda pts: np.eye(3),
         frame=columns,
         name="mixed-frame",
@@ -118,7 +117,7 @@ def _bent_line_on_the_plane():
         return np.stack([1.0 + 0.5 * y**2, x * y - 0.5 * x], axis=1)[:, :, None]
 
     return SubRiemannianStructure(
-        dimension=2, rank=1, metric=gram, frame=columns, name="bent-line"
+        dimension=2, metric=gram, frame=columns, name="bent-line"
     )
 
 
@@ -127,7 +126,6 @@ def _varying_line():
     are no mixed second differences and the corner stencil is empty."""
     return SubRiemannianStructure(
         dimension=1,
-        rank=1,
         metric=lambda pts: 1.0 + pts[:, :, None] ** 2,
         frame=lambda pts: 1.0 + 0.5 * pts[:, :, None],
         name="varying-line",
@@ -154,7 +152,7 @@ def _warped_rank_two_on_r4():
         return F
 
     return SubRiemannianStructure(
-        dimension=4, rank=2, metric=gram, frame=columns, name="warped-r4"
+        dimension=4, metric=gram, frame=columns, name="warped-r4"
     )
 
 
@@ -297,7 +295,7 @@ def test_metric_stacks_are_none_exactly_where_the_metric_does_not_move(heisenber
     for problem in problems:
         structure = _pull_back(problem.structure, problem.drift) if problem.has_drift else problem.structure
         assert _metric_stacks(structure, rng) == (None, None), structure.name
-    clocked = _ClockedStructure(3, 2, heisenberg.metric, heisenberg.frame, "clocked")
+    clocked = _ClockedStructure(3, heisenberg.metric, heisenberg.frame, "clocked")
     for structure in (
         _warped_heisenberg(heisenberg),
         _bent_line_on_the_plane(),

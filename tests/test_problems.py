@@ -34,7 +34,7 @@ def test_registry_has_exactly_six_entries():
 def test_euclidean_lookup_parses_dimension():
     prob = get_problem("euclidean-7")
     assert prob.structure.dimension == 7
-    assert prob.structure.rank == 7
+    assert prob.structure._fields(prob.start[None, :])[1].shape == (1, 7, 7)
     np.testing.assert_array_equal(prob.start, np.zeros(7))
     np.testing.assert_array_equal(prob.end, np.ones(7))
     assert get_problem("euclidean-n").structure.dimension == 3
