@@ -22,6 +22,7 @@ import argparse
 import ast
 import configparser
 import contextlib
+import functools
 import logging
 import os
 import shutil
@@ -670,7 +671,10 @@ def _cmd_diagnose(results_dir: str) -> int:
     return 0
 
 
-def main(argv: Optional[list] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first `main` call and shared by
+    every later one: `parse_args` reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="pengeo",
         description=(
@@ -691,8 +695,11 @@ def main(argv: Optional[list] = None) -> int:
         "diagnose", help="re-derive every stored number from the stored paths"
     )
     diag_cmd.add_argument("--results", required=True, help="directory written by solve or drift-solve")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list] = None) -> int:
+    args = _parser().parse_args(argv)
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         if args.command == "list-problems":

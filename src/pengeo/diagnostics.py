@@ -65,17 +65,22 @@ class ConvergenceReport:
     rho1_threshold: float
     cauchy_passed: Optional[bool]
 
+    def _q_width(self) -> int:
+        """Width of the q columns: 12, or the longest q printed exactly."""
+        return max([12] + [len(f"{res.q:.17g}") for res in self.results])
+
     def format_text(self) -> str:
         lines = ["convergence report", "=" * 18, ""]
+        w = self._q_width()
         header = (
-            f"{'q':>12} {'energy':>22} {'length':>22} {'defect':>12}"
+            f"{'q':>{w}} {'energy':>22} {'length':>22} {'defect':>12}"
             f" {'iters':>6} {'conv':>5} {'rho1_max':>12}"
         )
         lines.append(header)
         for res, rho1 in zip(self.results, self.rho1):
             rho1 = "-" if rho1 is None else f"{float(np.max(rho1)):.3e}"
             lines.append(
-                f"{res.q:>12.17g} {res.energy:>22.15e} {res.length:>22.15e}"
+                f"{res.q:>{w}.17g} {res.energy:>22.15e} {res.length:>22.15e}"
                 f" {res.defect:>12.3e} {res.iterations:>6d}"
                 f" {str(res.converged):>5} {rho1:>12}"
             )
@@ -100,10 +105,11 @@ class ConvergenceReport:
         if len(self.results) < 2:
             raise ValueError("the Cauchy table needs at least two continuation results")
         lines = ["minimizer Cauchy table", "=" * 22, ""]
-        lines.append(f"{'q_from':>12} {'q_to':>12} {'rho0_max':>12} {'rho1_max':>12}")
+        w = self._q_width()
+        lines.append(f"{'q_from':>{w}} {'q_to':>{w}} {'rho0_max':>12} {'rho1_max':>12}")
         for prev, curr, rho0, rho1 in zip(self.results, self.results[1:], self.rho0[1:], self.rho1[1:]):
             lines.append(
-                f"{prev.q:>12.17g} {curr.q:>12.17g}"
+                f"{prev.q:>{w}.17g} {curr.q:>{w}.17g}"
                 f" {float(np.max(rho0)):>12.3e} {float(np.max(rho1)):>12.3e}"
             )
         lines.append("")

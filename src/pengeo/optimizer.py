@@ -467,7 +467,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
 
     def singular(exc):
         return FloatingPointError(
-            f"velocity Hessian is singular at q={qf:g} after {iterations} iterations: {exc}"
+            f"velocity Hessian is singular at q={qf:.17g} after {iterations} iterations: {exc}"
         )
 
     while True:
@@ -500,7 +500,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
         direction = -factor.solve(g)
         if not np.all(np.isfinite(direction)):
             raise FloatingPointError(
-                f"Newton direction is not finite at q={qf:g} in iteration {iterations + 1}"
+                f"Newton direction is not finite at q={qf:.17g} in iteration {iterations + 1}"
             )
         descent = float(g @ direction)  # the Armijo slope, not the gradient's q-slope
 
@@ -520,7 +520,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
             step *= BACKTRACKING_RATIO
         else:
             raise StepUnderflowError(
-                f"line search stalled at q={qf:g} after {iterations} iterations"
+                f"line search stalled at q={qf:.17g} after {iterations} iterations"
                 f" (|grad|_inf = {float(np.max(np.abs(g), initial=0.0)):.3e})"
             )
 
@@ -660,7 +660,7 @@ def _ladder(structure, endpoints, schedule, config, seed_deflection):
             result, factor, slope, final = _minimize(structure, qv, kicked, config)
         if not result.converged:
             logger.warning(
-                "penalty step q=%g on %s hit the iteration cap (|grad|_inf = %.3e)",
+                "penalty step q=%.17g on %s hit the iteration cap (|grad|_inf = %.3e)",
                 qv,
                 structure.name,
                 result.gradient_norm,

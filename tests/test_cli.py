@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import importlib.metadata
 import logging
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pengeo import functionals, geometry
+from pengeo import cli, functionals, geometry
 from pengeo.cli import (
     OUTPUT_ROOT_ENV,
     ConfigError,
@@ -814,14 +815,20 @@ def test_solve_line_search_underflow_is_a_solver_failure(tmp_path, capsys, monke
         name = heisenberg
         grid_size = 20
         end = 1, 0.5, 0.3
+
+        [schedule]
+        q_start = 1.0000009999999999
         """,
     )
     out_dir = tmp_path / "run"
+    # The message names q with 17 significant digits, so this rung does not
+    # read as q = 1.
+    stalled = "solver failure: line search stalled at q=1.0000009999999999 after 0 iterations"
     assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 1
-    assert (out_dir / "report.txt").read_text().startswith("solver failure: line search stalled")
-    assert capsys.readouterr().err.startswith("solver failure: line search stalled")
+    assert (out_dir / "report.txt").read_text().startswith(stalled)
+    assert capsys.readouterr().err.startswith(stalled)
     assert main(["diagnose", "--results", str(out_dir)]) == 1
-    assert capsys.readouterr().err.startswith("solver failure: line search stalled")
+    assert capsys.readouterr().err.startswith(stalled)
 
 
 _VERTICAL_CONFIG = """
@@ -852,6 +859,23 @@ def test_iteration_cap_fails_the_run(tmp_path, caplog, command, body):
     assert "false" in converged and set(converged) <= {"true", "false"}
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert any("hit the iteration cap" in w for w in warnings)
+
+
+def test_iteration_cap_warning_names_q_exactly(tmp_path, caplog):
+    # Two capped rungs a ratio of 1 + 1e-6 apart warn with their own q.
+    config = _write_config(
+        tmp_path,
+        _VERTICAL_CONFIG
+        + "\n[schedule]\nq_start = 1000\nratio = 1.000001\nstep_count = 2\n"
+        + "\n[solver]\nmax_iterations = 1\n",
+    )
+    with caplog.at_level(logging.WARNING, logger="pengeo"):
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    capped = [
+        re.match(r"penalty step q=(\S+) on heisenberg hit the iteration cap", r.getMessage())
+        for r in caplog.records
+    ]
+    assert [m.group(1) for m in capped if m] == ["1000", "1000.0009999999999"]
 
 
 def test_drift_solve_diverging_flow_is_a_solver_failure(tmp_path, capsys):
@@ -1119,6 +1143,77 @@ def test_diagnose_non_numeric_field_is_a_config_error(tmp_path, capsys):
     assert str(out_dir) in err
     assert "results.csv row 2 column 'length'" in err
     assert "banana" in err
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    cli._parser.cache_clear()
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+    config = _write_config(tmp_path, "[problem]\nname = euclidean-n\n")
+    out_dir = tmp_path / "run"
+    assert main(["list-problems"]) == 0
+    assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 0
+    assert main(["diagnose", "--results", str(out_dir)]) == 0
+    # One build: the top-level parser and one parser per command.
+    assert progs == [
+        "pengeo",
+        "pengeo list-problems",
+        "pengeo solve",
+        "pengeo drift-solve",
+        "pengeo diagnose",
+    ]
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def recorded(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = recorded\n"
+        "import pengeo.cli\n"
+        "print(built)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["solve"], ["bogus"]], ids=["no-command", "no-config", "unknown-command"]
+)
+def test_usage_errors_exit_2_alike_on_every_call(capsys, argv):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("usage: pengeo")
+    assert errors[1] == errors[0]
+
+
+def test_solve_runs_after_help(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pengeo")
+    config = _write_config(tmp_path, "[problem]\nname = euclidean-n\n")
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
 
 
 def test_readme_ini_examples_parse(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -88,6 +89,32 @@ def test_chain_report_on_real_run(heisenberg_chord_run):
     text = report.format_text()
     assert "nondecreasing" in text
     assert "q=1000" in text or "1000" in text
+
+
+def _column_ends(line: str) -> list:
+    return [match.end() for match in re.finditer(r"\S+", line)]
+
+
+@pytest.mark.parametrize(
+    "q_top, width", [(10.0, 12), (1.0000009999999999, 18)], ids=["default", "long-q"]
+)
+def test_report_columns_line_up_with_their_headers(q_top, width):
+    # The q columns are 12 wide, or as wide as the longest q printed with 17
+    # significant digits, so every row of both tables ends each column where
+    # its header does.
+    path = DiscretePath.chord(np.zeros(2), np.ones(2), 5)
+    results = [_fake_result(q, path, 1.0, 1.0, 0.5) for q in (1.0, q_top)]
+    report = distance_chain_report(results)
+    for text, header, rows in (
+        (report.format_text(), " energy ", 2),
+        (report.format_cauchy(), " q_to ", 1),
+    ):
+        lines = text.splitlines()
+        at = next(i for i, line in enumerate(lines) if header in line)
+        table = lines[at : at + 1 + rows]
+        assert lines[at + 1 + rows] == ""
+        assert [_column_ends(line) for line in table[1:]] == [_column_ends(table[0])] * rows
+        assert re.match(rf" {{{width - 1}}}1 ", table[1])
 
 
 def _equal_problems():
