@@ -29,6 +29,7 @@ import shutil
 import sys
 import time
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional
 
@@ -45,7 +46,7 @@ from .drift import (
     zero_drift,
 )
 from .functionals import DiscretePath, _evaluate, _rms_gap, _segments
-from .geometry import DegenerateFrameError, SubRiemannianStructure
+from .geometry import DegenerateFrameError, SubRiemannianStructure, check_penalty
 from .optimizer import SolverConfig, StepUnderflowError, continuation_solve
 from .problems import Problem, get_problem, problem_names
 
@@ -252,7 +253,11 @@ def _parse_structure(parser) -> SubRiemannianStructure:
         raise ConfigError("key 'frame' is required in [structure]")
     columns = []
     for col_text in frame_text.split(";"):
-        col_text = col_text.strip().strip("()")
+        col_text = col_text.strip()
+        # Strip only a pair of parentheses that encloses the whole column.
+        depths = list(accumulate((ch == "(") - (ch == ")") for ch in col_text))
+        if col_text.startswith("(") and 0 not in depths[:-1] and depths[-1] == 0:
+            col_text = col_text[1:-1]
         entries = [e for e in (part.strip() for part in col_text.split(",")) if e]
         if len(entries) != dimension:
             raise ConfigError(
@@ -358,6 +363,8 @@ def parse_config(path) -> RunSpec:
         raise ConfigError("key 'grid_size' must be at least 2")
     if problem.reference_distance is not None and problem.reference_distance <= 0.0:
         raise ConfigError("key 'reference_distance' must be positive")
+    if problem.cauchy_rho1_tol < 0.0:
+        raise ConfigError("key 'cauchy_rho1_tol' must be non-negative")
 
     try:
         solver = SolverConfig(grid_size=problem.grid_size, **_fields(parser, "solver"))
@@ -633,20 +640,22 @@ def _cmd_diagnose(results_dir: str) -> int:
             path = DiscretePath(samples[:, 1:])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{root}: cannot read {_path_file_name(q)}: {exc}") from exc
-        # One frame factorization per distinct path: the factor and the forms do
-        # not depend on q, so a row storing the previous row's points bitwise
-        # (of the same width, checked first) re-forms that row's evaluation.
+        # One frame factorization per distinct path: an evaluation does not
+        # depend on q, so a row storing the previous row's points bitwise
+        # (of the same width, checked first) reads that row's evaluation.
         same = previous is not None and path.points.tobytes() == previous_path.points.tobytes()
         evaluation = None
         try:
             if path.dimension != width:
                 raise ValueError(f"path width is {path.dimension}, expected {width}")
-            evaluation = previous.at(q) if same else evaluate(structure, q, path)
+            check_penalty(q)
+            evaluation = previous if same else evaluate(structure, path)
         except (DegenerateFrameError, FloatingPointError, ValueError) as exc:
             mismatch(q, f"re-derivation failed: {exc}")
         else:
-            for field_name in ("energy", "length", "defect"):
-                check(q, field_name, number(index, field_name), getattr(evaluation, field_name))
+            recomputed = (evaluation.energy(q), evaluation.length(q), evaluation.defect)
+            for field_name, value in zip(("energy", "length", "defect"), recomputed):
+                check(q, field_name, number(index, field_name), value)
         # A tampered path far from its neighbour reads as rho = inf.
         with np.errstate(over="ignore"):
             segments = _segments(path)
@@ -715,4 +724,11 @@ def main(argv: Optional[list] = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed pipe fails inside the try
+    except BrokenPipeError:
+        # Python flushes stdout again at exit (the signal module's SIGPIPE note).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

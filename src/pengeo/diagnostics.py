@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .functionals import HORIZONTAL_TOLERANCE, DiscretePath, _evaluate, _rms_gap, _segments
-from .geometry import SubRiemannianStructure
+from .geometry import SubRiemannianStructure, check_penalty
 
 __all__ = [
     "NotHorizontalError",
@@ -135,13 +135,13 @@ def pointwise_affine_check(
     Returns (intercept, slope, max_residual).  The discrete energy is
     exactly affine in q with slope half the defect, so the residual is pure
     roundoff; callers assert it below 1e-10 * (1 + intercept).  The path is
-    evaluated once and re-formed at each q.
+    evaluated once and read at each q.
     """
     qs = np.asarray(sorted(float(q) for q in q_list), dtype=float)
     if qs.size < 3 or np.unique(qs).size != qs.size:
         raise ValueError("need at least three distinct penalty values")
-    evaluation = _evaluate(structure, 1.0, path)
-    energies = np.array([evaluation.at(q).energy for q in qs])
+    evaluation = _evaluate(structure, path)
+    energies = np.array([evaluation.energy(check_penalty(q)) for q in qs])
     design = np.column_stack([np.ones_like(qs), qs])
     coeffs, *_ = np.linalg.lstsq(design, energies, rcond=None)
     intercept, slope = float(coeffs[0]), float(coeffs[1])
@@ -159,7 +159,7 @@ def recovery_sequence_check(
     The path must be horizontal within ``HORIZONTAL_TOLERANCE``; then the
     deviation at penalty q is (q - 1)/2 times the defect, so the returned
     maximum obeys  max <= q_max * defect / 2 + roundoff.  The path is
-    evaluated once and re-formed at each q.
+    evaluated once and read at each q.
 
     Raises
     ------
@@ -167,14 +167,14 @@ def recovery_sequence_check(
         If the defect exceeds the tolerance, since the limit energy is
         infinite there and no finite deviation exists.
     """
-    evaluation = _evaluate(structure, 1.0, path)
+    evaluation = _evaluate(structure, path)
     defect = evaluation.defect
     if defect > HORIZONTAL_TOLERANCE:
         raise NotHorizontalError(
             f"path has defect {defect:.3e}, above the horizontal tolerance {HORIZONTAL_TOLERANCE:g}"
         )
-    limit = evaluation.energy
-    deviations = [abs(evaluation.at(q).energy - limit) for q in q_list]
+    limit = evaluation.energy(1.0)
+    deviations = [abs(evaluation.energy(check_penalty(q)) - limit) for q in q_list]
     return float(max(deviations))
 
 

@@ -10,12 +10,12 @@ with its fields at each segment's mid-time.
 Each rung is reported on the lifted path (p, s), with s the time: the
 problem one dimension up whose metric is diag(G, 1) and whose frame adds
 the unit s column.  Its forms are the pulled-back ones with v_s^2 added to
-the horizontal form, so the ladder's own final evaluation of each rung
-gives them, with no further factorization, and :func:`_lifted_evaluation`
-reads a stored lifted path from one factorization of the pulled-back
-frame.  With s pinned to advance linearly
-from 0 to 1, the q = 1 lifted energy equals half the control cost plus one
-half, an identity the result object reports as a cross-check.
+the horizontal form (:func:`_lift`), so the ladder's own final evaluation
+of each rung gives them, read at the rung's q with no further
+factorization, and :func:`_lifted_evaluation` reads a stored lifted path
+from one factorization of the pulled-back frame.  With s pinned to advance
+linearly from 0 to 1, the q = 1 lifted energy equals half the control cost
+plus one half, an identity the result object reports as a cross-check.
 
 Drifts are affine, X(p) = A p + b, and their flows are evaluated exactly as
 exp(t [[A, b], [0, 0]]) (Van Loan, IEEE TAC 23(3), 1978).
@@ -202,36 +202,39 @@ def _pull_back(structure: SubRiemannianStructure, drift: DriftField) -> _PulledB
     )
 
 
-def _lifted_evaluation(structure: _PulledBackStructure, q, lifted_path: DiscretePath) -> _Evaluation:
-    """The quadrature of a lifted path (p, s), whose metric is diag(G, 1) and
-    whose frame has the unit s column beside the pulled-back one.
+def _lift(evaluation: _Evaluation, time_vels: np.ndarray) -> _Evaluation:
+    """The lift's forms from the pulled-back ``evaluation``: the s direction
+    is horizontal with unit weight, so its speeds squared, from the lifted
+    path's s velocities ``time_vels``, add to the horizontal form."""
+    return replace(evaluation, horizontal=evaluation.horizontal + time_vels**2)
 
-    The s direction is horizontal with unit weight, so the lifted forms are
-    the pulled-back ones at the p-midpoints and the s-midpoints, with v_s^2
-    added to the horizontal form: one factorization of the pulled-back
-    frame.  The factor, velocities and flux are those of the p block.
+
+def _lifted_evaluation(structure: _PulledBackStructure, lifted_path: DiscretePath) -> _Evaluation:
+    """The quadrature of a lifted path (p, s), whose metric is diag(G, 1) and
+    whose frame has the unit s column beside the pulled-back one: the
+    pulled-back forms at the p-midpoints and the s-midpoints, lifted, from one
+    factorization of the pulled-back frame.  The factor, velocities and flux
+    are those of the p block.
     """
     n = structure.dimension
     mids, vels = _segments(lifted_path)
-    evaluation = _evaluate_segments(structure, q, mids[:, :n], mids[:, n], vels[:, :n])
-    return evaluation.at(q, vels[:, n] ** 2)
+    return _lift(_evaluate_segments(structure, mids[:, :n], mids[:, n], vels[:, :n]), vels[:, n])
 
 
 def _lifted_result(result: SolveResult, evaluation: _Evaluation) -> SolveResult:
     """A rung solved on R^n, reported on the lifted path (p, t): its certificates
-    are those of ``evaluation``, the rung path's evaluation at its q, with the
-    lift's v_s^2 added to the horizontal form, bitwise what
-    :func:`_lifted_evaluation` reads from the lifted path; its energy history
-    adds the 1/2 of the unit s speed."""
+    are those of ``evaluation``, the rung path's evaluation, lifted and read at
+    the rung's q, bitwise what :func:`_lifted_evaluation` reads from the
+    lifted path; its energy history adds the 1/2 of the unit s speed."""
     path = DiscretePath(np.column_stack([result.path.points, result.path.times]))
-    lifted = evaluation.at(result.q, _segments(path)[1][:, -1] ** 2)
+    lifted = _lift(evaluation, _segments(path)[1][:, -1])
     return replace(
         result,
         path=path,
-        energy=lifted.energy,
-        length=lifted.length,
+        energy=lifted.energy(result.q),
+        length=lifted.length(result.q),
         defect=lifted.defect,
-        speed_cv=lifted.speed_cv,
+        speed_cv=lifted.speed_cv(result.q),
         energy_history=tuple(e + 0.5 for e in result.energy_history),
     )
 
@@ -283,7 +286,7 @@ def solve_drift_problem(
     between ``start`` and phi_1^{-1}(target); ``seed_deflection`` has shape
     (N+1, n).  Each rung is reported on the lifted path (p, t), from the
     ladder's own evaluation of its path, and the q = 1 lifted energy is the
-    last rung's evaluation re-formed at q = 1, whose defect is the control
+    last rung's lifted evaluation read at q = 1, whose defect is the control
     defect.  The final
     minimizer is mapped back to the controlled trajectory by one batched
     flow transport on the grid, and the control is read off by a second one
@@ -325,7 +328,7 @@ def solve_drift_problem(
     dgamma[-1] = N * (trajectory[-1] - trajectory[-2])
     control_grid = dgamma - (trajectory @ drift.A.T + drift.b)
 
-    lifted_energy = evaluation.at(1.0, vels[:, n] ** 2).energy  # the last rung's evaluation
+    lifted_energy = _lift(evaluation, vels[:, n]).energy(1.0)  # the last rung's evaluation
     cost_identity_gap = abs(control_cost - (2.0 * lifted_energy - 1.0))
 
     time_rate_deviation = float(np.max(np.abs(vels[:, n] - 1.0)))

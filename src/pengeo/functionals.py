@@ -11,20 +11,20 @@ identity is what the continuation diagnostics rely on, so the quadrature
 must never be changed independently of them.
 
 ``_evaluate`` is that quadrature: it factors the frame at the midpoints once
-and keeps the factor and the per-segment forms, which the functionals here
-and the optimizer's gradient, H0 and certificates all read.  The factor, with
-the field differences it keeps, and the split forms do not depend on q, so an
-evaluation re-forms at another penalty without factoring or reading again.
+and keeps the factor, the per-segment forms and fluxes and, once read, the
+field differences.  None of them depends on q, so one evaluation serves every
+penalty: the functionals here and the optimizer's gradient, H0 and
+certificates read it at the q they hold, without factoring or reading again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import SubRiemannianStructure, _factor_frame, _FrameFactor, as_point, check_penalty
+from .geometry import SubRiemannianStructure, _factor_frame, _field_differences, as_point, check_penalty
 
 __all__ = [
     "DiscretePath",
@@ -119,17 +119,24 @@ def _segments(path: DiscretePath):
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """One path at one penalty: its segment velocities, the frame factor at the
-    segment midpoints and mid-times, the per-segment forms, the two parts
-    G P v and G Pc v of the flux G (P v + q Pc v), and the frame coefficients
-    c = F+ v and complement parts Pc v of the velocities, which the gradient
-    and the Hessian reuse.  Only ``q`` and what is read from it, the energy,
-    flux and speeds, depend on the penalty, so :meth:`at` re-forms the
-    evaluation at another one without factoring again."""
+    """One set of segments, factored once and free of the penalty q.
 
-    q: float
+    At the segment midpoints ``points`` and mid-``times`` of ``structure``:
+    the metric and frame stacks G and F, the g-weighted pseudo-inverse
+    F+ = S^{-1} F^T G, so that c = F+ v and P = F F+, and S^{-1} =
+    (F^T G F)^{-1}.  With the velocities ``vels``: the horizontal and
+    vertical forms, the parts G P v and G Pc v of the flux G (P v + q Pc v),
+    c and Pc v, and :attr:`differences`, read at most once.  The readings
+    that depend on q take it from the caller, who checks it."""
+
+    structure: SubRiemannianStructure
+    points: np.ndarray
+    times: np.ndarray
+    G: np.ndarray
+    F: np.ndarray
+    Fplus: np.ndarray
+    Sinv: np.ndarray
     vels: np.ndarray
-    factor: _FrameFactor
     horizontal: np.ndarray
     vertical: np.ndarray
     horizontal_flux: np.ndarray
@@ -137,69 +144,78 @@ class _Evaluation:
     coefficients: np.ndarray
     complement: np.ndarray
 
-    def at(self, q, extra=None) -> "_Evaluation":
-        """The same segments at penalty q, bitwise what :func:`_evaluate_segments`
-        gives there; ``extra``, if given, is a per-segment term added to the
-        horizontal form."""
-        horizontal = self.horizontal if extra is None else self.horizontal + extra
-        return replace(self, q=check_penalty(q), horizontal=horizontal)
-
     def columns(self):
         """The velocities v, frame coefficients c = F+ v, complement parts Pc v
         and fluxes G Pc v of the segments, as (N, ., 1) column stacks."""
         return tuple(x[:, :, None] for x in (self.vels, self.coefficients, self.complement, self.vertical_flux))
 
     @cached_property
-    def energy(self) -> float:
-        return float(np.sum(self.horizontal + self.q * self.vertical) / (2.0 * self.vels.shape[0]))
+    def differences(self):
+        """:func:`~pengeo.geometry._field_differences` at the midpoints and mid-times."""
+        return _field_differences(self.structure, self.points, self.times)
 
-    @property
-    def flux(self) -> np.ndarray:
-        return self.horizontal_flux + self.q * self.vertical_flux
+    def energy(self, q: float) -> float:
+        return float(np.sum(self.horizontal + q * self.vertical) / (2.0 * self.vels.shape[0]))
 
-    def speeds(self) -> np.ndarray:
+    def flux(self, q: float) -> np.ndarray:
+        return self.horizontal_flux + q * self.vertical_flux
+
+    def speeds(self, q: float) -> np.ndarray:
         """Per-segment penalized speeds sqrt(g_q(mid; vel, vel))."""
-        return np.sqrt(np.clip(self.horizontal + self.q * self.vertical, 0.0, None))
+        return np.sqrt(np.clip(self.horizontal + q * self.vertical, 0.0, None))
 
-    @property
-    def length(self) -> float:
-        return float(np.sum(self.speeds()) / self.vertical.size)
+    def length(self, q: float) -> float:
+        return float(np.sum(self.speeds(q)) / self.vertical.size)
 
     @property
     def defect(self) -> float:
         return float(np.sum(self.vertical) / self.vertical.size)
 
-    @property
-    def speed_cv(self) -> float:
+    def speed_cv(self, q: float) -> float:
         """Coefficient of variation of the speeds, 0 when they all vanish."""
-        speeds = self.speeds()
+        speeds = self.speeds(q)
         mean = float(np.mean(speeds))
         return 0.0 if mean <= 0.0 else float(np.std(speeds) / mean)
 
+    def gram(self, q: float) -> np.ndarray:
+        """The penalized metric matrices q G + (1 - q) G P, symmetrized."""
+        Gq = q * self.G + (1.0 - q) * np.matmul(self.G, np.matmul(self.F, self.Fplus))
+        return 0.5 * (Gq + Gq.transpose(0, 2, 1))
 
-def _evaluate(structure: SubRiemannianStructure, q, path: DiscretePath) -> _Evaluation:
-    """Factor the frame at the path's midpoints and mid-times once and evaluate its forms at q."""
+
+def _evaluate(structure: SubRiemannianStructure, path: DiscretePath) -> _Evaluation:
+    """Factor the frame at the path's midpoints and mid-times once and evaluate its forms."""
     mids, vels = _segments(path)
     t = path.times
-    return _evaluate_segments(structure, q, mids, 0.5 * (t[:-1] + t[1:]), vels)
+    return _evaluate_segments(structure, mids, 0.5 * (t[:-1] + t[1:]), vels)
 
 
-def _evaluate_segments(structure, q, mids, times, vels) -> _Evaluation:
+def _evaluate_segments(structure, mids, times, vels) -> _Evaluation:
     """The quadrature of :func:`_evaluate` on given segment midpoints, mid-times
-    and velocities."""
-    qf = check_penalty(q)
-    factor = _factor_frame(structure, mids, times)
-    return _Evaluation(qf, vels, factor, *factor.split_forms(vels))
+    and velocities: the projection c = F+ v, P v = F c and Pc v = v - P v,
+    and the forms and fluxes of both parts."""
+    G, F, Fplus, Sinv = _factor_frame(structure, mids, times)
+    c = np.matmul(Fplus, vels[:, :, None])
+    pv = np.matmul(F, c)[:, :, 0]
+    pperp = vels - pv
+    Gpv = np.matmul(G, pv[:, :, None])[:, :, 0]
+    Gpp = np.matmul(G, pperp[:, :, None])[:, :, 0]
+    horizontal = np.einsum("mi,mi->m", pv, Gpv)
+    vertical = np.einsum("mi,mi->m", pperp, Gpp)
+    forms = (horizontal, vertical, Gpv, Gpp, c[:, :, 0], pperp)
+    return _Evaluation(structure, mids, times, G, F, Fplus, Sinv, vels, *forms)
 
 
 def energy(structure: SubRiemannianStructure, q, path: DiscretePath) -> float:
     """Penalized discrete energy E_q = (1 / 2N) sum g_q(mid; vel, vel)."""
-    return _evaluate(structure, q, path).energy
+    qf = check_penalty(q)
+    return _evaluate(structure, path).energy(qf)
 
 
 def length(structure: SubRiemannianStructure, q, path: DiscretePath) -> float:
     """Penalized discrete length l_q = (1 / N) sum sqrt(g_q(mid; vel, vel))."""
-    return _evaluate(structure, q, path).length
+    qf = check_penalty(q)
+    return _evaluate(structure, path).length(qf)
 
 
 def horizontality_defect(structure: SubRiemannianStructure, path: DiscretePath) -> float:
@@ -208,7 +224,7 @@ def horizontality_defect(structure: SubRiemannianStructure, path: DiscretePath) 
     Zero exactly on horizontal paths; the penalized energy is
     E_1 + (q - 1)/2 times this value for every q.
     """
-    return _evaluate(structure, 1.0, path).defect
+    return _evaluate(structure, path).defect
 
 
 def limit_energy(structure: SubRiemannianStructure, path: DiscretePath) -> float:
@@ -219,8 +235,8 @@ def limit_energy(structure: SubRiemannianStructure, path: DiscretePath) -> float
     horizontal, so the tolerance is part of the definition rather than a
     fudge.
     """
-    evaluation = _evaluate(structure, 1.0, path)
-    return float("inf") if evaluation.defect > HORIZONTAL_TOLERANCE else evaluation.energy
+    evaluation = _evaluate(structure, path)
+    return float("inf") if evaluation.defect > HORIZONTAL_TOLERANCE else evaluation.energy(1.0)
 
 
 def semimetric_rho(path_a: DiscretePath, path_b: DiscretePath, order: int) -> np.ndarray:

@@ -9,9 +9,9 @@ the vector fields that span the constraint distribution), and reads both.
 The penalized metric keeps the base metric on the distribution and scales
 its g-orthogonal complement by a factor q >= 1, so q = 1 recovers the base
 metric and large q makes non-horizontal motion expensive.  The solver's
-derivatives read central differences of the two fields, which each frame
-factor keeps for its points; a metric difference stack that is exactly zero
-is None, not formed.
+derivatives read central differences of the two fields, which each path
+evaluation keeps for its midpoints; a metric difference stack that is
+exactly zero is None, not formed.
 
 All operations here are pure functions of immutable inputs and are safe to
 call concurrently.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,8 +91,8 @@ class SubRiemannianStructure:
     (m, n, k) stack whose columns are the frame vectors at each point, or to
     a constant (n, k) matrix, 1 <= k <= n.  The distribution is the column
     span of the frame, and its rank is k; the solver reads both fields
-    through one frame factor (:func:`_factor_frame`), which projects onto
-    the distribution and forms the penalized metric.  Instances are
+    through :func:`_factor_frame`, from whose factor the projection onto
+    the distribution and the penalized metric follow.  Instances are
     immutable and safe to share.
     """
 
@@ -126,57 +125,6 @@ class SubRiemannianStructure:
         if not np.all(np.isfinite(F)):
             raise DegenerateFrameError("frame is degenerate: its field returned non-finite entries")
         return G, F
-
-
-@dataclass(frozen=True)
-class _FrameFactor:
-    """The q-free factored frame of ``structure`` at a batch of ``points`` and
-    their ``times``: the metric stack G, the frame stack F, the g-weighted
-    pseudo-inverse F+ = (F^T G F)^{-1} F^T G of F, so that c = F+ v are the
-    frame coefficients of P v and P = F F+, and the inverse frame Gram
-    matrices S^{-1} = (F^T G F)^{-1}, from one batched sweep
-    (:func:`_spd_inverse`).  The projection, the penalized forms and the
-    penalized Gram matrices at these points follow from it for every q and
-    every batch of vectors; S^{-1} carries the derivative of c through the
-    exact Hessian's base-point blocks, and :attr:`differences` holds the
-    field differences there, read at most once."""
-
-    structure: SubRiemannianStructure
-    points: np.ndarray
-    times: Optional[np.ndarray]
-    G: np.ndarray
-    F: np.ndarray
-    Fplus: np.ndarray
-    Sinv: np.ndarray
-
-    def project(self, vectors):
-        """Frame coefficients c = F+ v, and the horizontal and complement parts
-        (P v, v - P v) = (F c, v - F c), of one vector per point."""
-        c = np.matmul(self.Fplus, vectors[:, :, None])
-        pv = np.matmul(self.F, c)[:, :, 0]
-        return c[:, :, 0], pv, vectors - pv
-
-    def split_forms(self, vectors):
-        """(horizontal, vertical, G P v, G Pc v, c, Pc v): the forms, the two
-        parts of the flux G (P v + q Pc v), which is affine in q, and the
-        frame coefficients and complement part of v, which the form's
-        base-point derivatives reuse."""
-        c, pv, pperp = self.project(vectors)
-        Gpv = np.matmul(self.G, pv[:, :, None])[:, :, 0]
-        Gpp = np.matmul(self.G, pperp[:, :, None])[:, :, 0]
-        horizontal = np.einsum("mi,mi->m", pv, Gpv)
-        vertical = np.einsum("mi,mi->m", pperp, Gpp)
-        return horizontal, vertical, Gpv, Gpp, c, pperp
-
-    def gram(self, q: float) -> np.ndarray:
-        """The penalized metric matrices q G + (1 - q) G P, symmetrized."""
-        Gq = q * self.G + (1.0 - q) * np.matmul(self.G, np.matmul(self.F, self.Fplus))
-        return 0.5 * (Gq + Gq.transpose(0, 2, 1))
-
-    @cached_property
-    def differences(self):
-        """:func:`_field_differences` at the factor's points and times."""
-        return _field_differences(self.structure, self.points, self.times)
 
 
 def _contract(X: Optional[np.ndarray], u: np.ndarray) -> Optional[np.ndarray]:
@@ -281,16 +229,17 @@ def _frame_gram(points: np.ndarray, G: np.ndarray, F: np.ndarray, offsets=None):
     return FtG, M
 
 
-def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray, times=None) -> _FrameFactor:
+def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray, times=None):
     """Factor the frame Gram matrix F^T G F at a batch of points into F+.
 
     G and F come from one joint field evaluation at the points and their
     ``times``, ``structure._fields``; a drift problem transports each point
     set once in it.  (F^T G F)^{-1} comes from one batched sweep,
     :func:`_spd_inverse`, whose pivots test positive definiteness as a
-    Cholesky factorization would.  Raises :class:`DegenerateFrameError`
-    when F^T G F is not finite, ill conditioned or not positive definite at
-    any point.
+    Cholesky factorization would.  Returns (G, F, F+, S^{-1}), with
+    S^{-1} = (F^T G F)^{-1} and F+ = S^{-1} F^T G.  Raises
+    :class:`DegenerateFrameError` when F^T G F is not finite, ill
+    conditioned or not positive definite at any point.
     """
     G, F = structure._fields(points, times)
     FtG, M = _frame_gram(points, G, F)
@@ -300,7 +249,7 @@ def _factor_frame(structure: SubRiemannianStructure, points: np.ndarray, times=N
         raise DegenerateFrameError(
             f"frame Gram matrix is not positive definite: {exc}"
         ) from exc
-    return _FrameFactor(structure, points, times, G, F, np.matmul(Sinv, FtG), Sinv)
+    return G, F, np.matmul(Sinv, FtG), Sinv
 
 
 def _fd_step(points: np.ndarray) -> float:
@@ -331,9 +280,9 @@ def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, ti
     points, and h from :func:`_fd_step`.  Returns (dG, dF, G, F): the
     derivatives, of shapes (m, n, n, n) and (m, n, n, k), and the stacks at
     the copies, of shapes (2, m, n, n, n) and (2, m, n, n, k) with the plus
-    copies first, which :func:`_field_stencil` reuses.  A frame factor keeps
-    them as :attr:`_FrameFactor.differences`.  The segment comes
-    before the coordinate, so every stack reshapes for free into the
+    copies first, which :func:`_field_stencil` reuses.  A path evaluation
+    keeps them as its ``differences``.  The segment comes before the
+    coordinate, so every stack reshapes for free into the
     batched matmuls of the Newton step.  No frame is factored.  dG is None
     when it is exactly zero, as for any metric that does not depend on the point.
     """
@@ -348,12 +297,12 @@ def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, ti
     return dG if dG.any() else None, (F[0] - F[1]) / (2.0 * h), G, F
 
 
-def _field_stencil(factor: _FrameFactor):
+def _field_stencil(evaluation):
     """Second derivatives (d2G, d2F) of the metric and frame stacks in all
-    coordinates, at the factor's points and times.
+    coordinates, at a path evaluation's midpoints and mid-times.
 
-    The stacks of the factor's :attr:`~_FrameFactor.differences` at points
-    +- h e_c, with its own G and F at the points, give the diagonal second
+    The stacks of the evaluation's ``differences`` at points +- h e_c,
+    with its own G and F at the points, give the diagonal second
     differences, so one ``structure._fields`` evaluation reads only the
     2n(n - 1) m copies
     points +- h e_c +- h e_d, c < d, for the mixed ones (Nocedal & Wright,
@@ -363,14 +312,14 @@ def _field_stencil(factor: _FrameFactor):
     :func:`_factor_frame` still hold: F^T G F must be finite and well
     conditioned on the first-order rows, and G finite on the mixed ones, or
     :class:`DegenerateFrameError` is raised.  d2G is None, and not formed,
-    when G reads back bitwise equal to the factor's G on every first-order
-    and every mixed row.
+    when G reads back bitwise equal to the evaluation's G on every
+    first-order and every mixed row.
     """
-    structure, points, times = factor.structure, factor.points, factor.times
+    structure, points, times = evaluation.structure, evaluation.points, evaluation.times
     m, n = points.shape
     h = _fd_step(points)
     axes = h * np.eye(n)
-    _, _, Gs, Fs = factor.differences
+    _, _, Gs, Fs = evaluation.differences
     _frame_gram(
         points, Gs.reshape((-1,) + Gs.shape[3:]), Fs.reshape((-1,) + Fs.shape[3:]), np.stack([axes, -axes])
     )
@@ -388,9 +337,9 @@ def _field_stencil(factor: _FrameFactor):
         out[:, c, d] = out[:, d, c] = (mixed[0] - mixed[1] - mixed[2] + mixed[3]) / (4.0 * h**2)
         return out
 
-    G0 = factor.G[:, None]
+    G0 = evaluation.G[:, None]
     flat = (Gs == G0).all() and (G.reshape(4, m, c.size, n, n) == G0).all()
-    return None if flat else second(G, Gs, factor.G), second(F, Fs, factor.F)
+    return None if flat else second(G, Gs, evaluation.G), second(F, Fs, evaluation.F)
 
 
 def field_jacobian(field: Callable[[np.ndarray], np.ndarray], p) -> np.ndarray:
@@ -497,7 +446,7 @@ def validate_structure(structure: SubRiemannianStructure, points) -> None:
         raise ValueError(
             f"sample points have dimension {pts.shape[1]}, structure has {structure.dimension}"
         )
-    smallest = np.linalg.eigvalsh(_factor_frame(structure, pts).G)[:, 0]
+    smallest = np.linalg.eigvalsh(_factor_frame(structure, pts)[0])[:, 0]
     if np.any(smallest <= 0.0):
         i = int(np.argmin(smallest))
         raise ValueError(

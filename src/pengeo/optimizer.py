@@ -3,8 +3,8 @@
 The decision variable is the flattened stack of interior points of a
 :class:`~pengeo.functionals.DiscretePath`; endpoints stay pinned.  The
 gradient of the discrete energy is assembled from the penalized form's flux
-vectors (velocity dependence) and its base-point derivative, which the frame
-factor gives from central differences of the metric and frame fields at
+vectors (velocity dependence) and its base-point derivative, which the path's
+evaluation gives from central differences of the metric and frame fields at
 shifted midpoints: one batched field evaluation, no factorization.  Fields
 that change in time, as a drift problem's pulled-back ones do, are read at
 each segment's mid-time.
@@ -16,7 +16,7 @@ Hessian is block tridiagonal, and block cyclic reduction factors it in
 O(log N) batched calls.  Its velocity part H0, assembled from the penalized
 metric at the segment midpoints, carries both ill-conditioning sources (the
 1/N^2 grid stiffness and the penalty q); the base-point and mixed parts,
-also O(q), follow by the chain rule through the accepted evaluation's frame
+also O(q), follow by the chain rule through the accepted evaluation's
 factor, from first and second differences of the metric and frame fields
 at shifted midpoints, and factor no frame.  A metric difference stack
 that is exactly zero, as on every preset, inline ``[structure]`` and drift
@@ -43,10 +43,10 @@ q-slope of its final gradient, from the same field differences.  The
 predictor therefore costs one block solve per rung and no factorization
 (Allgower & Georg, *Introduction to Numerical Continuation Methods*, 1990,
 ch. 2).  A rung that stopped at iteration 0 built no Newton factor, and the
-next one warm starts from its minimizer.  The frame factor, the split forms
-and the field differences of a path do not depend on q, so a rung that
-starts on the previous minimizer re-forms that rung's final evaluation at
-its own q and reuses its field differences: it factors and reads nothing.
+next one warm starts from its minimizer.  A path's evaluation does not
+depend on q, so a rung that starts on the previous minimizer takes that
+rung's final evaluation as it is, field differences included, and reads it
+at its own q: it factors and reads nothing.
 """
 
 from __future__ import annotations
@@ -180,28 +180,28 @@ def energy_gradient(structure: SubRiemannianStructure, q, path: DiscretePath) ->
     fields (not of the O(q) form) in the midpoint coordinates, at the
     segment mid-times.
     """
-    return _gradient(_evaluate(structure, q, path))[0]
+    qf = check_penalty(q)
+    return _gradient(_evaluate(structure, path), qf)[0]
 
 
-def _gradient(evaluation):
-    """:func:`energy_gradient` from the path's evaluation, whose flux and factor
-    it reuses, and the gradient's slope in q.
+def _gradient(evaluation, q: float):
+    """:func:`energy_gradient` at q from the path's evaluation, whose flux and
+    factor it reuses, and the gradient's slope in q.
 
     The energy is affine in q with slope half the defect, so the slope is the
     gradient of D/2; it is assembled from the slopes of the flux and of the
-    base-point derivative, from the field differences that the evaluation's
-    frame factor keeps and the Hessian at the same evaluation reuses; a None
-    dG is exactly zero, and the terms that contract it are omitted.
+    base-point derivative, from the field differences that the evaluation
+    keeps and the Hessian at the same evaluation reuses; a None dG is exactly
+    zero, and the terms that contract it are omitted.
     """
-    q, vels = evaluation.q, evaluation.vels
-    N, n = vels.shape
+    N, n = evaluation.vels.shape
 
     # Velocity dependence: d/dv of the quadratic form is 2 flux, the segment
     # velocity scales differences by N, and the quadrature carries 1/(2N),
     # so the factors cancel and each segment contributes +-flux to its ends.
     # Row 0 is the gradient, row 1 its slope.
     grads = np.zeros((2, N + 1, n))
-    flux = np.stack([evaluation.flux, evaluation.vertical_flux])
+    flux = np.stack([evaluation.flux(q), evaluation.vertical_flux])
     grads[:, 1:] += flux
     grads[:, :-1] -= flux
 
@@ -211,7 +211,7 @@ def _gradient(evaluation):
     # M_q = q G + (1 - q) G P through P = F (F^T G F)^{-1} F^T G gives
     #     dQ_a = v^T dG_a v + (q - 1) (Pc v^T dG_a Pc v - 2 (dF_a c)^T G Pc v),
     # whose q-slope is the bracket; c, Pc v and G Pc v are the evaluation's.
-    dG, dF = evaluation.factor.differences[:2]
+    dG, dF = evaluation.differences[:2]
     v, c, r, Gr = evaluation.columns()
     dQ_slope = _sum(_contract(_contract(dG, r), r), -2.0 * _contract(_contract(dF, c), Gr))
     dQ_full = _sum(_contract(_contract(dG, v), v), (q - 1.0) * dQ_slope)
@@ -341,8 +341,8 @@ def _velocity_hessian(M: np.ndarray):
     return diag, off
 
 
-def _base_point_hessian(evaluation):
-    """Blocks (diag, off) of the exact Hessian's remainder H - H0.
+def _base_point_hessian(evaluation, q: float):
+    """Blocks (diag, off) of the exact Hessian's remainder H - H0 at q.
 
     Segment i contributes (1/2N) vel^T M_q(mid) vel, with mid = (p_i +
     p_{i+1})/2 and vel = N (p_{i+1} - p_i).  Its second derivatives are
@@ -360,7 +360,7 @@ def _base_point_hessian(evaluation):
 
     with d2G, d2F the second derivatives along c and d.  The first
     derivatives are the field differences the gradient read from this
-    evaluation's factor, of shapes (N, n, n, n) and (N, n, n, k), and the second
+    evaluation, of shapes (N, n, n, n) and (N, n, n, k), and the second
     ones come from :func:`_field_stencil`, which reuses them: one field
     evaluation on the 2n(n - 1) N mixed rows and no frame factorization,
     of shapes (N, n, n, n, n) and (N, n, n, n, k); the terms that contract a
@@ -368,11 +368,10 @@ def _base_point_hessian(evaluation):
     every contraction is a batched matmul over segments of a free reshape,
     and both twist terms share w_c = (G r)^T dF_c.
     """
-    q, vels, factor = evaluation.q, evaluation.vels, evaluation.factor
-    N = vels.shape[0]
-    dG, dF = factor.differences[:2]
-    d2G, d2F = _field_stencil(factor)
-    G, F, Fplus = factor.G, factor.F, factor.Fplus
+    N = evaluation.vels.shape[0]
+    dG, dF = evaluation.differences[:2]
+    d2G, d2F = _field_stencil(evaluation)
+    G, F, Fplus = evaluation.G, evaluation.F, evaluation.Fplus
 
     # Axis 1 of the (N, n, .) stacks below runs over the coordinates (c and d above).
     v, c, r, Gr = evaluation.columns()
@@ -380,7 +379,7 @@ def _base_point_hessian(evaluation):
     dGr = _contract(dG, r)
     w = np.matmul(Gr.transpose(0, 2, 1)[:, None], dF)[:, :, 0]  # w_c = (G r)^T dF_c
     dGrF = None if dGr is None else np.matmul(dGr, F)
-    dc = np.matmul(_sum(w, dGrF), factor.Sinv.transpose(0, 2, 1)) - np.matmul(
+    dc = np.matmul(_sum(w, dGrF), evaluation.Sinv.transpose(0, 2, 1)) - np.matmul(
         dFc, Fplus.transpose(0, 2, 1)
     )
     dr = -(dFc + np.matmul(dc, F.transpose(0, 2, 1)))
@@ -426,7 +425,7 @@ def minimize_energy(
     the direction descends.  It backtracks from
     the unit step to the Armijo condition; a trial whose frame is
     degenerate fails that test and backtracks too.  The accepted trial's
-    evaluation is kept: its frame factor and its split of the velocities
+    evaluation is kept: its factor and its split of the velocities
     (c = F+ v, Pc v and G Pc v) give H0, H, the gradient and, at exit, the
     certificates.  Each iteration is logged at DEBUG on the
     ``pengeo`` logger, with the number of shifted factorizations that failed
@@ -451,15 +450,15 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
     Returns the ``SolveResult``, the last shifted Newton factor (None when
     the solve stopped at iteration 0), the q-slope of the final gradient,
     and the final path's evaluation.  ``evaluation``, when given, is the
-    evaluation of ``initial`` at q.
+    evaluation of ``initial``.
     """
     qf = check_penalty(q)
     x = initial.interior().ravel()
     current = initial
     if evaluation is None:
-        evaluation = _evaluate(structure, qf, current)
-    f = evaluation.energy
-    g, slope = _gradient(evaluation)
+        evaluation = _evaluate(structure, current)
+    f = evaluation.energy(qf)
+    g, slope = _gradient(evaluation, qf)
     history = [f]
     shift = 0.0
     iterations = 0
@@ -471,7 +470,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
         )
 
     while True:
-        gram = evaluation.factor.gram(qf)
+        gram = evaluation.gram(qf)
         try:
             decrement = _velocity_decrement(gram, g)
         except np.linalg.LinAlgError as exc:
@@ -481,7 +480,7 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
             break
 
         h0_diag, h0_off = _velocity_hessian(gram)
-        rest_diag, rest_off = _base_point_hessian(evaluation)
+        rest_diag, rest_off = _base_point_hessian(evaluation, qf)
         shift = shift / SHIFT_GROWTH if shift >= SHIFT_START * SHIFT_GROWTH else 0.0
         failures = 0  # shifted factorizations that failed before one succeeded
         while True:
@@ -511,11 +510,12 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
             x_new = x + step * direction
             cand = initial.with_interior(x_new.reshape(initial.grid_size - 1, -1))
             try:
-                trial = _evaluate(structure, qf, cand)
+                trial = _evaluate(structure, cand)
             except DegenerateFrameError:
                 pass  # a step too long to factor the frame: take a shorter one
             else:
-                if trial.energy <= f + SUFFICIENT_DECREASE * step * descent:
+                f_trial = trial.energy(qf)
+                if f_trial <= f + SUFFICIENT_DECREASE * step * descent:
                     break
             step *= BACKTRACKING_RATIO
         else:
@@ -524,8 +524,8 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
                 f" (|grad|_inf = {float(np.max(np.abs(g), initial=0.0)):.3e})"
             )
 
-        x, f, current, evaluation = x_new, trial.energy, cand, trial
-        g, slope = _gradient(evaluation)
+        x, f, current, evaluation = x_new, f_trial, cand, trial
+        g, slope = _gradient(evaluation, qf)
         history.append(f)
         iterations += 1
         logger.debug(
@@ -544,12 +544,12 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
         q=qf,
         path=current,
         energy=f,
-        length=evaluation.length,
+        length=evaluation.length(qf),
         defect=evaluation.defect,
         iterations=iterations,
         converged=converged,
         gradient_norm=float(np.max(np.abs(g), initial=0.0)),
-        speed_cv=evaluation.speed_cv,
+        speed_cv=evaluation.speed_cv(qf),
         energy_history=tuple(history),
     )
     return result, factor, slope, evaluation
@@ -562,7 +562,7 @@ def _predict(structure, q, previous: SolveResult, factor, slope):
     grad(D/2) and, along s, at dx/ds = -q^2 dx/dq.  ``factor`` is the
     previous rung's last Newton factor, standing in for H, and ``slope`` the
     q-slope grad(D/2) of its final gradient, so the step costs one block
-    solve.  Returns (path, evaluation at q or None, step inf-norm).  The
+    solve.  Returns (path, its evaluation or None, step inf-norm).  The
     previous minimizer comes back with no evaluation when the predicted
     frame does not factor, or when the step's squared norm in the factor is
     within the stop rule's tolerance: the rung could not resolve such a
@@ -577,7 +577,7 @@ def _predict(structure, q, previous: SolveResult, factor, slope):
         return path, None, step_norm
     predicted = path.with_interior(path.interior() + step.reshape(path.grid_size - 1, -1))
     try:
-        return predicted, _evaluate(structure, q, predicted), step_norm
+        return predicted, _evaluate(structure, predicted), step_norm
     except DegenerateFrameError:
         return path, None, step_norm
 
@@ -598,8 +598,8 @@ def continuation_solve(
     previous minimizer itself (a warm start) when the previous rung stopped
     at iteration 0 and so built no Newton factor, when the predicted frame
     does not factor, or when the step is below the stop rule's resolution.
-    A warm start re-forms the previous rung's final evaluation at the new q
-    and reuses its field differences.  Each rung logs its q, the predictor
+    A warm start takes the previous rung's final evaluation as it is, field
+    differences included.  Each rung logs its q, the predictor
     step's inf-norm, which start it took and whether the predicted start was
     used at DEBUG on the ``pengeo`` logger.
 
@@ -619,7 +619,7 @@ def continuation_solve(
 
 def _ladder(structure, endpoints, schedule, config, seed_deflection):
     """:func:`continuation_solve` rung by rung: yields each rung's result with
-    the evaluation of its path at its q."""
+    the evaluation of its path."""
     initial = DiscretePath.chord(*endpoints, config.grid_size)
     deflect = None
     if seed_deflection is not None:
@@ -631,19 +631,17 @@ def _ladder(structure, endpoints, schedule, config, seed_deflection):
         if np.any(deflect[0] != 0.0) or np.any(deflect[-1] != 0.0):
             raise ValueError("seed_deflection must vanish at both endpoint rows")
 
-    previous = None  # the last rung's result and final evaluation
-    factor = slope = None
+    # The last rung's result, final evaluation, Newton factor and gradient q-slope.
+    result = final = factor = slope = None
     for qv in schedule.q_values():
         rung_start, evaluation, step_norm = initial, None, 0.0
         if factor is not None:
-            rung_start, evaluation, step_norm = _predict(
-                structure, qv, previous[0], factor, slope
-            )
+            rung_start, evaluation, step_norm = _predict(structure, qv, result, factor, slope)
         predicted = evaluation is not None
         if predicted:
             kind = "predicted path evaluated"
-        elif previous is not None:
-            rung_start, evaluation = previous[0].path, previous[1].at(qv)
+        elif result is not None:
+            rung_start, evaluation = result.path, final
             kind = "previous minimizer (evaluation reused)"
         else:
             kind = "initial path evaluated"
@@ -665,5 +663,4 @@ def _ladder(structure, endpoints, schedule, config, seed_deflection):
                 structure.name,
                 result.gradient_norm,
             )
-        previous = (result, final)
         yield result, final

@@ -152,8 +152,8 @@ def nan_hessian(monkeypatch) -> None:
 
     build = optimizer._base_point_hessian
 
-    def nan_blocks(evaluation):
-        diag, off = build(evaluation)
+    def nan_blocks(evaluation, q):
+        diag, off = build(evaluation, q)
         return np.full_like(diag, np.nan), off
 
     monkeypatch.setattr(optimizer, "_base_point_hessian", nan_blocks)
@@ -169,20 +169,22 @@ def stalled_line_search(monkeypatch) -> None:
     evaluate = optimizer._evaluate
     calls = []
 
-    def first_only(structure, q, path):
-        calls.append(q)
+    def first_only(structure, path):
+        calls.append(path)
         if len(calls) > 1:
             raise DegenerateFrameError("every trial frame is rejected")
-        return evaluate(structure, q, path)
+        return evaluate(structure, path)
 
     monkeypatch.setattr(optimizer, "_evaluate", first_only)
 
 
-def assert_same_evaluation(a, b) -> None:
-    """Two path evaluations agree bitwise in q, every reading and every form."""
-    readings = ("q", "energy", "length", "defect", "speed_cv")
-    assert [getattr(a, f) for f in readings] == [getattr(b, f) for f in readings]
-    for name in ("flux", "horizontal", "vertical", "horizontal_flux", "vertical_flux"):
+def assert_same_evaluation(a, b, q) -> None:
+    """Two path evaluations agree bitwise in every form and in every reading at q."""
+    readings = ("energy", "length", "speed_cv")
+    assert [getattr(a, f)(q) for f in readings] == [getattr(b, f)(q) for f in readings]
+    assert a.defect == b.defect
+    np.testing.assert_array_equal(a.flux(q), b.flux(q))
+    for name in ("horizontal", "vertical", "horizontal_flux", "vertical_flux"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 

@@ -14,7 +14,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pengeo import cli, functionals, geometry
+from pengeo import (
+    DiscretePath,
+    SolverConfig,
+    cli,
+    energy,
+    energy_gradient,
+    functionals,
+    geometry,
+    length,
+    minimize_energy,
+    pointwise_affine_check,
+    recovery_sequence_check,
+)
 from pengeo.cli import (
     OUTPUT_ROOT_ENV,
     ConfigError,
@@ -169,6 +181,92 @@ def test_solve_inline_structure_matches_preset(tmp_path):
     assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 0
     rows = _data_rows(out_dir / "results.csv")
     assert float(rows[0]["energy"]) == pytest.approx(0.5, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        "(1, 0, -x2/2); (0, 1, 0.5*(x1))",
+        "((1)*1, 0, -x2/2); (0, 1, x1/2)",
+        "(1)+0, 0, -x2/2; 0, 1, 0.5*(x1)",
+    ],
+    ids=["entry-ending-in-paren", "entry-starting-with-paren", "no-enclosing-parens"],
+)
+def test_inline_frame_entries_keep_their_own_parentheses(tmp_path, frame):
+    # Only a pair of parentheses that encloses a whole column is stripped, so
+    # each spelling is the contact frame (1, 0, -x2/2); (0, 1, x1/2), bitwise.
+    tables = []
+    for name, text in (("reference", "(1, 0, -x2/2); (0, 1, x1/2)"), ("spelled", frame)):
+        config = _write_config(
+            tmp_path,
+            f"""
+            [problem]
+            start = 0, 0, 0
+            end = 1, 0.5, 0.2
+            grid_size = 20
+
+            [structure]
+            dimension = 3
+            frame = {text}
+
+            [schedule]
+            step_count = 2
+            """,
+            name=f"{name}.ini",
+        )
+        out_dir = tmp_path / name
+        assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 0
+        tables.append(_non_comment_text(out_dir / "results.csv"))
+    assert tables[1] == tables[0]
+
+
+def test_unbalanced_inline_frame_column_is_a_config_error(tmp_path, capsys):
+    # A column whose parentheses do not pair up is left as it is, and its
+    # first entry does not parse.
+    config = _write_config(
+        tmp_path,
+        """
+        [problem]
+        start = 0, 0, 0
+        end = 1, 0, 0
+
+        [structure]
+        dimension = 3
+        frame = (1, 0, -x2/2); (0, 1, 0.5*(x1)
+        """,
+    )
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert "config error: key 'frame': cannot parse entry '(0'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_cauchy_tolerance_is_a_config_error(tmp_path, capsys):
+    # A ladder's largest rho1 is never below a negative threshold, so such a
+    # run could only fail its Cauchy verdict; it stops before solving.
+    config = _write_config(tmp_path, "[problem]\nname = heisenberg\ncauchy_rho1_tol = -1\n")
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert "config error: key 'cauchy_rho1_tol' must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_closed_stdout_pipe_exits_1_without_a_traceback():
+    # As in `pengeo list-problems | head -0`: the reader has gone before the
+    # first write, and the run ends with exit code 1 and nothing on stderr.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pengeo", "list-problems"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in err.decode()
+    assert err == b""
 
 
 def test_output_root_from_environment(tmp_path, monkeypatch):
@@ -1076,6 +1174,41 @@ def test_diagnose_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
     assert main(["diagnose", "--results", str(out_dir)]) == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_penalty_is_checked_by_every_reader(tmp_path, capsys, heisenberg):
+    # A path's evaluation holds no q, so every reader that takes one checks
+    # it, and diagnose reports a stored q below 1 as a row it cannot re-derive.
+    path = DiscretePath.chord(np.zeros(3), np.array([1.0, 0.0, 0.0]), 10)
+    readers = {
+        "energy": lambda q: energy(heisenberg, q, path),
+        "length": lambda q: length(heisenberg, q, path),
+        "energy_gradient": lambda q: energy_gradient(heisenberg, q, path),
+        "minimize_energy": lambda q: minimize_energy(heisenberg, q, path, SolverConfig(grid_size=10)),
+        "pointwise_affine_check": lambda q: pointwise_affine_check(heisenberg, path, [1.0, 2.0, q]),
+        "recovery_sequence_check": lambda q: recovery_sequence_check(heisenberg, path, [1.0, q]),
+    }
+    for q in (0.5, float("inf")):
+        for name, read in readers.items():
+            with pytest.raises(ValueError, match="penalty parameter must be a finite real >= 1"):
+                read(q)
+                pytest.fail(f"{name} accepted q={q}")
+
+    out_dir = _solved_euclidean_run(tmp_path)
+    results = out_dir / "results.csv"
+    lines = results.read_text().splitlines()
+    header_idx = next(i for i, l in enumerate(lines) if l.startswith("q,"))
+    row = lines[header_idx + 1].split(",")
+    assert row[0] == "1"
+    row[0] = "0.5"
+    lines[header_idx + 1] = ",".join(row)
+    results.write_text("\n".join(lines) + "\n")
+    (out_dir / _path_file_name(1.0)).rename(out_dir / _path_file_name(0.5))
+    capsys.readouterr()
+    assert main(["diagnose", "--results", str(out_dir)]) == 1
+    out = capsys.readouterr().out
+    expected = "q=0.5 re-derivation failed: penalty parameter must be a finite real >= 1, got 0.5 [MISMATCH]"
+    assert expected in out.splitlines()
 
 
 def test_diagnose_requires_results_directory(tmp_path, capsys):

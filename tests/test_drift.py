@@ -20,8 +20,8 @@ from pengeo import (
     validate_bracket_generating,
     zero_drift,
 )
-from pengeo.drift import _lifted_evaluation, _pull_back
-from pengeo.functionals import _evaluate, _segments
+from pengeo.drift import _lift, _lifted_evaluation, _pull_back
+from pengeo.functionals import _evaluate, _evaluate_segments, _segments
 from pengeo.geometry import _factor_frame
 from conftest import assert_same_evaluation
 
@@ -325,14 +325,14 @@ def test_drift_rungs_are_reported_on_the_lift(name):
     for r in sol.results:
         assert r.path.dimension == n + 1
         np.testing.assert_array_equal(r.path.points[:, -1], r.path.times)
-        lifted = _lifted_evaluation(pulled, r.q, r.path)
-        certificates = ("energy", "length", "defect", "speed_cv")
-        assert [getattr(r, f) for f in certificates] == [getattr(lifted, f) for f in certificates]
-        reduced = _evaluate(pulled, r.q, DiscretePath(r.path.points[:, :n]))
+        lifted = _lifted_evaluation(pulled, r.path)
+        certificates = [r.energy, r.length, r.defect, r.speed_cv]
+        assert certificates == [lifted.energy(r.q), lifted.length(r.q), lifted.defect, lifted.speed_cv(r.q)]
+        reduced = _evaluate(pulled, DiscretePath(r.path.points[:, :n]))
         assert r.defect == reduced.defect
         N = r.path.grid_size
         time_speeds = N * np.diff(r.path.points[:, -1])
-        expected = reduced.energy + np.sum(time_speeds**2) / (2.0 * N)
+        expected = reduced.energy(r.q) + np.sum(time_speeds**2) / (2.0 * N)
         assert r.energy == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
@@ -373,15 +373,16 @@ def test_control_defect_reads_the_base_frame(heisenberg):
     assert sol.results[-1].defect > 1e-9
     mids, _ = _segments(sol.results[-1].path)
     base_mid = _pull_back(heisenberg, drift).flow.transport_batch(mids[:, 3], mids[:, :3])[0]
-    horizontal, vertical = _factor_frame(heisenberg, base_mid).split_forms(sol.control_mid)[:2]
+    control = _evaluate_segments(heisenberg, base_mid, None, sol.control_mid)
+    horizontal, vertical = control.horizontal, control.vertical
     assert sol.results[-1].defect == pytest.approx(np.sum(vertical) / 40, rel=1e-10)
     assert sol.control_cost == pytest.approx(np.sum(horizontal + vertical) / 40, rel=1e-12)
 
 
 def test_lifted_evaluation_reforms_bitwise():
-    # A lifted evaluation re-formed at q' is the lifted evaluation at q', and
-    # so is the evaluation of the p path re-formed with the lift's v_s^2 added
-    # to its horizontal form: the reading of every reported drift rung.
+    # The lifted evaluation of a path (p, s) is, at every q, bitwise the
+    # evaluation of the p path with the lift's v_s^2 added to its horizontal
+    # form: the reading of every reported drift rung.
     prob = get_problem("heisenberg-drift")
     pulled = _pull_back(prob.structure, prob.drift)
     chord = DiscretePath.chord(prob.start, prob.end, 12)
@@ -389,12 +390,9 @@ def test_lifted_evaluation_reforms_bitwise():
     path = chord.with_interior(chord.interior() + jitter)
     lifted = DiscretePath(np.column_stack([path.points, path.times]))
     time_speeds = _segments(lifted)[1][:, -1]
-    for q in (1.0, 10.0, 1e4):
-        on_lift, on_path = _lifted_evaluation(pulled, q, lifted), _evaluate(pulled, q, path)
-        for q_new in (1.0, q, 1e6):
-            expected = _lifted_evaluation(pulled, q_new, lifted)
-            assert_same_evaluation(on_lift.at(q_new), expected)
-            assert_same_evaluation(on_path.at(q_new, time_speeds**2), expected)
+    on_lift, on_path = _lifted_evaluation(pulled, lifted), _lift(_evaluate(pulled, path), time_speeds)
+    for q in (1.0, 10.0, 1e4, 1e6):
+        assert_same_evaluation(on_lift, on_path, q)
 
 
 def test_drift_solve_factors_each_point_set_once(monkeypatch):

@@ -14,6 +14,7 @@ from pengeo import (
     semimetric_rho,
 )
 from pengeo.functionals import _evaluate
+from pengeo.optimizer import _gradient, energy_gradient
 from conftest import assert_same_evaluation, random_path
 
 
@@ -158,11 +159,15 @@ def test_semimetric_rho_validation(rng):
 
 
 def test_reformed_evaluation_is_a_fresh_one_bitwise(heisenberg, martinet, rng):
-    # The factor and the split forms do not depend on q, so an evaluation
-    # re-formed at q' is the evaluation at q', to the last bit.
+    # An evaluation does not depend on q, so one evaluation read at any q'
+    # gives the fresh energy, length and gradient at q', to the last bit, and
+    # a second evaluation of the path is the first one.
     for structure in (heisenberg, martinet):
         path = random_path(structure, 12, rng, scale=0.3)
-        for q in (1.0, 10.0, 1e4):
-            evaluation = _evaluate(structure, q, path)
-            for q_new in (1.0, 3.5, 1e6):
-                assert_same_evaluation(evaluation.at(q_new), _evaluate(structure, q_new, path))
+        evaluation = _evaluate(structure, path)
+        for q in (1.0, 3.5, 10.0, 1e4, 1e6):
+            assert_same_evaluation(evaluation, _evaluate(structure, path), q)
+            assert evaluation.energy(q) == energy(structure, q, path)
+            assert evaluation.length(q) == length(structure, q, path)
+            np.testing.assert_array_equal(_gradient(evaluation, q)[0], energy_gradient(structure, q, path))
+        assert evaluation.defect == horizontality_defect(structure, path)

@@ -27,6 +27,7 @@ from pengeo.geometry import (
     _shifted_rows,
     _spd_inverse,
 )
+from pengeo.functionals import _evaluate_segments
 from conftest import random_path
 
 
@@ -41,11 +42,19 @@ def _heisenberg_normal(p: np.ndarray) -> np.ndarray:
     return n / np.linalg.norm(n)
 
 
+def _evaluation(structure, points, vectors=None, times=None):
+    """The evaluation of one vector per point (zero vectors when none are
+    given), from one frame factor."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    vectors = np.zeros_like(points) if vectors is None else np.atleast_2d(np.asarray(vectors, dtype=float))
+    return _evaluate_segments(structure, points, times, vectors)
+
+
 def _project(structure, p, v):
-    """The horizontal and complement parts of v at p, from one frame factor."""
-    factor = _factor_frame(structure, np.asarray(p, dtype=float)[None, :])
-    _, pv, pperp = factor.project(np.asarray(v, dtype=float)[None, :])
-    return pv[0], pperp[0]
+    """The horizontal and complement parts (F c, Pc v) of v at p, from one
+    evaluation: P v is read off its frame coefficients c = F+ v."""
+    evaluation = _evaluation(structure, p, v)
+    return evaluation.F[0] @ evaluation.coefficients[0], evaluation.complement[0]
 
 
 def test_heisenberg_projection_worked_example(heisenberg):
@@ -54,8 +63,8 @@ def test_heisenberg_projection_worked_example(heisenberg):
     pv, pperp = _project(heisenberg, p, v)
     np.testing.assert_allclose(pv, [0.5, 0.0, -0.5], atol=1e-14)
     np.testing.assert_allclose(pperp, [0.5, 0.0, 0.5], atol=1e-14)
-    horizontal, vertical = _factor_frame(heisenberg, p[None, :]).split_forms(v[None, :])[:2]
-    assert horizontal[0] + 3.0 * vertical[0] == pytest.approx(2.0)
+    evaluation = _evaluation(heisenberg, p, v)
+    assert evaluation.horizontal[0] + 3.0 * evaluation.vertical[0] == pytest.approx(2.0)
 
 
 def test_projection_matches_normal_vector_oracle(heisenberg, rng):
@@ -86,8 +95,8 @@ def test_penalized_metric_affine_in_q(heisenberg, rng):
     v = rng.normal(size=3)
 
     def g(q):
-        horizontal, vertical = _factor_frame(heisenberg, p[None, :]).split_forms(v[None, :])[:2]
-        return float(horizontal[0] + q * vertical[0])
+        evaluation = _evaluation(heisenberg, p, v)
+        return float(evaluation.horizontal[0] + q * evaluation.vertical[0])
 
     g1, g2, g4 = g(1.0), g(2.0), g(4.0)
     assert g2 - g1 == pytest.approx((g4 - g2) / 2.0, rel=1e-12, abs=1e-14)
@@ -99,10 +108,10 @@ def test_penalized_metric_affine_in_q(heisenberg, rng):
 def test_penalized_gram_matches_forms(heisenberg, rng):
     pts = rng.normal(size=(8, 3))
     vecs = rng.normal(size=(8, 3))
-    factor = _factor_frame(heisenberg, pts)
+    evaluation = _evaluation(heisenberg, pts, vecs)
     for q in (1.0, 7.5, 1e4):
-        gram = factor.gram(q)
-        hor, vert = factor.split_forms(vecs)[:2]
+        gram = evaluation.gram(q)
+        hor, vert = evaluation.horizontal, evaluation.vertical
         quad = np.einsum("ij,ijk,ik->i", vecs, gram, vecs)
         np.testing.assert_allclose(quad, hor + q * vert, rtol=1e-10)
         np.testing.assert_allclose(gram, np.transpose(gram, (0, 2, 1)), atol=1e-12)
@@ -114,9 +123,8 @@ def test_penalized_forms_flux_is_gradient_of_quadratic(heisenberg, rng):
     pts = rng.normal(size=(5, 3))
     vecs = rng.normal(size=(5, 3))
     q = 30.0
-    factor = _factor_frame(heisenberg, pts)
-    Gpv, Gpp = factor.split_forms(vecs)[2:4]
-    np.testing.assert_allclose(Gpv + q * Gpp, np.einsum("ijk,ik->ij", factor.gram(q), vecs), rtol=1e-10)
+    evaluation = _evaluation(heisenberg, pts, vecs)
+    np.testing.assert_allclose(evaluation.flux(q), np.einsum("ijk,ik->ij", evaluation.gram(q), vecs), rtol=1e-10)
 
 
 def test_check_penalty_validation():
@@ -378,8 +386,8 @@ def test_field_stencil_keeps_the_frame_checks():
     origin, times = np.zeros((1, 2)), np.zeros(1)
 
     def derivatives(structure):
-        factor = _factor_frame(structure, origin, times)
-        return factor.differences[:2] + _field_stencil(factor)
+        evaluation = _evaluation(structure, origin, times=times)
+        return evaluation.differences[:2] + _field_stencil(evaluation)
 
     def gram_nan_on_diagonals(pts):
         both = (pts[:, 0] > 0.0) & (pts[:, 1] > 0.0)
@@ -439,7 +447,7 @@ def test_field_derivative_stacks_are_segment_major(heisenberg, rng):
         for derivative, up, down in zip(first[:2], plus, minus):
             np.testing.assert_array_equal(derivative[:, c], (up - down) / (2.0 * h))
     assert first[0].shape == (7, 3, 3, 3) and first[1].shape == (7, 3, 3, 2)
-    second = _field_stencil(_factor_frame(structure, points, times))
+    second = _field_stencil(_evaluation(structure, points, times=times))
     for derivative, k in zip(second, (3, 2)):
         assert derivative.shape == (7, 3, 3, 3, k)
         assert np.any(derivative[:, 0, 1] != 0.0)

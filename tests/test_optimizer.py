@@ -25,8 +25,8 @@ from pengeo import (
     vertical_heisenberg_problem,
 )
 from pengeo.drift import _lifted_result, _pull_back
-from pengeo.functionals import _evaluate
-from pengeo.geometry import DegenerateFrameError, _factor_frame, _field_stencil
+from pengeo.functionals import _evaluate, _evaluate_segments
+from pengeo.geometry import DegenerateFrameError, _field_stencil
 from pengeo.optimizer import (
     DECREMENT_TOLERANCE,
     StepUnderflowError,
@@ -198,36 +198,37 @@ def test_gradient_matches_finite_differences(heisenberg, martinet, euclidean3, r
 
 
 def test_gradient_from_reused_field_differences_is_bitwise(heisenberg, rng):
-    # A warm start re-forms the previous rung's evaluation at the new q,
-    # which shares its frame factor and so the field differences the factor
-    # keeps: the gradient and its q-slope are bitwise those of a fresh
-    # evaluation.
+    # A warm start passes the previous rung's evaluation on as it is, with
+    # the field differences it keeps: read at the new q, its gradient and
+    # q-slope are bitwise those of a fresh evaluation, and the differences
+    # are not read again.
     drifted = _drift_heisenberg(heisenberg)
     start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
     for structure in (heisenberg, drifted):
         path = random_path(structure, 12, rng, scale=0.3, start=start, end=end)
-        evaluation = _evaluate(structure, 10.0, path)
+        evaluation = _evaluate(structure, path)
+        _gradient(evaluation, 10.0)  # the previous rung's read of the differences
+        differences = evaluation.differences
         for q in (1.0, 1e3):
-            reformed = evaluation.at(q)
-            g, slope = _gradient(reformed)
-            fresh = _gradient(_evaluate(structure, q, path))
+            g, slope = _gradient(evaluation, q)
+            fresh = _gradient(_evaluate(structure, path), q)
             np.testing.assert_array_equal(g, energy_gradient(structure, q, path))
             np.testing.assert_array_equal(slope, fresh[1])
-            assert reformed.factor.differences is evaluation.factor.differences
+            assert evaluation.differences is differences
 
 
 def test_evaluation_keeps_the_parts_the_derivatives_read(heisenberg, rng):
     # The gradient and the Hessian read c = F+ v, Pc v and G Pc v from the
-    # evaluation; they are bitwise what the factor gives for its velocities.
+    # evaluation; they are bitwise what its factor gives for its velocities.
     start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
     for structure in (_warped_heisenberg(heisenberg), _rotating_heisenberg(heisenberg)):
-        evaluation = _evaluate(structure, 10.0, random_path(structure, 12, rng, 0.3, start, end))
-        factor, v = evaluation.factor, evaluation.vels[:, :, None]
-        c = np.matmul(factor.Fplus, v)
-        r = v - np.matmul(factor.F, c)
+        evaluation = _evaluate(structure, random_path(structure, 12, rng, 0.3, start, end))
+        v = evaluation.vels[:, :, None]
+        c = np.matmul(evaluation.Fplus, v)
+        r = v - np.matmul(evaluation.F, c)
         np.testing.assert_array_equal(evaluation.coefficients, c[:, :, 0])
         np.testing.assert_array_equal(evaluation.complement, r[:, :, 0])
-        np.testing.assert_array_equal(evaluation.vertical_flux, np.matmul(factor.G, r)[:, :, 0])
+        np.testing.assert_array_equal(evaluation.vertical_flux, np.matmul(evaluation.G, r)[:, :, 0])
 
 
 def _dense_block_tridiagonal(diag, off):
@@ -243,9 +244,9 @@ def _dense_block_tridiagonal(diag, off):
 
 
 def _assert_hessian_matches(structure, q, path):
-    evaluation = _evaluate(structure, q, path)
-    h0_diag, h0_off = _velocity_hessian(evaluation.factor.gram(q))
-    rest_diag, rest_off = _base_point_hessian(evaluation)
+    evaluation = _evaluate(structure, path)
+    h0_diag, h0_off = _velocity_hessian(evaluation.gram(q))
+    rest_diag, rest_off = _base_point_hessian(evaluation, q)
     H = _dense_block_tridiagonal(h0_diag + rest_diag, h0_off + rest_off)
     fd = fd_energy_hessian(structure, q, path)
     assert np.max(np.abs(H - fd)) / (np.max(np.abs(fd)) + 1e-12) < 1e-5
@@ -283,8 +284,8 @@ def test_hessian_matches_finite_differences_of_the_gradient(heisenberg, martinet
 def _metric_stacks(structure, rng):
     """(dG, d2G) of the field differences and stencil at a few points and times."""
     points = 0.3 * rng.normal(size=(7, structure.dimension))
-    factor = _factor_frame(structure, points, np.linspace(0.05, 0.95, 7))
-    return factor.differences[0], _field_stencil(factor)[0]
+    evaluation = _evaluate_segments(structure, points, np.linspace(0.05, 0.95, 7), np.zeros_like(points))
+    return evaluation.differences[0], _field_stencil(evaluation)[0]
 
 
 def test_metric_stacks_are_none_exactly_where_the_metric_does_not_move(heisenberg, rng):
@@ -315,18 +316,18 @@ def test_omitted_metric_terms_change_no_bit(heisenberg, rng, monkeypatch):
     stencil = optimizer._field_stencil
     start, end = np.zeros(3), np.array([1.0, 0.0, 0.0])
     for structure in (_mixed_frame_heisenberg(), _drift_heisenberg(heisenberg)):
-        evaluation = _evaluate(structure, 10.0, random_path(structure, 12, rng, 0.3, start, end))
-        differences = evaluation.factor.differences
+        evaluation = _evaluate(structure, random_path(structure, 12, rng, 0.3, start, end))
+        differences = evaluation.differences
         assert differences[0] is None
-        omitted = _gradient(evaluation), _base_point_hessian(evaluation)
-        # The same evaluation on a fresh factor whose differences hold a zero dG.
-        zeroed = replace(evaluation, factor=replace(evaluation.factor))
-        zeroed.factor.__dict__["differences"] = (np.zeros((12, 3, 3, 3)),) + differences[1:]
+        omitted = _gradient(evaluation, 10.0), _base_point_hessian(evaluation, 10.0)
+        # A copy of the evaluation, without its cache, whose differences hold a zero dG.
+        zeroed = replace(evaluation)
+        zeroed.__dict__["differences"] = (np.zeros((12, 3, 3, 3)),) + differences[1:]
         with monkeypatch.context() as patch:
             patch.setattr(
-                optimizer, "_field_stencil", lambda factor: (np.zeros((12, 3, 3, 3, 3)), stencil(factor)[1])
+                optimizer, "_field_stencil", lambda e: (np.zeros((12, 3, 3, 3, 3)), stencil(e)[1])
             )
-            full = _gradient(zeroed), _base_point_hessian(zeroed)
+            full = _gradient(zeroed, 10.0), _base_point_hessian(zeroed, 10.0)
         for parts, full_parts in zip(omitted, full):
             for a, b in zip(parts, full_parts):
                 np.testing.assert_array_equal(a, b)
@@ -344,14 +345,14 @@ def test_gradient_affine_in_q(heisenberg, rng):
 
 def _h0_factor(structure, q, path):
     """H0 factored from the path's evaluation at q, as minimize_energy does."""
-    return _BlockTridiagonalFactor(*_velocity_hessian(_evaluate(structure, q, path).factor.gram(q)))
+    return _BlockTridiagonalFactor(*_velocity_hessian(_evaluate(structure, path).gram(q)))
 
 
 def _dense_velocity_hessian(structure, q, path):
     """H0 assembled entry by entry: blocks N (M_{j-1} + M_j) and -N M_j, with
     M_j the penalized metric at midpoint j and its mid-time."""
     N, n = path.grid_size, path.dimension
-    M = _evaluate(structure, q, path).factor.gram(q)
+    M = _evaluate(structure, path).gram(q)
     H = np.zeros(((N - 1) * n, (N - 1) * n))
     for j in range(N - 1):
         H[j * n : (j + 1) * n, j * n : (j + 1) * n] = N * (M[j] + M[j + 1])
@@ -473,7 +474,7 @@ def test_closed_form_decrement_matches_the_dense_velocity_hessian(name):
     path = chord.with_interior(chord.interior() + seed[1:-1])
     for q in (1.0, 1e2, 1e4):
         g = energy_gradient(structure, q, path)
-        decrement = _velocity_decrement(_evaluate(structure, q, path).factor.gram(q), g)
+        decrement = _velocity_decrement(_evaluate(structure, path).gram(q), g)
         H = _dense_velocity_hessian(structure, q, path)
         dense = float(g @ np.linalg.solve(H, g))
         assert abs(decrement - dense) <= np.finfo(float).eps * np.linalg.cond(H) * dense
@@ -482,16 +483,16 @@ def test_closed_form_decrement_matches_the_dense_velocity_hessian(name):
 def test_non_positive_definite_metric_block_is_a_singular_velocity_hessian(heisenberg, monkeypatch):
     # The batched Cholesky factorization of the midpoint metrics is the stop
     # test's check that H0 is positive definite.
-    from pengeo.geometry import _FrameFactor
+    from pengeo.functionals import _Evaluation
 
-    gram = _FrameFactor.gram
+    gram = _Evaluation.gram
 
     def one_block_flipped(self, q):
         M = gram(self, q)
         M[3] = -M[3]
         return M
 
-    monkeypatch.setattr(_FrameFactor, "gram", one_block_flipped)
+    monkeypatch.setattr(_Evaluation, "gram", one_block_flipped)
     path = random_path(
         heisenberg, 10, np.random.default_rng(0), scale=0.1, start=np.zeros(3), end=np.array([1.0, 0.0, 0.0])
     )
@@ -631,8 +632,8 @@ def test_converged_start_factors_nothing(heisenberg, monkeypatch):
 
 def test_chord_ladder_factors_its_frame_once(monkeypatch):
     # Every rung of the Heisenberg preset stops at iteration 0 on the chord,
-    # so each warm start re-forms the first rung's evaluation: one frame
-    # factorization and one first-order field read for the whole ladder.
+    # so each warm start takes the first rung's evaluation as it is: one
+    # frame factorization and one first-order field read for the whole ladder.
     from pengeo import functionals, geometry, optimizer
 
     counts = dict.fromkeys(["factor", "differences"], 0)
@@ -646,9 +647,10 @@ def test_chord_ladder_factors_its_frame_once(monkeypatch):
 
     for module in (geometry, functionals):
         monkeypatch.setattr(module, "_factor_frame", counting("factor", module._factor_frame))
-    monkeypatch.setattr(
-        geometry, "_field_differences", counting("differences", geometry._field_differences)
-    )
+    for module in (geometry, functionals):
+        monkeypatch.setattr(
+            module, "_field_differences", counting("differences", module._field_differences)
+        )
     structure, endpoints, schedule, config, seed = _ladder_inputs("heisenberg")
     results = continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
     assert len(results) == 5 and all(r.iterations == 0 for r in results)
@@ -675,8 +677,8 @@ def test_predictor_adds_one_evaluation_per_predicted_start(monkeypatch, caplog, 
     # Hessian and factors and transports nothing but the evaluation of each
     # predicted start, which the rung's solve then takes as its own.  Every
     # solve's start is evaluated once, except a warm start on the previous
-    # minimizer, which re-forms that rung's final evaluation and reuses its
-    # field differences; each iteration's line search evaluates once per
+    # minimizer, which takes that rung's final evaluation as it is, field
+    # differences included; each iteration's line search evaluates once per
     # halving of its logged step, plus one.
     structure, endpoints, schedule, config, seed = _ladder_inputs(name)
     counts = _count_solver_calls(monkeypatch)
@@ -935,7 +937,7 @@ def test_predicted_ladder_matches_plain_warm_starts(name):
     plain = _plain_ladder(structure, endpoints, schedule, config, seed)
     if name == "heisenberg-drift":
         predicted, plain = (
-            [_lifted_result(r, _evaluate(structure, r.q, r.path)) for r in rungs]
+            [_lifted_result(r, _evaluate(structure, r.path)) for r in rungs]
             for rungs in (predicted, plain)
         )
     assert [r.q for r in predicted] == [r.q for r in plain]
@@ -980,11 +982,11 @@ def test_predicted_start_with_degenerate_frame_falls_back(monkeypatch, caplog):
 
     refused = []
 
-    def degenerate_when_predicted(structure, q, path):
+    def degenerate_when_predicted(structure, path):
         if _called_from("_predict"):
-            refused.append(q)
+            refused.append(path)
             raise DegenerateFrameError("frame is degenerate at the predicted start")
-        return _evaluate(structure, q, path)
+        return _evaluate(structure, path)
 
     monkeypatch.setattr(optimizer, "_evaluate", degenerate_when_predicted)
     structure, endpoints, schedule, config, seed = _ladder_inputs("vertical-50")
