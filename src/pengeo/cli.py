@@ -111,12 +111,6 @@ _KEYS = {
     "output": {"root": None},
 }
 
-_BOOLEANS = {
-    "true": True, "yes": True, "1": True, "on": True,
-    "false": False, "no": False, "0": False, "off": False,
-}
-
-
 def _fields(parser, section: str, dimension: Optional[int] = None) -> dict:
     """The typed keys ``section`` sets, each read by its ``_KEYS`` reader;
     a vector must have ``dimension`` entries."""
@@ -129,7 +123,7 @@ def _fields(parser, section: str, dimension: Optional[int] = None) -> dict:
         if reader is _parse_vector:
             fields[key] = _parse_vector(raw, key, dimension)
         elif reader is bool:
-            fields[key] = _BOOLEANS.get(raw.strip().lower())
+            fields[key] = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
             if fields[key] is None:
                 raise ConfigError(f"{where} is not a boolean: {raw!r}")
         elif reader is not None:
@@ -167,15 +161,20 @@ def _compile_polynomial(text: str, dimension: int, key: str):
     numeric literals.  Anything else, and a constant part that is not finite
     (``1e400``, ``9^9^9``), is rejected with the config key named, so frame
     tables cannot smuggle in arbitrary code.  A probe at the origin raises
-    these errors while the config is parsed.
+    these errors while the config is parsed.  An entry nested deeper than
+    the parser or the evaluator can recurse is rejected alike, when it is
+    parsed and whenever it is evaluated.
     """
     source = text.strip().replace("^", "**")
     if not source:
         raise ConfigError(f"key '{key}' contains an empty frame entry")
+    too_deep = f"key '{key}': entry {text!r} is nested too deeply"
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"key '{key}': cannot parse entry {text!r}") from exc
+    except RecursionError:
+        raise ConfigError(too_deep) from None
     index = {f"x{i + 1}": i for i in range(dimension)}
 
     def evaluate(node, pts):
@@ -226,7 +225,10 @@ def _compile_polynomial(text: str, dimension: int, key: str):
         raise ConfigError(f"key '{key}': unsupported expression in entry {text!r}")
 
     def entry(pts: np.ndarray) -> np.ndarray:
-        value = evaluate(tree, pts)
+        try:
+            value = evaluate(tree, pts)
+        except RecursionError:
+            raise ConfigError(too_deep) from None
         if np.isscalar(value):
             return np.full(pts.shape[0], float(value))
         return np.asarray(value, dtype=float)
@@ -420,11 +422,19 @@ def _write_samples_csv(path: Path, times: np.ndarray, values: np.ndarray, prefix
     path.write_text("\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n")
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of a run file; one that cannot be read or decoded is a config error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path.parent}: cannot read {path.name}: {exc}") from exc
+
+
 def _read_table(path: Path):
     """Rows of a comma-separated file as dicts, skipping '#' comment lines."""
     lines = [
         line
-        for line in path.read_text().splitlines()
+        for line in _read_text(path).splitlines()
         if line.strip() and not line.startswith("#")
     ]
     if len(lines) < 2:
@@ -467,7 +477,8 @@ def _cmd_run(command: str, config_path: str, out: Optional[str]) -> int:
     every rung converged, energies rise, defects fall and the Cauchy check (if
     the limit is declared unique) holds; ``solve`` also needs lengths that
     rise and stay within the reference distance, ``drift-solve`` a successful
-    drift solve and the control cost identity.
+    drift solve and the control cost identity.  An output directory that
+    cannot be written is a config error, raised before any solve.
     """
     spec = parse_config(config_path)
     problem = spec.problem
@@ -479,9 +490,12 @@ def _cmd_run(command: str, config_path: str, out: Optional[str]) -> int:
             else f"problem '{problem.name}' has no drift field; use the solve command"
         )
     out_dir = _resolve_out_dir(out, spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with contextlib.suppress(shutil.SameFileError):  # a re-run into the config's own directory
-        shutil.copyfile(config_path, out_dir / "config.ini")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with contextlib.suppress(shutil.SameFileError):  # a re-run into the config's own directory
+            shutil.copyfile(config_path, out_dir / "config.ini")
+    except OSError as exc:
+        raise ConfigError(f"cannot write results to {out_dir}: {exc.strerror or exc}") from exc
 
     qs = problem.schedule.q_values()
     print(
@@ -587,7 +601,7 @@ def _cmd_diagnose(results_dir: str) -> int:
     results_path = root / "results.csv"
     report_path = root / "report.txt"
     if report_path.is_file():
-        first_line = report_path.read_text().partition("\n")[0]
+        first_line = _read_text(report_path).partition("\n")[0]
         if first_line.startswith("solver failure:"):
             print(first_line, file=sys.stderr)
             return 1

@@ -17,12 +17,13 @@ from one factorization of the pulled-back frame.  With s pinned to advance
 linearly from 0 to 1, the q = 1 lifted energy equals half the control cost
 plus one half, an identity the result object reports as a cross-check.
 
-Drifts are affine, X(p) = A p + b, and their flows are evaluated exactly as
-exp(t [[A, b], [0, 0]]) (Van Loan, IEEE TAC 23(3), 1978).
+Drifts are affine, X(p) = A p + b, and a :class:`DriftField` evaluates its
+own flow exactly as exp(t [[A, b], [0, 0]]) (Van Loan, IEEE TAC 23(3), 1978).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -41,7 +42,6 @@ __all__ = [
     "zero_drift",
     "constant_drift",
     "linear_drift",
-    "FlowMap",
     "DriftSolveResult",
     "solve_drift_problem",
 ]
@@ -54,10 +54,21 @@ ENDPOINT_TOLERANCE = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class DriftField:
-    """Affine drift field X(p) = A p + b, the same at every time.
+    """Affine drift field X(p) = A p + b, the same at every time, and its flow.
 
     The constructor stores A and b as float arrays and raises ValueError
-    unless A is square, b has A's size and both are finite.
+    unless A is square, b has A's size and both are finite.  The flow is
+    phi_t(p) = M(t) p + v(t) with [[M, v], [0, 1]] = exp(t Ahat) and
+    Ahat = [[A, b], [0, 0]]; the inverse flow is exp(-t Ahat) =
+    [[M^{-1}, -M^{-1} v], [0, 1]].  On first flow use the field picks the
+    fewest squarings s with ||2^-s Ahat||_1 <= 1 and keeps the Taylor terms
+    (2^-s Ahat)^k / k!, k <= 18, beside their signed copies, so a batch of
+    times in [0, 1] costs one matmul of its time powers against both and s
+    batched squarings of both exponentials together (Moler & Van Loan, SIAM
+    Rev. 45(1), 2003).  Transport, pull-back and :meth:`inverse` all read
+    that one product; nothing solves against M(t).  On every preset
+    ||Ahat||_1 <= 1 and Ahat^2 = 0, so s = 0, the series stops after its
+    linear term, and the flow is exact.
     """
 
     name: str
@@ -80,6 +91,57 @@ class DriftField:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
+    @functools.cached_property
+    def _series(self):
+        """(squarings s, signed Taylor terms) of exp(t Ahat), computed on first flow use."""
+        aug = np.block([[self.A, self.b[:, None]], [np.zeros((1, self.b.size + 1))]])
+        # The fewest s with norm <= 2**s, read off norm = mantissa * 2**exponent
+        # (mantissa in [0.5, 1)); an overflowing norm fails in _pairs.
+        mantissa, exponent = math.frexp(float(np.max(np.sum(np.abs(aug), axis=0))))
+        squarings = max(0, exponent - 1 if mantissa == 0.5 else exponent)
+        scaled = np.ldexp(aug, -squarings)
+        terms = [np.eye(aug.shape[0])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, FLOW_TAYLOR_DEGREE + 1):
+                term = terms[-1] @ scaled / k
+                if not term.any():  # Ahat is nilpotent: the series ends here
+                    break
+                terms.append(term)
+        terms = np.reshape(terms, (len(terms), -1))
+        signs = (-1.0) ** np.arange(len(terms))
+        return squarings, np.concatenate([terms, signs[:, None] * terms], axis=1)
+
+    def _pairs(self, ts: np.ndarray):
+        """Stacks of exp(t Ahat) and exp(-t Ahat) for every time in ts."""
+        if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
+            raise ValueError(f"flow times must lie in [0, 1], got {ts.min()} to {ts.max()}")
+        squarings, terms = self._series
+        size = self.b.size + 1
+        powers = ts[:, None] ** np.arange(terms.shape[0])
+        # A diverging flow ends in the FloatingPointError below, not in warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            flows = np.reshape(powers @ terms, (ts.size, 2, size, size))
+            for _ in range(squarings):
+                flows = flows @ flows
+        if not np.isfinite(flows).all():
+            raise FloatingPointError(
+                f"flow of drift field {self.name} diverged by time {ts.max():g}"
+            )
+        return flows[:, 0], flows[:, 1]
+
+    def transport_batch(self, times, points):
+        """Flow points, Jacobians M(t) and their inverses M(t)^{-1} = exp(-t A)
+        for per-row times; shapes (m,) and (m, n)."""
+        flows, inverses = self._pairs(np.asarray(times, dtype=float))
+        mats = flows[:, :-1, :-1]
+        images = np.einsum("mij,mj->mi", mats, np.asarray(points, dtype=float)) + flows[:, :-1, -1]
+        return images, mats, inverses[:, :-1, :-1]
+
+    def inverse(self, t: float, y) -> np.ndarray:
+        """Point p with phi_t(p) = y: the inverse flow exp(-t Ahat) applied to (y, 1)."""
+        _, inverses = self._pairs(np.array([float(t)]))
+        return (inverses[0] @ np.append(as_point(y), 1.0))[:-1]
+
 
 def zero_drift(dimension: int) -> DriftField:
     """The zero field; its flow is the identity for all times."""
@@ -98,73 +160,6 @@ def linear_drift(matrix) -> DriftField:
     return DriftField("linear", A, np.zeros(A.shape[:1]))
 
 
-class FlowMap:
-    """Flow of an affine drift field: points, Jacobians and inverse flows at given times.
-
-    For X = A p + b the flow is phi_t(p) = M(t) p + v(t), where
-    [[M, v], [0, 1]] = exp(t Ahat) with Ahat = [[A, b], [0, 0]], and the
-    inverse flow is exp(-t Ahat) = [[M^{-1}, -M^{-1} v], [0, 1]].  The
-    constructor picks the fewest squarings s with ||2^-s Ahat||_1 <= 1 and
-    keeps the Taylor terms (2^-s Ahat)^k / k! for k <= 18 beside their
-    signed copies (-1)^k (2^-s Ahat)^k / k!, so a batch of times in [0, 1]
-    costs one matmul of its time powers against both and s batched
-    squarings of both exponentials together (Moler & Van Loan, SIAM Rev.
-    45(1), 2003).  Forward transport, pull-back and :meth:`inverse` all
-    read that one product, and nothing solves against M(t).  On every
-    preset ||Ahat||_1 <= 1 and Ahat^2 = 0, so s = 0, the series stops after
-    its linear term, and the result is exact.
-    """
-
-    def __init__(self, drift: DriftField):
-        self.drift = drift
-        aug = np.block([[drift.A, drift.b[:, None]], [np.zeros((1, drift.b.size + 1))]])
-        # The fewest s with norm <= 2**s, read off norm = mantissa * 2**exponent
-        # (mantissa in [0.5, 1)); an overflowing norm fails in _pairs.
-        mantissa, exponent = math.frexp(float(np.max(np.sum(np.abs(aug), axis=0))))
-        self._squarings = max(0, exponent - 1 if mantissa == 0.5 else exponent)
-        scaled = np.ldexp(aug, -self._squarings)
-        self._size = aug.shape[0]
-        terms = [np.eye(self._size)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, FLOW_TAYLOR_DEGREE + 1):
-                term = terms[-1] @ scaled / k
-                if not term.any():  # Ahat is nilpotent: the series ends here
-                    break
-                terms.append(term)
-        terms = np.reshape(terms, (len(terms), -1))
-        signs = (-1.0) ** np.arange(len(terms))
-        self._terms = np.concatenate([terms, signs[:, None] * terms], axis=1)
-
-    def _pairs(self, ts: np.ndarray):
-        """Stacks of exp(t Ahat) and exp(-t Ahat) for every time in ts."""
-        if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
-            raise ValueError(f"flow times must lie in [0, 1], got {ts.min()} to {ts.max()}")
-        powers = ts[:, None] ** np.arange(self._terms.shape[0])
-        # A diverging flow ends in the FloatingPointError below, not in warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            flows = np.reshape(powers @ self._terms, (ts.size, 2, self._size, self._size))
-            for _ in range(self._squarings):
-                flows = flows @ flows
-        if not np.isfinite(flows).all():
-            raise FloatingPointError(
-                f"flow of drift field {self.drift.name} diverged by time {ts.max():g}"
-            )
-        return flows[:, 0], flows[:, 1]
-
-    def transport_batch(self, times, points):
-        """Flow points, Jacobians M(t) and their inverses M(t)^{-1} = exp(-t A)
-        for per-row times; shapes (m,) and (m, n)."""
-        flows, inverses = self._pairs(np.asarray(times, dtype=float))
-        mats = flows[:, :-1, :-1]
-        images = np.einsum("mij,mj->mi", mats, np.asarray(points, dtype=float)) + flows[:, :-1, -1]
-        return images, mats, inverses[:, :-1, :-1]
-
-    def inverse(self, t: float, y) -> np.ndarray:
-        """Point p with phi_t(p) = y: the inverse flow exp(-t Ahat) applied to (y, 1)."""
-        _, inverses = self._pairs(np.array([float(t)]))
-        return (inverses[0] @ np.append(as_point(y), 1.0))[:-1]
-
-
 @dataclass(frozen=True)
 class _PulledBackStructure(SubRiemannianStructure):
     """The drift problem on R^n in the interaction picture: the base fields
@@ -176,14 +171,14 @@ class _PulledBackStructure(SubRiemannianStructure):
     the pulled-back fields equal at t = 0.  Build it with :func:`_pull_back`.
     """
 
-    flow: FlowMap = field(repr=False, compare=False)
+    drift: DriftField = field(repr=False, compare=False)
 
     def _fields(self, points: np.ndarray, times):
         """Pulled-back metric and frame stacks at points p and their times, from one
         flow transport; J^{-1} = exp(-t A) comes from J's series, so no row is solved."""
         if times is None:
             raise ValueError(f"the fields of {self.name} change in time and need the points' times")
-        images, jacs, inverses = self.flow.transport_batch(times, points)
+        images, jacs, inverses = self.drift.transport_batch(times, points)
         G, F = super()._fields(images)
         return np.matmul(jacs.transpose(0, 2, 1), np.matmul(G, jacs)), np.matmul(inverses, F)
 
@@ -198,7 +193,7 @@ def _pull_back(structure: SubRiemannianStructure, drift: DriftField) -> _PulledB
         structure.metric,
         structure.frame,
         f"{structure.name}+drift:{drift.name}",
-        flow=FlowMap(drift),
+        drift=drift,
     )
 
 
@@ -287,10 +282,9 @@ def solve_drift_problem(
     (N+1, n).  Each rung is reported on the lifted path (p, t), from the
     ladder's own evaluation of its path, and the q = 1 lifted energy is the
     last rung's lifted evaluation read at q = 1, whose defect is the control
-    defect.  The final
-    minimizer is mapped back to the controlled trajectory by one batched
-    flow transport on the grid, and the control is read off by a second one
-    at the segment midpoints.  The control cost is the time integral of the
+    defect.  The final minimizer is mapped back to the controlled trajectory
+    by one batched flow transport on the grid, and the control is read off
+    by a second one at the segment midpoints.  The control cost is the time integral of the
     base metric norm squared of the control, evaluated at those midpoints
     so it ties exactly to the lifted energy.  It succeeds if every rung
     converged and the trajectory ends within ``ENDPOINT_TOLERANCE`` of target.
@@ -298,9 +292,8 @@ def solve_drift_problem(
     x = as_point(start, structure.dimension)
     y = as_point(target, structure.dimension)
     pulled = _pull_back(structure, drift)
-    flow = pulled.flow
 
-    endpoints = (x, flow.inverse(1.0, y))
+    endpoints = (x, drift.inverse(1.0, y))
     results = []
     for result, evaluation in _ladder(pulled, endpoints, schedule, config, seed_deflection):
         results.append(_lifted_result(result, evaluation))
@@ -308,12 +301,12 @@ def solve_drift_problem(
     N = final.grid_size
     n = structure.dimension
 
-    trajectory, _, _ = flow.transport_batch(final.points[:, n], final.points[:, :n])
+    trajectory, _, _ = drift.transport_batch(final.points[:, n], final.points[:, :n])
 
     # Midpoint control samples: transport the lifted p-velocity by the flow
     # Jacobian at the segment midpoint, matching the energy quadrature.
     mids, vels = _segments(final)
-    base_mid, jacs, _ = flow.transport_batch(mids[:, n], mids[:, :n])
+    base_mid, jacs, _ = drift.transport_batch(mids[:, n], mids[:, :n])
     control_mid = np.einsum("mij,mj->mi", jacs, vels[:, :n])
     G_mid = structure._fields(base_mid)[0]
     control_cost = float(

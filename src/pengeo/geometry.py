@@ -10,8 +10,9 @@ The penalized metric keeps the base metric on the distribution and scales
 its g-orthogonal complement by a factor q >= 1, so q = 1 recovers the base
 metric and large q makes non-horizontal motion expensive.  The solver's
 derivatives read central differences of the two fields, which each path
-evaluation keeps for its midpoints; a metric difference stack that is
-exactly zero is None, not formed.
+evaluation keeps for its midpoints together with the shifted rows they were
+read at, so the Hessian stencil checks the frame on exactly those rows; a
+metric difference stack that is exactly zero is None, not formed.
 
 All operations here are pure functions of immutable inputs and are safe to
 call concurrently.
@@ -196,15 +197,14 @@ def _spd_inverse(M: np.ndarray) -> np.ndarray:
     return np.negative(A, out=A).transpose(2, 0, 1)
 
 
-def _frame_gram(points: np.ndarray, G: np.ndarray, F: np.ndarray, offsets=None):
+def _frame_gram(points: np.ndarray, G: np.ndarray, F: np.ndarray):
     """F^T G and the symmetrized frame Gram matrices F^T G F at a batch of points.
 
-    The rows of G and F are at ``points``, or, when ``offsets`` is given, at
-    their copies ``_shifted_rows(points, offsets)``, of which only a bad one
-    is built, for the message.  Raises :class:`DegenerateFrameError` when
-    F^T G F is not finite, vanishes (its condition number is then 0/0), or
-    its condition number (:func:`_condition_numbers`, in closed form at rank
-    2) exceeds ``FRAME_CONDITION_LIMIT``, at any of the rows.
+    Row i of G and F is read at ``points[i]``, which the message names.
+    Raises :class:`DegenerateFrameError` when F^T G F is not finite,
+    vanishes (its condition number is then 0/0), or its condition number
+    (:func:`_condition_numbers`, in closed form at rank 2) exceeds
+    ``FRAME_CONDITION_LIMIT``, at any of the rows.
     """
     # A frame that overflows along the path fails below, not in warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -217,13 +217,12 @@ def _frame_gram(points: np.ndarray, G: np.ndarray, F: np.ndarray, offsets=None):
     bad = ~np.isfinite(cond) | (cond > FRAME_CONDITION_LIMIT)
     if np.any(bad):
         i = int(np.argmax(bad))
-        point = points[i] if offsets is None else _shifted_row(points, offsets, i)
         if not M[i].any():
             raise DegenerateFrameError(
-                f"frame vanishes at point {point.tolist()} (its Gram matrix F^T G F is zero)"
+                f"frame vanishes at point {points[i].tolist()} (its Gram matrix F^T G F is zero)"
             )
         raise DegenerateFrameError(
-            f"frame is numerically degenerate at point {point.tolist()}"
+            f"frame is numerically degenerate at point {points[i].tolist()}"
             f" (frame Gram condition number {cond[i]:.3e} exceeds {FRAME_CONDITION_LIMIT:.1e})"
         )
     return FtG, M
@@ -265,22 +264,17 @@ def _shifted_rows(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return (np.repeat(points, j, axis=0).reshape(1, m, j, n) + offsets[:, None]).reshape(-1, n)
 
 
-def _shifted_row(points: np.ndarray, offsets: np.ndarray, i: int) -> np.ndarray:
-    """Row i of ``_shifted_rows(points, offsets)``, without building the others."""
-    s, p, j = np.unravel_index(i, (offsets.shape[0], points.shape[0], offsets.shape[1]))
-    return points[p] + offsets[s, j]
-
-
 def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, times):
     """Derivatives (dG, dF) of the metric and frame stacks along every
-    coordinate, with the stacks they come from.
+    coordinate, with the rows and stacks they come from.
 
     Central differences from one ``structure._fields`` evaluation at the 2n
     copies points +- h e_c, stacked into one batch with the ``times`` of the
-    points, and h from :func:`_fd_step`.  Returns (dG, dF, G, F): the
-    derivatives, of shapes (m, n, n, n) and (m, n, n, k), and the stacks at
+    points, and h from :func:`_fd_step`.  Returns (dG, dF, G, F, rows): the
+    derivatives, of shapes (m, n, n, n) and (m, n, n, k), the stacks at
     the copies, of shapes (2, m, n, n, n) and (2, m, n, n, k) with the plus
-    copies first, which :func:`_field_stencil` reuses.  A path evaluation
+    copies first, and the 2nm copies themselves in the stacks' row order,
+    all of which :func:`_field_stencil` reuses.  A path evaluation
     keeps them as its ``differences``.  The segment comes before the
     coordinate, so every stack reshapes for free into the
     batched matmuls of the Newton step.  No frame is factored.  dG is None
@@ -294,7 +288,7 @@ def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, ti
     G = G.reshape(2, m, n, n, n)
     F = F.reshape(2, m, n, n, -1)
     dG = (G[0] - G[1]) / (2.0 * h)
-    return dG if dG.any() else None, (F[0] - F[1]) / (2.0 * h), G, F
+    return dG if dG.any() else None, (F[0] - F[1]) / (2.0 * h), G, F, rows
 
 
 def _field_stencil(evaluation):
@@ -304,25 +298,22 @@ def _field_stencil(evaluation):
     The stacks of the evaluation's ``differences`` at points +- h e_c,
     with its own G and F at the points, give the diagonal second
     differences, so one ``structure._fields`` evaluation reads only the
-    2n(n - 1) m copies
-    points +- h e_c +- h e_d, c < d, for the mixed ones (Nocedal & Wright,
-    *Numerical Optimization*, 2nd ed., 8.1).  Shapes (m, n, n, n, n) and
-    (m, n, n, n, k), segment first and symmetric in the two coordinate
-    axes after it.  No frame is factored, but the checks of
+    2n(n - 1) m copies points +- h e_c +- h e_d, c < d, for the mixed ones
+    (Nocedal & Wright, *Numerical Optimization*, 2nd ed., 8.1).  Shapes
+    (m, n, n, n, n) and (m, n, n, n, k), segment first and symmetric in the
+    two coordinate axes after it.  No frame is factored, but the checks of
     :func:`_factor_frame` still hold: F^T G F must be finite and well
-    conditioned on the first-order rows, and G finite on the mixed ones, or
-    :class:`DegenerateFrameError` is raised.  d2G is None, and not formed,
-    when G reads back bitwise equal to the evaluation's G on every
-    first-order and every mixed row.
+    conditioned on the first-order rows the differences kept, and G finite
+    on the mixed ones, or :class:`DegenerateFrameError` is raised.  d2G is
+    None, and not formed, when G reads back bitwise equal to the
+    evaluation's G on every first-order and every mixed row.
     """
     structure, points, times = evaluation.structure, evaluation.points, evaluation.times
     m, n = points.shape
     h = _fd_step(points)
     axes = h * np.eye(n)
-    _, _, Gs, Fs = evaluation.differences
-    _frame_gram(
-        points, Gs.reshape((-1,) + Gs.shape[3:]), Fs.reshape((-1,) + Fs.shape[3:]), np.stack([axes, -axes])
-    )
+    _, _, Gs, Fs, rows = evaluation.differences
+    _frame_gram(rows, Gs.reshape((-1,) + Gs.shape[3:]), Fs.reshape((-1,) + Fs.shape[3:]))
     c, d = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the pairs c < d
     signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[:, :, None, None]
     offsets = signs[:, 0] * axes[c] + signs[:, 1] * axes[d]

@@ -189,12 +189,20 @@ def test_solve_inline_structure_matches_preset(tmp_path):
         "(1, 0, -x2/2); (0, 1, 0.5*(x1))",
         "((1)*1, 0, -x2/2); (0, 1, x1/2)",
         "(1)+0, 0, -x2/2; 0, 1, 0.5*(x1)",
+        "(1, 0, -x2/2); (0, 1, " + "-" * 300 + "x1/2)",
     ],
-    ids=["entry-ending-in-paren", "entry-starting-with-paren", "no-enclosing-parens"],
+    ids=[
+        "entry-ending-in-paren",
+        "entry-starting-with-paren",
+        "no-enclosing-parens",
+        "300-unary-minuses",
+    ],
 )
 def test_inline_frame_entries_keep_their_own_parentheses(tmp_path, frame):
     # Only a pair of parentheses that encloses a whole column is stripped, so
-    # each spelling is the contact frame (1, 0, -x2/2); (0, 1, x1/2), bitwise.
+    # each spelling is the contact frame (1, 0, -x2/2); (0, 1, x1/2), bitwise;
+    # 300 unary minuses are exact negations, nested within what the parser
+    # and the evaluator can recurse.
     tables = []
     for name, text in (("reference", "(1, 0, -x2/2); (0, 1, x1/2)"), ("spelled", frame)):
         config = _write_config(
@@ -218,6 +226,42 @@ def test_inline_frame_entries_keep_their_own_parentheses(tmp_path, frame):
         assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 0
         tables.append(_non_comment_text(out_dir / "results.csv"))
     assert tables[1] == tables[0]
+
+
+@pytest.mark.parametrize(
+    "entry", ["-" * 600 + "x1", "1+" * 3000 + "x1"], ids=["600-minuses", "3000-terms"]
+)
+def test_deeply_nested_frame_entry_is_a_config_error(tmp_path, capsys, entry):
+    # 600 unary minuses overflow the evaluator's probe and 3,000 terms overflow
+    # the parser; both are config errors naming the key and the entry.
+    config = _write_config(
+        tmp_path,
+        f"""
+        [problem]
+        start = 0, 0, 0
+        end = 1, 0, 0
+
+        [structure]
+        dimension = 3
+        frame = (1, 0, -x2/2); (0, 1, {entry})
+        """,
+    )
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: key 'frame': entry {entry!r} is nested too deeply\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_frame_entry_that_overflows_when_evaluated_is_a_config_error():
+    # An entry that passes the probe can still overflow where the stack is
+    # deeper, inside a solve; that too is a config error, not a traceback.
+    entry = cli._compile_polynomial("-" * 300 + "x1", 3, "frame")
+
+    def deep(depth):
+        return deep(depth - 1) if depth else entry(np.zeros((1, 3)))
+
+    with pytest.raises(ConfigError, match="^key 'frame': entry '-+x1' is nested too deeply$"):
+        deep(sys.getrecursionlimit() - 400)
 
 
 def test_unbalanced_inline_frame_column_is_a_config_error(tmp_path, capsys):
@@ -714,6 +758,28 @@ def test_rerun_into_the_config_directory(tmp_path, capsys):
     assert main(["solve", "--config", str(own), "--out", str(out_dir)]) == 0
     assert own.read_text() == config.read_text()
     assert main(["diagnose", "--results", str(out_dir)]) == 0
+
+
+@pytest.mark.parametrize("command, name", [("solve", "heisenberg"), ("drift-solve", "heisenberg-drift")])
+@pytest.mark.parametrize("spelling", ["--out", "root"])
+def test_unwritable_output_directory_is_a_config_error(tmp_path, capsys, command, name, spelling):
+    # An output directory that is an existing file, or lies under one, cannot
+    # be made: the run stops before any solve and names the directory.
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    body = f"[problem]\nname = {name}\n"
+    if spelling == "--out":
+        argv, target = ["--out", str(afile)], afile
+    else:
+        body += f"\n[output]\nroot = {afile}\n"
+        argv, target = [], afile / name
+    config = _write_config(tmp_path, body)
+    assert main([command, "--config", str(config)] + argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"config error: cannot write results to {target}: ")
+    assert "Traceback" not in err
+    assert out == ""
+    assert afile.read_text() == ""
 
 
 def test_rungs_whose_q_agree_to_six_digits_get_their_own_path_files(tmp_path, capsys):
@@ -1258,6 +1324,20 @@ def test_diagnose_comment_only_results_is_a_config_error(tmp_path, capsys):
     assert "config error" in err
     assert str(out_dir) in err
     assert "results.csv" in err
+
+
+@pytest.mark.parametrize("name", ["report.txt", "results.csv"])
+def test_diagnose_run_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys, name):
+    # Run files are UTF-8; other bytes are a config error that names the
+    # file, as for a path file, not a decoding traceback.
+    out_dir = _solved_euclidean_run(tmp_path)
+    path = out_dir / name
+    path.write_bytes(path.read_bytes() + "# caf\xe9\n".encode("latin-1"))
+    capsys.readouterr()
+    assert main(["diagnose", "--results", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {out_dir}: cannot read {name}: ")
+    assert "utf-8" in err
 
 
 def test_diagnose_non_numeric_field_is_a_config_error(tmp_path, capsys):

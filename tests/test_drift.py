@@ -10,7 +10,6 @@ from pengeo import (
     ContinuationSchedule,
     DiscretePath,
     DriftField,
-    FlowMap,
     SolverConfig,
     constant_drift,
     continuation_solve,
@@ -74,29 +73,40 @@ def test_drift_field_validation():
             DriftField(name="bad", A=A, b=b)
 
 
+def test_drift_field_builds_its_flow_series_on_first_use():
+    # Building a preset computes no exponential; the first transport does,
+    # once, and the inverse flow reads the same series.
+    drift = get_problem("heisenberg-drift").drift
+    assert "_series" not in vars(drift)
+    drift.transport_batch(np.array([0.5]), np.zeros((1, 3)))
+    series = vars(drift)["_series"]
+    drift.inverse(1.0, np.zeros(3))
+    assert vars(drift)["_series"] is series
+
+
 def test_flow_map_group_property_and_inverse(rng):
     A = np.array([[0.0, 1.0], [-1.0, -0.2]])
-    flow = FlowMap(linear_drift(A))
+    drift = linear_drift(A)
 
     def flow_map(t, p):
-        return flow.transport_batch(np.array([t]), p[None, :])[0][0]
+        return drift.transport_batch(np.array([t]), p[None, :])[0][0]
 
     p = rng.normal(size=2)
     composed = flow_map(0.3, flow_map(0.4, p))
     np.testing.assert_allclose(composed, flow_map(0.7, p), atol=1e-9)
     y = flow_map(0.6, p)
-    np.testing.assert_allclose(flow.inverse(0.6, y), p, atol=1e-10)
-    np.testing.assert_array_equal(flow.inverse(0.0, y), y)
+    np.testing.assert_allclose(drift.inverse(0.6, y), p, atol=1e-10)
+    np.testing.assert_array_equal(drift.inverse(0.0, y), y)
 
 
 def test_flow_map_transport_batch_matches_scalar(rng):
     A = np.array([[0.1, 0.8], [0.0, -0.4]])
-    flow = FlowMap(linear_drift(A))
+    drift = linear_drift(A)
     times = np.array([0.0, 0.25, 0.5, 0.25])
     pts = rng.normal(size=(4, 2))
-    images, jacs, _ = flow.transport_batch(times, pts)
+    images, jacs, _ = drift.transport_batch(times, pts)
     for i in range(4):
-        (pt_i,), (jac_i,), _ = flow.transport_batch(times[i : i + 1], pts[i : i + 1])
+        (pt_i,), (jac_i,), _ = drift.transport_batch(times[i : i + 1], pts[i : i + 1])
         np.testing.assert_allclose(images[i], pt_i, atol=1e-12)
         np.testing.assert_allclose(jacs[i], jac_i, atol=1e-12)
 
@@ -114,12 +124,12 @@ def _per_row_exact_transport(drift, times, points):
 _SKEWED = np.array([[0.1, 0.8, 0.0], [0.0, -0.4, 0.3], [0.2, 0.0, 0.1]])
 
 
-def _assert_matches_exact_transport(flow, rng):
+def _assert_matches_exact_transport(drift, rng):
     # Repeats and t = 0 in one batch.
     times = np.array([0.5, 0.0, 0.75, 0.25, 0.75, 0.1, 0.5, 0.0, 1.0])
     pts = rng.normal(size=(times.size, 3))
-    images, jacs, _ = flow.transport_batch(times, pts)
-    ref_images, ref_jacs = _per_row_exact_transport(flow.drift, times, pts)
+    images, jacs, _ = drift.transport_batch(times, pts)
+    ref_images, ref_jacs = _per_row_exact_transport(drift, times, pts)
     # Exact up to roundoff, relative to the largest entry of the reference.
     assert np.max(np.abs(images - ref_images)) <= 1e-13 * np.max(np.abs(ref_images))
     assert np.max(np.abs(jacs - ref_jacs)) <= 1e-13 * np.max(np.abs(ref_jacs))
@@ -128,7 +138,7 @@ def _assert_matches_exact_transport(flow, rng):
 
 
 def test_flow_map_transport_batch_matches_per_row_loop_exactly(rng):
-    _assert_matches_exact_transport(FlowMap(linear_drift(_SKEWED)), rng)
+    _assert_matches_exact_transport(linear_drift(_SKEWED), rng)
 
 
 @pytest.mark.parametrize(
@@ -138,9 +148,9 @@ def test_flow_map_transport_batch_matches_per_row_loop_exactly(rng):
 )
 def test_flow_map_squarings_match_exact_transport(rng, scale, b, squarings):
     A, b = scale * _SKEWED, np.array(b)
-    flow = FlowMap(DriftField(name="affine", A=A, b=b))
-    assert flow._squarings == squarings
-    _assert_matches_exact_transport(flow, rng)
+    drift = DriftField(name="affine", A=A, b=b)
+    assert drift._series[0] == squarings
+    _assert_matches_exact_transport(drift, rng)
 
 
 def test_flow_map_inverse_flow_matches_the_inverse_matrix(rng):
@@ -150,33 +160,33 @@ def test_flow_map_inverse_flow_matches_the_inverse_matrix(rng):
     # gap to np.linalg.inv is 8.9e-16 relative (1.9e-15 on other hosts); the
     # bound of 1e-13 is the one the transport tests use, fifty times that.
     A, b = 3.0 * np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, -0.5])
-    flow = FlowMap(DriftField(name="rotation", A=A, b=b))
-    assert flow._squarings == 2
+    drift = DriftField(name="rotation", A=A, b=b)
+    assert drift._series[0] == 2
     times = np.linspace(0.0, 1.0, 11)
     pts = rng.normal(size=(times.size, 2))
-    images, jacs, inverses = flow.transport_batch(times, pts)
+    images, jacs, inverses = drift.transport_batch(times, pts)
     reference = np.linalg.inv(jacs)
     assert np.max(np.abs(inverses - reference)) <= 1e-13 * np.max(np.abs(reference))
-    back = np.array([flow.inverse(t, y) for t, y in zip(times, images)])
+    back = np.array([drift.inverse(t, y) for t, y in zip(times, images)])
     assert np.max(np.abs(back - pts)) <= 1e-13 * np.max(np.abs(pts))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_flow_map_diverging_affine_flow_raises():
-    flow = FlowMap(linear_drift(1e6 * np.eye(2)))
+    drift = linear_drift(1e6 * np.eye(2))
     with pytest.raises(FloatingPointError, match="drift field linear diverged"):
-        flow.transport_batch(np.array([0.0, 1.0]), np.ones((2, 2)))
+        drift.transport_batch(np.array([0.0, 1.0]), np.ones((2, 2)))
     with pytest.raises(FloatingPointError, match="drift field linear diverged"):
-        flow.inverse(1.0, np.ones(2))
+        drift.inverse(1.0, np.ones(2))
 
 
 def test_flow_map_rejects_times_outside_unit_interval():
-    flow = FlowMap(constant_drift([1.0]))
+    drift = constant_drift([1.0])
     for bad in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError):
-            flow.transport_batch(np.array([bad]), np.zeros((1, 1)))
+            drift.transport_batch(np.array([bad]), np.zeros((1, 1)))
         with pytest.raises(ValueError):
-            flow.inverse(bad, [0.0])
+            drift.inverse(bad, [0.0])
 
 
 def test_pulled_back_fields_are_the_base_fields_under_zero_drift(heisenberg, rng):
@@ -372,7 +382,7 @@ def test_control_defect_reads_the_base_frame(heisenberg):
     assert sol.success
     assert sol.results[-1].defect > 1e-9
     mids, _ = _segments(sol.results[-1].path)
-    base_mid = _pull_back(heisenberg, drift).flow.transport_batch(mids[:, 3], mids[:, :3])[0]
+    base_mid = drift.transport_batch(mids[:, 3], mids[:, :3])[0]
     control = _evaluate_segments(heisenberg, base_mid, None, sol.control_mid)
     horizontal, vertical = control.horizontal, control.vertical
     assert sol.results[-1].defect == pytest.approx(np.sum(vertical) / 40, rel=1e-10)

@@ -23,7 +23,6 @@ from pengeo.geometry import (
     _field_differences,
     _field_stencil,
     _frame_gram,
-    _shifted_row,
     _shifted_rows,
     _spd_inverse,
 )
@@ -336,16 +335,6 @@ def test_spd_inverse_passes_nan_blocks(rng):
     assert np.all(np.isnan(X[1])) and np.any(np.isnan(X[3]))
     clean = [0, 2, 4]
     np.testing.assert_allclose(X[clean], np.linalg.inv(M[clean]), rtol=1e-12, atol=0.0)
-
-
-def test_shifted_row_is_a_row_of_the_shifted_rows(rng):
-    # The stencil's frame check names a bad first-order row by its index.
-    points = rng.normal(size=(4, 3))
-    axes = 1e-5 * np.eye(3)
-    offsets = np.stack([axes, -axes])
-    rows = _shifted_rows(points, offsets)
-    for i in range(rows.shape[0]):
-        np.testing.assert_array_equal(_shifted_row(points, offsets, i), rows[i])
 
 
 @pytest.mark.parametrize("columns", [0, 4])

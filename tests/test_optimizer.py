@@ -581,7 +581,7 @@ def _count_solver_calls(monkeypatch):
     for cls in (SubRiemannianStructure, drift._PulledBackStructure):
         monkeypatch.setattr(cls, "_fields", counting("fields", cls._fields))
     monkeypatch.setattr(
-        drift.FlowMap, "transport_batch", counting("transport", drift.FlowMap.transport_batch)
+        drift.DriftField, "transport_batch", counting("transport", drift.DriftField.transport_batch)
     )
     return counts
 
@@ -902,7 +902,7 @@ def _ladder_inputs(name):
     structure, endpoints = prob.structure, (prob.start, prob.end)
     if prob.has_drift:
         structure = _pull_back(prob.structure, prob.drift)
-        endpoints = (prob.start, structure.flow.inverse(1.0, prob.end))
+        endpoints = (prob.start, prob.drift.inverse(1.0, prob.end))
     config = SolverConfig(grid_size=prob.grid_size)
     return structure, endpoints, prob.schedule, config, prob.seed_deflection()
 
