@@ -468,7 +468,7 @@ def _cmd_run(command: str, config_path: str, out: Optional[str]) -> int:
     """Run ``solve`` or ``drift-solve`` on a config; write, print and judge the ladder.
 
     A solver failure (line-search underflow, a degenerate frame, a diverging
-    flow) writes ``report.txt`` as ``solver failure: <message>``, prints the
+    flow, a non-finite energy or an overflowing difference step) writes ``report.txt`` as ``solver failure: <message>``, prints the
     same line to stderr and returns 1.  Otherwise one
     :func:`distance_chain_report` covers the ladder: its chain block heads
     ``report.txt`` and, from two rungs on, its Cauchy table ends it.  A drift

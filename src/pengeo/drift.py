@@ -308,7 +308,7 @@ def solve_drift_problem(
     mids, vels = _segments(final)
     base_mid, jacs, _ = drift.transport_batch(mids[:, n], mids[:, :n])
     control_mid = np.einsum("mij,mj->mi", jacs, vels[:, :n])
-    G_mid = structure._fields(base_mid)[0]
+    G_mid = np.broadcast_to(structure._fields(base_mid)[0], jacs.shape)
     control_cost = float(
         np.einsum("mi,mij,mj->", control_mid, G_mid, control_mid) / N
     )

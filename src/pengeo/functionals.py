@@ -122,9 +122,9 @@ class _Evaluation:
     """One set of segments, factored once and free of the penalty q.
 
     At the segment midpoints ``points`` and mid-``times`` of ``structure``:
-    the metric and frame stacks G and F, the g-weighted pseudo-inverse
-    F+ = S^{-1} F^T G, so that c = F+ v and P = F F+, and S^{-1} =
-    (F^T G F)^{-1}.  With the velocities ``vels``: the horizontal and
+    the metric G (one (n, n) matrix if constant) and the frame stack F, the
+    g-weighted pseudo-inverse F+ = S^{-1} F^T G, so that c = F+ v and
+    P = F F+, and S^{-1} = (F^T G F)^{-1}.  With the velocities ``vels``: the horizontal and
     vertical forms, the parts G P v and G Pc v of the flux G (P v + q Pc v),
     c and Pc v, and :attr:`differences`, read at most once.  The readings
     that depend on q take it from the caller, who checks it."""

@@ -11,8 +11,10 @@ its g-orthogonal complement by a factor q >= 1, so q = 1 recovers the base
 metric and large q makes non-horizontal motion expensive.  The solver's
 derivatives read central differences of the two fields, which each path
 evaluation keeps for its midpoints together with the shifted rows they were
-read at, so the Hessian stencil checks the frame on exactly those rows; a
-metric difference stack that is exactly zero is None, not formed.
+read at, so the Hessian stencil checks the frame on exactly those rows.  A
+constant metric stays the one (n, n) matrix its callable returns, which
+numpy broadcasts against every stack, and is never differenced; a metric
+difference stack that is exactly zero is None, not formed.
 
 All operations here are pure functions of immutable inputs and are safe to
 call concurrently.
@@ -88,7 +90,8 @@ class SubRiemannianStructure:
 
     ``metric`` maps a stack of points of shape (m, n) to an (m, n, n) stack of
     symmetric positive definite Gram matrices, or to a single (n, n) matrix
-    valid for all of them (constant metrics).  ``frame`` maps it to an
+    valid for all of them (constant metrics), which the solver keeps as that
+    one matrix and never differences.  ``frame`` maps it to an
     (m, n, k) stack whose columns are the frame vectors at each point, or to
     a constant (n, k) matrix, 1 <= k <= n.  The distribution is the column
     span of the frame, and its rank is k; the solver reads both fields
@@ -103,19 +106,19 @@ class SubRiemannianStructure:
     name: str
 
     def _fields(self, points: np.ndarray, times=None):
-        """Metric and frame stacks (G, F) at a batch of points (m, n), in one
-        evaluation, with constant fields broadcast over the points; these
-        fields do not change in time, so the points' ``times`` are unused."""
+        """Metric and frame at a batch of points (m, n), in one evaluation:
+        G is the (m, n, n) stack, or the one (n, n) matrix of a constant
+        metric exactly as the metric gave it, which every consumer
+        broadcasts, and F the (m, n, k) stack, a constant frame broadcast
+        over the points.  These fields do not change in time, so the points'
+        ``times`` are unused."""
         m, n = points.shape
         G = np.asarray(self.metric(points), dtype=float)
         if G.shape not in ((n, n), (m, n, n)):
             raise ValueError(f"metric field returned shape {G.shape}, expected {(m, n, n)}")
-        # A constant metric is checked once, before it is broadcast.
         gap = float(np.max(np.abs(G - np.swapaxes(G, -1, -2)), initial=0.0))
         if gap > 1e-10 * (1.0 + float(np.max(np.abs(G), initial=0.0))):
             raise ValueError(f"metric Gram matrix is not symmetric (gap {gap:.3e})")
-        if G.ndim == 2:
-            G = np.broadcast_to(G, (m, n, n))
         # A frame that overflows along the path fails below, not in warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             F = np.asarray(self.frame(points), dtype=float)
@@ -271,24 +274,29 @@ def _field_differences(structure: SubRiemannianStructure, points: np.ndarray, ti
     Central differences from one ``structure._fields`` evaluation at the 2n
     copies points +- h e_c, stacked into one batch with the ``times`` of the
     points, and h from :func:`_fd_step`.  Returns (dG, dF, G, F, rows): the
-    derivatives, of shapes (m, n, n, n) and (m, n, n, k), the stacks at
+    derivatives, of shapes (m, n, n, n) and (m, n, n, k), the fields at
     the copies, of shapes (2, m, n, n, n) and (2, m, n, n, k) with the plus
     copies first, and the 2nm copies themselves in the stacks' row order,
     all of which :func:`_field_stencil` reuses.  A path evaluation
     keeps them as its ``differences``.  The segment comes before the
     coordinate, so every stack reshapes for free into the
-    batched matmuls of the Newton step.  No frame is factored.  dG is None
-    when it is exactly zero, as for any metric that does not depend on the point.
+    batched matmuls of the Newton step.  No frame is factored.  A metric
+    read as one (n, n) matrix holds it at every copy, so that matrix is G
+    and dG is None at once; a stacked metric's dG is None when its values
+    say it is exactly zero, as for a drift pull-back of a constant metric.
     """
     m, n = points.shape
     h = _fd_step(points)
     axes = h * np.eye(n)
     rows = _shifted_rows(points, np.stack([axes, -axes]))
     G, F = structure._fields(rows, np.tile(np.repeat(times, n), 2))
-    G = G.reshape(2, m, n, n, n)
     F = F.reshape(2, m, n, n, -1)
+    dF = (F[0] - F[1]) / (2.0 * h)
+    if G.ndim == 2:  # one matrix at every row
+        return None, dF, G, F, rows
+    G = G.reshape(2, m, n, n, n)
     dG = (G[0] - G[1]) / (2.0 * h)
-    return dG if dG.any() else None, (F[0] - F[1]) / (2.0 * h), G, F, rows
+    return dG if dG.any() else None, dF, G, F, rows
 
 
 def _field_stencil(evaluation):
@@ -304,16 +312,22 @@ def _field_stencil(evaluation):
     two coordinate axes after it.  No frame is factored, but the checks of
     :func:`_factor_frame` still hold: F^T G F must be finite and well
     conditioned on the first-order rows the differences kept, and G finite
-    on the mixed ones, or :class:`DegenerateFrameError` is raised.  d2G is
+    on the mixed ones, or :class:`DegenerateFrameError` is raised, and a
+    step h whose square overflows raises ``FloatingPointError``.  d2G is
     None, and not formed, when G reads back bitwise equal to the
-    evaluation's G on every first-order and every mixed row.
+    evaluation's G on every first-order and every mixed row: once, if all
+    three reads are the same (n, n) matrix, and row by row otherwise.
     """
     structure, points, times = evaluation.structure, evaluation.points, evaluation.times
     m, n = points.shape
     h = _fd_step(points)
+    try:
+        h2 = h**2
+    except OverflowError:  # float powers overflow by raising
+        raise FloatingPointError(f"difference step h={h:.17g} overflows its square") from None
     axes = h * np.eye(n)
     _, _, Gs, Fs, rows = evaluation.differences
-    _frame_gram(rows, Gs.reshape((-1,) + Gs.shape[3:]), Fs.reshape((-1,) + Fs.shape[3:]))
+    _frame_gram(rows, Gs.reshape(-1, n, n), Fs.reshape((-1,) + Fs.shape[3:]))
     c, d = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the pairs c < d
     signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[:, :, None, None]
     offsets = signs[:, 0] * axes[c] + signs[:, 1] * axes[d]
@@ -324,13 +338,18 @@ def _field_stencil(evaluation):
     def second(mixed, shifted, X0):
         mixed = mixed.reshape((4, m, c.size) + mixed.shape[1:])
         out = np.empty((m, n, n) + X0.shape[1:])
-        out[:, np.arange(n), np.arange(n)] = (shifted[0] - 2.0 * X0[:, None] + shifted[1]) / h**2
-        out[:, c, d] = out[:, d, c] = (mixed[0] - mixed[1] - mixed[2] + mixed[3]) / (4.0 * h**2)
+        out[:, np.arange(n), np.arange(n)] = (shifted[0] - 2.0 * X0[:, None] + shifted[1]) / h2
+        out[:, c, d] = out[:, d, c] = (mixed[0] - mixed[1] - mixed[2] + mixed[3]) / (4.0 * h2)
         return out
 
-    G0 = evaluation.G[:, None]
-    flat = (Gs == G0).all() and (G.reshape(4, m, c.size, n, n) == G0).all()
-    return None if flat else second(G, Gs, evaluation.G), second(F, Fs, evaluation.F)
+    G0 = evaluation.G
+    if G0.ndim == Gs.ndim == G.ndim == 2 and (Gs == G0).all() and (G == G0).all():
+        return None, second(F, Fs, evaluation.F)  # one matrix at all three reads
+    G0 = np.broadcast_to(G0, (m, n, n))
+    Gs = np.broadcast_to(Gs, (2, m, n, n, n))
+    G = np.broadcast_to(G, (4 * m * c.size, n, n))
+    flat = (Gs == G0[:, None]).all() and (G.reshape(4, m, c.size, n, n) == G0[:, None]).all()
+    return None if flat else second(G, Gs, G0), second(F, Fs, evaluation.F)
 
 
 def field_jacobian(field: Callable[[np.ndarray], np.ndarray], p) -> np.ndarray:
@@ -437,7 +456,8 @@ def validate_structure(structure: SubRiemannianStructure, points) -> None:
         raise ValueError(
             f"sample points have dimension {pts.shape[1]}, structure has {structure.dimension}"
         )
-    smallest = np.linalg.eigvalsh(_factor_frame(structure, pts)[0])[:, 0]
+    G = _factor_frame(structure, pts)[0]
+    smallest = np.broadcast_to(np.linalg.eigvalsh(G)[..., 0], pts.shape[:1])
     if np.any(smallest <= 0.0):
         i = int(np.argmin(smallest))
         raise ValueError(

@@ -18,11 +18,14 @@ metric at the segment midpoints, carries both ill-conditioning sources (the
 1/N^2 grid stiffness and the penalty q); the base-point and mixed parts,
 also O(q), follow by the chain rule through the accepted evaluation's
 factor, from first and second differences of the metric and frame fields
-at shifted midpoints, and factor no frame.  A metric difference stack
-that is exactly zero, as on every preset, inline ``[structure]`` and drift
-pull-back of them, is None and neither formed nor contracted; a metric that
-depends on the point takes the full chain rule.  Where the
-Hessian H is not positive definite the direction solves against
+at shifted midpoints, and factor no frame.  A constant metric, as on
+every preset and inline ``[structure]``, is one (n, n) matrix that numpy
+broadcasts through the Newton step and that is never differenced; a
+metric difference stack that is exactly zero, as there and on their drift
+pull-backs, is None and neither formed nor contracted; a metric that
+depends on the point takes the full chain rule.  The chain rule's batched
+matmuls multiply contiguous copies of transposed stacks, not strided views.
+Where the Hessian H is not positive definite the direction solves against
 (H + mu H0) / (1 + mu) instead, with the shift mu raised geometrically
 until the factorization succeeds (Nocedal & Wright, *Numerical
 Optimization*, 2nd ed., 3.4); the scaling keeps the unit step of a large
@@ -341,6 +344,12 @@ def _velocity_hessian(M: np.ndarray):
     return diag, off
 
 
+def _transposed(X: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of the transpose of the last two axes of X: a
+    batched matmul runs several times faster on it than on the strided view."""
+    return np.ascontiguousarray(np.swapaxes(X, -1, -2))
+
+
 def _base_point_hessian(evaluation, q: float):
     """Blocks (diag, off) of the exact Hessian's remainder H - H0 at q.
 
@@ -365,8 +374,9 @@ def _base_point_hessian(evaluation, q: float):
     evaluation on the 2n(n - 1) N mixed rows and no frame factorization,
     of shapes (N, n, n, n, n) and (N, n, n, n, k); the terms that contract a
     None (exactly zero) dG or d2G are omitted.  With the segment first,
-    every contraction is a batched matmul over segments of a free reshape,
-    and both twist terms share w_c = (G r)^T dF_c.
+    every contraction is a batched matmul over segments of a free reshape
+    or of a contiguous transposed copy, and both twist terms share
+    w_c = (G r)^T dF_c.
     """
     N = evaluation.vels.shape[0]
     dG, dF = evaluation.differences[:2]
@@ -379,20 +389,20 @@ def _base_point_hessian(evaluation, q: float):
     dGr = _contract(dG, r)
     w = np.matmul(Gr.transpose(0, 2, 1)[:, None], dF)[:, :, 0]  # w_c = (G r)^T dF_c
     dGrF = None if dGr is None else np.matmul(dGr, F)
-    dc = np.matmul(_sum(w, dGrF), evaluation.Sinv.transpose(0, 2, 1)) - np.matmul(
-        dFc, Fplus.transpose(0, 2, 1)
-    )
-    dr = -(dFc + np.matmul(dc, F.transpose(0, 2, 1)))
+    # The sweep keeps S^{-1} exactly symmetric, so it stands for its transpose.
+    Sinv = np.ascontiguousarray(evaluation.Sinv)
+    dc = np.matmul(_sum(w, dGrF), Sinv) - np.matmul(dFc, _transposed(Fplus))
+    dr = -(dFc + np.matmul(dc, _transposed(F)))
     # dflux_c = dG_c r + G d_c r, the complement's part of the flux derivative.
-    dflux = _sum(dGr, np.matmul(dr, G.transpose(0, 2, 1)))
+    dflux = _sum(dGr, np.matmul(dr, _transposed(G)))
 
     J = _sum(_contract(dG, v), (q - 1.0) * dflux).transpose(0, 2, 1)
-    twist = _contract(_contract(d2F, c), Gr) + np.matmul(w, dc.transpose(0, 2, 1))
+    twist = _contract(_contract(d2F, c), Gr) + np.matmul(w, _transposed(dc))
     slope = _sum(
         _contract(_contract(d2G, r), r),
-        None if dGr is None else 2.0 * np.matmul(dGr, dr.transpose(0, 2, 1)),
+        None if dGr is None else 2.0 * np.matmul(dGr, _transposed(dr)),
         -2.0 * twist,
-        -2.0 * np.matmul(dFc, dflux.transpose(0, 2, 1)),
+        -2.0 * np.matmul(dFc, _transposed(dflux)),
     )
     Q = _sum(_contract(_contract(d2G, v), v), (q - 1.0) * slope)
 
@@ -439,7 +449,9 @@ def minimize_energy(
     H0's block pivots fails (a penalty so large that
     q G + (1 - q) G P loses its horizontal block to rounding), or a Newton
     direction that is not finite (a Hessian with non-finite entries, which
-    the factorization does not reject) raises ``FloatingPointError``.
+    the factorization does not reject) raises ``FloatingPointError``, as
+    does a start energy that is not finite, which the stop test would
+    otherwise pass.
     """
     return _minimize(structure, q, initial, config)[0]
 
@@ -457,7 +469,10 @@ def _minimize(structure, q, initial: DiscretePath, config, evaluation=None):
     current = initial
     if evaluation is None:
         evaluation = _evaluate(structure, current)
-    f = evaluation.energy(qf)
+    with np.errstate(over="ignore"):  # an energy that overflows fails below, not in warnings
+        f = evaluation.energy(qf)
+    if not np.isfinite(f):  # the stop test's bound would be infinite too
+        raise FloatingPointError(f"energy is not finite at q={qf:.17g}")
     g, slope = _gradient(evaluation, qf)
     history = [f]
     shift = 0.0

@@ -188,13 +188,16 @@ def assert_same_evaluation(a, b, q) -> None:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
-def count_calls(monkeypatch, owner, name: str, *callers) -> list:
+def count_calls(monkeypatch, owner, name: str, *callers, keep=None) -> list:
     """Record every call of ``owner.name`` (a numpy function, say) for the rest
     of the test, and return the list of records.
 
     Each record is the ``__qualname__`` of the innermost of the functions
     ``callers`` on the call stack, matched by code object, or None when none
-    of them is on it (always None when no callers are given).
+    of them is on it (always None when no callers are given).  With ``keep``,
+    a function of the call's arguments, each record is instead the pair of
+    that name and ``keep(*args, **kwargs)``, which may be the arguments
+    themselves or a predicate on them; it runs before the call.
     """
     fn = getattr(owner, name)
     codes = {caller.__code__: caller.__qualname__ for caller in callers}
@@ -204,7 +207,8 @@ def count_calls(monkeypatch, owner, name: str, *callers) -> list:
         frame = sys._getframe(1)
         while frame is not None and frame.f_code not in codes:
             frame = frame.f_back
-        calls.append(None if frame is None else codes[frame.f_code])
+        caller = None if frame is None else codes[frame.f_code]
+        calls.append(caller if keep is None else (caller, keep(*args, **kwargs)))
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)

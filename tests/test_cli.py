@@ -947,6 +947,46 @@ def test_solve_singular_velocity_hessian_is_a_solver_failure(tmp_path, capsys, s
     assert capsys.readouterr().err.startswith("solver failure:")
 
 
+def test_solve_non_finite_energy_is_a_solver_failure(tmp_path, capsys):
+    # An energy that overflows to inf would pass the stop test on every
+    # rung; the run, and diagnose on its directory, end as a solver failure.
+    config = _write_config(
+        tmp_path,
+        """
+        [problem]
+        name = heisenberg
+        end = 0, 0, 1e154
+        """,
+    )
+    out_dir = tmp_path / "run"
+    failure = "solver failure: energy is not finite at q=1\n"
+    assert main(["solve", "--config", str(config), "--out", str(out_dir)]) == 1
+    assert (out_dir / "report.txt").read_text() == failure
+    assert capsys.readouterr().err == failure
+    assert main(["diagnose", "--results", str(out_dir)]) == 1
+    assert capsys.readouterr().err == failure
+
+
+def test_drift_solve_overflowing_difference_step_is_a_solver_failure(tmp_path, capsys):
+    # Near 1e160 the Hessian stencil's difference step h is finite but h^2
+    # overflows a float: the run names the step instead of a traceback.
+    config = _write_config(
+        tmp_path,
+        """
+        [problem]
+        name = drift-linear-2d
+        start = 1e160, 0
+        end = 1e160, 1
+        """,
+    )
+    out_dir = tmp_path / "run"
+    assert main(["drift-solve", "--config", str(config), "--out", str(out_dir)]) == 1
+    failure = re.escape("solver failure: difference step h=") + r"\S+" + re.escape(" overflows its square\n")
+    assert re.fullmatch(failure, (out_dir / "report.txt").read_text())
+    err = capsys.readouterr().err
+    assert re.fullmatch(failure, err) and "Traceback" not in err
+
+
 def test_solve_non_finite_newton_direction_is_a_solver_failure(tmp_path, capsys, monkeypatch):
     # A Hessian with NaN blocks factors without raising; the non-finite
     # direction it gives ends the run as a solver failure, not a traceback.

@@ -146,13 +146,14 @@ def test_metric_field_rejects_asymmetric_gram():
 
 
 def test_fields_of_zero_points(heisenberg):
+    # The constant metric stays the one matrix it is; the frame is a stack.
     G, F = heisenberg._fields(np.zeros((0, 3)))
-    assert G.shape == (0, 3, 3) and F.shape == (0, 3, 2)
+    assert G.shape == (3, 3) and F.shape == (0, 3, 2)
 
 
 def test_fields_reject_non_symmetric_metrics(rng):
-    # A constant metric is checked once, before it is broadcast over the
-    # points, and a point-dependent one at every point.
+    # A constant metric is checked once, as the one matrix it is, and a
+    # point-dependent one at every point.
     skew = np.array([[1.0, 0.5], [0.0, 1.0]])
 
     def warped(pts):
@@ -513,6 +514,22 @@ def test_validate_structure_passes_on_presets(heisenberg, martinet, euclidean3, 
     validate_structure(euclidean3, pts)
     with pytest.raises(ValueError):
         validate_structure(heisenberg, rng.normal(size=(4, 2)))
+
+
+def test_validate_structure_rejects_an_indefinite_metric(heisenberg):
+    # Near the origin the Heisenberg frame Gram under diag(1, 1, -1) is
+    # positive definite, so the metric's own eigenvalue check names the
+    # point: the first one for a constant metric, which is one matrix, and
+    # the offending row of a stack.
+    flip = np.diag([1.0, 1.0, -1.0])
+    points = np.array([[0.1, 0.2, 0.0], [0.0, 0.0, 0.3]])
+    for metric, point in (
+        (lambda pts: flip, [0.1, 0.2, 0.0]),
+        (lambda pts: np.where((pts[:, 0] == 0.0)[:, None, None], flip, np.eye(3)), [0.0, 0.0, 0.3]),
+    ):
+        message = re.escape(f"metric is not positive definite at point {point} (smallest eigenvalue -1.000e+00)")
+        with pytest.raises(ValueError, match=message):
+            validate_structure(replace(heisenberg, metric=metric), points)
 
 
 def test_random_path_helper_respects_endpoints(heisenberg, rng):

@@ -307,6 +307,50 @@ def test_metric_stacks_are_none_exactly_where_the_metric_does_not_move(heisenber
             assert isinstance(stack, np.ndarray), structure.name
 
 
+def test_a_constant_metric_stays_one_matrix(heisenberg, rng):
+    # A constant metric is the one (n, n) matrix it returns, in the
+    # evaluation and in its field differences, and is never differenced:
+    # both metric stacks are None.
+    evaluation = _evaluate(heisenberg, random_path(heisenberg, 12, rng, 0.3))
+    dG, dF, G, F, _ = evaluation.differences
+    assert evaluation.G.shape == (3, 3) and G.shape == (3, 3)
+    assert evaluation.F.shape == (12, 3, 2) and F.shape == (2, 12, 3, 3, 2) and dF.shape == (12, 3, 3, 2)
+    assert dG is None and _field_stencil(evaluation)[0] is None
+
+
+def test_a_stacked_constant_metric_takes_the_value_test_and_the_same_ladder(heisenberg, rng):
+    # The identity metric returned as one copy per point reads as a stack,
+    # so its differences go through the value test, which still finds them
+    # exactly zero; its vertical ladder is bitwise the one of the (n, n)
+    # matrix, which stays one matrix.
+    stacked = replace(heisenberg, metric=lambda pts: np.tile(np.eye(3), (pts.shape[0], 1, 1)))
+    path = random_path(heisenberg, 12, rng, 0.3)
+    evaluation = _evaluate(stacked, path)
+    dG, _, G, _, _ = evaluation.differences
+    assert evaluation.G.shape == (12, 3, 3) and G.shape == (2, 12, 3, 3, 3)
+    assert dG is None and _field_stencil(evaluation)[0] is None
+    assert _evaluate(heisenberg, path).G.shape == (3, 3)
+
+    problem = vertical_heisenberg_problem(50)
+    assert problem.structure.metric(np.zeros((1, 3))).shape == (3, 3)
+    ladders = [
+        continuation_solve(
+            structure,
+            (problem.start, problem.end),
+            problem.schedule,
+            SolverConfig(grid_size=problem.grid_size),
+            seed_deflection=problem.seed_deflection(),
+        )
+        for structure in (problem.structure, replace(problem.structure, metric=stacked.metric))
+    ]
+    assert [r.iterations for r in ladders[0]] == [1, 3, 4, 8, 2]
+    for a, b in zip(*ladders):
+        for name in ("q", "energy", "length", "defect", "iterations", "converged", "gradient_norm", "speed_cv"):
+            assert getattr(a, name) == getattr(b, name), name
+        assert a.energy_history == b.energy_history
+        np.testing.assert_array_equal(a.path.points, b.path.points)
+
+
 def test_omitted_metric_terms_change_no_bit(heisenberg, rng, monkeypatch):
     # The gradient and the Hessian blocks from None metric stacks are
     # bitwise those of the full formulas on explicit zero stacks, on a flat
@@ -498,6 +542,17 @@ def test_non_positive_definite_metric_block_is_a_singular_velocity_hessian(heise
     )
     with pytest.raises(FloatingPointError, match="velocity Hessian is singular at q=10 after 0 iterations"):
         minimize_energy(heisenberg, 10.0, path, SolverConfig(grid_size=10))
+
+
+def test_non_finite_start_energy_is_a_floating_point_error(heisenberg):
+    # An energy that overflows to inf would pass the stop test, whose bound
+    # scales with 1 + |E|, at iteration 0: the solver names it instead.
+    end = np.array([0.0, 0.0, 1e154])
+    config = SolverConfig(grid_size=10)
+    with pytest.raises(FloatingPointError, match=r"^energy is not finite at q=1$"):
+        minimize_energy(heisenberg, 1.0, DiscretePath.chord(np.zeros(3), end, 10), config)
+    with pytest.raises(FloatingPointError, match=r"^energy is not finite at q=1$"):
+        continuation_solve(heisenberg, (np.zeros(3), end), ContinuationSchedule(), config)
 
 
 def test_velocity_hessian_without_block_pivots_is_a_floating_point_error(heisenberg, monkeypatch):
@@ -873,6 +928,27 @@ def test_newton_step_contracts_without_einsum(monkeypatch):
     results = continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
     assert sum(r.iterations for r in results) > 0
     assert calls and set(calls) == {None}
+
+
+@pytest.mark.parametrize("name", ["vertical-50", "heisenberg-drift"])
+def test_hessian_chain_rule_multiplies_contiguous_stacks(monkeypatch, name):
+    # A batched matmul runs several times slower when an operand is a
+    # transposed view, so every 3-D operand the base-point Hessian multiplies
+    # is C-contiguous.  The stencil's products, which check the frame, are
+    # its own and not counted here.
+    from pengeo import geometry, optimizer
+
+    def contiguous(*operands, **_):
+        return [x.flags.c_contiguous for x in operands if np.ndim(x) == 3]
+
+    calls = count_calls(
+        monkeypatch, np, "matmul", optimizer._base_point_hessian, geometry._field_stencil, keep=contiguous
+    )
+    structure, endpoints, schedule, config, seed = _ladder_inputs(name)
+    results = continuation_solve(structure, endpoints, schedule, config, seed_deflection=seed)
+    assert sum(r.iterations for r in results) > 0
+    flags = [flag for caller, kept in calls if caller == "_base_point_hessian" for flag in kept]
+    assert flags and all(flags)
 
 
 def test_small_blocks_are_inverted_by_sweeps(monkeypatch):
